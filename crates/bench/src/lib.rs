@@ -14,7 +14,7 @@
 //! | `fig17`                   | Figure 17      | Effect of λ on refinement units and elapsed time (Truck & Cattle) |
 //! | `fig19`                   | Figure 19      | MC2 false positives / false negatives vs θ on all four datasets |
 //! | `all_experiments`         | —              | Runs everything above and collects the CSVs |
-//! | `engine_scaling` (bench)  | —              | CMC per-tick vs swept vs parallel engines on all four datasets |
+//! | `engine_scaling` (bench)  | —              | CMC per-tick vs swept vs parallel vs sharded engines on all four datasets |
 //!
 //! Every binary prints its series as CSV to stdout and also writes it under
 //! `bench_results/`. The Criterion benches under `benches/` wrap the same

@@ -6,44 +6,33 @@
 //! common objects for at least `k` consecutive time points.
 //!
 //! It is also the building block of the CuTS refinement step, which runs CMC
-//! on the candidate's objects restricted to the candidate's time window.
+//! on the candidate's objects restricted to the candidate's time window
+//! ([`CmcEngine::run_windowed_with_stats`]).
 
 use crate::engine::CmcEngine;
 use crate::query::{Convoy, ConvoyQuery};
-use trajectory::{TimeInterval, TrajectoryDatabase};
+use trajectory::TrajectoryDatabase;
 
 /// Runs CMC over the whole time domain of `db`.
-///
-/// Snapshots are streamed from one sorted sweep over all samples (the
-/// [`CmcEngine::Swept`] engine); use [`CmcEngine`] directly for the per-tick
-/// baseline or the parallel driver.
-pub fn cmc(db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
-    CmcEngine::Swept.run(db, query)
-}
-
-/// Runs CMC restricted to the time window `window` (Algorithm 1, as invoked
-/// by the refinement step of Algorithm 3).
 ///
 /// Positions of objects that cover a time point without an exact sample are
 /// linearly interpolated (the *virtual points* of Section 4). Time points at
 /// which fewer than `m` objects are present produce no clusters, which closes
 /// every open candidate chain exactly as an empty clustering would.
 ///
-/// The candidate bookkeeping lives in [`crate::engine::CmcState`]; this
-/// function folds a snapshot sweep through it.
-pub fn cmc_windowed(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-) -> Vec<Convoy> {
-    CmcEngine::Swept.run_windowed(db, query, window)
+/// Snapshots are streamed from one sorted sweep over all samples (the
+/// [`CmcEngine::Swept`] engine) and folded through
+/// [`crate::engine::CmcState`]; use [`CmcEngine`] directly for a window, the
+/// per-tick baseline or the parallel drivers.
+pub fn cmc(db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
+    CmcEngine::Swept.run(db, query)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::normalize_convoys;
-    use trajectory::{ObjectId, Trajectory};
+    use trajectory::{ObjectId, TimeInterval, Trajectory};
 
     /// Builds a database from per-object position tables: `positions[i]` is a
     /// list of `(x, y, t)` samples for object `i`.
@@ -204,7 +193,9 @@ mod tests {
     fn windowed_cmc_restricts_the_search() {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 3, 1.5);
-        let result = normalize_convoys(cmc_windowed(&db, &query, TimeInterval::new(2, 6)), &query);
+        let window = TimeInterval::new(2, 6);
+        let (raw, _) = CmcEngine::Swept.run_windowed_with_stats(&db, &query, window);
+        let result = normalize_convoys(raw, &query);
         assert_eq!(result.len(), 1);
         assert_eq!(result[0].start, 2);
         assert_eq!(result[0].end, 6);

@@ -35,9 +35,8 @@
 //! `Vec<Convoy>` equality rather than set equivalence.
 
 use crate::candidate::CandidateConvoy;
-use crate::cmc::cmc_windowed;
 use crate::cuts::partition::PartitionClusters;
-use crate::engine::{CmcState, CmcStats};
+use crate::engine::{CmcEngine, CmcState, CmcStats};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::Obs;
 use std::collections::BTreeSet;
@@ -53,7 +52,9 @@ pub fn refine_candidate(
 ) -> Vec<Convoy> {
     let subset = db.subset(candidate.objects.iter());
     let window = TimeInterval::new(candidate.start, candidate.end);
-    cmc_windowed(&subset, query, window)
+    CmcEngine::Swept
+        .run_windowed_with_stats(&subset, query, window)
+        .0
 }
 
 /// Refines every candidate and concatenates the verified convoys.
@@ -454,14 +455,15 @@ mod tests {
         // raw convoy sequence of full CMC — order included.
         use crate::cuts::filter::filter;
         use crate::cuts::{CutsConfig, CutsVariant};
-        use crate::engine::CmcEngine;
 
         let db = db();
         let query = ConvoyQuery::new(2, 5, 1.5);
+        let domain = db.time_domain().unwrap();
         for variant in CutsVariant::ALL {
             let output = filter(&db, &query, &CutsConfig::new(variant));
             let (refined, fold_stats) = refine_partitions(&db, &query, &output.partitions);
-            let (reference, reference_stats) = CmcEngine::Swept.run_with_stats(&db, &query);
+            let (reference, reference_stats) =
+                CmcEngine::Swept.run_windowed_with_stats(&db, &query, domain);
             assert_eq!(refined, reference, "{variant} coverage fold diverged");
             // Every tick of the domain is folded, so the counters match the
             // unrestricted run too.

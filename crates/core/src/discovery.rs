@@ -188,9 +188,12 @@ impl Discovery {
         match self.method {
             Method::Cmc => {
                 let started = Instant::now();
-                let (raw, fold) = self
-                    .cmc_engine
-                    .run_with_stats_obs(db, query, &self.obs, root);
+                let (raw, fold) = match db.time_domain() {
+                    Some(window) => self
+                        .cmc_engine
+                        .run_windowed_with_stats_obs(db, query, window, &self.obs, root),
+                    None => Default::default(),
+                };
                 let filter_time = started.elapsed();
                 let convoys = normalize_convoys(raw, query);
                 DiscoveryOutcome {

@@ -4,17 +4,17 @@
 //! refinement, so this module factors it into composable pieces:
 //!
 //! * [`CmcState`] — the incremental core: ingest one snapshot (or one tick's
-//!   clusters), emit the convoys that closed at that tick. `cmc_windowed`,
-//!   the refinement step, the parallel driver and streaming ingest all fold
-//!   through this one state machine, so there is a single implementation of
-//!   the candidate bookkeeping (including the per-step candidate
-//!   de-duplication).
-//! * [`CmcEngine`] — the execution strategy: legacy per-tick snapshot
-//!   extraction, the swept single-pass cursor, the time-partitioned
-//!   parallel driver, or the spatially sharded driver
-//!   ([`crate::shard`]).
-//! * [`cmc_parallel_windowed`] — the parallel driver. The time domain is
-//!   split into one contiguous partition per thread; each worker streams its
+//!   clusters), emit the convoys that closed at that tick. Every engine, the
+//!   CuTS refinement step and streaming ingest all fold through this one
+//!   state machine, so there is a single implementation of the candidate
+//!   bookkeeping (including the per-step candidate de-duplication).
+//! * [`CmcEngine`] — the execution strategy, run through
+//!   [`CmcEngine::run_windowed_with_stats_obs`]: legacy per-tick snapshot
+//!   extraction or the swept single-pass cursor (one sequential loop fed by
+//!   either snapshot source), the time-partitioned parallel driver, or the
+//!   spatially sharded driver ([`crate::shard`]).
+//! * The parallel driver ([`CmcEngine::Parallel`]) splits the time domain
+//!   into one contiguous partition per thread; each worker streams its
 //!   partition with a [`SnapshotSweep`] and density-clusters every tick (the
 //!   measured hot path of CMC). The per-tick clusters are then folded through
 //!   a single [`CmcState`] in time order, which stitches candidate chains
@@ -523,16 +523,16 @@ pub enum CmcEngine {
     /// ([`SnapshotSweep`]) and fold them incrementally. The default.
     #[default]
     Swept,
-    /// Time-partitioned parallel clustering with stitched folding
-    /// ([`cmc_parallel_windowed`]). `threads == 0` means "use all available
-    /// cores".
+    /// Time-partitioned parallel clustering with stitched folding (see the
+    /// module docs). `threads == 0` means "use all available cores".
     Parallel {
-        /// Number of worker threads (0 = `std::thread::available_parallelism`).
+        /// Number of worker threads (0 = `std::thread::available_parallelism`,
+        /// clamped to [`MAX_PARALLEL_THREADS`]).
         threads: usize,
     },
     /// Spatially sharded clustering with boundary-halo exchange and exact
-    /// cluster merging ([`crate::shard::cmc_sharded_windowed`]). `shards == 0`
-    /// means "one shard per available core".
+    /// cluster merging ([`crate::shard`]). `shards == 0` means "one shard per
+    /// available core".
     Sharded {
         /// Number of spatial shards (0 = one per core, clamped to
         /// [`crate::shard::MAX_SHARDS`]).
@@ -545,17 +545,15 @@ pub enum CmcEngine {
 /// unbounded user-supplied count would hit the OS thread limit and panic.
 pub const MAX_PARALLEL_THREADS: usize = 64;
 
-/// Resolves a requested thread count: `0` means every available core; the
-/// result is always clamped to [`MAX_PARALLEL_THREADS`] (the hard cap
-/// applies to the all-cores case too, matching the sharded driver). Shared
-/// by the driver and by front ends that report the effective count.
-fn resolve_threads(requested: usize) -> usize {
+/// Resolves a requested worker count: `0` means every available core; the
+/// result is always clamped to `cap` (the all-cores case included).
+fn resolve_count(requested: usize, cap: usize) -> usize {
     let requested = if requested == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         requested
     };
-    requested.min(MAX_PARALLEL_THREADS)
+    requested.min(cap)
 }
 
 impl CmcEngine {
@@ -575,10 +573,8 @@ impl CmcEngine {
     /// drivers.
     pub fn resolved_threads(&self) -> usize {
         match *self {
-            CmcEngine::Parallel { threads } => resolve_threads(threads),
-            CmcEngine::Sharded { shards } => {
-                crate::shard::resolved_shard_count(shards).min(MAX_PARALLEL_THREADS)
-            }
+            CmcEngine::Parallel { threads } => resolve_count(threads, MAX_PARALLEL_THREADS),
+            CmcEngine::Sharded { .. } => self.resolved_shards().min(MAX_PARALLEL_THREADS),
             _ => 1,
         }
     }
@@ -587,25 +583,21 @@ impl CmcEngine {
     /// capped count for the sharded driver, 1 for every other engine.
     pub fn resolved_shards(&self) -> usize {
         match *self {
-            CmcEngine::Sharded { shards } => crate::shard::resolved_shard_count(shards),
+            CmcEngine::Sharded { shards } => resolve_count(shards, crate::shard::MAX_SHARDS),
             _ => 1,
         }
     }
 
-    /// Runs CMC over `window` with this engine.
-    pub fn run_windowed(
-        &self,
-        db: &TrajectoryDatabase,
-        query: &ConvoyQuery,
-        window: TimeInterval,
-    ) -> Vec<Convoy> {
-        self.run_windowed_with_stats(db, query, window).0
+    /// Runs CMC over the whole time domain of `db` with this engine.
+    pub fn run(&self, db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
+        db.time_domain()
+            .map_or_else(Vec::new, |w| self.run_windowed_with_stats(db, query, w).0)
     }
 
-    /// Like [`CmcEngine::run_windowed`], but also returns the counters of the
-    /// [`CmcState`] fold that produced the result — every engine, the
-    /// parallel and sharded drivers included, folds through exactly one
-    /// state machine, so the counters are engine-independent.
+    /// Runs CMC over `window` with this engine, returning the convoys and
+    /// the counters of the [`CmcState`] fold that produced them — every
+    /// engine, the parallel and sharded drivers included, folds through
+    /// exactly one state machine, so the counters are engine-independent.
     pub fn run_windowed_with_stats(
         &self,
         db: &TrajectoryDatabase,
@@ -615,14 +607,21 @@ impl CmcEngine {
         self.run_windowed_with_stats_obs(db, query, window, &Obs::noop(), SpanId::NONE)
     }
 
-    /// Like [`CmcEngine::run_windowed_with_stats`], recording into `obs`:
-    /// one root span per engine (child of `parent`), `cmc.sweep` /
-    /// `cmc.cluster` / `cmc.fold` stage spans beneath it (accumulated totals
-    /// for the sequential engines, real per-partition / per-shard worker
-    /// spans for the parallel drivers), and the per-tick `cmc.*` metrics of
-    /// the fold. With the no-op recorder this is exactly
+    /// Like [`CmcEngine::run_windowed_with_stats`], recording into `obs` the
+    /// per-tick `cmc.*` metrics of the fold and one root span per engine
+    /// (child of `parent`):
+    ///
+    /// * `cmc.per-tick` / `cmc.swept` → `cmc.sweep`, `cmc.cluster`,
+    ///   `cmc.fold` (accumulated stage totals);
+    /// * `cmc.parallel` → one `cmc.partition` per worker, then `cmc.fold`;
+    /// * `cmc.sharded` → `cmc.sweep`, one `cmc.shard` per worker, then
+    ///   `cmc.fold`.
+    ///
+    /// The parallel drivers fall back to the `cmc.swept` tree when there is
+    /// nothing to split. With the no-op recorder this is exactly
     /// [`CmcEngine::run_windowed_with_stats`] — the result is identical
-    /// either way.
+    /// either way. This is the one CMC implementation every other run
+    /// function delegates to.
     pub fn run_windowed_with_stats_obs(
         &self,
         db: &TrajectoryDatabase,
@@ -632,139 +631,82 @@ impl CmcEngine {
         parent: SpanId,
     ) -> (Vec<Convoy>, CmcStats) {
         match *self {
-            CmcEngine::PerTick => {
-                let engine_span = obs.span_start("cmc.per-tick", parent);
-                let run_start_ns = obs.now_ns();
-                let live = obs.enabled();
-                let mut state = CmcState::new(query);
-                state.set_obs(obs.clone());
-                let mut sweep_ns = 0u64;
-                let mut ingest_ns = 0u64;
-                for t in window.iter() {
-                    let sweep_from_ns = if live { obs.now_ns() } else { 0 };
-                    let snapshot = db.snapshot(t, SnapshotPolicy::Interpolate);
-                    let ingest_from_ns = if live { obs.now_ns() } else { 0 };
-                    state.ingest_snapshot(&snapshot);
-                    if live {
-                        sweep_ns =
-                            sweep_ns.saturating_add(ingest_from_ns.saturating_sub(sweep_from_ns));
-                        ingest_ns =
-                            ingest_ns.saturating_add(obs.now_ns().saturating_sub(ingest_from_ns));
-                    }
-                }
-                let cluster_ns = state.cluster_time_ns();
-                let out = state.finish_with_stats();
-                emit_stage_spans(
-                    obs,
-                    engine_span,
-                    run_start_ns,
-                    sweep_ns,
-                    cluster_ns,
-                    ingest_ns,
-                );
-                obs.span_end(engine_span);
-                out
-            }
-            CmcEngine::Swept => {
-                let engine_span = obs.span_start("cmc.swept", parent);
-                let run_start_ns = obs.now_ns();
-                let live = obs.enabled();
-                let mut state = CmcState::new(query);
-                state.set_obs(obs.clone());
-                let mut sweep_ns = 0u64;
-                let mut ingest_ns = 0u64;
-                let mut sweep = SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate);
-                loop {
-                    let sweep_from_ns = if live { obs.now_ns() } else { 0 };
-                    let Some(snapshot) = sweep.next() else { break };
-                    let ingest_from_ns = if live { obs.now_ns() } else { 0 };
-                    state.ingest_snapshot(&snapshot);
-                    if live {
-                        sweep_ns =
-                            sweep_ns.saturating_add(ingest_from_ns.saturating_sub(sweep_from_ns));
-                        ingest_ns =
-                            ingest_ns.saturating_add(obs.now_ns().saturating_sub(ingest_from_ns));
-                    }
-                }
-                let cluster_ns = state.cluster_time_ns();
-                let out = state.finish_with_stats();
-                emit_stage_spans(
-                    obs,
-                    engine_span,
-                    run_start_ns,
-                    sweep_ns,
-                    cluster_ns,
-                    ingest_ns,
-                );
-                obs.span_end(engine_span);
-                out
-            }
-            CmcEngine::Parallel { threads } => {
-                cmc_parallel_windowed_with_stats_obs(db, query, window, threads, obs, parent)
-            }
-            CmcEngine::Sharded { shards } => crate::shard::cmc_sharded_windowed_with_stats_obs(
-                db, query, window, shards, obs, parent,
+            CmcEngine::PerTick => sequential(
+                window
+                    .iter()
+                    .map(|t| db.snapshot(t, SnapshotPolicy::Interpolate)),
+                "cmc.per-tick",
+                query,
+                obs,
+                parent,
             ),
-        }
-    }
-
-    /// Runs CMC over the whole time domain of `db` with this engine.
-    pub fn run(&self, db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
-        self.run_with_stats(db, query).0
-    }
-
-    /// Like [`CmcEngine::run`], but also returns the fold counters.
-    pub fn run_with_stats(
-        &self,
-        db: &TrajectoryDatabase,
-        query: &ConvoyQuery,
-    ) -> (Vec<Convoy>, CmcStats) {
-        self.run_with_stats_obs(db, query, &Obs::noop(), SpanId::NONE)
-    }
-
-    /// Whole-domain variant of [`CmcEngine::run_windowed_with_stats_obs`].
-    pub fn run_with_stats_obs(
-        &self,
-        db: &TrajectoryDatabase,
-        query: &ConvoyQuery,
-        obs: &Obs,
-        parent: SpanId,
-    ) -> (Vec<Convoy>, CmcStats) {
-        match db.time_domain() {
-            Some(window) => self.run_windowed_with_stats_obs(db, query, window, obs, parent),
-            None => (Vec::new(), CmcStats::default()),
+            CmcEngine::Swept => sequential(
+                SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate),
+                "cmc.swept",
+                query,
+                obs,
+                parent,
+            ),
+            CmcEngine::Parallel { .. } => {
+                parallel(db, query, window, self.resolved_threads(), obs, parent)
+            }
+            CmcEngine::Sharded { .. } => {
+                crate::shard::sharded(db, query, window, self.resolved_shards(), obs, parent)
+            }
         }
     }
 }
 
-/// Re-lays the accumulated sweep → cluster → fold totals of a sequential
-/// engine run as three synthetic child spans under `engine_span`. The three
-/// stages interleave per tick at runtime, so the spans carry stage *totals*
-/// laid end to end from the run's start — the proportions are exact, the
-/// wall-clock positions are not (see the crate docs of `convoy_obs`).
-/// `ingest_ns` is the whole fold-side total; the clustering share is split
-/// out of it.
-fn emit_stage_spans(
+/// The sequential engines: folds `snapshots` through one [`CmcState`] under
+/// a `span_name` root span.
+///
+/// Sweep, clustering and fold interleave per tick, so with a live recorder
+/// their accumulated totals are re-laid as three synthetic child spans
+/// (`cmc.sweep` → `cmc.cluster` → `cmc.fold`) end to end from the run's
+/// start — the proportions are exact, the wall-clock positions are not (see
+/// the crate docs of `convoy_obs`).
+pub(crate) fn sequential(
+    mut snapshots: impl Iterator<Item = Snapshot>,
+    span_name: &'static str,
+    query: &ConvoyQuery,
     obs: &Obs,
-    engine_span: SpanId,
-    run_start_ns: u64,
-    sweep_ns: u64,
-    cluster_ns: u64,
-    ingest_ns: u64,
-) {
-    if !obs.enabled() {
-        return;
+    parent: SpanId,
+) -> (Vec<Convoy>, CmcStats) {
+    let engine_span = obs.span_start(span_name, parent);
+    let run_start_ns = obs.now_ns();
+    let live = obs.enabled();
+    let mut state = CmcState::new(query);
+    state.set_obs(obs.clone());
+    let mut sweep_ns = 0u64;
+    let mut ingest_ns = 0u64;
+    loop {
+        let sweep_from_ns = if live { obs.now_ns() } else { 0 };
+        let Some(snapshot) = snapshots.next() else {
+            break;
+        };
+        let ingest_from_ns = if live { obs.now_ns() } else { 0 };
+        state.ingest_snapshot(&snapshot);
+        if live {
+            sweep_ns = sweep_ns.saturating_add(ingest_from_ns.saturating_sub(sweep_from_ns));
+            ingest_ns = ingest_ns.saturating_add(obs.now_ns().saturating_sub(ingest_from_ns));
+        }
     }
-    let fold_ns = ingest_ns.saturating_sub(cluster_ns);
-    let mut cursor_ns = run_start_ns;
-    for (name, dur_ns) in [
-        ("cmc.sweep", sweep_ns),
-        ("cmc.cluster", cluster_ns),
-        ("cmc.fold", fold_ns),
-    ] {
-        obs.span_at(name, engine_span, cursor_ns, dur_ns);
-        cursor_ns = cursor_ns.saturating_add(dur_ns);
+    let cluster_ns = state.cluster_time_ns();
+    let out = state.finish_with_stats();
+    if live {
+        let fold_ns = ingest_ns.saturating_sub(cluster_ns);
+        let mut cursor_ns = run_start_ns;
+        for (name, dur_ns) in [
+            ("cmc.sweep", sweep_ns),
+            ("cmc.cluster", cluster_ns),
+            ("cmc.fold", fold_ns),
+        ] {
+            obs.span_at(name, engine_span, cursor_ns, dur_ns);
+            cursor_ns = cursor_ns.saturating_add(dur_ns);
+        }
     }
+    obs.span_end(engine_span);
+    out
 }
 
 /// Splits `window` into `parts` contiguous, disjoint sub-windows whose sizes
@@ -787,7 +729,8 @@ fn split_window(window: TimeInterval, parts: usize) -> Vec<TimeInterval> {
     out
 }
 
-/// Runs CMC over `window` with time-partitioned parallel clustering.
+/// Runs CMC over `window` with time-partitioned parallel clustering on
+/// `threads` (already resolved) workers.
 ///
 /// Each worker thread sweeps one contiguous partition of the window and
 /// density-clusters every tick — snapshot extraction plus DBSCAN, the part of
@@ -795,37 +738,14 @@ fn split_window(window: TimeInterval, parts: usize) -> Vec<TimeInterval> {
 /// per-tick cluster lists are then folded through a single [`CmcState`] in
 /// time order, carrying open candidate chains across partition boundaries,
 /// so the result is identical to the sequential algorithm (see the module
-/// docs for why the fold itself must stay ordered).
-///
-/// `threads == 0` selects `std::thread::available_parallelism()`; explicit
-/// counts are clamped to [`MAX_PARALLEL_THREADS`]. With one thread (or a
+/// docs for why the fold itself must stay ordered). With one thread (or a
 /// one-tick window) this degrades to the swept sequential engine.
-pub fn cmc_parallel_windowed(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-    threads: usize,
-) -> Vec<Convoy> {
-    cmc_parallel_windowed_with_stats(db, query, window, threads).0
-}
-
-/// Like [`cmc_parallel_windowed`], but also returns the stitching fold's
-/// counters.
-pub fn cmc_parallel_windowed_with_stats(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-    threads: usize,
-) -> (Vec<Convoy>, CmcStats) {
-    cmc_parallel_windowed_with_stats_obs(db, query, window, threads, &Obs::noop(), SpanId::NONE)
-}
-
-/// Like [`cmc_parallel_windowed_with_stats`], recording into `obs`: a
-/// `cmc.parallel` root span, one *real* `cmc.partition` span per worker
+///
+/// Spans: a `cmc.parallel` root, one *real* `cmc.partition` span per worker
 /// thread (each worker density-clusters with its own recorder-attached
 /// scratch, so `cluster.*` metrics accrue from all workers), and a real
 /// `cmc.fold` span over the sequential stitch.
-pub fn cmc_parallel_windowed_with_stats_obs(
+fn parallel(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
     window: TimeInterval,
@@ -833,9 +753,10 @@ pub fn cmc_parallel_windowed_with_stats_obs(
     obs: &Obs,
     parent: SpanId,
 ) -> (Vec<Convoy>, CmcStats) {
-    let partitions = split_window(window, resolve_threads(threads));
+    let partitions = split_window(window, threads);
     if partitions.len() <= 1 {
-        return CmcEngine::Swept.run_windowed_with_stats_obs(db, query, window, obs, parent);
+        let sweep = SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate);
+        return sequential(sweep, "cmc.swept", query, obs, parent);
     }
     let engine_span = obs.span_start("cmc.parallel", parent);
 
@@ -890,14 +811,6 @@ pub fn cmc_parallel_windowed_with_stats_obs(
     out
 }
 
-/// Runs [`cmc_parallel_windowed`] over the whole time domain of `db`.
-pub fn cmc_parallel(db: &TrajectoryDatabase, query: &ConvoyQuery, threads: usize) -> Vec<Convoy> {
-    match db.time_domain() {
-        Some(window) => cmc_parallel_windowed(db, query, window, threads),
-        None => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,7 +863,8 @@ mod tests {
         // partitions: the chain must survive every boundary.
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 25, 1.5);
-        let convoys = normalize_convoys(cmc_parallel(&db, &query, 7), &query);
+        let convoys =
+            normalize_convoys(CmcEngine::Parallel { threads: 7 }.run(&db, &query), &query);
         assert_eq!(convoys.len(), 1);
         assert_eq!(convoys[0].start, 0);
         assert_eq!(convoys[0].end, 29);
@@ -961,18 +875,68 @@ mod tests {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 5, 1.5);
         let window = TimeInterval::new(10, 12);
-        let sequential = CmcEngine::Swept.run_windowed(&db, &query, window);
-        let parallel = cmc_parallel_windowed(&db, &query, window, 64);
-        assert_eq!(
-            normalize_convoys(parallel, &query),
-            normalize_convoys(sequential, &query)
-        );
+        let sequential = CmcEngine::Swept.run_windowed_with_stats(&db, &query, window);
+        let parallel =
+            CmcEngine::Parallel { threads: 64 }.run_windowed_with_stats(&db, &query, window);
+        assert_eq!(parallel, sequential);
     }
 
     #[test]
     fn parallel_on_empty_database_returns_nothing() {
         let db = TrajectoryDatabase::new();
-        assert!(cmc_parallel(&db, &ConvoyQuery::new(2, 2, 1.0), 4).is_empty());
+        let engine = CmcEngine::Parallel { threads: 4 };
+        assert!(engine.run(&db, &ConvoyQuery::new(2, 2, 1.0)).is_empty());
+    }
+
+    #[test]
+    fn engines_emit_their_documented_span_trees() {
+        use convoy_obs::Registry;
+        use std::sync::Arc;
+
+        let db = convoy_db();
+        let query = ConvoyQuery::new(3, 5, 1.5);
+        let window = db.time_domain().unwrap();
+        let stages: &[&str] = &["cmc.sweep", "cmc.cluster", "cmc.fold"];
+        for (engine, root_name, children) in [
+            (CmcEngine::PerTick, "cmc.per-tick", stages),
+            (CmcEngine::Swept, "cmc.swept", stages),
+            (
+                CmcEngine::Parallel { threads: 2 },
+                "cmc.parallel",
+                &["cmc.partition", "cmc.partition", "cmc.fold"][..],
+            ),
+            (
+                CmcEngine::Sharded { shards: 2 },
+                "cmc.sharded",
+                &["cmc.sweep", "cmc.shard", "cmc.shard", "cmc.fold"][..],
+            ),
+        ] {
+            let registry = Arc::new(Registry::new());
+            let obs = Obs::registry(registry.clone());
+            let parent = obs.span_start("test", SpanId::NONE);
+            let recorded = engine.run_windowed_with_stats_obs(&db, &query, window, &obs, parent);
+            obs.span_end(parent);
+            let unrecorded = engine.run_windowed_with_stats(&db, &query, window);
+            assert_eq!(
+                recorded,
+                unrecorded,
+                "{} changed under recording",
+                engine.name()
+            );
+            assert!(!recorded.0.is_empty());
+
+            let spans = registry.spans();
+            assert!(spans.iter().all(|s| s.closed), "{}", engine.name());
+            let roots: Vec<_> = spans.iter().filter(|s| s.parent == parent.0).collect();
+            assert_eq!(roots.len(), 1, "{}", engine.name());
+            assert_eq!(roots[0].name, root_name);
+            let child_names: Vec<&str> = spans
+                .iter()
+                .filter(|s| s.parent == roots[0].id)
+                .map(|s| s.name.as_str())
+                .collect();
+            assert_eq!(child_names, children, "{}", engine.name());
+        }
     }
 
     #[test]
@@ -1104,7 +1068,8 @@ mod tests {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 5, 1.5);
         let reference = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
-        let capped = normalize_convoys(cmc_parallel(&db, &query, 500_000), &query);
+        let engine = CmcEngine::Parallel { threads: 500_000 };
+        let capped = normalize_convoys(engine.run(&db, &query), &query);
         assert_eq!(capped, reference);
     }
 

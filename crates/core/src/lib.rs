@@ -13,10 +13,13 @@
 //! * the **streaming + parallel engine** ([`engine`]): the incremental
 //!   [`CmcState`] fold, the swept single-pass extraction and the
 //!   time-partitioned parallel driver behind [`cmc`] — selectable per run via
-//!   [`CmcEngine`];
-//! * the **sharded driver** ([`shard`]): spatially sharded discovery — grid
-//!   shards clustered on worker threads with boundary-halo exchange and an
-//!   exact cluster merge, bit-identical to sequential [`cmc()`](cmc::cmc);
+//!   [`CmcEngine`], whose
+//!   [`run_windowed_with_stats_obs`](CmcEngine::run_windowed_with_stats_obs)
+//!   is the one CMC implementation every other run function delegates to;
+//! * the **sharded driver** ([`shard`], [`CmcEngine::Sharded`]): spatially
+//!   sharded discovery — grid shards clustered on worker threads with
+//!   boundary-halo exchange and an exact cluster merge, bit-identical to
+//!   sequential [`cmc()`](cmc::cmc);
 //! * the **CuTS family** ([`cuts`]): the filter–refinement algorithms built
 //!   on trajectory simplification — CuTS (DP + `DLL` bounds), CuTS+ (DP+ +
 //!   `DLL` bounds) and CuTS* (DP* + `D*` bounds);
@@ -65,7 +68,7 @@ pub mod query;
 pub mod shard;
 
 pub use candidate::CandidateConvoy;
-pub use cmc::{cmc, cmc_windowed};
+pub use cmc::cmc;
 pub use cuts::partition::{
     cluster_partition, CandidateChain, CandidateChainSnapshot, PartitionClusters,
 };
@@ -74,9 +77,7 @@ pub use cuts::refine::{
 };
 pub use cuts::{CutsConfig, CutsVariant};
 pub use discovery::{Discovery, DiscoveryOutcome, Method};
-pub use engine::{
-    cmc_parallel, cmc_parallel_windowed, CmcEngine, CmcState, CmcStateSnapshot, CmcStats,
-};
+pub use engine::{CmcEngine, CmcState, CmcStateSnapshot, CmcStats};
 pub use mc2::{mc2, Mc2Config};
 pub use metrics::{
     duration_ns, fold_stats_from_snapshot, publish_discovery, publish_fold_stats,
@@ -84,4 +85,4 @@ pub use metrics::{
 };
 pub use params::{auto_delta, auto_lambda};
 pub use query::{compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery};
-pub use shard::{cmc_sharded, cmc_sharded_windowed, resolved_shard_count, MAX_SHARDS};
+pub use shard::MAX_SHARDS;

@@ -1,6 +1,6 @@
 //! The spatially sharded convoy discovery driver.
 //!
-//! Where [`cmc_parallel_windowed`](crate::engine::cmc_parallel_windowed)
+//! Selected with [`CmcEngine::Sharded`](crate::CmcEngine::Sharded). Where the parallel engine
 //! partitions *time*, this driver partitions *space*: the world bounding box
 //! is grid-sharded into `S` rectangles ([`ShardGrid`]), worker threads sweep
 //! the window and density-cluster each shard's objects (plus a `2e` boundary
@@ -30,7 +30,7 @@
 //! same reason it does in the parallel driver (Algorithm 1's fresh-candidate
 //! rule couples chain creation across ticks).
 
-use crate::engine::{CmcEngine, CmcState, MAX_PARALLEL_THREADS};
+use crate::engine::{sequential, CmcState, CmcStats, MAX_PARALLEL_THREADS};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
 use traj_cluster::shard::{
@@ -44,17 +44,6 @@ use trajectory::{Snapshot, SnapshotPolicy, SnapshotSweep, TimeInterval, Trajecto
 /// separately capped at [`MAX_PARALLEL_THREADS`]).
 pub const MAX_SHARDS: usize = 256;
 
-/// Resolves a requested shard count: `0` means one shard per available core,
-/// explicit counts are clamped to [`MAX_SHARDS`].
-pub fn resolved_shard_count(requested: usize) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    };
-    requested.min(MAX_SHARDS)
-}
-
 /// The world bounding box of every sample in the database. Interpolated
 /// snapshot positions are convex combinations of samples, so they can never
 /// leave this box — which makes it a valid spatial domain for the whole
@@ -66,7 +55,8 @@ fn world_bounds(db: &TrajectoryDatabase) -> Option<BoundingBox> {
     )
 }
 
-/// Runs CMC over `window` with spatially sharded clustering.
+/// Runs CMC over `window` with spatially sharded clustering into
+/// `shard_count` (already resolved) shards.
 ///
 /// The window is swept **once** ([`SnapshotSweep`]) and the extracted
 /// snapshots are shared read-only with the worker threads (one per shard,
@@ -75,48 +65,27 @@ fn world_bounds(db: &TrajectoryDatabase) -> Option<BoundingBox> {
 /// shards at every tick — in a multi-node deployment the sweep would happen
 /// on each node over its own data instead. The per-tick partials are then
 /// merged into the exact global clustering and folded through a single
-/// [`CmcState`] in time order.
+/// [`CmcState`] in time order. With one shard (or an empty database) this
+/// degrades to the swept sequential engine.
 ///
-/// `shards == 0` selects one shard per available core; counts are clamped to
-/// [`MAX_SHARDS`]. With one shard (or an empty database) this degrades to
-/// the swept sequential engine.
-pub fn cmc_sharded_windowed(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-    shards: usize,
-) -> Vec<Convoy> {
-    cmc_sharded_windowed_with_stats(db, query, window, shards).0
-}
-
-/// Like [`cmc_sharded_windowed`], but also returns the coordinator fold's
-/// counters.
-pub fn cmc_sharded_windowed_with_stats(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-    shards: usize,
-) -> (Vec<Convoy>, crate::engine::CmcStats) {
-    cmc_sharded_windowed_with_stats_obs(db, query, window, shards, &Obs::noop(), SpanId::NONE)
-}
-
-/// Like [`cmc_sharded_windowed_with_stats`], recording into `obs`: a
-/// `cmc.sharded` root span with a real `cmc.sweep` span over the shared
+/// Spans: a `cmc.sharded` root with a real `cmc.sweep` span over the shared
 /// snapshot extraction, one real `cmc.shard` span per worker thread (each
 /// worker covers the shards assigned to it round-robin), and a real
 /// `cmc.fold` span over the merge-and-stitch pass.
-pub fn cmc_sharded_windowed_with_stats_obs(
+pub(crate) fn sharded(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
     window: TimeInterval,
-    shards: usize,
+    shard_count: usize,
     obs: &Obs,
     parent: SpanId,
-) -> (Vec<Convoy>, crate::engine::CmcStats) {
-    let shard_count = resolved_shard_count(shards);
+) -> (Vec<Convoy>, CmcStats) {
     let bounds = match world_bounds(db) {
         Some(bounds) if shard_count > 1 => bounds,
-        _ => return CmcEngine::Swept.run_windowed_with_stats_obs(db, query, window, obs, parent),
+        _ => {
+            let sweep = SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate);
+            return sequential(sweep, "cmc.swept", query, obs, parent);
+        }
     };
     let grid = ShardGrid::new(bounds, shard_count);
     let shard_count = grid.num_shards();
@@ -193,17 +162,10 @@ pub fn cmc_sharded_windowed_with_stats_obs(
     out
 }
 
-/// Runs [`cmc_sharded_windowed`] over the whole time domain of `db`.
-pub fn cmc_sharded(db: &TrajectoryDatabase, query: &ConvoyQuery, shards: usize) -> Vec<Convoy> {
-    match db.time_domain() {
-        Some(window) => cmc_sharded_windowed(db, query, window, shards),
-        None => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CmcEngine;
     use crate::query::normalize_convoys;
     use trajectory::{ObjectId, Trajectory};
 
@@ -238,7 +200,7 @@ mod tests {
         for shards in [2, 3, 5, 16] {
             // Raw (un-normalized) equality: same convoys in the same order.
             assert_eq!(
-                cmc_sharded(&db, &query, shards),
+                CmcEngine::Sharded { shards }.run(&db, &query),
                 reference,
                 "{shards} shards diverged from sequential"
             );
@@ -251,7 +213,7 @@ mod tests {
         // its cluster straddles an internal edge at every single tick.
         let db = marching_db(32);
         let query = ConvoyQuery::new(3, 30, 1.5);
-        let convoys = normalize_convoys(cmc_sharded(&db, &query, 31), &query);
+        let convoys = normalize_convoys(CmcEngine::Sharded { shards: 31 }.run(&db, &query), &query);
         assert_eq!(convoys.len(), 1);
         assert_eq!(convoys[0].start, 0);
         assert_eq!(convoys[0].end, 31);
@@ -263,10 +225,12 @@ mod tests {
         let db = marching_db(10);
         let query = ConvoyQuery::new(3, 5, 1.5);
         assert_eq!(
-            cmc_sharded(&db, &query, 1),
+            CmcEngine::Sharded { shards: 1 }.run(&db, &query),
             CmcEngine::Swept.run(&db, &query)
         );
-        assert!(cmc_sharded(&TrajectoryDatabase::new(), &query, 4).is_empty());
+        assert!(CmcEngine::Sharded { shards: 4 }
+            .run(&TrajectoryDatabase::new(), &query)
+            .is_empty());
     }
 
     #[test]
@@ -275,20 +239,19 @@ mod tests {
         let query = ConvoyQuery::new(3, 3, 1.5);
         let window = TimeInterval::new(5, 14);
         assert_eq!(
-            cmc_sharded_windowed(&db, &query, window, 6),
-            CmcEngine::Swept.run_windowed(&db, &query, window)
+            CmcEngine::Sharded { shards: 6 }.run_windowed_with_stats(&db, &query, window),
+            CmcEngine::Swept.run_windowed_with_stats(&db, &query, window)
         );
     }
 
     #[test]
     fn absurd_shard_counts_are_clamped() {
-        assert_eq!(resolved_shard_count(1_000_000), MAX_SHARDS);
-        assert!(resolved_shard_count(0) >= 1);
+        let absurd = CmcEngine::Sharded { shards: 1_000_000 };
+        assert_eq!(absurd.resolved_shards(), MAX_SHARDS);
+        assert_eq!(absurd.resolved_threads(), MAX_PARALLEL_THREADS);
+        assert!(CmcEngine::Sharded { shards: 0 }.resolved_shards() >= 1);
         let db = marching_db(8);
         let query = ConvoyQuery::new(3, 4, 1.5);
-        assert_eq!(
-            cmc_sharded(&db, &query, 1_000_000),
-            CmcEngine::Swept.run(&db, &query)
-        );
+        assert_eq!(absurd.run(&db, &query), CmcEngine::Swept.run(&db, &query));
     }
 }

@@ -47,9 +47,8 @@ pub use trajectory;
 /// The most commonly used items from every crate, importable in one line.
 pub mod prelude {
     pub use convoy_core::{
-        cmc, cmc_parallel, cmc_sharded, compare_result_sets, mc2, normalize_convoys, CmcEngine,
-        CmcState, CmcStats, Convoy, ConvoyQuery, CutsConfig, CutsVariant, Discovery,
-        DiscoveryOutcome, Mc2Config, Method,
+        cmc, compare_result_sets, mc2, normalize_convoys, CmcEngine, CmcState, CmcStats, Convoy,
+        ConvoyQuery, CutsConfig, CutsVariant, Discovery, DiscoveryOutcome, Mc2Config, Method,
     };
     pub use convoy_stream::{
         ConvoyStream, EvictionPolicy, FeedIngest, ReplayStream, StreamConfig, StreamOutcome,
