@@ -9,9 +9,23 @@ use trajectory::ObjectId;
 /// clustering routines and the convoy candidate bookkeeping (where they are
 /// intersected across time). Keeping the ids sorted makes intersection and
 /// overlap counting linear.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct Cluster {
     members: Vec<ObjectId>,
+}
+
+impl Clone for Cluster {
+    fn clone(&self) -> Self {
+        Cluster {
+            members: self.members.clone(),
+        }
+    }
+
+    /// Copies `source`'s members into this cluster's existing buffer (the
+    /// derived impl would allocate a fresh one).
+    fn clone_from(&mut self, source: &Self) {
+        self.members.clone_from(&source.members);
+    }
 }
 
 impl Cluster {
@@ -59,7 +73,18 @@ impl Cluster {
 
     /// The intersection of two clusters.
     pub fn intersection(&self, other: &Cluster) -> Cluster {
-        let mut out = Vec::with_capacity(self.len().min(other.len()));
+        let mut out = Cluster::default();
+        self.intersection_into(other, &mut out);
+        out
+    }
+
+    /// Writes the intersection of two clusters into `out`, replacing its
+    /// members and reusing its buffer (the allocation-free counterpart of
+    /// `*out = self.intersection(other)` once `out` has the capacity).
+    pub fn intersection_into(&self, other: &Cluster, out: &mut Cluster) {
+        let out = &mut out.members;
+        out.clear();
+        out.reserve(self.len().min(other.len()));
         let (mut i, mut j) = (0, 0);
         while i < self.members.len() && j < other.members.len() {
             match self.members[i].cmp(&other.members[j]) {
@@ -72,7 +97,6 @@ impl Cluster {
                 }
             }
         }
-        Cluster { members: out }
     }
 
     /// Number of common members (size of the intersection, without
@@ -152,6 +176,12 @@ mod tests {
         assert!((a.jaccard(&b) - 0.4).abs() < 1e-12);
         let empty = Cluster::default();
         assert_eq!(a.intersection(&empty), empty);
+        // The in-place forms replace the target's members.
+        let mut reused = cluster(&[7, 8, 9, 10, 11]);
+        a.intersection_into(&b, &mut reused);
+        assert_eq!(reused, cluster(&[3, 4]));
+        reused.clone_from(&b);
+        assert_eq!(reused, b);
         assert_eq!(empty.jaccard(&empty), 0.0);
     }
 

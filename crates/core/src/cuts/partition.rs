@@ -10,7 +10,7 @@
 //! partition, the streaming filter calls it with sliding-window
 //! simplifications as each partition closes.
 
-use crate::candidate::CandidateConvoy;
+use crate::candidate::{CandidateConvoy, OverlapIndex};
 use crate::query::ConvoyQuery;
 use serde::{Deserialize, Serialize};
 use traj_cluster::{cluster_sub_trajectories, Cluster, SegmentDistance, SubTrajectory};
@@ -67,6 +67,13 @@ pub struct CandidateChain {
     closed: Vec<CandidateConvoy>,
     peak_open: usize,
     partitions_folded: u64,
+    /// Double buffer for the per-partition chain turnover (swapped with
+    /// `current` at the end of every [`CandidateChain::fold`]).
+    next: Vec<CandidateConvoy>,
+    /// Per-partition "cluster extended some chain" flags.
+    assigned: Vec<bool>,
+    /// Per-partition object → cluster index.
+    index: OverlapIndex,
 }
 
 /// A serializable view of a [`CandidateChain`]'s resumable state (open and
@@ -93,6 +100,9 @@ impl CandidateChain {
             closed: Vec::new(),
             peak_open: 0,
             partitions_folded: 0,
+            next: Vec::new(),
+            assigned: Vec::new(),
+            index: OverlapIndex::default(),
         }
     }
 
@@ -109,39 +119,50 @@ impl CandidateChain {
     /// Rebuilds a chain for `query` from an exported view.
     pub fn from_state(query: &ConvoyQuery, snapshot: CandidateChainSnapshot) -> Self {
         CandidateChain {
-            query: *query,
             current: snapshot.current,
             closed: snapshot.closed,
             peak_open: snapshot.peak_open,
             partitions_folded: snapshot.partitions_folded,
+            ..CandidateChain::new(query)
         }
     }
 
     /// Folds one partition's clusters into the open chains. Partitions must
     /// arrive in ascending window order.
+    ///
+    /// Each open chain is extended through the partition's
+    /// [`OverlapIndex`], so only the clusters it shares at least `m` objects
+    /// with are intersected, in the order of the all-pairs loop.
     pub fn fold(&mut self, partition: &PartitionClusters) {
         let window = partition.window;
         let clusters = &partition.clusters;
-        let mut next: Vec<CandidateConvoy> = Vec::with_capacity(self.current.len());
-        let mut cluster_assigned = vec![false; clusters.len()];
+        self.next.clear();
+        self.assigned.clear();
+        self.assigned.resize(clusters.len(), false);
+        let probing = !self.current.is_empty() && !clusters.is_empty();
+        if probing {
+            self.index.rebuild(clusters);
+        }
 
-        for candidate in &self.current {
-            let mut extended = false;
-            for (ci, cluster) in clusters.iter().enumerate() {
-                if let Some(grown) = candidate.extend_with(cluster, window.end, self.query.m) {
-                    extended = true;
-                    cluster_assigned[ci] = true;
-                    next.push(grown);
-                }
+        for candidate in self.current.drain(..) {
+            let extending: &[usize] = if probing {
+                self.index.extending(&candidate.objects, self.query.m)
+            } else {
+                &[]
+            };
+            for &ci in extending {
+                self.assigned[ci] = true;
+                self.next
+                    .push(candidate.extended(&clusters[ci], window.end, Cluster::default()));
             }
-            if !extended && candidate.lifetime() >= self.query.k as i64 {
-                self.closed.push(candidate.clone());
+            if extending.is_empty() && candidate.lifetime() >= self.query.k as i64 {
+                self.closed.push(candidate);
             }
         }
 
         for (ci, cluster) in clusters.iter().enumerate() {
-            if !cluster_assigned[ci] {
-                next.push(CandidateConvoy::new(
+            if !self.assigned[ci] {
+                self.next.push(CandidateConvoy::new(
                     cluster.clone(),
                     window.start,
                     window.end,
@@ -149,7 +170,7 @@ impl CandidateChain {
             }
         }
 
-        self.current = next;
+        std::mem::swap(&mut self.current, &mut self.next);
         self.peak_open = self.peak_open.max(self.current.len());
         self.partitions_folded += 1;
     }

@@ -28,10 +28,19 @@
 //! their candidate sets afterwards can therefore both invent chains the
 //! sequential algorithm never starts and miss convoys whose chains die midway
 //! through a partition. Clustering carries no such coupling, which is exactly
-//! why the expensive stage parallelises cleanly while the (cheap) fold keeps
-//! the paper's semantics bit-for-bit.
+//! why it parallelises cleanly while the fold keeps the paper's semantics
+//! bit-for-bit.
+//!
+//! The fold is only cheap because of its index. Intersecting every open
+//! candidate with every cluster of the tick, as Algorithm 1 is written, took
+//! 3.09 s of the 3.68 s engine time on the ledger's `downtown-dense-cmc`
+//! workload (2-thread parallel engine, seed 11, 2-vCPU Xeon) and held the
+//! parallel speedup at 1.02×. [`CmcState::ingest_clusters`] instead joins
+//! candidates with clusters on object id through a per-tick object → cluster
+//! index and intersects only the pairs that keep at least `m` objects: the
+//! same run folds in 0.09 s of 0.52 s, a 1.55× speedup.
 
-use crate::candidate::CandidateConvoy;
+use crate::candidate::{CandidateConvoy, OverlapIndex};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
 use serde::{Deserialize, Serialize};
@@ -101,6 +110,14 @@ pub struct CmcState {
     dedup_chain: Vec<u32>,
     /// Per-tick "cluster extended some candidate" flags.
     assigned: Vec<bool>,
+    /// Per-tick object → cluster index: each candidate intersects only the
+    /// clusters it shares at least `m` objects with.
+    index: OverlapIndex,
+    /// Member buffers of consumed chains, reused by the candidates later
+    /// ticks grow or create, so a warmed fold whose chains merely turn over
+    /// allocates nothing. It only ever holds buffers that once backed open
+    /// chains, so it is bounded by the working set.
+    spare: Vec<Cluster>,
     /// Recorder for the `cmc.*` fold metrics (no-op by default; one branch
     /// per tick when disabled, so the hot-path contract holds either way).
     obs: Obs,
@@ -172,6 +189,8 @@ impl CmcState {
             dedup_heads: HashMap::new(),
             dedup_chain: Vec::new(),
             assigned: Vec::new(),
+            index: OverlapIndex::default(),
+            spare: Vec::new(),
             obs: Obs::noop(),
             cluster_ns: 0,
         }
@@ -257,27 +276,42 @@ impl CmcState {
         self.assigned.resize(clusters.len(), false);
         let k = self.query.k as i64;
         let m = self.query.m;
+        let probing = !self.current.is_empty() && !clusters.is_empty();
+        if probing {
+            self.index.rebuild(clusters);
+        }
+        let mut lookups = 0u64;
+        let mut extensions = 0u64;
 
         for candidate in self.current.drain(..) {
-            let mut extended = false;
-            for (ci, cluster) in clusters.iter().enumerate() {
-                if let Some(grown) = candidate.extend_with(cluster, t, m) {
-                    extended = true;
-                    self.assigned[ci] = true;
-                    if dedup_register(
-                        &mut self.dedup_heads,
-                        &mut self.dedup_chain,
-                        &self.next,
-                        &grown.objects,
-                        grown.start,
-                    ) {
-                        self.next.push(grown);
-                    }
+            let extending: &[usize] = if probing {
+                lookups += candidate.objects.len() as u64;
+                self.index.extending(&candidate.objects, m)
+            } else {
+                &[]
+            };
+            extensions += extending.len() as u64;
+            for &ci in extending {
+                self.assigned[ci] = true;
+                let spare = self.spare.pop().unwrap_or_default();
+                let grown = candidate.extended(&clusters[ci], t, spare);
+                if dedup_register(
+                    &mut self.dedup_heads,
+                    &mut self.dedup_chain,
+                    &self.next,
+                    &grown.objects,
+                    grown.start,
+                ) {
+                    self.next.push(grown);
+                } else {
+                    self.spare.push(grown.objects);
                 }
             }
-            if !extended && candidate.lifetime() >= k {
+            if extending.is_empty() && candidate.lifetime() >= k {
                 self.closed.push(candidate.into_convoy());
                 self.convoys_closed += 1;
+            } else {
+                self.spare.push(candidate.objects);
             }
         }
 
@@ -291,11 +325,12 @@ impl CmcState {
                     t,
                 )
             {
-                // The clone is the candidate's own member storage (the
-                // dedup check above runs on the borrowed cluster, so
-                // duplicates never allocate).
-                // lint: allow(no-alloc-hot-path) — fresh candidates own their members; deduped ticks stay clean
-                self.next.push(CandidateConvoy::new(cluster.clone(), t, t));
+                // The dedup check above runs on the borrowed cluster, so
+                // duplicates never copy; new candidates reuse the member
+                // buffers of the chains this tick consumed.
+                let mut objects = self.spare.pop().unwrap_or_default();
+                objects.clone_from(cluster);
+                self.next.push(CandidateConvoy::new(objects, t, t));
             }
         }
 
@@ -306,6 +341,8 @@ impl CmcState {
             // All names are pre-registered after the first tick, so the
             // steady state of a live registry allocates nothing here.
             self.obs.counter_add("cmc.ticks_ingested", 1);
+            self.obs.counter_add("cmc.overlap_lookups", lookups);
+            self.obs.counter_add("cmc.extensions", extensions);
             self.obs
                 .histogram_record("cmc.clusters_per_tick", clusters.len() as u64);
             self.obs

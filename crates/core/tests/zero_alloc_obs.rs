@@ -9,14 +9,18 @@
 //! histogram buckets are fixed arrays), so turning recording on cannot
 //! reintroduce per-tick allocation into `// lint: hot-path` regions.
 //!
-//! Three angles:
+//! Four angles:
 //! 1. a warmed clusterer with a live registry still does **0** allocations
 //!    per `cluster_into` call;
 //! 2. a warmed [`CmcState`]'s per-tick fold — including its `cmc.*` obs
 //!    block — does **0** allocations once the candidate set has drained
 //!    (quiescent ticks: the fold itself has no allocating work left, so any
 //!    count > 0 is the recorder's fault);
-//! 3. over a *full* workload (clusters extending, closing and spawning
+//! 3. a warmed fold whose candidates share fewer than `m` objects with every
+//!    cluster does **0** allocations per tick: the overlap index rejects
+//!    every pair without materializing an intersection, and the fresh
+//!    chains reuse the member buffers of the chains they replace;
+//! 4. over a *full* workload (clusters extending, closing and spawning
 //!    candidates every tick, which inherently allocates — candidate
 //!    intersection and creation own their member storage), a live registry
 //!    adds **exactly zero** allocations over the no-op recorder.
@@ -35,7 +39,7 @@ use convoy_obs::{Obs, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use traj_cluster::SnapshotClusterer;
+use traj_cluster::{Cluster, SnapshotClusterer};
 use trajectory::database::SnapshotEntry;
 use trajectory::geometry::Point;
 use trajectory::{ObjectId, Snapshot};
@@ -226,6 +230,61 @@ fn quiescent_cmc_fold_with_live_registry_performs_zero_allocations() {
         after - before
     );
     assert_eq!(registry.counter("cmc.ticks_ingested"), 81);
+}
+
+#[test]
+fn warmed_fold_without_extensions_performs_zero_allocations() {
+    let _guard = serial();
+    const GROUPS: u64 = 10;
+    // Layout A groups ids 6g..6g+5; layout B takes two ids from each of
+    // three consecutive A groups. Every A cluster shares exactly two objects
+    // with three B clusters and none with the rest, so under m = 3 no chain
+    // ever extends: each tick closes all chains and opens fresh ones.
+    let layout_a: Vec<Cluster> = (0..GROUPS)
+        .map(|g| (6 * g..6 * g + 6).map(ObjectId).collect())
+        .collect();
+    let layout_b: Vec<Cluster> = (0..GROUPS)
+        .map(|g| {
+            (0..3u64)
+                .flat_map(|j| {
+                    let base = 6 * ((g + j) % GROUPS) + 2 * j;
+                    [ObjectId(base), ObjectId(base + 1)]
+                })
+                .collect()
+        })
+        .collect();
+    let layouts = [&layout_a, &layout_b];
+
+    let registry = Arc::new(Registry::new());
+    // k = 5 keeps the one-tick chains from closing as convoys, so nothing
+    // accumulates in the output either.
+    let mut state = CmcState::new(&ConvoyQuery::new(3, 5, 1.0));
+    state.set_obs(Obs::registry(registry.clone()));
+    for t in 0..10 {
+        state.ingest_clusters(t, layouts[t as usize % 2]);
+    }
+    let lookups_before = registry.counter("cmc.overlap_lookups");
+
+    let before = allocations();
+    for t in 10..60 {
+        state.ingest_clusters(t, layouts[t as usize % 2]);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "a warmed fold with no extensions must not allocate ({} allocations \
+         over 50 ticks)",
+        after - before
+    );
+    assert_eq!(state.active_candidates(), GROUPS as usize);
+    assert_eq!(state.stats().convoys_closed, 0);
+    // Every tick looked up all 60 members of the open chains; none reached m.
+    assert_eq!(
+        registry.counter("cmc.overlap_lookups") - lookups_before,
+        50 * 60
+    );
+    assert_eq!(registry.counter("cmc.extensions"), 0);
 }
 
 #[test]
