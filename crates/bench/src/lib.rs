@@ -1,24 +1,29 @@
 //! # `convoy-bench` — the experiment harness
 //!
 //! This crate regenerates every table and figure of the paper's evaluation
-//! section on the synthetic dataset profiles of [`traj_datasets`]:
+//! section on the synthetic dataset profiles of [`traj_datasets`]. Each
+//! artifact is one entry of [`experiments::EXPERIMENTS`]; the `experiments`
+//! binary runs them:
 //!
-//! | Binary / bench            | Paper artefact | Content |
-//! |---------------------------|----------------|---------|
-//! | `table3`                  | Table 3        | Dataset statistics, chosen parameters, number of convoys discovered |
-//! | `fig12`                   | Figure 12      | Elapsed time of CMC vs the CuTS family on all four datasets |
-//! | `fig13`                   | Figure 13      | Cost breakdown (simplification / filter / refinement), Cattle & Taxi |
-//! | `fig14`                   | Figure 14      | Effect of actual vs global tolerance on candidates and elapsed time |
-//! | `fig15`                   | Figure 15      | Simplification methods: vertex reduction and elapsed time vs δ (Cattle) |
-//! | `fig16`                   | Figure 16      | Effect of δ on refinement units and elapsed time (Car & Taxi) |
-//! | `fig17`                   | Figure 17      | Effect of λ on refinement units and elapsed time (Truck & Cattle) |
-//! | `fig19`                   | Figure 19      | MC2 false positives / false negatives vs θ on all four datasets |
-//! | `all_experiments`         | —              | Runs everything above and collects the CSVs |
-//! | `engine_scaling` (bench)  | —              | CMC per-tick vs swept vs parallel vs sharded engines on all four datasets |
+//! | `experiments` name | Paper artefact | Content |
+//! |--------------------|----------------|---------|
+//! | `table3`           | Table 3        | Dataset statistics, chosen parameters, number of convoys discovered |
+//! | `fig12`            | Figure 12      | Elapsed time of CMC vs the CuTS family on all four datasets |
+//! | `fig13`            | Figure 13      | Cost breakdown (simplification / filter / refinement), Cattle & Taxi |
+//! | `fig14`            | Figure 14      | Effect of actual vs global tolerance on candidates and elapsed time |
+//! | `fig15`            | Figure 15      | Simplification methods: vertex reduction and elapsed time vs δ (Cattle) |
+//! | `fig16`            | Figure 16      | Effect of δ on refinement units and elapsed time (Car & Taxi) |
+//! | `fig17`            | Figure 17      | Effect of λ on refinement units and elapsed time (Truck & Cattle) |
+//! | `fig19`            | Figure 19      | MC2 false positives / false negatives vs θ on all four datasets |
 //!
-//! Every binary prints its series as CSV to stdout and also writes it under
-//! `bench_results/`. The Criterion benches under `benches/` wrap the same
-//! runners for statistically robust timing.
+//! `experiments [NAME…]` runs the named artifacts (all of them when given
+//! none) one after another, generating each dataset profile once, and
+//! writes one `bench_results/<name>.csv` per artifact (echoed to stdout).
+//! Discovery times are the `discover.*` spans of each run, kept by a
+//! recorder that drops every other metric, so the engines run as
+//! uninstrumented as under the no-op recorder. The Criterion benches under `benches/` (engine scaling, micro
+//! primitives, kernels, container vs CSV, obs overhead) back the committed
+//! `BENCH_*.json` files.
 //!
 //! ## Scaling
 //!
@@ -31,10 +36,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod experiments;
 pub mod prepare;
 pub mod report;
 pub mod runner;
 
-pub use prepare::{bench_scale, prepared, scale_from_env, PreparedDataset, DEFAULT_SCALE};
+pub use prepare::{
+    bench_scale, prepared, scale_from_env, Datasets, PreparedDataset, DEFAULT_SCALE,
+};
 pub use report::Report;
-pub use runner::{run_method, sweep_delta, sweep_lambda, MeasuredRun};
+pub use runner::{run_method, MeasuredRun};

@@ -1,4 +1,4 @@
-//! Dataset preparation shared by every experiment binary and bench.
+//! Dataset preparation shared by the paper experiments and the benches.
 
 use convoy_core::ConvoyQuery;
 use traj_datasets::{generate, DatasetProfile, GeneratedDataset, ProfileName};
@@ -8,7 +8,7 @@ use traj_datasets::{generate, DatasetProfile, GeneratedDataset, ProfileName};
 /// enough that the whole suite runs in minutes.
 pub const DEFAULT_SCALE: f64 = 0.15;
 
-/// Scale used by the Criterion benches (which execute each runner many
+/// Scale used by the Criterion benches (which execute each body many
 /// times); can be overridden with `CONVOY_BENCH_SCALE`.
 pub const BENCH_SCALE: f64 = 0.05;
 
@@ -64,12 +64,34 @@ pub fn prepared(name: ProfileName, scale: f64) -> PreparedDataset {
     }
 }
 
-/// Prepares all four profiles at the given scale.
-pub fn prepare_all(scale: f64) -> Vec<PreparedDataset> {
-    ProfileName::ALL
-        .iter()
-        .map(|name| prepared(*name, scale))
-        .collect()
+/// The profiles a set of experiments needs, each generated once, on first
+/// use, at one scale.
+#[derive(Debug)]
+pub struct Datasets {
+    scale: f64,
+    prepared: Vec<PreparedDataset>,
+}
+
+impl Datasets {
+    /// An empty cache generating at `scale`.
+    pub fn new(scale: f64) -> Self {
+        Datasets {
+            scale,
+            prepared: Vec::new(),
+        }
+    }
+
+    /// The prepared dataset of `name`, generating it on the first call.
+    pub fn get(&mut self, name: ProfileName) -> &PreparedDataset {
+        let index = match self.prepared.iter().position(|p| p.name == name) {
+            Some(index) => index,
+            None => {
+                self.prepared.push(prepared(name, self.scale));
+                self.prepared.len() - 1
+            }
+        };
+        &self.prepared[index]
+    }
 }
 
 #[cfg(test)]
@@ -83,6 +105,26 @@ mod tests {
         assert_eq!(p.query.m, p.profile.m);
         assert_eq!(p.query.e, p.profile.e);
         assert_eq!(p.dataset.database.len(), p.profile.num_objects);
+    }
+
+    #[test]
+    fn datasets_generate_each_profile_once() {
+        let mut datasets = Datasets::new(0.02);
+        let first = datasets
+            .get(ProfileName::Truck)
+            .dataset
+            .database
+            .total_points();
+        datasets.get(ProfileName::Taxi);
+        assert_eq!(
+            datasets
+                .get(ProfileName::Truck)
+                .dataset
+                .database
+                .total_points(),
+            first
+        );
+        assert_eq!(datasets.prepared.len(), 2);
     }
 
     #[test]

@@ -1,59 +1,36 @@
-//! CSV reporting: every experiment binary prints its series to stdout and
-//! writes the same rows under `bench_results/`.
+//! CSV reporting: every experiment prints its rows to stdout and writes the
+//! same CSV under `bench_results/`.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// A simple CSV report: a header plus rows, echoed to stdout and written to
+/// A CSV report: a header line plus rows, echoed to stdout and written to
 /// `bench_results/<name>.csv`.
 #[derive(Debug, Clone)]
 pub struct Report {
     name: String,
-    header: Vec<String>,
+    header: String,
     rows: Vec<Vec<String>>,
 }
 
 impl Report {
-    /// Creates a report with the given file stem and column names.
-    pub fn new<S: Into<String>>(name: S, header: &[&str]) -> Self {
+    /// Creates a report with the given file stem and CSV header line.
+    pub fn new<S: Into<String>>(name: S, header: &str) -> Self {
         Report {
             name: name.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.to_string(),
             rows: Vec::new(),
         }
     }
 
-    /// Appends a row. The number of fields should match the header; shorter
-    /// rows are padded with empty strings so a malformed caller cannot panic
-    /// the harness.
-    pub fn push_row(&mut self, fields: &[String]) {
-        let mut row: Vec<String> = fields.to_vec();
-        while row.len() < self.header.len() {
-            row.push(String::new());
-        }
-        self.rows.push(row);
-    }
-
-    /// Convenience: appends a row of display-able fields.
-    pub fn row<D: std::fmt::Display>(&mut self, fields: &[D]) {
-        self.push_row(&fields.iter().map(|f| f.to_string()).collect::<Vec<_>>());
-    }
-
-    /// Number of data rows collected so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` when no rows have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    /// Appends a row, one field per header column.
+    pub fn push_row(&mut self, fields: Vec<String>) {
+        self.rows.push(fields);
     }
 
     /// The report serialised as CSV text.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
+        let mut out = self.header.clone();
         out.push('\n');
         for row in &self.rows {
             out.push_str(&row.join(","));
@@ -68,12 +45,8 @@ impl Report {
     pub fn emit_to(&self, dir: &Path) -> Option<PathBuf> {
         let csv = self.to_csv();
         print!("{csv}");
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return None;
-        }
         let path = dir.join(format!("{}.csv", self.name));
-        match fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes())) {
+        match fs::create_dir_all(dir).and_then(|()| fs::write(&path, csv)) {
             Ok(()) => Some(path),
             Err(e) => {
                 eprintln!("warning: cannot write {}: {e}", path.display());
@@ -94,24 +67,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_rendering_and_padding() {
-        let mut report = Report::new("unit", &["a", "b", "c"]);
-        report.row(&["1", "2", "3"]);
-        report.push_row(&["x".to_string()]);
-        let csv = report.to_csv();
-        assert_eq!(csv, "a,b,c\n1,2,3\nx,,\n");
-        assert_eq!(report.len(), 2);
-        assert!(!report.is_empty());
+    fn csv_rendering() {
+        let mut report = Report::new("unit", "a,b,c");
+        report.push_row(vec!["1".into(), "2".into(), "3".into()]);
+        assert_eq!(report.to_csv(), "a,b,c\n1,2,3\n");
     }
 
     #[test]
     fn emit_writes_the_file() {
         let dir = std::env::temp_dir().join("convoy-bench-report-test");
-        let mut report = Report::new("emit_test", &["x"]);
-        report.row(&[42]);
+        let mut report = Report::new("emit_test", "x");
+        report.push_row(vec!["42".into()]);
         let path = report.emit_to(&dir).expect("emit must succeed");
         let written = std::fs::read_to_string(&path).unwrap();
-        assert!(written.contains("42"));
+        assert_eq!(written, "x\n42\n");
         std::fs::remove_file(path).ok();
     }
 }

@@ -1,81 +1,82 @@
-//! Experiment runners: one measured discovery run, and the δ / λ parameter
-//! sweeps used by Figures 16 and 17.
+//! One measured discovery run, timed by the spans it records.
 
 use crate::prepare::PreparedDataset;
 use convoy_core::{CutsConfig, Discovery, DiscoveryOutcome, Method};
-use std::time::Duration;
+use convoy_obs::{Obs, Recorder, Registry, SpanId};
+use std::sync::Arc;
 
-/// One measured discovery run with convenient accessors for reporting.
-#[derive(Debug, Clone)]
+/// One discovery run together with the clock that recorded its spans.
 pub struct MeasuredRun {
-    /// The dataset name the run was executed on.
-    pub dataset: String,
-    /// The method that was run.
-    pub method: Method,
-    /// The discovery outcome (convoys, timings, statistics).
+    /// The discovery outcome (convoys, statistics).
     pub outcome: DiscoveryOutcome,
+    clock: Arc<StageClock>,
 }
 
 impl MeasuredRun {
-    /// Total elapsed wall-clock time of the run.
-    pub fn elapsed(&self) -> Duration {
-        self.outcome.timings.total()
+    /// Seconds spent in the spans named `span`: `discover.simplify`,
+    /// `discover.filter` or `discover.refine` for the Figure 13 stages.
+    pub fn seconds(&self, span: &str) -> f64 {
+        self.clock.registry.span_total_ns(span) as f64 / 1e9
     }
 
-    /// Elapsed time in seconds (convenient for CSV output).
+    /// Elapsed seconds of the whole run: its `discover` root span.
     pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
+        self.seconds("discover")
     }
 }
 
 /// Runs one method on a prepared dataset with an optional CuTS configuration
-/// override.
+/// override, timed by a fresh [`StageClock`].
 pub fn run_method(
     prepared: &PreparedDataset,
     method: Method,
     config: Option<CutsConfig>,
 ) -> MeasuredRun {
-    let mut discovery = Discovery::new(method);
+    let clock = Arc::new(StageClock {
+        registry: Registry::new(),
+    });
+    let mut discovery = Discovery::new(method).with_obs(Obs::new(clock.clone()));
     if let Some(config) = config {
         discovery = discovery.with_config(config);
     }
     let outcome = discovery.run(&prepared.dataset.database, &prepared.query);
-    MeasuredRun {
-        dataset: prepared.name.to_string(),
-        method,
-        outcome,
-    }
+    MeasuredRun { outcome, clock }
 }
 
-/// Runs the three CuTS variants over a sweep of δ values (Figure 16).
-/// Returns one measured run per (δ, method) pair, in sweep order.
-pub fn sweep_delta(prepared: &PreparedDataset, deltas: &[f64]) -> Vec<(f64, MeasuredRun)> {
-    let mut out = Vec::with_capacity(deltas.len() * 3);
-    for &delta in deltas {
-        for method in [Method::Cuts, Method::CutsPlus, Method::CutsStar] {
-            let Some(variant) = method.cuts_variant() else {
-                continue; // the list above is CuTS variants only
-            };
-            let config = CutsConfig::new(variant).with_delta(delta);
-            out.push((delta, run_method(prepared, method, Some(config))));
-        }
-    }
-    out
+/// The recorder of a measured run: a [`Registry`] that keeps only the
+/// `discover` spans and drops everything else. It reports itself disabled,
+/// so the engines skip their per-tick clock reads and histograms just as
+/// under the no-op recorder (spans are opened whatever `enabled` says). The
+/// timing columns thus cost a handful of spans per run, the same for every
+/// method, rather than full recording, whose cost differs by method.
+struct StageClock {
+    registry: Registry,
 }
 
-/// Runs the three CuTS variants over a sweep of λ values (Figure 17).
-pub fn sweep_lambda(prepared: &PreparedDataset, lambdas: &[usize]) -> Vec<(usize, MeasuredRun)> {
-    let mut out = Vec::with_capacity(lambdas.len() * 3);
-    for &lambda in lambdas {
-        for method in [Method::Cuts, Method::CutsPlus, Method::CutsStar] {
-            let Some(variant) = method.cuts_variant() else {
-                continue; // the list above is CuTS variants only
-            };
-            let config = CutsConfig::new(variant).with_lambda(lambda);
-            out.push((lambda, run_method(prepared, method, Some(config))));
+impl Recorder for StageClock {
+    fn enabled(&self) -> bool {
+        false
+    }
+    fn counter_add(&self, _name: &'static str, _delta: u64) {}
+    fn gauge_set(&self, _name: &'static str, _value: i64) {}
+    fn gauge_max(&self, _name: &'static str, _value: i64) {}
+    fn histogram_record(&self, _name: &'static str, _value: u64) {}
+    fn now_ns(&self) -> u64 {
+        0
+    }
+    fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
+        if name.starts_with("discover") {
+            self.registry.span_start(name, parent)
+        } else {
+            SpanId::NONE
         }
     }
-    out
+    fn span_end(&self, span: SpanId) {
+        self.registry.span_end(span);
+    }
+    fn span_at(&self, _name: &'static str, _parent: SpanId, _start: u64, _dur: u64) -> SpanId {
+        SpanId::NONE
+    }
 }
 
 #[cfg(test)]
@@ -100,15 +101,25 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_cover_every_parameter_and_method() {
+    fn stage_times_come_from_the_run_spans() {
         let data = prepared(ProfileName::Taxi, 0.02);
-        let runs = sweep_delta(&data, &[1.0, 10.0]);
-        assert_eq!(runs.len(), 6);
-        assert!(runs
+        let cmc = run_method(&data, Method::Cmc, None);
+        assert!(cmc.elapsed_secs() > 0.0);
+        assert!(cmc.seconds("discover.filter") <= cmc.elapsed_secs());
+        assert_eq!(cmc.seconds("discover.simplify"), 0.0, "CMC is all filter");
+
+        let run = run_method(&data, Method::CutsStar, None);
+        let stages: f64 = ["discover.simplify", "discover.filter", "discover.refine"]
             .iter()
-            .all(|(d, r)| (*d - r.outcome.stats.delta).abs() < 1e-12));
-        let runs = sweep_lambda(&data, &[4, 8, 16]);
-        assert_eq!(runs.len(), 9);
-        assert!(runs.iter().all(|(l, r)| *l == r.outcome.stats.lambda));
+            .map(|s| run.seconds(s))
+            .sum();
+        assert!(run.seconds("discover.simplify") > 0.0);
+        assert!(stages <= run.elapsed_secs() + 1e-9);
+
+        let kept = run.clock.registry.spans();
+        assert!(
+            kept.iter().all(|s| s.name.starts_with("discover")),
+            "{kept:?}"
+        );
     }
 }

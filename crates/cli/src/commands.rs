@@ -13,6 +13,7 @@ use convoy_stream::{
     FeedIngest, StreamConfig,
 };
 use std::sync::Arc;
+use std::time::Instant;
 use traj_datasets::container::DEFAULT_BLOCK_RECORDS;
 use traj_datasets::io::{parse_csv_line, write_csv_file};
 use traj_datasets::{
@@ -491,21 +492,24 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         config = config.with_tolerance_mode(ToleranceMode::Global);
     }
 
+    let started = Instant::now();
     let outcome = Discovery::new(method)
         .with_config(config)
         .with_cmc_engine(engine)
         .with_obs(obs.obs.clone())
         .run(&db, &query);
+    let elapsed = started.elapsed();
     let limit: usize = args.get_parsed_or("limit", 50)?;
 
     if let Some(live) = &obs.registry {
         // Reconcile the live registry with the authoritative outcome (store
         // semantics make this idempotent over the partials recorded during
-        // the run), add the wall-clock stage timings — which never appear in
-        // the terminal report — and write the export files.
+        // the run), add the wall-clock stage timings from the run's spans —
+        // which never appear in the terminal report — and write the export
+        // files.
         publish_discovery(live, &outcome);
         publish_scan_stats(live, &scan);
-        publish_stage_timings(live, &outcome.timings);
+        publish_stage_timings(live);
         obs.write_outputs()?;
     }
 
@@ -513,7 +517,7 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         "{path}: {} convoy(s) found by {} in {:.3} s (m={}, k={}, e={})\n",
         outcome.convoys.len(),
         method.name(),
-        outcome.timings.total().as_secs_f64(),
+        elapsed.as_secs_f64(),
         query.m,
         query.k,
         query.e

@@ -1,17 +1,17 @@
 //! The discovery façade: one entry point that runs either CMC or a CuTS
-//! variant, times every stage, and returns a normalised result set together
-//! with the statistics the benchmark harness consumes.
+//! variant, opens one span per stage on its recorder, and returns a
+//! normalised result set together with the statistics the benchmark harness
+//! consumes.
 
 use crate::cuts::filter::{filter_simplified, simplify_database};
 use crate::cuts::refine::refine_partitions_obs;
 use crate::cuts::{CutsConfig, CutsVariant};
 use crate::engine::CmcEngine;
-use crate::metrics::{refinement_unit, DiscoveryStats, StageTimings};
+use crate::metrics::{refinement_unit, DiscoveryStats};
 use crate::params::auto_delta;
 use crate::query::{normalize_convoys, Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 use trajectory::{TimeInterval, TrajectoryDatabase, TrajectorySource};
 
 /// Which discovery algorithm to run.
@@ -70,8 +70,6 @@ pub struct DiscoveryOutcome {
     pub method: Method,
     /// The normalised convoy result set.
     pub convoys: Vec<Convoy>,
-    /// Wall-clock timings per stage.
-    pub timings: StageTimings,
     /// Candidate / parameter statistics.
     pub stats: DiscoveryStats,
 }
@@ -99,10 +97,14 @@ impl Discovery {
     }
 
     /// Attaches a metrics recorder: the run emits a `discover` root span
-    /// with one child span per stage (`discover.simplify` / `discover.filter`
-    /// / `discover.refine` for the CuTS family, the engine's span tree for
-    /// CMC) plus the `cmc.*` / `cluster.*` metrics of whatever fold executes.
-    /// The default is the no-op recorder.
+    /// with one child span per stage — `discover.simplify` (δ selection and
+    /// simplification) / `discover.filter` / `discover.refine` for the CuTS
+    /// family; a single `discover.filter` holding the engine's span tree for
+    /// CMC, which has no simplify or refine stage — plus the `cmc.*` /
+    /// `cluster.*` metrics of whatever fold executes. These spans are the
+    /// run's only clock: read stage times with
+    /// [`convoy_obs::Registry::span_total_ns`]. The default is the no-op
+    /// recorder.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -171,7 +173,7 @@ impl Discovery {
     }
 
     /// Executes the discovery and returns the normalised result set together
-    /// with timings and statistics.
+    /// with its statistics; stage times go to the recorder as spans.
     pub fn run(&self, db: &TrajectoryDatabase, query: &ConvoyQuery) -> DiscoveryOutcome {
         let root = self.obs.span_start("discover", SpanId::NONE);
         let outcome = self.run_under(db, query, root);
@@ -187,14 +189,19 @@ impl Discovery {
     ) -> DiscoveryOutcome {
         match self.method {
             Method::Cmc => {
-                let started = Instant::now();
+                // CMC is all filter: it has no simplify or refine stage.
+                let filter_span = self.obs.span_start("discover.filter", root);
                 let (raw, fold) = match db.time_domain() {
-                    Some(window) => self
-                        .cmc_engine
-                        .run_windowed_with_stats_obs(db, query, window, &self.obs, root),
+                    Some(window) => self.cmc_engine.run_windowed_with_stats_obs(
+                        db,
+                        query,
+                        window,
+                        &self.obs,
+                        filter_span,
+                    ),
                     None => Default::default(),
                 };
-                let filter_time = started.elapsed();
+                self.obs.span_end(filter_span);
                 let convoys = normalize_convoys(raw, query);
                 DiscoveryOutcome {
                     method: self.method,
@@ -204,27 +211,20 @@ impl Discovery {
                         ..DiscoveryStats::default()
                     },
                     convoys,
-                    timings: StageTimings {
-                        filter: filter_time,
-                        ..StageTimings::default()
-                    },
                 }
             }
             Method::Cuts | Method::CutsPlus | Method::CutsStar => {
-                // Stage 1: simplification.
-                let delta = self.config.delta.unwrap_or_else(|| auto_delta(db, query.e));
+                // Stage 1: simplification, including the δ selection (itself
+                // a DP pass over a sample of the trajectories).
                 let simplify_span = self.obs.span_start("discover.simplify", root);
-                let simplify_started = Instant::now();
+                let delta = self.config.delta.unwrap_or_else(|| auto_delta(db, query.e));
                 let simplified = simplify_database(db, &self.config, delta);
-                let simplification = simplify_started.elapsed();
                 self.obs.span_end(simplify_span);
 
                 // Stage 2: filter (partitioned clustering of simplified
                 // sub-trajectories).
                 let filter_span = self.obs.span_start("discover.filter", root);
-                let filter_started = Instant::now();
                 let output = filter_simplified(&simplified, db, query, &self.config, delta);
-                let filter_time = filter_started.elapsed();
                 self.obs.span_end(filter_span);
 
                 // Stage 3: refinement — the coverage-restricted CmcState
@@ -232,9 +232,7 @@ impl Discovery {
                 // streaming pipeline; see `cuts::refine` for the exactness
                 // argument).
                 let refine_span = self.obs.span_start("discover.refine", root);
-                let refine_started = Instant::now();
                 let (raw, fold) = refine_partitions_obs(db, query, &output.partitions, &self.obs);
-                let refinement = refine_started.elapsed();
                 self.obs.span_end(refine_span);
 
                 let convoys = normalize_convoys(raw, query);
@@ -250,11 +248,6 @@ impl Discovery {
                         fold,
                     },
                     convoys,
-                    timings: StageTimings {
-                        simplification,
-                        filter: filter_time,
-                        refinement,
-                    },
                 }
             }
         }
@@ -384,7 +377,6 @@ mod tests {
         assert!(outcome.stats.delta > 0.0);
         assert!(outcome.stats.lambda >= 2);
         assert_eq!(outcome.stats.num_convoys, outcome.convoys.len());
-        assert!(outcome.timings.total() > std::time::Duration::ZERO);
     }
 
     #[test]
@@ -394,7 +386,48 @@ mod tests {
         let outcome = Discovery::new(Method::Cmc).run(&db, &query);
         assert_eq!(outcome.stats.num_candidates, 0);
         assert_eq!(outcome.stats.refinement_units, 0.0);
-        assert_eq!(outcome.timings.simplification, std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn discovery_emits_its_documented_span_tree() {
+        use convoy_obs::Registry;
+        use std::sync::Arc;
+
+        let db = scenario_db();
+        let query = ConvoyQuery::new(3, 10, 2.0);
+        let stages: &[&str] = &["discover.simplify", "discover.filter", "discover.refine"];
+        for (method, children) in [
+            (Method::Cmc, &["discover.filter"][..]),
+            (Method::CutsStar, stages),
+        ] {
+            let registry = Arc::new(Registry::new());
+            let recorded = Discovery::new(method)
+                .with_obs(Obs::registry(registry.clone()))
+                .run(&db, &query);
+            let unrecorded = Discovery::new(method).run(&db, &query);
+            assert_eq!(recorded.convoys, unrecorded.convoys, "{method}");
+            assert_eq!(recorded.stats, unrecorded.stats, "{method}");
+            assert!(!recorded.convoys.is_empty(), "{method}");
+
+            let spans = registry.spans();
+            assert!(spans.iter().all(|s| s.closed), "{method}");
+            let roots: Vec<_> = spans.iter().filter(|s| s.parent == 0).collect();
+            assert_eq!(roots.len(), 1, "{method}");
+            assert_eq!(roots[0].name, "discover");
+            let stage_spans: Vec<_> = spans.iter().filter(|s| s.parent == roots[0].id).collect();
+            let names: Vec<&str> = stage_spans.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, children, "{method}");
+            let stage_total: u64 = stage_spans.iter().map(|s| s.dur_ns).sum();
+            assert!(
+                stage_total <= roots[0].dur_ns,
+                "{method}: stages outlast the run"
+            );
+            assert_eq!(
+                registry.span_total_ns("discover"),
+                roots[0].dur_ns,
+                "{method}"
+            );
+        }
     }
 
     #[test]

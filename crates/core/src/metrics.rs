@@ -1,37 +1,12 @@
-//! Instrumentation: stage timings, candidate statistics and the
-//! *refinement unit* cost model used by the paper's Figures 16 and 17.
+//! Instrumentation: candidate statistics, the *refinement unit* cost model
+//! used by the paper's Figures 16 and 17, and the `discover.*` / `cmc.*`
+//! registry views. Stage timings are the `discover.*` spans themselves.
 
 use crate::candidate::CandidateConvoy;
 use crate::discovery::DiscoveryOutcome;
 use crate::engine::CmcStats;
 use convoy_obs::{MetricsSnapshot, Recorder, Registry};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
-
-/// Wall-clock timings of the three stages of a CuTS run (Figure 13). For CMC
-/// the whole run is accounted to the `filter` stage (it has no
-/// simplification or refinement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct StageTimings {
-    /// Time spent simplifying trajectories.
-    pub simplification: Duration,
-    /// Time spent in the filter step (partitioned clustering), or the whole
-    /// algorithm for CMC.
-    pub filter: Duration,
-    /// Time spent refining candidates.
-    pub refinement: Duration,
-}
-
-impl StageTimings {
-    /// Total elapsed time across the three stages. Saturating: three
-    /// near-`Duration::MAX` stages clamp instead of panicking (deserialized
-    /// timings are attacker-shaped bytes, not trusted clock readings).
-    pub fn total(&self) -> Duration {
-        self.simplification
-            .saturating_add(self.filter)
-            .saturating_add(self.refinement)
-    }
-}
 
 /// Summary statistics of one discovery run, consumed by the benchmark
 /// harness.
@@ -71,12 +46,6 @@ pub fn refinement_unit(candidates: &[CandidateConvoy]) -> f64 {
             n * n * c.lifetime() as f64
         })
         .sum()
-}
-
-/// A [`Duration`] as saturating whole nanoseconds (the unit every `*_ns`
-/// metric in the registry uses).
-pub fn duration_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Publishes a [`CmcStats`] into `registry` under the canonical `cmc.*`
@@ -129,13 +98,19 @@ pub fn publish_discovery(registry: &Registry, outcome: &DiscoveryOutcome) {
 }
 
 /// Publishes the wall-clock stage timings (Figure 13) as `discover.*_ns`
-/// counters. Non-deterministic by nature; see [`publish_discovery`] for why
-/// this is a separate call.
-pub fn publish_stage_timings(registry: &Registry, timings: &StageTimings) {
-    registry.counter_store("discover.simplify_ns", duration_ns(timings.simplification));
-    registry.counter_store("discover.filter_ns", duration_ns(timings.filter));
-    registry.counter_store("discover.refine_ns", duration_ns(timings.refinement));
-    registry.counter_store("discover.total_ns", duration_ns(timings.total()));
+/// counters, each the total of the matching span [`crate::Discovery`]
+/// recorded into `registry`: `discover.simplify` / `discover.filter` /
+/// `discover.refine`, and the `discover` root for the total. Non-deterministic
+/// by nature; see [`publish_discovery`] for why this is a separate call.
+pub fn publish_stage_timings(registry: &Registry) {
+    for (counter, span) in [
+        ("discover.simplify_ns", "discover.simplify"),
+        ("discover.filter_ns", "discover.filter"),
+        ("discover.refine_ns", "discover.refine"),
+        ("discover.total_ns", "discover"),
+    ] {
+        registry.counter_store(counter, registry.span_total_ns(span));
+    }
 }
 
 #[cfg(test)]
@@ -165,16 +140,5 @@ mod tests {
         let b = candidate(&[1, 2, 3, 4], 0, 0); // 16 × 1 = 16
         assert_eq!(refinement_unit(&[a, b]), 36.0);
         assert_eq!(refinement_unit(&[]), 0.0);
-    }
-
-    #[test]
-    fn stage_timings_total() {
-        let t = StageTimings {
-            simplification: Duration::from_millis(5),
-            filter: Duration::from_millis(10),
-            refinement: Duration::from_millis(20),
-        };
-        assert_eq!(t.total(), Duration::from_millis(35));
-        assert_eq!(StageTimings::default().total(), Duration::ZERO);
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! | metric | kind | paper figure |
 //! |---|---|---|
-//! | `discover.simplify_ns` / `filter_ns` / `refine_ns` | counter | Fig. 13 — stage time breakdown |
+//! | `discover.simplify_ns` / `filter_ns` / `refine_ns` / `total_ns` | counter | Fig. 13 — stage time breakdown, derived from the `discover.*` span totals ([`Registry::span_total_ns`]) |
 //! | `discover.candidates` | counter | Fig. 16 — candidate count vs λ/δ |
 //! | `discover.refinement_units` | counter | Fig. 17 — refinement-unit cost |
 //! | `discover.convoys` | counter | result cardinality |
@@ -89,9 +89,11 @@ impl SpanId {
 /// All methods take `&self`; implementations are shared across threads
 /// (parallel/sharded engine workers record into the same registry).
 pub trait Recorder: Send + Sync {
-    /// Whether this recorder keeps anything. Hot paths use this as their
-    /// single branch; when it returns `false` they skip metric construction
-    /// entirely.
+    /// Whether this recorder keeps per-event metrics. Hot paths use this as
+    /// their single branch; when it returns `false` they skip metric
+    /// construction and their clock reads entirely. Spans are opened
+    /// whatever this returns, so a recorder that keeps only coarse spans
+    /// (a stage clock) may return `false`.
     fn enabled(&self) -> bool;
 
     /// Adds `delta` to the monotonic counter `name`.

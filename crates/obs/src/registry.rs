@@ -196,6 +196,17 @@ impl Registry {
             })
             .collect()
     }
+
+    /// Total duration in nanoseconds of every *closed* span named `name`
+    /// (saturating; 0 when there is none). This is how callers read a stage
+    /// time off a run: the span is the clock.
+    pub fn span_total_ns(&self, name: &str) -> u64 {
+        self.lock()
+            .spans
+            .iter()
+            .filter(|s| s.closed && s.name == name)
+            .fold(0u64, |total, s| total.saturating_add(s.dur_ns))
+    }
 }
 
 impl Recorder for Registry {
@@ -425,6 +436,22 @@ mod tests {
         assert_eq!(spans[2].dur_ns, 20);
         r.span_end(root);
         assert!(r.spans()[0].closed);
+    }
+
+    #[test]
+    fn span_total_sums_closed_spans_by_name() {
+        let r = Registry::new();
+        r.span_at("stage", SpanId::NONE, 0, 5);
+        r.span_at("stage", SpanId::NONE, 10, 7);
+        r.span_at("other", SpanId::NONE, 0, 100);
+        r.span_at("big", SpanId::NONE, 0, u64::MAX);
+        r.span_at("big", SpanId::NONE, 0, 1);
+        let open = r.span_start("stage", SpanId::NONE);
+        assert_eq!(r.span_total_ns("stage"), 12, "open spans are excluded");
+        assert_eq!(r.span_total_ns("big"), u64::MAX, "saturates");
+        assert_eq!(r.span_total_ns("missing"), 0);
+        r.span_end(open);
+        assert!(r.span_total_ns("stage") >= 12);
     }
 
     #[test]

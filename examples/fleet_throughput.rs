@@ -12,6 +12,7 @@
 //! ```
 
 use convoy_suite::prelude::*;
+use std::time::Instant;
 
 fn main() {
     let profile = DatasetProfile::truck().scaled(0.1);
@@ -32,15 +33,16 @@ fn main() {
         query.m, query.e, query.k
     );
 
-    let mut reference: Option<DiscoveryOutcome> = None;
+    let mut reference: Option<(DiscoveryOutcome, f64)> = None;
     for method in [
         Method::Cmc,
         Method::Cuts,
         Method::CutsPlus,
         Method::CutsStar,
     ] {
+        let started = Instant::now();
         let outcome = Discovery::new(method).run(&data.database, &query);
-        let elapsed = outcome.timings.total().as_secs_f64();
+        let elapsed = started.elapsed().as_secs_f64();
         match &reference {
             None => {
                 println!(
@@ -48,10 +50,10 @@ fn main() {
                     method.name(),
                     outcome.convoys.len()
                 );
-                reference = Some(outcome);
+                reference = Some((outcome, elapsed));
             }
-            Some(cmc) => {
-                let speedup = cmc.timings.total().as_secs_f64() / elapsed.max(1e-9);
+            Some((cmc, cmc_elapsed)) => {
+                let speedup = cmc_elapsed / elapsed.max(1e-9);
                 let agrees = convoy_suite::core::query::result_sets_equivalent(
                     &outcome.convoys,
                     &cmc.convoys,
@@ -67,7 +69,7 @@ fn main() {
     }
 
     // Report the consolidation opportunities from the exact result set.
-    let convoys = reference.expect("CMC ran").convoys;
+    let convoys = reference.expect("CMC ran").0.convoys;
     println!("\nconsolidation candidates:");
     for convoy in &convoys {
         let trucks: Vec<String> = convoy.objects.iter().map(|o| o.to_string()).collect();

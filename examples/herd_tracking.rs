@@ -10,8 +10,10 @@
 //! cargo run --example herd_tracking
 //! ```
 
+use convoy_obs::{Obs, Registry};
 use convoy_suite::prelude::*;
 use convoy_suite::simplify::ReductionStats;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -55,15 +57,20 @@ fn main() {
         query.m, query.k, query.e
     );
     for method in [Method::Cuts, Method::CutsPlus, Method::CutsStar] {
-        let outcome = Discovery::new(method).run(&data.database, &query);
-        let t = outcome.timings;
+        // The run's stage spans are its clock: attach a registry, then read
+        // each stage's total back off it.
+        let registry = Arc::new(Registry::new());
+        let outcome = Discovery::new(method)
+            .with_obs(Obs::registry(registry.clone()))
+            .run(&data.database, &query);
+        let secs = |span| registry.span_total_ns(span) as f64 / 1e9;
         println!(
             "  {:6}  {} herds   simplification {:.3} s | filter {:.3} s | refinement {:.3} s",
             method.name(),
             outcome.convoys.len(),
-            t.simplification.as_secs_f64(),
-            t.filter.as_secs_f64(),
-            t.refinement.as_secs_f64(),
+            secs("discover.simplify"),
+            secs("discover.filter"),
+            secs("discover.refine"),
         );
     }
 }
