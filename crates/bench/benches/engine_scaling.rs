@@ -1,13 +1,11 @@
 //! Criterion bench for the **convoy engine**: CMC runtime under every
 //! execution engine — per-tick snapshot extraction (the paper-literal
-//! baseline), the swept single-pass cursor, the time-partitioned parallel
-//! driver and the spatially sharded driver — on the Figure-12-scale dataset
-//! profiles.
+//! baseline), the swept single-pass cursor and the time-partitioned parallel
+//! driver — on the Figure-12-scale dataset profiles.
 //!
-//! On a single-core box the parallel and sharded drivers pay their
-//! partition/merge overhead without clustering speedup, so those rows
-//! primarily document that overhead; run on a multi-core machine to measure
-//! the scaling curves.
+//! On a single-core box the parallel driver pays its partition overhead
+//! without clustering speedup, so those rows primarily document that
+//! overhead; run on a multi-core machine to measure the scaling curve.
 
 use convoy_bench::{bench_scale, prepared};
 use convoy_core::CmcEngine;
@@ -20,9 +18,6 @@ fn engines() -> Vec<(&'static str, CmcEngine)> {
         ("swept", CmcEngine::Swept),
         ("parallel-2", CmcEngine::Parallel { threads: 2 }),
         ("parallel-all", CmcEngine::Parallel { threads: 0 }),
-        ("sharded-2", CmcEngine::Sharded { shards: 2 }),
-        ("sharded-4", CmcEngine::Sharded { shards: 4 }),
-        ("sharded-all", CmcEngine::Sharded { shards: 0 }),
     ]
 }
 

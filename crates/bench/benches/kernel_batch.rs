@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use traj_cluster::aos::AosGridIndex;
-use traj_cluster::dbscan::{dbscan_with_core_flags_into, DbscanScratch};
+use traj_cluster::dbscan::{dbscan_into, DbscanScratch};
 use traj_cluster::{kernel, GridIndex};
 use trajectory::geometry::Point;
 
@@ -149,8 +149,8 @@ fn bench_grid_build(c: &mut Criterion) {
 }
 
 /// Full DBSCAN over a warmed index — both grids drive the identical
-/// production `dbscan_with_core_flags_into` loop, so the gap is purely the
-/// neighbourhood-scan kernel.
+/// production `dbscan_into` loop, so the gap is purely the neighbourhood-scan
+/// kernel.
 fn bench_snapshot_dbscan(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(23);
     let mut group = c.benchmark_group("kernel_batch/snapshot_dbscan");
@@ -161,14 +161,14 @@ fn bench_snapshot_dbscan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar_aos", n), &points, |b, _| {
             let mut scratch = DbscanScratch::new();
             b.iter(|| {
-                dbscan_with_core_flags_into(&aos, MIN_PTS, &mut scratch);
+                dbscan_into(&aos, MIN_PTS, &mut scratch);
                 scratch.labels().len()
             })
         });
         group.bench_with_input(BenchmarkId::new("batched_soa", n), &points, |b, _| {
             let mut scratch = DbscanScratch::new();
             b.iter(|| {
-                dbscan_with_core_flags_into(&soa, MIN_PTS, &mut scratch);
+                dbscan_into(&soa, MIN_PTS, &mut scratch);
                 scratch.labels().len()
             })
         });

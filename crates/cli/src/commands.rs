@@ -73,11 +73,9 @@ COMMANDS:
     discover  FILE [--method cmc|cuts|cuts-plus|cuts-star] --m N --k N --e F
               [--delta F] [--lambda N] [--global-tolerance] [--stats]
               [--from T] [--to T] [--trace PATH] [--metrics-json PATH]
-              [--stream | --parallel [N] | --shards [N]]   (CMC engine:
-              streamed sweep is the default; --parallel N partitions time
-              across N worker threads; --shards N grid-shards space into N
-              cells clustered on worker threads with boundary-halo exchange;
-              N omitted or 0 uses every core)
+              [--stream | --parallel [N]]   (CMC engine: streamed sweep is
+              the default; --parallel N partitions time across N worker
+              threads, N omitted or 0 uses every core)
               Run a convoy query and print the discovered convoys.
               --from/--to restrict discovery to samples with T inside the
               inclusive tick window (no interpolation at the edges); on a
@@ -173,50 +171,40 @@ fn load_path(path: &str) -> Result<TrajectoryDatabase, CommandError> {
     Ok(open_source(path)?.load()?)
 }
 
-/// Resolves the CMC engine from the `--stream` / `--parallel N` /
-/// `--shards N` flags. The flags only make sense for the CMC method (the
-/// CuTS refinement runs windowed CMC per candidate, a different parallelism
-/// axis), so combining them with a CuTS method is reported rather than
-/// silently ignored.
+/// Resolves the CMC engine from the `--stream` / `--parallel N` flags. The
+/// flags only make sense for the CMC method (the CuTS refinement runs
+/// windowed CMC per candidate, a different parallelism axis), so combining
+/// them with a CuTS method is reported rather than silently ignored.
 fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, CommandError> {
     if let Some(value) = args.get("stream") {
         return Err(CommandError(format!(
             "--stream takes no value (found `{value}`; place the input path before the flags)"
         )));
     }
-    // A bare `--parallel` / `--shards` (no count, e.g. followed by another
-    // flag or at the end of the line) parses as a boolean flag; it means
-    // "every core" rather than being silently ignored.
-    let counted_flag = |key: &str| -> Result<Option<usize>, CommandError> {
-        match args.get(key) {
-            Some(value) => value
+    // A bare `--parallel` (no count, e.g. followed by another flag or at
+    // the end of the line) parses as a boolean flag; it means "every core"
+    // rather than being silently ignored.
+    let parallel = match args.get("parallel") {
+        Some(value) => Some(
+            value
                 .parse()
-                .map(Some)
-                .map_err(|_| CommandError(format!("cannot parse --{key} value `{value}`"))),
-            None if args.flags.iter().any(|f| f == key) => Ok(Some(0)),
-            None => Ok(None),
-        }
+                .map_err(|_| CommandError(format!("cannot parse --parallel value `{value}`")))?,
+        ),
+        None if args.flags.iter().any(|f| f == "parallel") => Some(0),
+        None => None,
     };
     let stream = args.has_flag("stream");
-    let parallel = counted_flag("parallel")?;
-    let sharded = counted_flag("shards")?;
-    let selected =
-        usize::from(stream) + usize::from(parallel.is_some()) + usize::from(sharded.is_some());
-    if selected > 1 {
+    if stream && parallel.is_some() {
         return Err(CommandError(
-            "--stream, --parallel and --shards are mutually exclusive".into(),
+            "--stream and --parallel are mutually exclusive".into(),
         ));
     }
-    if selected > 0 && method != Method::Cmc {
+    if (stream || parallel.is_some()) && method != Method::Cmc {
         return Err(CommandError(
-            "--stream/--parallel/--shards select a CMC engine; use them with --method cmc".into(),
+            "--stream/--parallel select a CMC engine; use them with --method cmc".into(),
         ));
     }
-    Ok(match (parallel, sharded) {
-        (Some(threads), _) => CmcEngine::Parallel { threads },
-        (_, Some(shards)) => CmcEngine::Sharded { shards },
-        _ => CmcEngine::Swept,
-    })
+    Ok(parallel.map_or(CmcEngine::Swept, |threads| CmcEngine::Parallel { threads }))
 }
 
 fn query_from_args(args: &ParsedArgs) -> Result<ConvoyQuery, CommandError> {
@@ -452,7 +440,6 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         "stats",
         "stream",
         "parallel",
-        "shards",
         "from",
         "to",
         "trace",
@@ -524,23 +511,12 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
     );
     if method == Method::Cmc {
         let threads = engine.resolved_threads();
-        if let CmcEngine::Sharded { .. } = engine {
-            let shards = engine.resolved_shards();
-            out.push_str(&format!(
-                "engine: sharded ({} shard{}, {} thread{})\n",
-                shards,
-                if shards == 1 { "" } else { "s" },
-                threads,
-                if threads == 1 { "" } else { "s" }
-            ));
-        } else {
-            out.push_str(&format!(
-                "engine: {} ({} thread{})\n",
-                engine.name(),
-                threads,
-                if threads == 1 { "" } else { "s" }
-            ));
-        }
+        out.push_str(&format!(
+            "engine: {} ({} thread{})\n",
+            engine.name(),
+            threads,
+            if threads == 1 { "" } else { "s" }
+        ));
     }
     if method != Method::Cmc {
         out.push_str(&format!(
@@ -1112,86 +1088,6 @@ mod tests {
         let sequential = discover_command(&ParsedArgs::parse(base).unwrap()).unwrap();
         assert_eq!(strip_timing(streamed), strip_timing(sequential.clone()));
         assert_eq!(strip_timing(parallel), strip_timing(sequential));
-    }
-
-    #[test]
-    fn discover_shards_output_is_byte_identical_to_sequential_cmc() {
-        let path = generate_fixture("engines-shards.csv");
-        let profile = DatasetProfile::truck().scaled(0.02);
-        let base = [
-            path.as_str(),
-            "--method",
-            "cmc",
-            "--m",
-            &profile.m.to_string(),
-            "--k",
-            &profile.k.to_string(),
-            "--e",
-            &profile.e.to_string(),
-        ];
-
-        // Everything except the engine line and the wall-clock portion of
-        // the header must match byte for byte.
-        let comparable = |report: &str| -> Vec<String> {
-            report
-                .lines()
-                .filter(|l| !l.starts_with("engine:"))
-                .map(|l| match l.split_once(" in ") {
-                    Some((head, _)) => head.to_string(),
-                    None => l.to_string(),
-                })
-                .collect()
-        };
-
-        let sequential = discover_command(&ParsedArgs::parse(base).unwrap()).unwrap();
-        assert!(!comparable(&sequential).is_empty());
-        for shards in ["2", "5", "16"] {
-            let mut args: Vec<&str> = base.to_vec();
-            args.extend(["--shards", shards]);
-            let sharded = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap();
-            assert!(
-                sharded.contains(&format!("engine: sharded ({shards} shards")),
-                "{sharded}"
-            );
-            assert_eq!(
-                comparable(&sharded),
-                comparable(&sequential),
-                "--shards {shards} must print byte-identical convoys"
-            );
-        }
-
-        // Bare `--shards` means one shard per core, never silent fallback.
-        let mut args: Vec<&str> = base.to_vec();
-        args.push("--shards");
-        let report = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap();
-        assert!(report.contains("engine: sharded ("), "{report}");
-        assert_eq!(comparable(&report), comparable(&sequential));
-    }
-
-    #[test]
-    fn discover_shards_flag_is_validated() {
-        let path = generate_fixture("engines-shards-bad.csv");
-        let base = [path.as_str(), "--m", "3", "--k", "5", "--e", "10.0"];
-        // --shards with a CuTS method is rejected, not ignored.
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--method", "cuts-star", "--shards", "4"]);
-        let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("--method cmc"), "{err}");
-        // --shards and --parallel are mutually exclusive.
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--method", "cmc", "--shards", "2", "--parallel", "2"]);
-        let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
-        // --shards and --stream are mutually exclusive (bare form included).
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--method", "cmc", "--stream", "--shards"]);
-        let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
-        // A non-numeric shard count is a parse error.
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--method", "cmc", "--shards", "many"]);
-        let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("--shards"), "{err}");
     }
 
     #[test]

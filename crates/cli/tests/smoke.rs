@@ -185,30 +185,22 @@ fn discover_cmc_engine_flags() {
 }
 
 #[test]
-fn discover_sharded_engine_end_to_end() {
-    let path = temp_path("engine-shards.csv");
+fn discover_rejects_the_removed_sharded_engine_flag() {
+    let path = temp_path("engine-removed-flag.csv");
     convoy()
         .args(["generate", "--profile", "truck", "--scale", "0.02"])
         .args(["--seed", "11", "--out", path.to_str().unwrap()])
         .assert()
         .success();
-    let query = ["--method", "cmc", "--m", "3", "--k", "5", "--e", "10"];
     convoy()
         .args(["discover", path.to_str().unwrap()])
-        .args(query)
+        .args(["--method", "cmc", "--m", "3", "--k", "5", "--e", "10"])
         .args(["--shards", "4"])
-        .assert()
-        .success()
-        .stdout_contains("found by CMC")
-        .stdout_contains("engine: sharded (4 shards");
-    convoy()
-        .args(["discover", path.to_str().unwrap()])
-        .args(query)
-        .args(["--shards", "4", "--parallel", "2"])
         .assert()
         .failure()
         .code(1)
-        .stderr_contains("mutually exclusive");
+        .stdout_is_empty()
+        .stderr_contains("unknown option --shards");
 }
 
 #[test]

@@ -62,11 +62,13 @@ pub enum Label {
 /// the first core cluster that reaches them, exactly as in the original
 /// algorithm.
 pub fn dbscan<Q: RegionQuery>(query: &Q, min_pts: usize) -> Vec<Label> {
-    dbscan_with_core_flags(query, min_pts).0
+    let mut scratch = DbscanScratch::new();
+    dbscan_into(query, min_pts, &mut scratch);
+    scratch.labels
 }
 
-/// Reusable working state for [`dbscan_with_core_flags_into`]: the label and
-/// core-flag arrays, the BFS seed queue and the neighbourhood buffer.
+/// Reusable working state for [`dbscan_into`]: the label array, the BFS
+/// seed queue and the neighbourhood buffer.
 ///
 /// A scratch reused across runs reaches an allocation fixpoint: once every
 /// buffer has grown to the largest input seen, further runs perform no heap
@@ -75,7 +77,6 @@ pub fn dbscan<Q: RegionQuery>(query: &Q, min_pts: usize) -> Vec<Label> {
 #[derive(Debug, Clone, Default)]
 pub struct DbscanScratch {
     labels: Vec<Label>,
-    core: Vec<bool>,
     seeds: Vec<usize>,
     neigh: Vec<usize>,
 }
@@ -90,54 +91,25 @@ impl DbscanScratch {
     pub fn labels(&self) -> &[Label] {
         &self.labels
     }
-
-    /// The core flags of the most recent run.
-    pub fn core_flags(&self) -> &[bool] {
-        &self.core
-    }
-}
-
-/// Like [`dbscan`], but also reports for every item whether it is a *core*
-/// item (`|NH_e| >= min_pts`).
-///
-/// The algorithm evaluates every item's neighbourhood exactly once anyway
-/// (at its scan visit, or when it is first labelled during an expansion), so
-/// the flags are a free by-product — the sharded clustering merge needs
-/// them, and recomputing them would double the region-query work of its hot
-/// path.
-pub fn dbscan_with_core_flags<Q: RegionQuery>(
-    query: &Q,
-    min_pts: usize,
-) -> (Vec<Label>, Vec<bool>) {
-    let mut scratch = DbscanScratch::new();
-    dbscan_with_core_flags_into(query, min_pts, &mut scratch);
-    (scratch.labels, scratch.core)
 }
 
 /// The scratch-driven DBSCAN all public entry points run on: identical
-/// output to [`dbscan_with_core_flags`] (same visiting order, same seeds,
-/// same labels), but every buffer lives in `scratch` and is reused across
-/// calls instead of freshly allocated.
+/// output to [`dbscan`] (same visiting order, same seeds, same labels), but
+/// every buffer lives in `scratch` and is reused across calls instead of
+/// freshly allocated.
 ///
-/// After the call, `scratch.labels()` and `scratch.core_flags()` hold the
-/// run's result (`query.len()` entries each).
+/// After the call, `scratch.labels()` holds the run's result
+/// (`query.len()` entries).
 // lint: hot-path — the per-tick DBSCAN core; all buffers must come from `scratch`
-pub fn dbscan_with_core_flags_into<Q: RegionQuery>(
-    query: &Q,
-    min_pts: usize,
-    scratch: &mut DbscanScratch,
-) {
+pub fn dbscan_into<Q: RegionQuery>(query: &Q, min_pts: usize, scratch: &mut DbscanScratch) {
     let n = query.len();
     let DbscanScratch {
         labels,
-        core,
         seeds,
         neigh,
     } = scratch;
     labels.clear();
     labels.resize(n, Label::Unvisited);
-    core.clear();
-    core.resize(n, false);
     let mut next_cluster = 0usize;
 
     for start in 0..n {
@@ -150,7 +122,6 @@ pub fn dbscan_with_core_flags_into<Q: RegionQuery>(
             continue;
         }
         // `start` is a core item: grow a new cluster from it.
-        core[start] = true;
         let cluster_id = next_cluster;
         next_cluster += 1;
         labels[start] = Label::Cluster(cluster_id);
@@ -170,7 +141,6 @@ pub fn dbscan_with_core_flags_into<Q: RegionQuery>(
                         if neigh.len() >= min_pts {
                             // `item` is itself a core item: its neighbourhood
                             // is density-reachable and must be explored.
-                            core[item] = true;
                             seeds.extend_from_slice(neigh);
                         }
                     }
@@ -381,45 +351,7 @@ mod tests {
         assert!(run(&triangle, 1.5, 4).iter().all(|l| *l == Label::Noise));
     }
 
-    #[test]
-    fn core_flags_match_neighbourhood_counts() {
-        // Mixed cores, borders and noise: flags must equal the brute-force
-        // core test for every point, and labels must equal plain dbscan.
-        let pts: Vec<Point> = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (50.0, 0.0)]
-            .iter()
-            .map(|(x, y)| Point::new(*x, *y))
-            .collect();
-        let provider = BruteForcePoints::new(&pts, 1.2);
-        let (labels, core) = dbscan_with_core_flags(&provider, 3);
-        assert_eq!(labels, dbscan(&provider, 3));
-        for (i, flag) in core.iter().enumerate() {
-            assert_eq!(
-                *flag,
-                provider.neighbors(i).len() >= 3,
-                "core flag mismatch at {i}"
-            );
-        }
-        // Point 3 is a border (2 neighbours), point 4 noise.
-        assert!(!core[3] && matches!(labels[3], Label::Cluster(_)));
-        assert!(!core[4] && labels[4] == Label::Noise);
-    }
-
     proptest! {
-        #[test]
-        fn core_flags_are_exact_on_random_inputs(
-            coords in proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 0..50),
-            e in 0.5f64..8.0,
-            m in 1usize..5) {
-            let pts: Vec<Point> = coords.iter().map(|(x, y)| Point::new(*x, *y)).collect();
-            let provider = BruteForcePoints::new(&pts, e);
-            let (labels, core) = dbscan_with_core_flags(&provider, m);
-            prop_assert_eq!(labels, dbscan(&provider, m));
-            for (i, flag) in core.iter().enumerate() {
-                prop_assert_eq!(*flag, provider.neighbors(i).len() >= m,
-                    "core flag mismatch at {}", i);
-            }
-        }
-
         #[test]
         fn every_cluster_has_at_least_one_core_point(
             coords in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..60),

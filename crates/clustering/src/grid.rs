@@ -39,7 +39,7 @@
 //! implementation produced; together with the fixed 3×3 `dx`/`dy` cell visit
 //! order this makes every neighbourhood list — and therefore every DBSCAN
 //! label sequence — bit-identical to the historical behaviour, which the
-//! engine/shard/stream equivalence suites rely on (the frozen originals
+//! engine/stream equivalence suites rely on (the frozen originals
 //! live in [`crate::reference`] — the `HashMap` grid — and [`crate::aos`] —
 //! the scalar array-of-structs CSR grid — pinned by order-equivalence
 //! property tests below and in `tests/kernel_equivalence.rs`).
@@ -52,13 +52,11 @@
 //! steady state: after a warm-up tick has grown every buffer to its
 //! fixpoint, clustering further snapshots of similar size touches no
 //! allocator at all (locked in by the `zero_alloc` integration test). Every
-//! engine — per-tick, swept, parallel, sharded, the CuTS refinement fold and
-//! the streaming pipeline — folds its ticks through a reused clusterer.
+//! engine — per-tick, swept, parallel, the CuTS refinement fold and the
+//! streaming pipeline — folds its ticks through a reused clusterer.
 
 use crate::cluster::Cluster;
-use crate::dbscan::{
-    dbscan, dbscan_with_core_flags_into, labels_to_clusters, DbscanScratch, Label, RegionQuery,
-};
+use crate::dbscan::{dbscan, dbscan_into, labels_to_clusters, DbscanScratch, Label, RegionQuery};
 use crate::kernel;
 use convoy_obs::Obs;
 use std::cell::Cell;
@@ -157,7 +155,7 @@ impl GridIndex {
     /// (capacity-preserving) point buffer to refill, then rebuilds the cell
     /// arrays. No allocation happens once the buffers have grown to cover
     /// the largest input seen — the reuse entry point the snapshot clusterer
-    /// and the shard workers drive every tick.
+    /// drives every tick.
     pub fn rebuild_with(&mut self, epsilon: f64, fill: impl FnOnce(&mut Vec<Point>)) {
         self.points.clear();
         fill(&mut self.points);
@@ -669,7 +667,7 @@ impl RegionQuery for GridIndex {
 /// buffer across calls, so a warmed clusterer performs **zero heap
 /// allocations** per tick. One clusterer per fold (or per worker thread) is
 /// the pattern: the convoy engine's `CmcState` owns one for its ingest path,
-/// and the parallel/sharded drivers give each worker its own.
+/// and the parallel driver gives each worker its own.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotClusterer {
     ids: Vec<ObjectId>,
@@ -734,7 +732,7 @@ impl SnapshotClusterer {
         self.grid.rebuild_with(e, |points| {
             points.extend(snapshot.entries.iter().map(|entry| entry.position));
         });
-        dbscan_with_core_flags_into(&self.grid, m, &mut self.scratch);
+        dbscan_into(&self.grid, m, &mut self.scratch);
 
         // Group the labelled points per cluster: sorting `(cluster, index)`
         // pairs groups members in ascending point index, which after the id

@@ -18,11 +18,7 @@
 //!   the paper's Algorithm 2 — density clustering of *simplified
 //!   sub-trajectories* within one time partition, using the ω distance with
 //!   the Lemma 1 / Lemma 3 error bounds and the Lemma 2 bounding-box
-//!   pre-filter;
-//! * [`ShardGrid`] + [`shard_clusters`] + [`merge_shard_clusters`]: spatially
-//!   sharded snapshot clustering — per-shard DBSCAN over owned objects plus
-//!   a boundary halo, merged back into exactly the global clustering (the
-//!   substrate of the sharded convoy engine).
+//!   pre-filter.
 //!
 //! ## Example: snapshot clustering
 //!
@@ -54,15 +50,8 @@ pub mod kernel;
 #[doc(hidden)]
 pub mod reference;
 pub mod segment;
-pub mod shard;
 
 pub use cluster::Cluster;
-pub use dbscan::{
-    dbscan, dbscan_with_core_flags, dbscan_with_core_flags_into, DbscanScratch, Label, RegionQuery,
-};
+pub use dbscan::{dbscan, dbscan_into, DbscanScratch, Label, RegionQuery};
 pub use grid::{snapshot_clusters, GridIndex, SnapshotClusterer};
 pub use segment::{cluster_sub_trajectories, omega_distance, SegmentDistance, SubTrajectory};
-pub use shard::{
-    merge_shard_clusters, shard_clusters, shard_clusters_with, sharded_snapshot_clusters,
-    ShardClusters, ShardGrid, ShardScratch,
-};

@@ -122,9 +122,8 @@ impl Discovery {
     }
 
     /// Selects the CMC execution engine (per-tick baseline, swept streaming,
-    /// time-partitioned parallel, or spatially sharded). Ignored by the CuTS
-    /// methods, whose refinement windows are too short to benefit from
-    /// partitioning.
+    /// or time-partitioned parallel). Ignored by the CuTS methods, whose
+    /// refinement windows are too short to benefit from partitioning.
     #[must_use]
     pub fn with_cmc_engine(mut self, engine: CmcEngine) -> Self {
         self.cmc_engine = engine;
@@ -347,8 +346,6 @@ mod tests {
             CmcEngine::Swept,
             CmcEngine::Parallel { threads: 2 },
             CmcEngine::Parallel { threads: 5 },
-            CmcEngine::Sharded { shards: 4 },
-            CmcEngine::Sharded { shards: 9 },
         ] {
             let outcome = Discovery::new(Method::Cmc)
                 .with_cmc_engine(engine)

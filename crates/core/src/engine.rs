@@ -11,8 +11,7 @@
 //! * [`CmcEngine`] — the execution strategy, run through
 //!   [`CmcEngine::run_windowed_with_stats_obs`]: legacy per-tick snapshot
 //!   extraction or the swept single-pass cursor (one sequential loop fed by
-//!   either snapshot source), the time-partitioned parallel driver, or the
-//!   spatially sharded driver ([`crate::shard`]).
+//!   either snapshot source), or the time-partitioned parallel driver.
 //! * The parallel driver ([`CmcEngine::Parallel`]) splits the time domain
 //!   into one contiguous partition per thread; each worker streams its
 //!   partition with a [`SnapshotSweep`] and density-clusters every tick (the
@@ -567,31 +566,12 @@ pub enum CmcEngine {
         /// clamped to [`MAX_PARALLEL_THREADS`]).
         threads: usize,
     },
-    /// Spatially sharded clustering with boundary-halo exchange and exact
-    /// cluster merging ([`crate::shard`]). `shards == 0` means "one shard per
-    /// available core".
-    Sharded {
-        /// Number of spatial shards (0 = one per core, clamped to
-        /// [`crate::shard::MAX_SHARDS`]).
-        shards: usize,
-    },
 }
 
 /// Hard cap on worker threads spawned by the parallel driver. Partitioning
 /// beyond this brings no speedup (the fold is sequential anyway) and an
 /// unbounded user-supplied count would hit the OS thread limit and panic.
 pub const MAX_PARALLEL_THREADS: usize = 64;
-
-/// Resolves a requested worker count: `0` means every available core; the
-/// result is always clamped to `cap` (the all-cores case included).
-fn resolve_count(requested: usize, cap: usize) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    };
-    requested.min(cap)
-}
 
 impl CmcEngine {
     /// Display name used by reports and benchmarks.
@@ -600,27 +580,19 @@ impl CmcEngine {
             CmcEngine::PerTick => "per-tick",
             CmcEngine::Swept => "swept",
             CmcEngine::Parallel { .. } => "parallel",
-            CmcEngine::Sharded { .. } => "sharded",
         }
     }
 
     /// The number of worker threads this engine will actually use (before
     /// the data-dependent clamp to the window's tick count): 1 for the
-    /// sequential engines, the resolved and capped count for the parallel
-    /// drivers.
+    /// sequential engines; for the parallel driver the requested count (`0`
+    /// meaning every available core), clamped to [`MAX_PARALLEL_THREADS`].
     pub fn resolved_threads(&self) -> usize {
         match *self {
-            CmcEngine::Parallel { threads } => resolve_count(threads, MAX_PARALLEL_THREADS),
-            CmcEngine::Sharded { .. } => self.resolved_shards().min(MAX_PARALLEL_THREADS),
-            _ => 1,
-        }
-    }
-
-    /// The number of spatial shards this engine will use: the resolved and
-    /// capped count for the sharded driver, 1 for every other engine.
-    pub fn resolved_shards(&self) -> usize {
-        match *self {
-            CmcEngine::Sharded { shards } => resolve_count(shards, crate::shard::MAX_SHARDS),
+            CmcEngine::Parallel { threads: 0 } => std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(MAX_PARALLEL_THREADS),
+            CmcEngine::Parallel { threads } => threads.min(MAX_PARALLEL_THREADS),
             _ => 1,
         }
     }
@@ -633,7 +605,7 @@ impl CmcEngine {
 
     /// Runs CMC over `window` with this engine, returning the convoys and
     /// the counters of the [`CmcState`] fold that produced them — every
-    /// engine, the parallel and sharded drivers included, folds through
+    /// engine, the parallel driver included, folds through
     /// exactly one state machine, so the counters are engine-independent.
     pub fn run_windowed_with_stats(
         &self,
@@ -650,11 +622,9 @@ impl CmcEngine {
     ///
     /// * `cmc.per-tick` / `cmc.swept` → `cmc.sweep`, `cmc.cluster`,
     ///   `cmc.fold` (accumulated stage totals);
-    /// * `cmc.parallel` → one `cmc.partition` per worker, then `cmc.fold`;
-    /// * `cmc.sharded` → `cmc.sweep`, one `cmc.shard` per worker, then
-    ///   `cmc.fold`.
+    /// * `cmc.parallel` → one `cmc.partition` per worker, then `cmc.fold`.
     ///
-    /// The parallel drivers fall back to the `cmc.swept` tree when there is
+    /// The parallel driver falls back to the `cmc.swept` tree when there is
     /// nothing to split. With the no-op recorder this is exactly
     /// [`CmcEngine::run_windowed_with_stats`] — the result is identical
     /// either way. This is the one CMC implementation every other run
@@ -687,9 +657,6 @@ impl CmcEngine {
             CmcEngine::Parallel { .. } => {
                 parallel(db, query, window, self.resolved_threads(), obs, parent)
             }
-            CmcEngine::Sharded { .. } => {
-                crate::shard::sharded(db, query, window, self.resolved_shards(), obs, parent)
-            }
         }
     }
 }
@@ -702,7 +669,7 @@ impl CmcEngine {
 /// (`cmc.sweep` → `cmc.cluster` → `cmc.fold`) end to end from the run's
 /// start — the proportions are exact, the wall-clock positions are not (see
 /// the crate docs of `convoy_obs`).
-pub(crate) fn sequential(
+fn sequential(
     mut snapshots: impl Iterator<Item = Snapshot>,
     span_name: &'static str,
     query: &ConvoyQuery,
@@ -885,9 +852,6 @@ mod tests {
             CmcEngine::Parallel { threads: 2 },
             CmcEngine::Parallel { threads: 3 },
             CmcEngine::Parallel { threads: 0 },
-            CmcEngine::Sharded { shards: 2 },
-            CmcEngine::Sharded { shards: 6 },
-            CmcEngine::Sharded { shards: 0 },
         ] {
             let got = normalize_convoys(engine.run(&db, &query), &query);
             assert_eq!(got, reference, "{} disagreed with per-tick", engine.name());
@@ -941,11 +905,6 @@ mod tests {
                 CmcEngine::Parallel { threads: 2 },
                 "cmc.parallel",
                 &["cmc.partition", "cmc.partition", "cmc.fold"][..],
-            ),
-            (
-                CmcEngine::Sharded { shards: 2 },
-                "cmc.sharded",
-                &["cmc.sweep", "cmc.shard", "cmc.shard", "cmc.fold"][..],
             ),
         ] {
             let registry = Arc::new(Registry::new());

@@ -16,10 +16,6 @@
 //!   [`CmcEngine`], whose
 //!   [`run_windowed_with_stats_obs`](CmcEngine::run_windowed_with_stats_obs)
 //!   is the one CMC implementation every other run function delegates to;
-//! * the **sharded driver** ([`shard`], [`CmcEngine::Sharded`]): spatially
-//!   sharded discovery — grid shards clustered on worker threads with
-//!   boundary-halo exchange and an exact cluster merge, bit-identical to
-//!   sequential [`cmc()`](cmc::cmc);
 //! * the **CuTS family** ([`cuts`]): the filter–refinement algorithms built
 //!   on trajectory simplification — CuTS (DP + `DLL` bounds), CuTS+ (DP+ +
 //!   `DLL` bounds) and CuTS* (DP* + `D*` bounds);
@@ -65,7 +61,6 @@ pub mod mc2;
 pub mod metrics;
 pub mod params;
 pub mod query;
-pub mod shard;
 
 pub use candidate::CandidateConvoy;
 pub use cmc::cmc;
@@ -85,4 +80,3 @@ pub use metrics::{
 };
 pub use params::{auto_delta, auto_lambda};
 pub use query::{compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery};
-pub use shard::MAX_SHARDS;

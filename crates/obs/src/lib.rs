@@ -48,8 +48,8 @@
 //! wall-clock spans; [`Recorder::span_at`] records a pre-timed span, which
 //! the sequential engines use to re-lay *accumulated* per-stage time
 //! (sweep → cluster → fold interleave per tick, so their stage spans are
-//! totals laid out sequentially, while the parallel and sharded engines emit
-//! real per-partition / per-shard child spans). [`export::render_trace`]
+//! totals laid out sequentially, while the parallel engine emits real
+//! per-partition child spans). [`export::render_trace`]
 //! dumps the tree in Chrome `trace_event` format, loadable in Perfetto or
 //! `chrome://tracing`.
 
@@ -87,7 +87,7 @@ impl SpanId {
 /// [`Recorder::enabled`] check.
 ///
 /// All methods take `&self`; implementations are shared across threads
-/// (parallel/sharded engine workers record into the same registry).
+/// (parallel engine workers record into the same registry).
 pub trait Recorder: Send + Sync {
     /// Whether this recorder keeps per-event metrics. Hot paths use this as
     /// their single branch; when it returns `false` they skip metric

@@ -43,12 +43,6 @@ impl BoundingBox {
         Some(bbox)
     }
 
-    /// A degenerate box covering a single point.
-    #[inline]
-    pub fn from_point(p: Point) -> Self {
-        BoundingBox { min: p, max: p }
-    }
-
     /// Width (x extent) of the box.
     #[inline]
     pub fn width(&self) -> f64 {
@@ -131,11 +125,6 @@ impl BoundingBox {
         };
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Minimum distance from a point to the box (zero when inside).
-    pub fn min_distance_to_point(&self, p: &Point) -> f64 {
-        self.min_distance(&BoundingBox::from_point(*p))
-    }
 }
 
 #[cfg(test)]
@@ -210,13 +199,6 @@ mod tests {
         let e = a.expanded(1.5);
         assert_eq!(e.min, Point::new(-1.5, -1.5));
         assert_eq!(e.max, Point::new(3.5, 3.5));
-    }
-
-    #[test]
-    fn point_distance_inside_is_zero() {
-        let a = BoundingBox::new(Point::new(0.0, 0.0), Point::new(4.0, 4.0));
-        assert_eq!(a.min_distance_to_point(&Point::new(2.0, 2.0)), 0.0);
-        assert_eq!(a.min_distance_to_point(&Point::new(4.0, 7.0)), 3.0);
     }
 
     fn coord() -> impl Strategy<Value = f64> {

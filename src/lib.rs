@@ -54,10 +54,7 @@ pub mod prelude {
         ConvoyStream, EvictionPolicy, FeedIngest, ReplayStream, StreamConfig, StreamOutcome,
         StreamStats,
     };
-    pub use traj_cluster::{
-        merge_shard_clusters, shard_clusters, sharded_snapshot_clusters, snapshot_clusters,
-        Cluster, ShardClusters, ShardGrid,
-    };
+    pub use traj_cluster::{snapshot_clusters, Cluster};
     pub use traj_datasets::{
         generate, open_source, read_csv, write_container_file, write_csv, ContainerError,
         ContainerReader, DatasetProfile, InputFormat, ProfileName,

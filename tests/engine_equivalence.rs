@@ -31,6 +31,17 @@ fn assert_engines_agree(db: &TrajectoryDatabase, query: &ConvoyQuery, context: &
             engine.name()
         );
     }
+    // Raw, un-normalized: the parallel driver folds the same per-tick
+    // clusters through the same state machine in the same order, so it must
+    // return the swept engine's convoys bit for bit, in the same order.
+    let swept = CmcEngine::Swept.run(db, query);
+    for threads in [2, 3, 7, 0] {
+        assert_eq!(
+            CmcEngine::Parallel { threads }.run(db, query),
+            swept,
+            "parallel ({threads} threads) is not bit-identical to swept on {context}"
+        );
+    }
     // The incremental state driven snapshot-by-snapshot, with mid-stream
     // drains, is the same computation the batch entry points run.
     let mut state = CmcState::new(query);

@@ -295,11 +295,10 @@ fn max_candidates_caps_the_working_set_mid_tick() {
 
 /// Replays the fixed seeds recorded in
 /// `proptest-regressions/stream_equivalence.txt` against the random-walk
-/// generator, mirroring the shard-equivalence corpus harness: the vendored
-/// proptest stand-in derives its seed from the test name and does not read
-/// shrink files, so this test gives the checked-in corpus teeth — add a
-/// failing seed to the file and it stays covered forever, in both debug and
-/// `--release` CI runs.
+/// generator: the vendored proptest stand-in derives its seed from the
+/// test name and does not read shrink files, so this test gives the
+/// checked-in corpus teeth — add a failing seed to the file and it stays
+/// covered forever, in both debug and `--release` CI runs.
 #[test]
 fn replays_checked_in_regression_seeds() {
     let path = concat!(
