@@ -12,9 +12,10 @@ use crate::cuts::CutsConfig;
 use crate::params::{auto_delta, auto_lambda};
 use crate::query::ConvoyQuery;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use traj_cluster::SubTrajectory;
 use traj_simplify::SimplifiedTrajectory;
-use trajectory::{ObjectId, TimePartition, TrajectoryDatabase};
+use trajectory::{ObjectId, TimeInterval, TimePartition, TrajectoryDatabase};
 
 /// The output of the filter step: candidate convoys plus the bookkeeping the
 /// refinement step and the benchmark harness need.
@@ -100,12 +101,33 @@ pub fn filter_simplified(
     let mut partitions: Vec<PartitionClusters> = Vec::with_capacity(partition.len());
     let mut chain = CandidateChain::new(query);
 
+    // The active set: indices into `simplified` of the trajectories whose
+    // interval can still meet the current window. Simplified segments cover
+    // `[first.t, last.t]` without gaps, so `SubTrajectory::for_window` is
+    // `Some` exactly when that interval meets the window: an index is
+    // admitted once its first tick reaches the window and retired once its
+    // last tick falls behind it (windows only move forward). The set is
+    // ordered by slice index, so the items keep the slice's order — DBSCAN's
+    // scan order, and with it the cluster order.
+    let intervals: Vec<TimeInterval> = simplified.iter().map(|(_, s)| s.time_interval()).collect();
+    let mut by_start: Vec<usize> = (0..simplified.len()).collect();
+    by_start.sort_by_key(|&i| intervals[i].start);
+    let mut pending = by_start.into_iter().peekable();
+    let mut active: BTreeSet<usize> = BTreeSet::new();
+
     for window in partition.iter() {
+        while let Some(i) = pending.next_if(|&i| intervals[i].start <= window.end) {
+            active.insert(i);
+        }
+        active.retain(|&i| intervals[i].end >= window.start);
         // Collect the sub-trajectories of every object present in this
         // partition (line 9–10 of Algorithm 2).
-        let items: Vec<SubTrajectory> = simplified
+        let items: Vec<SubTrajectory> = active
             .iter()
-            .filter_map(|(id, s)| SubTrajectory::for_window(*id, s, window))
+            .filter_map(|&i| {
+                let (id, s) = &simplified[i];
+                SubTrajectory::for_window(*id, s, window)
+            })
             .collect();
         let clustered = cluster_partition(window, &items, query, distance, mode);
         chain.fold(&clustered);

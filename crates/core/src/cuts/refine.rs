@@ -7,8 +7,12 @@
 //!   objects and time window.
 //! * [`RefineFold`] / [`refine_partitions`] — the **coverage fold** shared
 //!   with the streaming pipeline (`convoy_stream`): one [`CmcState`] folds
-//!   every tick of the filtered domain, with each tick's snapshot restricted
-//!   to the objects that co-clustered in the λ-partition(s) covering it.
+//!   every tick of the filtered domain, with each tick's snapshot built from
+//!   only the objects that co-clustered in the λ-partition(s) covering it.
+//!   Batch refinement looks those objects up directly
+//!   ([`TrajectoryDatabase::snapshot_of`]), so its cost scales with the
+//!   covered object-ticks — typically a small fraction of objects × ticks —
+//!   and objects the filter dismissed are never read.
 //!
 //! ## Why the coverage fold is exact (and filter-independent)
 //!
@@ -40,9 +44,7 @@ use crate::engine::{CmcEngine, CmcState, CmcStats};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::Obs;
 use std::collections::BTreeSet;
-use trajectory::{
-    ObjectId, Snapshot, SnapshotPolicy, SnapshotSweep, TimeInterval, TimePoint, TrajectoryDatabase,
-};
+use trajectory::{ObjectId, Snapshot, TimeInterval, TimePoint, TrajectoryDatabase};
 
 /// Refines one candidate: runs windowed CMC over the candidate's objects.
 pub fn refine_candidate(
@@ -81,8 +83,9 @@ pub fn refine(
 ///
 /// The fold is agnostic of where positions come from: every tick's
 /// restricted snapshot is produced by a caller-supplied source, so the batch
-/// side reads a [`SnapshotSweep`] while a stream reads its ingest buffers —
-/// and both drive the identical per-tick loop, eviction hooks included.
+/// side looks the covered objects up in the database while a stream reads
+/// its ingest buffers — and both drive the identical per-tick loop, eviction
+/// hooks included.
 #[derive(Debug, Clone)]
 pub struct RefineFold {
     state: CmcState,
@@ -290,31 +293,26 @@ pub struct FoldOutcome {
     pub evicted: u64,
 }
 
-/// Restricts a snapshot to the objects in `coverage` (the per-tick pruning
-/// the coverage fold applies before clustering).
-pub fn restrict_snapshot(mut snapshot: Snapshot, coverage: &BTreeSet<ObjectId>) -> Snapshot {
-    snapshot.entries.retain(|e| coverage.contains(&e.id));
-    snapshot
-}
-
-/// Refines a filter's λ-partition clusters with the coverage fold: one
-/// [`SnapshotSweep`] over the filtered domain, each tick restricted to the
-/// objects of the partition clusters covering it, folded through one
-/// [`CmcState`].
+/// Refines a filter's λ-partition clusters with the coverage fold: every
+/// tick of the filtered domain is folded through one [`CmcState`], its
+/// snapshot built from the objects of the partition clusters covering it
+/// ([`TrajectoryDatabase::snapshot_of`]).
 ///
 /// Returns the raw (un-normalised) convoys in closure order together with
 /// the fold's counters. The module docs explain why this output is
 /// bit-identical to plain CMC over the same database — and therefore to the
 /// streaming pipeline's output, whatever its filter decided.
 ///
-/// **Cost profile.** Unlike the per-candidate Algorithm 3, the fold visits
-/// every tick of the filtered domain (ticks with empty coverage cost only
-/// the snapshot extraction) and clusters the coverage of every partition —
-/// including clusters that never persisted `k` ticks. The filter's benefit
-/// is therefore *object* pruning per tick, not time pruning: on data whose
-/// clusters are sparse (the paper's workloads, where most objects are noise
-/// most of the time) refinement stays far below CMC cost, while on data
-/// that clusters densely but briefly it approaches it. The trade buys the
+/// **Cost profile.** Each tick's snapshot is assembled by looking up only
+/// the covered objects, so extraction costs one position lookup per
+/// *covered object-tick*, not objects × ticks: objects outside every
+/// partition cluster are never read, and a tick with empty coverage costs
+/// one empty snapshot (it is still folded, because it closes open chains).
+/// Unlike the per-candidate Algorithm 3, the fold clusters the coverage of
+/// every partition — including clusters that never persisted `k` ticks — so
+/// on data that clusters densely but briefly the clustering cost approaches
+/// CMC's, while on the paper's workloads (most objects are noise most of
+/// the time) refinement stays far below it. The trade buys the
 /// exactness-for-any-filter property above, which is what lets batch and
 /// streaming share one refinement.
 ///
@@ -332,8 +330,9 @@ pub fn refine_partitions(
 }
 
 /// Like [`refine_partitions`], recording the fold's `cmc.*` and `cluster.*`
-/// metrics into `obs`. (The surrounding `discover.refine` span is the
-/// caller's — [`crate::discovery::Discovery`] wraps this call.)
+/// metrics into `obs`, plus `cuts.refine.snapshot_points`: the entries of
+/// the coverage snapshots folded. (The surrounding `discover.refine` span is
+/// the caller's — [`crate::discovery::Discovery`] wraps this call.)
 pub fn refine_partitions_obs(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
@@ -346,16 +345,11 @@ pub fn refine_partitions_obs(
             .all(|w| w[0].window.end == w[1].window.start),
         "refine_partitions requires contiguous partitions sharing boundary ticks"
     );
-    let (Some(first), Some(last)) = (partitions.first(), partitions.last()) else {
-        return (Vec::new(), CmcStats::default());
-    };
-    let domain = TimeInterval::new(first.window.start, last.window.end);
-    let mut sweep = SnapshotSweep::new(db, domain, SnapshotPolicy::Interpolate);
+    let mut snapshot_points = 0u64;
     let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| -> Snapshot {
-        // lint: allow(no-unwrap-in-lib) — the sweep domain is the hull of all folded windows, so it yields every tick
-        let snapshot = sweep.next().expect("sweep covers every folded tick");
-        debug_assert_eq!(snapshot.time, t);
-        restrict_snapshot(snapshot, coverage)
+        let snapshot = db.snapshot_of(t, coverage.iter().copied());
+        snapshot_points += snapshot.len() as u64;
+        snapshot
     };
     let mut fold = RefineFold::new(query);
     fold.set_obs(obs.clone());
@@ -363,6 +357,7 @@ pub fn refine_partitions_obs(
         fold.push_partition(partition, &mut snapshot_at);
     }
     let outcome = fold.finish(&mut snapshot_at);
+    obs.counter_add("cuts.refine.snapshot_points", snapshot_points);
     (outcome.convoys, outcome.stats)
 }
 
@@ -497,18 +492,5 @@ mod tests {
         assert_eq!(stats.ticks_ingested, 1);
         assert_eq!(convoys.len(), 1);
         assert_eq!(convoys[0].interval(), trajectory::TimeInterval::instant(5));
-    }
-
-    #[test]
-    fn restrict_snapshot_keeps_only_covered_objects() {
-        use std::collections::BTreeSet;
-        let db = db();
-        let snapshot = db.snapshot(0, trajectory::SnapshotPolicy::Interpolate);
-        assert_eq!(snapshot.len(), 3);
-        let coverage: BTreeSet<ObjectId> = [ObjectId(0), ObjectId(2)].into_iter().collect();
-        let restricted = restrict_snapshot(snapshot, &coverage);
-        let ids: Vec<ObjectId> = restricted.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![ObjectId(0), ObjectId(2)]);
-        assert_eq!(restricted.time, 0);
     }
 }

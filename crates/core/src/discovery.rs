@@ -428,6 +428,61 @@ mod tests {
     }
 
     #[test]
+    fn refine_snapshot_points_count_the_covered_object_ticks() {
+        use crate::cuts::filter::filter;
+        use convoy_obs::Registry;
+        use std::collections::BTreeSet;
+        use std::sync::Arc;
+
+        // Convoy B's objects (ids 3–6) join late and leave early, so some
+        // partitions cover them at ticks their trajectories do not reach.
+        let mut db = scenario_db();
+        for id in (3..7).map(ObjectId) {
+            let clipped = db
+                .get(id)
+                .unwrap()
+                .slice(TimeInterval::new(11, 33))
+                .unwrap();
+            db.insert(id, clipped);
+        }
+        let query = ConvoyQuery::new(3, 10, 2.0);
+        let registry = Arc::new(Registry::new());
+        Discovery::new(Method::CutsStar)
+            .with_obs(Obs::registry(registry.clone()))
+            .run(&db, &query);
+
+        // Recompute: each tick of the filtered domain is folded once, with
+        // the union of the clusters of every partition containing it, and
+        // contributes the covered objects whose trajectory covers the tick.
+        let output = filter(&db, &query, &CutsConfig::new(CutsVariant::CutsStar));
+        let (first, last) = (&output.partitions[0], output.partitions.last().unwrap());
+        let (mut covered, mut expected) = (0, 0);
+        for t in first.window.start..=last.window.end {
+            let coverage: BTreeSet<_> = output
+                .partitions
+                .iter()
+                .filter(|p| p.window.contains(t))
+                .flat_map(|p| p.clusters.iter().flat_map(|c| c.members().iter().copied()))
+                .collect();
+            covered += coverage.len();
+            expected += coverage
+                .into_iter()
+                .filter(|&id| db.get(id).is_some_and(|traj| traj.covers(t)))
+                .count();
+        }
+        // Some covered objects are absent at some ticks, so the counter must
+        // count snapshot entries, not coverage.
+        assert!(
+            0 < expected && expected < covered,
+            "{expected} vs {covered}"
+        );
+        assert_eq!(
+            registry.counter("cuts.refine.snapshot_points"),
+            expected as u64
+        );
+    }
+
+    #[test]
     fn method_metadata() {
         assert_eq!(Method::Cmc.name(), "CMC");
         assert_eq!(Method::CutsStar.to_string(), "CuTS*");

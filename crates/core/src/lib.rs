@@ -67,9 +67,7 @@ pub use cmc::cmc;
 pub use cuts::partition::{
     cluster_partition, CandidateChain, CandidateChainSnapshot, PartitionClusters,
 };
-pub use cuts::refine::{
-    refine_partitions, restrict_snapshot, FoldOutcome, RefineFold, RefineFoldSnapshot,
-};
+pub use cuts::refine::{refine_partitions, FoldOutcome, RefineFold, RefineFoldSnapshot};
 pub use cuts::{CutsConfig, CutsVariant};
 pub use discovery::{Discovery, DiscoveryOutcome, Method};
 pub use engine::{CmcEngine, CmcState, CmcStateSnapshot, CmcStats};

@@ -37,6 +37,7 @@
 //! | `cmc.ticks_ingested`, `cmc.clusters_per_tick` | counter / histogram | CMC fold progress (Alg. 1) |
 //! | `cmc.peak_candidates`, `cmc.candidates_open` | gauge | candidate-set pressure |
 //! | `cmc.overlap_lookups` / `cmc.extensions` | counter | fold work (candidate members looked up in the per-tick object→cluster index) vs useful outcomes (candidate × cluster pairs that kept ≥ m objects) |
+//! | `cuts.refine.snapshot_points` | counter | CuTS refinement work: entries of the coverage snapshots folded (covered object-ticks) |
 //! | `stream.emission_delay_ticks` | histogram | per-result delay (ranked-enumeration lens) |
 //! | `stream.time_to_first_convoy_ns` | histogram | streaming first-result latency |
 //! | `scan.blocks_read` / `scan.blocks_pruned` | counter | container block-index pruning |

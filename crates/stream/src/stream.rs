@@ -560,9 +560,9 @@ fn note_emissions(
 
 /// Builds the coverage-restricted snapshot of tick `t` from the ingest
 /// buffers: entries in ascending object order, positions via the shared
-/// virtual-point arithmetic — bit-identical to
-/// [`convoy_core::restrict_snapshot`] applied to a database snapshot, as
-/// long as the bracketing samples are buffered (the partition close rules
+/// virtual-point arithmetic — bit-identical to the batch refinement's
+/// [`trajectory::TrajectoryDatabase::snapshot_of`] over the same coverage,
+/// as long as the bracketing samples are buffered (the partition close rules
 /// guarantee they are) and no gap exceeds the horizon.
 fn snapshot_from_buffers(
     buffers: &BTreeMap<ObjectId, ObjectBuffer>,

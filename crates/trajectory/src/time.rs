@@ -111,9 +111,19 @@ impl TimePartition {
         }
     }
 
-    /// Number of partitions produced.
+    /// Number of partitions produced: one for a zero-length domain,
+    /// otherwise `ceil(duration / (λ − 1))` — closed form, equal to
+    /// `self.iter().count()` (saturating at `usize::MAX`).
     pub fn len(&self) -> usize {
-        self.iter().count()
+        if self.domain.start > self.domain.end {
+            return 0;
+        }
+        let duration = self.domain.end.abs_diff(self.domain.start);
+        if duration == 0 {
+            return 1;
+        }
+        let step = self.lambda.saturating_sub(1).max(1).unsigned_abs();
+        usize::try_from(duration.div_ceil(step)).unwrap_or(usize::MAX)
     }
 
     /// Returns `true` when the partitioning produces no partitions (never the
@@ -135,8 +145,9 @@ impl TimePartition {
     }
 
     /// Returns the partition index that contains time `t`, or `None` when `t`
-    /// is outside the domain. Boundary time points belong to the earlier
-    /// partition (consistent with [`TimePartition::iter`]).
+    /// is outside the domain. A boundary time point, shared by two
+    /// consecutive partitions, belongs to the *later* one — except the
+    /// domain's last time point, which belongs to the final partition.
     pub fn partition_of(&self, t: TimePoint) -> Option<usize> {
         if !self.domain.contains(t) {
             return None;
@@ -280,7 +291,7 @@ mod tests {
         let p = TimePartition::new(TimeInterval::new(0, 10), 4);
         assert_eq!(p.partition_of(0), Some(0));
         assert_eq!(p.partition_of(2), Some(0));
-        assert_eq!(p.partition_of(3), Some(1)); // boundary point: earlier index by floor division
+        assert_eq!(p.partition_of(3), Some(1)); // boundary of [0,3] and [3,6]: the later partition
         assert_eq!(p.partition_of(10), Some(3));
         assert_eq!(p.partition_of(11), None);
         assert_eq!(p.partition_of(-1), None);
@@ -289,11 +300,12 @@ mod tests {
     proptest! {
         #[test]
         fn partitions_cover_domain_and_overlap_at_boundaries(
-            start in -50i64..50, len in 1i64..200, lambda in 2i64..40) {
+            start in -50i64..50, len in 0i64..200, lambda in 2i64..40) {
             let domain = TimeInterval::new(start, start + len);
             let partition = TimePartition::new(domain, lambda);
             let parts: Vec<_> = partition.iter().collect();
             prop_assert!(!parts.is_empty());
+            prop_assert_eq!(partition.len(), parts.len());
             // First partition starts at the domain start, last ends at the end.
             prop_assert_eq!(parts.first().unwrap().start, domain.start);
             prop_assert_eq!(parts.last().unwrap().end, domain.end);
@@ -305,9 +317,11 @@ mod tests {
             for p in &parts[..parts.len() - 1] {
                 prop_assert_eq!(p.num_points(), lambda);
             }
-            // Every domain time point is inside at least one partition.
+            // Every domain time point is inside the partition `partition_of`
+            // names for it.
             for t in domain.iter() {
-                prop_assert!(parts.iter().any(|p| p.contains(t)));
+                let idx = partition.partition_of(t).unwrap();
+                prop_assert!(parts[idx].contains(t));
             }
         }
 
