@@ -1,7 +1,6 @@
 //! Criterion bench for the **convoy engine**: CMC runtime under every
-//! execution engine — per-tick snapshot extraction (the paper-literal
-//! baseline), the swept single-pass cursor and the time-partitioned parallel
-//! driver — on the Figure-12-scale dataset profiles.
+//! execution engine — the swept single-pass cursor and the time-partitioned
+//! parallel driver — on the Figure-12-scale dataset profiles.
 //!
 //! On a single-core box the parallel driver pays its partition overhead
 //! without clustering speedup, so those rows primarily document that
@@ -14,7 +13,6 @@ use traj_datasets::ProfileName;
 
 fn engines() -> Vec<(&'static str, CmcEngine)> {
     vec![
-        ("per-tick", CmcEngine::PerTick),
         ("swept", CmcEngine::Swept),
         ("parallel-2", CmcEngine::Parallel { threads: 2 }),
         ("parallel-all", CmcEngine::Parallel { threads: 0 }),

@@ -3,7 +3,7 @@
 //!
 //! Every group pits the production [`GridIndex`] (SoA columns + the
 //! mask-then-emit kernel in `traj_cluster::kernel`) against the frozen
-//! pre-SoA baseline [`AosGridIndex`] (`traj_cluster::aos` — scalar
+//! pre-SoA baseline [`AosGridIndex`] (`traj_cluster_baselines::aos` — scalar
 //! `distance_squared` per bucket point, comparison-sorted build), so the
 //! numbers isolate precisely the layout + kernel change:
 //!
@@ -22,9 +22,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use traj_cluster::aos::AosGridIndex;
 use traj_cluster::dbscan::{dbscan_into, DbscanScratch};
 use traj_cluster::{kernel, GridIndex};
+use traj_cluster_baselines::aos::AosGridIndex;
 use trajectory::geometry::Point;
 
 /// Uniform points at constant density (same recipe as `micro_primitives`):

@@ -17,15 +17,16 @@ use trajectory::{
     ObjectId, Snapshot, SnapshotPolicy, TimeInterval, TrajPoint, Trajectory, TrajectoryDatabase,
 };
 
-/// The pre-CSR clustering hot path — `traj_cluster::reference`, the one
-/// frozen copy of the `HashMap`-bucket grid and the pre-scratch DBSCAN
-/// loop (also pinned by the clustering crate's order-equivalence tests).
+/// The pre-CSR clustering hot path — `traj_cluster_baselines::reference`,
+/// the one frozen copy of the `HashMap`-bucket grid and the pre-scratch
+/// DBSCAN loop (also pinned by the clustering crate's order-equivalence
+/// tests).
 /// The `micro/grid_build`, `micro/range_query` and
 /// `micro/snapshot_clusters` groups time it against the CSR +
 /// scratch-reuse path so `BENCH_baseline.json` always records both sides
 /// of the trade.
-use traj_cluster::reference as old_path;
-use traj_cluster::reference::HashMapGrid as OldHashMapGrid;
+use traj_cluster_baselines::reference as old_path;
+use traj_cluster_baselines::reference::HashMapGrid as OldHashMapGrid;
 
 fn random_trajectory(rng: &mut StdRng, len: usize) -> Trajectory {
     let mut x = 0.0f64;

@@ -26,7 +26,7 @@ impl MeasuredRun {
 }
 
 /// Runs one method on a prepared dataset with an optional CuTS configuration
-/// override, timed by a fresh [`StageClock`].
+/// override, timed by a fresh spans-only `StageClock`.
 pub fn run_method(
     prepared: &PreparedDataset,
     method: Method,

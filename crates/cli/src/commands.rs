@@ -73,8 +73,8 @@ COMMANDS:
     discover  FILE [--method cmc|cuts|cuts-plus|cuts-star] --m N --k N --e F
               [--delta F] [--lambda N] [--global-tolerance] [--stats]
               [--from T] [--to T] [--trace PATH] [--metrics-json PATH]
-              [--stream | --parallel [N]]   (CMC engine: streamed sweep is
-              the default; --parallel N partitions time across N worker
+              [--parallel [N]]   (CMC engine: the swept single pass is the
+              default; --parallel N partitions time across N worker
               threads, N omitted or 0 uses every core)
               Run a convoy query and print the discovered convoys.
               --from/--to restrict discovery to samples with T inside the
@@ -171,16 +171,11 @@ fn load_path(path: &str) -> Result<TrajectoryDatabase, CommandError> {
     Ok(open_source(path)?.load()?)
 }
 
-/// Resolves the CMC engine from the `--stream` / `--parallel N` flags. The
-/// flags only make sense for the CMC method (the CuTS refinement runs
-/// windowed CMC per candidate, a different parallelism axis), so combining
-/// them with a CuTS method is reported rather than silently ignored.
+/// Resolves the CMC engine from the `--parallel N` flag (absent: the swept
+/// engine). The flag only makes sense for the CMC method (CuTS refines with
+/// one coverage fold, not a CMC run), so combining it with a CuTS method is
+/// reported rather than silently ignored.
 fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, CommandError> {
-    if let Some(value) = args.get("stream") {
-        return Err(CommandError(format!(
-            "--stream takes no value (found `{value}`; place the input path before the flags)"
-        )));
-    }
     // A bare `--parallel` (no count, e.g. followed by another flag or at
     // the end of the line) parses as a boolean flag; it means "every core"
     // rather than being silently ignored.
@@ -193,15 +188,9 @@ fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, Comm
         None if args.flags.iter().any(|f| f == "parallel") => Some(0),
         None => None,
     };
-    let stream = args.has_flag("stream");
-    if stream && parallel.is_some() {
+    if parallel.is_some() && method != Method::Cmc {
         return Err(CommandError(
-            "--stream and --parallel are mutually exclusive".into(),
-        ));
-    }
-    if (stream || parallel.is_some()) && method != Method::Cmc {
-        return Err(CommandError(
-            "--stream/--parallel select a CMC engine; use them with --method cmc".into(),
+            "--parallel selects a CMC engine; use it with --method cmc".into(),
         ));
     }
     Ok(parallel.map_or(CmcEngine::Swept, |threads| CmcEngine::Parallel { threads }))
@@ -438,7 +427,6 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         "global-tolerance",
         "limit",
         "stats",
-        "stream",
         "parallel",
         "from",
         "to",
@@ -1076,17 +1064,12 @@ mod tests {
         };
 
         let mut args: Vec<&str> = base.to_vec();
-        args.push("--stream");
-        let streamed = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap();
-        assert!(streamed.contains("engine: swept (1 thread)"));
-
-        let mut args: Vec<&str> = base.to_vec();
         args.extend(["--parallel", "3"]);
         let parallel = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap();
         assert!(parallel.contains("engine: parallel (3 threads)"));
 
         let sequential = discover_command(&ParsedArgs::parse(base).unwrap()).unwrap();
-        assert_eq!(strip_timing(streamed), strip_timing(sequential.clone()));
+        assert!(sequential.contains("engine: swept (1 thread)"));
         assert_eq!(strip_timing(parallel), strip_timing(sequential));
     }
 
@@ -1099,15 +1082,6 @@ mod tests {
         args.extend(["--method", "cuts-star", "--parallel", "2"]);
         let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
         assert!(err.to_string().contains("--method cmc"), "{err}");
-        // --stream with a CuTS method (the default) is rejected too.
-        let mut args: Vec<&str> = base.to_vec();
-        args.push("--stream");
-        assert!(discover_command(&ParsedArgs::parse(args).unwrap()).is_err());
-        // --stream and --parallel are mutually exclusive.
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--method", "cmc", "--parallel", "2", "--stream"]);
-        let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
         // A non-numeric thread count is a parse error.
         let mut args: Vec<&str> = base.to_vec();
         args.extend(["--method", "cmc", "--parallel", "many"]);
@@ -1135,23 +1109,6 @@ mod tests {
         .unwrap();
         let report = discover_command(&args).unwrap();
         assert!(report.contains("engine: parallel"), "{report}");
-        // And the bare form still participates in mutual exclusion.
-        let args = ParsedArgs::parse([
-            path.as_str(),
-            "--method",
-            "cmc",
-            "--m",
-            "3",
-            "--k",
-            "5",
-            "--e",
-            "10.0",
-            "--stream",
-            "--parallel",
-        ])
-        .unwrap();
-        let err = discover_command(&args).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
     }
 
     #[test]

@@ -153,7 +153,6 @@ fn discover_cmc_engine_flags() {
     convoy()
         .args(["discover", path.to_str().unwrap()])
         .args(query)
-        .arg("--stream")
         .assert()
         .success()
         .stdout_contains("found by CMC")
@@ -165,7 +164,7 @@ fn discover_cmc_engine_flags() {
         .assert()
         .success()
         .stdout_contains("engine: parallel (2 threads)");
-    // Engine flags are CMC-only and mutually exclusive.
+    // The engine flag is CMC-only.
     convoy()
         .args(["discover", path.to_str().unwrap()])
         .args(["--method", "cuts-star", "--m", "3", "--k", "5", "--e", "10"])
@@ -174,33 +173,28 @@ fn discover_cmc_engine_flags() {
         .failure()
         .code(1)
         .stderr_contains("--method cmc");
-    convoy()
-        .args(["discover", path.to_str().unwrap()])
-        .args(query)
-        .args(["--parallel", "2", "--stream"])
-        .assert()
-        .failure()
-        .code(1)
-        .stderr_contains("mutually exclusive");
 }
 
 #[test]
-fn discover_rejects_the_removed_sharded_engine_flag() {
+fn discover_rejects_removed_engine_flags() {
     let path = temp_path("engine-removed-flag.csv");
     convoy()
         .args(["generate", "--profile", "truck", "--scale", "0.02"])
         .args(["--seed", "11", "--out", path.to_str().unwrap()])
         .assert()
         .success();
-    convoy()
-        .args(["discover", path.to_str().unwrap()])
-        .args(["--method", "cmc", "--m", "3", "--k", "5", "--e", "10"])
-        .args(["--shards", "4"])
-        .assert()
-        .failure()
-        .code(1)
-        .stdout_is_empty()
-        .stderr_contains("unknown option --shards");
+    for (flag, value) in [("--shards", Some("4")), ("--stream", None)] {
+        convoy()
+            .args(["discover", path.to_str().unwrap()])
+            .args(["--method", "cmc", "--m", "3", "--k", "5", "--e", "10"])
+            .arg(flag)
+            .args(value)
+            .assert()
+            .failure()
+            .code(1)
+            .stdout_is_empty()
+            .stderr_contains(format!("unknown option {flag}"));
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! against — not production code (the same role [`crate::reference`] plays
 //! for the original `HashMap` grid).
 //!
-//! This is the PR-5 CSR [`GridIndex`](crate::GridIndex) exactly as it stood
+//! This is the PR-5 CSR [`GridIndex`](traj_cluster::GridIndex) exactly as it stood
 //! before the SoA rewrite: buckets store a cell-local `Vec<Point>` copy
 //! (interleaved x/y — array of structs), the `(cell key, point idx)` pairs
 //! are grouped with a comparison `sort_unstable`, and the per-bucket
@@ -17,11 +17,11 @@
 //! Do not "improve" this module: any edit here silently changes what
 //! `kernel_equivalence.rs` and `BENCH_kernels.json` claim to pin.
 
-use crate::dbscan::RegionQuery;
+use traj_cluster::dbscan::RegionQuery;
 use trajectory::geometry::Point;
 
 /// The pre-SoA CSR grid: identical structure to the production
-/// [`GridIndex`](crate::GridIndex) except for array-of-structs bucket
+/// [`GridIndex`](traj_cluster::GridIndex) except for array-of-structs bucket
 /// storage and the scalar per-point distance scan.
 #[derive(Debug, Clone, Default)]
 pub struct AosGridIndex {

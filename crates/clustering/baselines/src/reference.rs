@@ -1,15 +1,16 @@
 //! The **frozen pre-CSR clustering hot path**, kept verbatim as a
 //! behavioural reference — not production code.
 //!
-//! The CSR [`GridIndex`](crate::GridIndex) rewrite promises the exact
+//! The CSR [`GridIndex`](traj_cluster::GridIndex) rewrite promises the exact
 //! neighbour sets *and order* of the original `HashMap`-bucket
 //! implementation (the engines' bit-identical guarantees depend on it), and
 //! `BENCH_baseline.json` records the speedup against the original's real
 //! cost profile. Both claims need the original to stay available and
 //! unchanged in one place:
 //!
-//! * the order-equivalence property tests in [`crate::grid`] compare the
-//!   CSR index against [`HashMapGrid`] hit-for-hit, order included;
+//! * the order-equivalence property tests in `traj-cluster`'s
+//!   `kernel_equivalence.rs` compare the CSR index against [`HashMapGrid`]
+//!   hit-for-hit, order included;
 //! * the `micro_primitives` bench times [`snapshot_clusters`] (this
 //!   module's, with the pre-scratch DBSCAN loop below) against the CSR +
 //!   scratch-reuse path.
@@ -17,9 +18,9 @@
 //! Do not "improve" this module: any edit here silently changes what the
 //! tests and the recorded baseline claim to pin.
 
-use crate::cluster::Cluster;
-use crate::dbscan::{labels_to_clusters, Label, RegionQuery};
 use std::collections::HashMap;
+use traj_cluster::cluster::Cluster;
+use traj_cluster::dbscan::{labels_to_clusters, Label, RegionQuery};
 use trajectory::geometry::Point;
 use trajectory::{ObjectId, Snapshot};
 

@@ -186,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn subset_detection() {
+    fn is_subset_of_detects_containment() {
         let a = cluster(&[2, 3]);
         let b = cluster(&[1, 2, 3, 4]);
         assert!(a.is_subset_of(&b));

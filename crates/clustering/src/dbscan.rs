@@ -169,13 +169,15 @@ pub fn labels_to_clusters(labels: &[Label]) -> Vec<Vec<usize>> {
     clusters
 }
 
-/// A brute-force [`RegionQuery`] over 2-D points, used by tests and as the
-/// fallback when no index is worthwhile (tiny inputs).
+/// A brute-force [`RegionQuery`] over 2-D points: the oracle the unit tests
+/// check DBSCAN and the grid's neighbourhoods against.
+#[cfg(test)]
 pub struct BruteForcePoints<'a> {
     points: &'a [trajectory::geometry::Point],
     epsilon: f64,
 }
 
+#[cfg(test)]
 impl<'a> BruteForcePoints<'a> {
     /// Creates a brute-force provider over `points` with range `epsilon`.
     pub fn new(points: &'a [trajectory::geometry::Point], epsilon: f64) -> Self {
@@ -183,6 +185,7 @@ impl<'a> BruteForcePoints<'a> {
     }
 }
 
+#[cfg(test)]
 impl RegionQuery for BruteForcePoints<'_> {
     fn len(&self) -> usize {
         self.points.len()

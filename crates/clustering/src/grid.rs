@@ -27,10 +27,10 @@
 //! gets its speed from.
 //!
 //! The per-cell distance tests run through the batched
-//! [`kernel`](crate::kernel) module: a column's vertically adjacent buckets
+//! [`kernel`] module: a column's vertically adjacent buckets
 //! occupy *consecutive ranks* whenever their keys are consecutive, so the
 //! scan fuses them into one contiguous extent and tests it in
-//! [`kernel::LANE_WIDTH`](crate::kernel::LANE_WIDTH)-wide branch-free lanes
+//! [`kernel::LANE_WIDTH`]-wide branch-free lanes
 //! (autovectorizable), emitting hits from a bitmask in ascending-index
 //! order (the mask-then-emit argument in the kernel docs).
 //!
@@ -39,10 +39,10 @@
 //! implementation produced; together with the fixed 3×3 `dx`/`dy` cell visit
 //! order this makes every neighbourhood list — and therefore every DBSCAN
 //! label sequence — bit-identical to the historical behaviour, which the
-//! engine/stream equivalence suites rely on (the frozen originals
-//! live in [`crate::reference`] — the `HashMap` grid — and [`crate::aos`] —
-//! the scalar array-of-structs CSR grid — pinned by order-equivalence
-//! property tests below and in `tests/kernel_equivalence.rs`).
+//! engine/stream equivalence suites rely on (the frozen originals — the
+//! `HashMap` grid and the scalar array-of-structs CSR grid — live in the
+//! test-support crate `traj-cluster-baselines`, and
+//! `tests/kernel_equivalence.rs` pins this index to both, order included).
 //!
 //! ## Scratch reuse
 //!
@@ -56,7 +56,7 @@
 //! streaming pipeline — folds its ticks through a reused clusterer.
 
 use crate::cluster::Cluster;
-use crate::dbscan::{dbscan, dbscan_into, labels_to_clusters, DbscanScratch, Label, RegionQuery};
+use crate::dbscan::{dbscan_into, DbscanScratch, Label, RegionQuery};
 use crate::kernel;
 use convoy_obs::Obs;
 use std::cell::Cell;
@@ -468,7 +468,7 @@ impl GridIndex {
     ///
     /// One hash probe resolves the target's own cell; when it exists (a
     /// query at an indexed point always lands in one), the side columns
-    /// follow from its [`GridIndex::col_links`] and no further probes run.
+    /// follow from its cross-column links and no further probes run.
     pub fn range_query_into(&self, target: &Point, out: &mut Vec<usize>) {
         out.clear();
         let (cx, cy) = Self::cell_of(target, self.epsilon);
@@ -647,8 +647,7 @@ impl RegionQuery for GridIndex {
     /// [`GridIndex::range_query_into`] at the point's own position, but the
     /// point's cell is recovered from its recorded bucket rank — no
     /// coordinate divisions, and the centre column needs no hash probe.
-    /// Both entry points funnel into the one audited
-    /// [`GridIndex::query_cells`] region.
+    /// Both entry points funnel into the one audited `query_cells` region.
     fn neighbors_into(&self, idx: usize, out: &mut Vec<usize>) {
         out.clear();
         let target = &self.points[idx];
@@ -798,65 +797,13 @@ pub fn snapshot_clusters(snapshot: &Snapshot, e: f64, m: usize) -> Vec<Cluster> 
         .to_vec()
 }
 
-/// Like [`snapshot_clusters`] but also reports the noise objects, which some
-/// analyses (and tests) need.
-pub fn snapshot_clusters_with_noise(
-    snapshot: &Snapshot,
-    e: f64,
-    m: usize,
-) -> (Vec<Cluster>, Vec<ObjectId>) {
-    if snapshot.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
-    let ids: Vec<ObjectId> = snapshot.entries.iter().map(|entry| entry.id).collect();
-    let points: Vec<Point> = snapshot
-        .entries
-        .iter()
-        .map(|entry| entry.position)
-        .collect();
-    let index = GridIndex::build(points, e);
-    let labels = dbscan(&index, m);
-    let clusters = labels_to_clusters(&labels)
-        .into_iter()
-        .map(|members| Cluster::new(members.into_iter().map(|i| ids[i]).collect()))
-        .collect();
-    let noise = labels
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| **l == Label::Noise)
-        .map(|(i, _)| ids[i])
-        .collect();
-    (clusters, noise)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::BruteForcePoints;
-    use crate::reference::HashMapGrid;
+    use crate::dbscan::{dbscan, BruteForcePoints};
     use proptest::prelude::*;
     use trajectory::database::SnapshotEntry;
     use trajectory::{SnapshotPolicy, Trajectory, TrajectoryDatabase};
-
-    /// Asserts the CSR index agrees with the HashMap reference on every
-    /// point's neighbourhood — order included — and that the buffered query
-    /// path equals the allocating one.
-    fn assert_matches_reference(points: &[Point], epsilon: f64) {
-        let csr = GridIndex::build(points.to_vec(), epsilon);
-        let reference = HashMapGrid::build(points.to_vec(), epsilon);
-        let mut buf = Vec::new();
-        for (i, p) in points.iter().enumerate() {
-            let expected = reference.range_query(p);
-            assert_eq!(
-                csr.range_query(p),
-                expected,
-                "range_query order mismatch at point {i}"
-            );
-            csr.neighbors_into(i, &mut buf);
-            assert_eq!(buf, expected, "neighbors_into order mismatch at point {i}");
-            assert_eq!(csr.neighbors(i), expected);
-        }
-    }
 
     #[test]
     fn range_query_matches_brute_force() {
@@ -876,7 +823,6 @@ mod tests {
             brute.sort_unstable();
             assert_eq!(from_grid, brute, "mismatch for point {i}");
         }
-        assert_matches_reference(&points, 1.0);
     }
 
     #[test]
@@ -891,7 +837,6 @@ mod tests {
         assert_eq!(n.len(), 2);
         assert!(!index.is_empty());
         assert_eq!(index.len(), 3);
-        assert_matches_reference(&points, 1.0);
     }
 
     #[test]
@@ -918,7 +863,6 @@ mod tests {
             assert!(hits.len() <= 1, "far point {i} found neighbours: {hits:?}");
         }
         assert!(index.range_query(&Point::new(f64::NAN, 3.0)).is_empty());
-        assert_matches_reference(&points, 1.0);
     }
 
     #[test]
@@ -928,7 +872,6 @@ mod tests {
         let points = vec![Point::new(1e300, 0.0), Point::new(2e300, 0.0)];
         let index = GridIndex::build(points.clone(), 5.0);
         assert_eq!(index.range_query(&Point::new(1e300, 0.0)), vec![0]);
-        assert_matches_reference(&points, 5.0);
     }
 
     #[test]
@@ -980,9 +923,6 @@ mod tests {
             clusters[0].members(),
             &[ObjectId(0), ObjectId(1), ObjectId(2)]
         );
-        let (clusters, noise) = snapshot_clusters_with_noise(&snap, 1.5, 2);
-        assert_eq!(clusters.len(), 1);
-        assert_eq!(noise, vec![ObjectId(3)]);
     }
 
     #[test]
@@ -1088,30 +1028,6 @@ mod tests {
                 a.sort_unstable();
                 b.sort_unstable();
                 prop_assert_eq!(a, b, "neighbourhood mismatch at index {}", i);
-            }
-        }
-
-        #[test]
-        fn csr_neighbourhood_order_equals_hashmap_reference(
-            coords in proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 1..80),
-            e in 0.3f64..5.0) {
-            // The exactness contract of the CSR rewrite: not just the same
-            // neighbour *sets* but the same *order* the HashMap buckets
-            // reported, for every point — DBSCAN's seed order (and thus the
-            // engines' bit-identical output) depends on it.
-            let mut pts: Vec<Point> = coords.iter().map(|(x, y)| Point::new(*x, *y)).collect();
-            // Salt the set with the pathological fixtures so clamped and NaN
-            // cells are exercised under the same order contract.
-            pts.push(Point::new(1e300, -1e300));
-            pts.push(Point::new(f64::INFINITY, 0.0));
-            pts.push(Point::new(f64::NAN, 3.0));
-            let csr = GridIndex::build(pts.clone(), e);
-            let reference = HashMapGrid::build(pts.clone(), e);
-            let mut buf = Vec::new();
-            for (i, p) in pts.iter().enumerate() {
-                let expected = reference.range_query(p);
-                csr.neighbors_into(i, &mut buf);
-                prop_assert_eq!(&buf, &expected, "order mismatch at index {}", i);
             }
         }
 

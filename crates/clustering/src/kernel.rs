@@ -19,7 +19,7 @@
 //!    hits are emitted in exactly ascending slice order — which, because CSR
 //!    buckets store points in ascending point index, is bit-identical to the
 //!    historical scalar scan (the order every engine-equivalence suite and
-//!    the frozen [`crate::reference`] pin).
+//!    the frozen `traj_cluster_baselines::reference` grid pin).
 //!
 //! The arithmetic is the same IEEE expression the scalar path evaluated
 //! (`(x - tx)² + (y - ty)²`, no FMA contraction, compared with `<=`), so the

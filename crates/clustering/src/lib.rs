@@ -3,7 +3,7 @@
 //! Convoy discovery is built on density-connected clustering (DBSCAN,
 //! Ester et al. 1996). This crate provides:
 //!
-//! * [`dbscan`]: a generic DBSCAN implementation over abstract items with a
+//! * [`dbscan()`]: a generic DBSCAN implementation over abstract items with a
 //!   pluggable [`RegionQuery`] neighbourhood provider;
 //! * [`GridIndex`]: a uniform-grid spatial index in a flat CSR
 //!   structure-of-arrays layout whose distance scans run through the
@@ -41,14 +41,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-#[doc(hidden)]
-pub mod aos;
 pub mod cluster;
 pub mod dbscan;
 pub mod grid;
 pub mod kernel;
-#[doc(hidden)]
-pub mod reference;
 pub mod segment;
 
 pub use cluster::Cluster;

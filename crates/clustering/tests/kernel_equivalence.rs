@@ -18,11 +18,11 @@
 //! every remainder class `n mod LANE_WIDTH` (the scalar tail).
 
 use proptest::prelude::*;
-use traj_cluster::aos::AosGridIndex;
 use traj_cluster::dbscan::RegionQuery;
 use traj_cluster::kernel::LANE_WIDTH;
-use traj_cluster::reference::HashMapGrid;
 use traj_cluster::{dbscan, GridIndex};
+use traj_cluster_baselines::aos::AosGridIndex;
+use traj_cluster_baselines::reference::HashMapGrid;
 use trajectory::geometry::Point;
 
 /// Asserts that the batched grid reports exactly the hits and order of both
@@ -79,6 +79,33 @@ fn non_finite_coordinates_agree_with_both_references() {
         Point::new(1e308, -1e308),
     ];
     assert_all_paths_agree(&pts, 1.0);
+}
+
+#[test]
+fn grid_fixtures_agree_with_both_references() {
+    // A regular lattice, negative coordinates, a mix of finite, huge and
+    // non-finite points, and two astronomical points clamped into one cell.
+    let lattice: Vec<Point> = (0..50)
+        .map(|i| Point::new((i % 10) as f64 * 0.7, (i / 10) as f64 * 0.7))
+        .collect();
+    assert_all_paths_agree(&lattice, 1.0);
+    let negative = vec![
+        Point::new(-5.0, -5.0),
+        Point::new(-5.5, -5.2),
+        Point::new(5.0, 5.0),
+    ];
+    assert_all_paths_agree(&negative, 1.0);
+    let pathological = vec![
+        Point::new(0.0, 0.0),
+        Point::new(0.5, 0.0),
+        Point::new(1e300, -1e300),
+        Point::new(f64::INFINITY, 0.0),
+        Point::new(f64::NEG_INFINITY, f64::INFINITY),
+        Point::new(f64::NAN, 3.0),
+    ];
+    assert_all_paths_agree(&pathological, 1.0);
+    let astronomical = vec![Point::new(1e300, 0.0), Point::new(2e300, 0.0)];
+    assert_all_paths_agree(&astronomical, 5.0);
 }
 
 #[test]
@@ -172,6 +199,20 @@ proptest! {
         e in 0.3f64..5.0,
     ) {
         let pts: Vec<Point> = coords.iter().map(|(x, y)| Point::new(*x, *y)).collect();
+        assert_all_paths_agree(&pts, e);
+    }
+
+    #[test]
+    fn salted_random_worlds_agree_with_both_references(
+        coords in proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 1..80),
+        e in 0.3f64..5.0,
+    ) {
+        // Salt the set with the pathological fixtures so clamped and NaN
+        // cells are exercised under the same order contract.
+        let mut pts: Vec<Point> = coords.iter().map(|(x, y)| Point::new(*x, *y)).collect();
+        pts.push(Point::new(1e300, -1e300));
+        pts.push(Point::new(f64::INFINITY, 0.0));
+        pts.push(Point::new(f64::NAN, 3.0));
         assert_all_paths_agree(&pts, e);
     }
 

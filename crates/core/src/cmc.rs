@@ -1,38 +1,19 @@
-//! CMC — the Coherent Moving Cluster algorithm (Algorithm 1 of the paper).
+//! Algorithm 1 (CMC, the Coherent Moving Cluster baseline) scenario tests.
 //!
 //! CMC is the exact baseline: it density-clusters the objects' (possibly
 //! interpolated) positions at every time point and intersects clusters across
 //! consecutive time points, reporting every chain that keeps at least `m`
-//! common objects for at least `k` consecutive time points.
-//!
-//! It is also the building block of the CuTS refinement step, which runs CMC
-//! on the candidate's objects restricted to the candidate's time window
-//! ([`CmcEngine::run_windowed_with_stats`]).
-
-use crate::engine::CmcEngine;
-use crate::query::{Convoy, ConvoyQuery};
-use trajectory::TrajectoryDatabase;
-
-/// Runs CMC over the whole time domain of `db`.
-///
-/// Positions of objects that cover a time point without an exact sample are
-/// linearly interpolated (the *virtual points* of Section 4). Time points at
-/// which fewer than `m` objects are present produce no clusters, which closes
-/// every open candidate chain exactly as an empty clustering would.
-///
-/// Snapshots are streamed from one sorted sweep over all samples (the
-/// [`CmcEngine::Swept`] engine) and folded through
-/// [`crate::engine::CmcState`]; use [`CmcEngine`] directly for a window, the
-/// per-tick baseline or the parallel drivers.
-pub fn cmc(db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
-    CmcEngine::Swept.run(db, query)
-}
+//! common objects for at least `k` consecutive time points. Its one entry
+//! point is [`CmcEngine`](crate::CmcEngine) — `run` over the whole domain,
+//! `run_windowed_with_stats` over a window — and every engine folds through
+//! one [`CmcState`](crate::CmcState). These tests pin the paper's semantics
+//! on the default engine, `CmcEngine::Swept`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::query::normalize_convoys;
-    use trajectory::{ObjectId, TimeInterval, Trajectory};
+    use crate::engine::CmcEngine;
+    use crate::query::{normalize_convoys, ConvoyQuery};
+    use trajectory::{ObjectId, TimeInterval, Trajectory, TrajectoryDatabase};
 
     /// Builds a database from per-object position tables: `positions[i]` is a
     /// list of `(x, y, t)` samples for object `i`.
@@ -67,7 +48,7 @@ mod tests {
     fn finds_a_simple_convoy() {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 5, 1.5);
-        let result = normalize_convoys(cmc(&db, &query), &query);
+        let result = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
         assert_eq!(result.len(), 1);
         let convoy = &result[0];
         assert_eq!(convoy.objects.len(), 3);
@@ -81,20 +62,22 @@ mod tests {
         let db = convoy_db();
         // k larger than the whole domain: nothing qualifies.
         let query = ConvoyQuery::new(3, 50, 1.5);
-        assert!(cmc(&db, &query).is_empty());
+        assert!(CmcEngine::Swept.run(&db, &query).is_empty());
     }
 
     #[test]
     fn group_size_constraint() {
         let db = convoy_db();
         let query = ConvoyQuery::new(4, 5, 1.5);
-        assert!(normalize_convoys(cmc(&db, &query), &query).is_empty());
+        assert!(normalize_convoys(CmcEngine::Swept.run(&db, &query), &query).is_empty());
     }
 
     #[test]
     fn empty_database_returns_nothing() {
         let db = TrajectoryDatabase::new();
-        assert!(cmc(&db, &ConvoyQuery::new(2, 2, 1.0)).is_empty());
+        assert!(CmcEngine::Swept
+            .run(&db, &ConvoyQuery::new(2, 2, 1.0))
+            .is_empty());
     }
 
     #[test]
@@ -118,7 +101,7 @@ mod tests {
         let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = db_from(&refs);
         let query = ConvoyQuery::new(2, 3, 1.5);
-        let result = normalize_convoys(cmc(&db, &query), &query);
+        let result = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
         // The pair {0,1} convoys for the whole window. Note that Algorithm 1
         // reports a candidate only when it *fails* to extend, so the
         // shrinking candidate {0,1,2}→{0,1} does not additionally emit the
@@ -157,7 +140,7 @@ mod tests {
         let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = db_from(&refs);
         let query = ConvoyQuery::new(2, 3, 1.5);
-        let result = normalize_convoys(cmc(&db, &query), &query);
+        let result = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
         assert!(result
             .iter()
             .any(|c| c.objects.len() == 3 && c.start == 0 && c.end == 4));
@@ -180,7 +163,7 @@ mod tests {
         let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = db_from(&refs);
         let query = ConvoyQuery::new(2, 6, 1.0);
-        let result = normalize_convoys(cmc(&db, &query), &query);
+        let result = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
         assert_eq!(
             result.len(),
             1,
@@ -212,7 +195,7 @@ mod tests {
         let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = db_from(&refs);
         let query = ConvoyQuery::new(2, 4, 1.0);
-        let result = normalize_convoys(cmc(&db, &query), &query);
+        let result = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
         assert_eq!(result.len(), 2);
     }
 
@@ -227,7 +210,7 @@ mod tests {
         let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = db_from(&refs);
         let query = ConvoyQuery::new(2, 6, 1.2);
-        let result = normalize_convoys(cmc(&db, &query), &query);
+        let result = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
         assert_eq!(result.len(), 1);
         assert_eq!(result[0].objects.len(), 5);
     }

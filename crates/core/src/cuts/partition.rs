@@ -130,8 +130,8 @@ impl CandidateChain {
     /// Folds one partition's clusters into the open chains. Partitions must
     /// arrive in ascending window order.
     ///
-    /// Each open chain is extended through the partition's
-    /// [`OverlapIndex`], so only the clusters it shares at least `m` objects
+    /// Each open chain is extended through the partition's object → cluster
+    /// index, so only the clusters it shares at least `m` objects
     /// with are intersected, in the order of the all-pairs loop.
     pub fn fold(&mut self, partition: &PartitionClusters) {
         let window = partition.window;

@@ -1,18 +1,14 @@
-//! The CuTS refinement step.
+//! The CuTS refinement step: the **coverage fold** ([`RefineFold`] /
+//! [`refine_partitions`]), shared with the streaming pipeline
+//! (`convoy_stream`).
 //!
-//! Two refinement strategies live here:
-//!
-//! * [`refine_candidate`] / [`refine`] — Algorithm 3 as published: for every
-//!   candidate convoy, run exact CMC restricted to the candidate's member
-//!   objects and time window.
-//! * [`RefineFold`] / [`refine_partitions`] — the **coverage fold** shared
-//!   with the streaming pipeline (`convoy_stream`): one [`CmcState`] folds
-//!   every tick of the filtered domain, with each tick's snapshot built from
-//!   only the objects that co-clustered in the λ-partition(s) covering it.
-//!   Batch refinement looks those objects up directly
-//!   ([`TrajectoryDatabase::snapshot_of`]), so its cost scales with the
-//!   covered object-ticks — typically a small fraction of objects × ticks —
-//!   and objects the filter dismissed are never read.
+//! Where the paper's Algorithm 3 runs CMC once per candidate convoy, here one
+//! [`CmcState`] folds every tick of the filtered domain, with each tick's
+//! snapshot built from only the objects that co-clustered in the
+//! λ-partition(s) covering it. Batch refinement looks those objects up
+//! directly ([`TrajectoryDatabase::snapshot_of`]), so its cost scales with
+//! the covered object-ticks — typically a small fraction of objects × ticks —
+//! and objects the filter dismissed are never read.
 //!
 //! ## Why the coverage fold is exact (and filter-independent)
 //!
@@ -38,44 +34,12 @@
 //! equivalence harness (`tests/stream_equivalence.rs`) can assert raw
 //! `Vec<Convoy>` equality rather than set equivalence.
 
-use crate::candidate::CandidateConvoy;
 use crate::cuts::partition::PartitionClusters;
-use crate::engine::{CmcEngine, CmcState, CmcStats};
+use crate::engine::{CmcState, CmcStats};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::Obs;
 use std::collections::BTreeSet;
 use trajectory::{ObjectId, Snapshot, TimeInterval, TimePoint, TrajectoryDatabase};
-
-/// Refines one candidate: runs windowed CMC over the candidate's objects.
-pub fn refine_candidate(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    candidate: &CandidateConvoy,
-) -> Vec<Convoy> {
-    let subset = db.subset(candidate.objects.iter());
-    let window = TimeInterval::new(candidate.start, candidate.end);
-    CmcEngine::Swept
-        .run_windowed_with_stats(&subset, query, window)
-        .0
-}
-
-/// Refines every candidate and concatenates the verified convoys.
-///
-/// The output may contain duplicate or dominated convoys when candidates
-/// overlap; callers normalise with
-/// [`crate::query::normalize_convoys`] (the [`crate::discovery`] façade does
-/// this automatically).
-pub fn refine(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    candidates: &[CandidateConvoy],
-) -> Vec<Convoy> {
-    let mut out = Vec::new();
-    for candidate in candidates {
-        out.extend(refine_candidate(db, query, candidate));
-    }
-    out
-}
 
 /// The coverage-restricted [`CmcState`] fold shared by batch refinement
 /// ([`refine_partitions`]) and the streaming pipeline (see the module docs
@@ -364,6 +328,7 @@ pub fn refine_partitions_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CmcEngine;
     use traj_cluster::Cluster;
     use trajectory::{ObjectId, Trajectory};
 
@@ -391,56 +356,6 @@ mod tests {
 
     fn cluster(ids: &[u64]) -> Cluster {
         Cluster::new(ids.iter().map(|i| ObjectId(*i)).collect())
-    }
-
-    #[test]
-    fn refinement_verifies_and_trims_a_candidate() {
-        let db = db();
-        let query = ConvoyQuery::new(2, 5, 1.5);
-        // An over-approximate candidate containing all three objects over the
-        // whole domain (what a coarse filter might emit).
-        let candidate = CandidateConvoy::new(cluster(&[0, 1, 2]), 0, 19);
-        let refined = refine_candidate(&db, &query, &candidate);
-        // The refinement (windowed CMC) discovers the pair convoy over the
-        // full window; the shrinking {0,1,2}→{0,1} candidate follows the
-        // paper's Algorithm 1 semantics and is absorbed into it.
-        assert!(refined
-            .iter()
-            .any(|c| c.objects.len() == 2 && c.start == 0 && c.end == 19));
-        // Every refined convoy satisfies the query constraints.
-        assert!(refined.iter().all(|c| c.satisfies(&query)));
-    }
-
-    #[test]
-    fn refinement_rejects_a_false_candidate() {
-        let db = db();
-        let query = ConvoyQuery::new(2, 15, 1.5);
-        // Objects 0 and 2 are never together for 15 consecutive ticks.
-        let candidate = CandidateConvoy::new(cluster(&[0, 2]), 0, 19);
-        assert!(refine_candidate(&db, &query, &candidate).is_empty());
-    }
-
-    #[test]
-    fn refinement_is_windowed() {
-        let db = db();
-        let query = ConvoyQuery::new(2, 3, 1.5);
-        let candidate = CandidateConvoy::new(cluster(&[0, 1]), 5, 9);
-        let refined = refine_candidate(&db, &query, &candidate);
-        assert_eq!(refined.len(), 1);
-        assert_eq!(refined[0].start, 5);
-        assert_eq!(refined[0].end, 9);
-    }
-
-    #[test]
-    fn refine_concatenates_all_candidates() {
-        let db = db();
-        let query = ConvoyQuery::new(2, 3, 1.5);
-        let candidates = vec![
-            CandidateConvoy::new(cluster(&[0, 1]), 0, 9),
-            CandidateConvoy::new(cluster(&[0, 1, 2]), 0, 9),
-        ];
-        let refined = refine(&db, &query, &candidates);
-        assert!(refined.len() >= 2);
     }
 
     #[test]

@@ -121,9 +121,10 @@ impl Discovery {
         self
     }
 
-    /// Selects the CMC execution engine (per-tick baseline, swept streaming,
-    /// or time-partitioned parallel). Ignored by the CuTS methods, whose
-    /// refinement windows are too short to benefit from partitioning.
+    /// Selects the CMC execution engine (swept streaming or time-partitioned
+    /// parallel). Ignored by the CuTS methods, whose refinement is one
+    /// coverage fold ([`crate::cuts::refine::refine_partitions`]) rather
+    /// than a CMC run.
     #[must_use]
     pub fn with_cmc_engine(mut self, engine: CmcEngine) -> Self {
         self.cmc_engine = engine;
@@ -339,11 +340,10 @@ mod tests {
         let db = scenario_db();
         let query = ConvoyQuery::new(3, 10, 2.0);
         let reference = Discovery::new(Method::Cmc)
-            .with_cmc_engine(CmcEngine::PerTick)
+            .with_cmc_engine(CmcEngine::Swept)
             .run(&db, &query);
         assert!(!reference.convoys.is_empty());
         for engine in [
-            CmcEngine::Swept,
             CmcEngine::Parallel { threads: 2 },
             CmcEngine::Parallel { threads: 5 },
         ] {
@@ -353,7 +353,7 @@ mod tests {
             assert_eq!(
                 outcome.convoys,
                 reference.convoys,
-                "{} engine disagreed with per-tick",
+                "{} engine disagreed with swept",
                 engine.name()
             );
         }

@@ -9,9 +9,9 @@
 //!   state machine, so there is a single implementation of the candidate
 //!   bookkeeping (including the per-step candidate de-duplication).
 //! * [`CmcEngine`] — the execution strategy, run through
-//!   [`CmcEngine::run_windowed_with_stats_obs`]: legacy per-tick snapshot
-//!   extraction or the swept single-pass cursor (one sequential loop fed by
-//!   either snapshot source), or the time-partitioned parallel driver.
+//!   [`CmcEngine::run_windowed_with_stats_obs`]: the swept single-pass
+//!   cursor (one sequential loop over a [`SnapshotSweep`]) or the
+//!   time-partitioned parallel driver.
 //! * The parallel driver ([`CmcEngine::Parallel`]) splits the time domain
 //!   into one contiguous partition per thread; each worker streams its
 //!   partition with a [`SnapshotSweep`] and density-clusters every tick (the
@@ -551,10 +551,6 @@ fn dedup_register(
 /// How a CMC run extracts and processes snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CmcEngine {
-    /// Re-extract every snapshot with a per-object binary search
-    /// (`db.snapshot(t, …)` per tick). The paper-literal baseline, kept for
-    /// benchmarking the engines against.
-    PerTick,
     /// Stream snapshots from one sorted sweep over all samples
     /// ([`SnapshotSweep`]) and fold them incrementally. The default.
     #[default]
@@ -577,7 +573,6 @@ impl CmcEngine {
     /// Display name used by reports and benchmarks.
     pub fn name(&self) -> &'static str {
         match self {
-            CmcEngine::PerTick => "per-tick",
             CmcEngine::Swept => "swept",
             CmcEngine::Parallel { .. } => "parallel",
         }
@@ -585,7 +580,7 @@ impl CmcEngine {
 
     /// The number of worker threads this engine will actually use (before
     /// the data-dependent clamp to the window's tick count): 1 for the
-    /// sequential engines; for the parallel driver the requested count (`0`
+    /// swept engine; for the parallel driver the requested count (`0`
     /// meaning every available core), clamped to [`MAX_PARALLEL_THREADS`].
     pub fn resolved_threads(&self) -> usize {
         match *self {
@@ -620,7 +615,7 @@ impl CmcEngine {
     /// per-tick `cmc.*` metrics of the fold and one root span per engine
     /// (child of `parent`):
     ///
-    /// * `cmc.per-tick` / `cmc.swept` → `cmc.sweep`, `cmc.cluster`,
+    /// * `cmc.swept` → `cmc.sweep`, `cmc.cluster`,
     ///   `cmc.fold` (accumulated stage totals);
     /// * `cmc.parallel` → one `cmc.partition` per worker, then `cmc.fold`.
     ///
@@ -638,18 +633,8 @@ impl CmcEngine {
         parent: SpanId,
     ) -> (Vec<Convoy>, CmcStats) {
         match *self {
-            CmcEngine::PerTick => sequential(
-                window
-                    .iter()
-                    .map(|t| db.snapshot(t, SnapshotPolicy::Interpolate)),
-                "cmc.per-tick",
-                query,
-                obs,
-                parent,
-            ),
             CmcEngine::Swept => sequential(
                 SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate),
-                "cmc.swept",
                 query,
                 obs,
                 parent,
@@ -661,8 +646,8 @@ impl CmcEngine {
     }
 }
 
-/// The sequential engines: folds `snapshots` through one [`CmcState`] under
-/// a `span_name` root span.
+/// The swept engine: folds `snapshots` through one [`CmcState`] under a
+/// `cmc.swept` root span.
 ///
 /// Sweep, clustering and fold interleave per tick, so with a live recorder
 /// their accumulated totals are re-laid as three synthetic child spans
@@ -671,12 +656,11 @@ impl CmcEngine {
 /// the crate docs of `convoy_obs`).
 fn sequential(
     mut snapshots: impl Iterator<Item = Snapshot>,
-    span_name: &'static str,
     query: &ConvoyQuery,
     obs: &Obs,
     parent: SpanId,
 ) -> (Vec<Convoy>, CmcStats) {
-    let engine_span = obs.span_start(span_name, parent);
+    let engine_span = obs.span_start("cmc.swept", parent);
     let run_start_ns = obs.now_ns();
     let live = obs.enabled();
     let mut state = CmcState::new(query);
@@ -760,7 +744,7 @@ fn parallel(
     let partitions = split_window(window, threads);
     if partitions.len() <= 1 {
         let sweep = SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate);
-        return sequential(sweep, "cmc.swept", query, obs, parent);
+        return sequential(sweep, query, obs, parent);
     }
     let engine_span = obs.span_start("cmc.parallel", parent);
 
@@ -845,8 +829,7 @@ mod tests {
     fn every_engine_agrees_on_a_simple_convoy() {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 5, 1.5);
-        let reference = normalize_convoys(CmcEngine::PerTick.run(&db, &query), &query);
-        assert_eq!(reference.len(), 1);
+        let reference = vec![Convoy::new(cluster(&[0, 1, 2]), 0, 29)];
         for engine in [
             CmcEngine::Swept,
             CmcEngine::Parallel { threads: 2 },
@@ -854,7 +837,7 @@ mod tests {
             CmcEngine::Parallel { threads: 0 },
         ] {
             let got = normalize_convoys(engine.run(&db, &query), &query);
-            assert_eq!(got, reference, "{} disagreed with per-tick", engine.name());
+            assert_eq!(got, reference, "{} missed the convoy", engine.name());
         }
     }
 
@@ -899,7 +882,6 @@ mod tests {
         let window = db.time_domain().unwrap();
         let stages: &[&str] = &["cmc.sweep", "cmc.cluster", "cmc.fold"];
         for (engine, root_name, children) in [
-            (CmcEngine::PerTick, "cmc.per-tick", stages),
             (CmcEngine::Swept, "cmc.swept", stages),
             (
                 CmcEngine::Parallel { threads: 2 },

@@ -8,18 +8,19 @@
 //!   lifetime `k`, find every maximal group of at least `m` objects that are
 //!   density-connected with respect to `e` at each of at least `k`
 //!   consecutive time points;
-//! * **CMC** ([`cmc`]): the Coherent Moving Cluster baseline (Algorithm 1)
-//!   that clusters every snapshot and intersects clusters over time;
+//! * **CMC** ([`CmcEngine`]): the Coherent Moving Cluster baseline
+//!   (Algorithm 1) that clusters every snapshot and intersects clusters over
+//!   time;
 //! * the **streaming + parallel engine** ([`engine`]): the incremental
 //!   [`CmcState`] fold, the swept single-pass extraction and the
-//!   time-partitioned parallel driver behind [`cmc`] — selectable per run via
+//!   time-partitioned parallel driver — selectable per run via
 //!   [`CmcEngine`], whose
 //!   [`run_windowed_with_stats_obs`](CmcEngine::run_windowed_with_stats_obs)
 //!   is the one CMC implementation every other run function delegates to;
 //! * the **CuTS family** ([`cuts`]): the filter–refinement algorithms built
 //!   on trajectory simplification — CuTS (DP + `DLL` bounds), CuTS+ (DP+ +
 //!   `DLL` bounds) and CuTS* (DP* + `D*` bounds);
-//! * **MC2** ([`mc2`]): the moving-cluster baseline used in the paper's
+//! * **MC2** ([`mc2()`]): the moving-cluster baseline used in the paper's
 //!   appendix to show that moving-cluster semantics cannot answer convoy
 //!   queries exactly;
 //! * parameter guidelines ([`params`]) and instrumentation
@@ -53,7 +54,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod candidate;
-pub mod cmc;
+#[cfg(test)]
+mod cmc;
 pub mod cuts;
 pub mod discovery;
 pub mod engine;
@@ -63,7 +65,6 @@ pub mod params;
 pub mod query;
 
 pub use candidate::CandidateConvoy;
-pub use cmc::cmc;
 pub use cuts::partition::{
     cluster_partition, CandidateChain, CandidateChainSnapshot, PartitionClusters,
 };

@@ -107,7 +107,7 @@ pub fn mc2(db: &TrajectoryDatabase, config: &Mc2Config) -> Vec<Convoy> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cmc::cmc;
+    use crate::engine::CmcEngine;
     use crate::query::{compare_result_sets, normalize_convoys, ConvoyQuery};
     use trajectory::{ObjectId, Trajectory};
 
@@ -190,7 +190,7 @@ mod tests {
                 .collect(),
         ]);
         let query = ConvoyQuery::new(2, 12, 1.5);
-        let reference = normalize_convoys(cmc(&db, &query), &query);
+        let reference = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
         assert_eq!(reference.len(), 1, "CMC finds the 12-tick convoy");
         let reported = mc2(
             &db,

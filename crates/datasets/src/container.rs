@@ -134,9 +134,9 @@ fn map_eof_to_truncated(e: std::io::Error) -> ContainerError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE, same polynomial and table construction as the stream
-// checkpoint — kept local so `traj-datasets` does not depend on
-// `convoy-stream`).
+// CRC-32 (IEEE 802.3, the polynomial zlib and PNG use), table built at
+// compile time so the hot path is one lookup per byte. The stream
+// checkpoint trailer re-exports this same function.
 
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -158,7 +158,8 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// IEEE CRC-32 of `bytes` (the checksum each block trailer stores).
+/// IEEE CRC-32 of `bytes` (the checksum each block trailer and the stream
+/// checkpoint trailer store).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -501,13 +502,6 @@ impl<R: Read + Seek> ContainerReader<R> {
         &self.index
     }
 
-    /// Total records across all blocks, per the index.
-    pub fn total_records(&self) -> u64 {
-        self.index
-            .iter()
-            .fold(0u64, |acc, b| acc.saturating_add(b.records))
-    }
-
     /// Loads the whole container into a database.
     pub fn load(&mut self) -> Result<(TrajectoryDatabase, ReadStats), ContainerError> {
         self.load_impl(None)
@@ -661,8 +655,13 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
+        // Standard IEEE CRC-32 test vectors (zlib's `crc32` agrees).
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

@@ -61,6 +61,9 @@ use trajectory::{
     FeedValidator, FeedValidatorSnapshot, ObjectId, TimeInterval, TimePoint, TrajPoint,
 };
 
+/// The trailer checksum: the `.convoy` container's IEEE CRC-32, shared.
+pub use traj_datasets::container::crc32;
+
 /// The checkpoint file's magic bytes.
 pub const MAGIC: [u8; 8] = *b"CONVOYCK";
 
@@ -120,41 +123,6 @@ impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the polynomial zlib and PNG use), table built at
-// compile time so the hot path is one lookup per byte.
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        // lint: allow(cast-audit) — i < 256, fits u32 exactly
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c; // lint: allow(no-panic-decode) — const loop, i < 256 == table.len()
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 of `bytes` (the checksum the checkpoint trailer stores).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // lint: allow(no-panic-decode) — index masked to 0..=255, table length 256
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 // ---------------------------------------------------------------------------
@@ -770,22 +738,5 @@ impl ConvoyStream {
         let mut stream = ConvoyStream::from_checkpoint_bytes_obs(&bytes, obs)?;
         stream.set_obs(obs.clone());
         Ok(stream)
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic on bad fixtures
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 test vectors (zlib's `crc32` agrees).
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
     }
 }

@@ -153,22 +153,6 @@ impl TrajectoryDatabase {
         self.objects.keys().copied()
     }
 
-    /// Builds a sub-database containing only the listed objects (unknown ids
-    /// are silently skipped). Used by the CuTS refinement step to restrict
-    /// CMC to a candidate's member objects.
-    pub fn subset<I>(&self, ids: I) -> TrajectoryDatabase
-    where
-        I: IntoIterator<Item = ObjectId>,
-    {
-        let mut db = TrajectoryDatabase::new();
-        for id in ids {
-            if let Some(t) = self.objects.get(&id) {
-                db.insert(id, t.clone());
-            }
-        }
-        db
-    }
-
     /// The time domain spanned by the database: the hull of every
     /// trajectory's time interval. `None` for an empty database.
     pub fn time_domain(&self) -> Option<TimeInterval> {
@@ -213,21 +197,12 @@ impl TrajectoryDatabase {
         Snapshot { time: t, entries }
     }
 
-    /// Streams the snapshots of `window` from one time-ordered pass over all
-    /// samples — amortized O(total samples + objects × time points), versus
-    /// one binary search per object per tick for repeated
+    /// Streams the snapshots of the whole time domain from one time-ordered
+    /// pass over all samples — amortized O(total samples + objects × time
+    /// points), versus one binary search per object per tick for repeated
     /// [`TrajectoryDatabase::snapshot`] calls. The yielded snapshots are
-    /// identical to per-tick extraction.
-    pub fn sweep_window(
-        &self,
-        window: TimeInterval,
-        policy: SnapshotPolicy,
-    ) -> crate::sweep::SnapshotSweep<'_> {
-        crate::sweep::SnapshotSweep::new(self, window, policy)
-    }
-
-    /// Like [`TrajectoryDatabase::sweep_window`] over the whole time domain.
-    /// An empty database yields no snapshots.
+    /// identical to per-tick extraction; [`crate::sweep::SnapshotSweep::new`]
+    /// streams a window. An empty database yields no snapshots.
     pub fn sweep(&self, policy: SnapshotPolicy) -> crate::sweep::SnapshotSweep<'_> {
         match self.time_domain() {
             Some(window) => crate::sweep::SnapshotSweep::new(self, window, policy),
@@ -433,10 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_restrict() {
+    fn restrict_keeps_only_objects_covering_the_window() {
         let db = sample_db();
-        let sub = db.subset([ObjectId(1), ObjectId(3), ObjectId(42)]);
-        assert_eq!(sub.len(), 2);
         let restricted = db.restrict(TimeInterval::new(3, 4));
         assert_eq!(restricted.len(), 3);
         for (_, t) in restricted.iter() {

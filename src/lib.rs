@@ -47,7 +47,7 @@ pub use trajectory;
 /// The most commonly used items from every crate, importable in one line.
 pub mod prelude {
     pub use convoy_core::{
-        cmc, compare_result_sets, mc2, normalize_convoys, CmcEngine, CmcState, CmcStats, Convoy,
+        compare_result_sets, mc2, normalize_convoys, CmcEngine, CmcState, CmcStats, Convoy,
         ConvoyQuery, CutsConfig, CutsVariant, Discovery, DiscoveryOutcome, Mc2Config, Method,
     };
     pub use convoy_stream::{

@@ -1,7 +1,8 @@
-//! Engine-equivalence property tests: the per-tick baseline, the swept
+//! Engine-equivalence property tests: an independent per-tick reference
+//! (one `db.snapshot(t, …)` per tick folded through [`CmcState`]), the swept
 //! streaming engine, the time-partitioned parallel driver, and a hand-driven
-//! incremental [`CmcState`] fold must produce identical normalized convoy
-//! sets on randomly generated databases.
+//! incremental [`CmcState`] fold over the sweep must produce identical
+//! normalized convoy sets on randomly generated databases.
 //!
 //! Two corpus sources feed the properties: the synthetic dataset generator
 //! (planted convoys plus background noise, the corpus the paper's figures
@@ -12,11 +13,22 @@ use convoy_suite::prelude::*;
 use proptest::prelude::*;
 use trajectory::SnapshotPolicy;
 
+/// Algorithm 1 as the paper writes it: re-extract every tick's snapshot with
+/// a per-object lookup (`db.snapshot`) and fold it. It bypasses the engines'
+/// sweep cursor, so it checks their snapshot extraction independently.
+fn per_tick_reference(db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
+    let mut state = CmcState::new(query);
+    for t in db.time_domain().iter().flat_map(|w| w.iter()) {
+        state.ingest_snapshot(&db.snapshot(t, SnapshotPolicy::Interpolate));
+    }
+    state.finish()
+}
+
 /// Runs every engine plus the manual streaming fold and asserts the
 /// normalized result sets are identical (not merely equivalent up to
 /// domination — the engines share one fold, so they must agree exactly).
 fn assert_engines_agree(db: &TrajectoryDatabase, query: &ConvoyQuery, context: &str) {
-    let reference = normalize_convoys(CmcEngine::PerTick.run(db, query), query);
+    let reference = normalize_convoys(per_tick_reference(db, query), query);
     for engine in [
         CmcEngine::Swept,
         CmcEngine::Parallel { threads: 2 },
