@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use traj_cluster::{
     snapshot_clusters, GridIndex, SegmentDistance, SnapshotClusterer, SubTrajectory,
 };
-use traj_simplify::{DouglasPeucker, DouglasPeuckerStar, Simplifier, ToleranceMode};
+use traj_simplify::{SimplificationMethod, ToleranceMode};
 use trajectory::database::SnapshotEntry;
 use trajectory::geometry::{Point, Segment, TimedSegment};
 use trajectory::{
@@ -197,18 +197,18 @@ fn bench_simplification(c: &mut Criterion) {
     let traj = random_trajectory(&mut rng, 5_000);
     let mut group = c.benchmark_group("micro/simplification");
     group.bench_function("dp_5000pts", |bench| {
-        bench.iter(|| DouglasPeucker.simplify(&traj, 2.0))
+        bench.iter(|| SimplificationMethod::Dp.simplify(&traj, 2.0))
     });
     group.bench_function("dp_star_5000pts", |bench| {
-        bench.iter(|| DouglasPeuckerStar.simplify(&traj, 2.0))
+        bench.iter(|| SimplificationMethod::DpStar.simplify(&traj, 2.0))
     });
     group.finish();
 }
 
 fn bench_omega(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(13);
-    let a = DouglasPeucker.simplify(&random_trajectory(&mut rng, 2_000), 2.0);
-    let b = DouglasPeucker.simplify(&random_trajectory(&mut rng, 2_000), 2.0);
+    let a = SimplificationMethod::Dp.simplify(&random_trajectory(&mut rng, 2_000), 2.0);
+    let b = SimplificationMethod::Dp.simplify(&random_trajectory(&mut rng, 2_000), 2.0);
     let window = TimeInterval::new(0, 1_999);
     let sa = SubTrajectory::for_window(ObjectId(1), &a, window).unwrap();
     let sb = SubTrajectory::for_window(ObjectId(2), &b, window).unwrap();

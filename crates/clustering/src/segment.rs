@@ -30,11 +30,11 @@ pub enum SegmentDistance {
     /// CuTS and CuTS+).
     Dll,
     /// The closest-point-of-approach distance `D*` restricted to the common
-    /// time interval (Lemma 3; CuTS*). Requires the segments to have been
-    /// produced by a time-aware simplifier (DP*) for the bound to be tight,
-    /// but is *correct* for any simplifier because `D* ≥ DLL`... it is only
-    /// *safe* when the simplification error is measured synchronously, which
-    /// DP* guarantees.
+    /// time interval (Lemma 3; CuTS*). The Lemma 3 bound holds only when
+    /// each segment's tolerance bounds the *synchronised* deviation of the
+    /// original samples from the segment's time-ratio positions, which DP*
+    /// guarantees and DP and DP+ do not; that is why `CutsVariant` pairs
+    /// `D*` with DP* alone.
     DStar,
 }
 
@@ -337,7 +337,7 @@ pub fn cluster_sub_trajectories(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use traj_simplify::{DouglasPeucker, DouglasPeuckerStar, Simplifier};
+    use traj_simplify::SimplificationMethod;
     use trajectory::{TrajPoint, Trajectory};
 
     fn straight_trajectory(x0: f64, y0: f64, dx: f64, dy: f64, len: i64) -> Trajectory {
@@ -350,7 +350,7 @@ mod tests {
     }
 
     fn sub(object: u64, traj: &Trajectory, delta: f64, window: TimeInterval) -> SubTrajectory {
-        let simplified = DouglasPeucker.simplify(traj, delta);
+        let simplified = SimplificationMethod::Dp.simplify(traj, delta);
         SubTrajectory::for_window(ObjectId(object), &simplified, window).unwrap()
     }
 
@@ -376,13 +376,13 @@ mod tests {
         let b = Trajectory::from_tuples([(0.0, 0.0, 10), (5.0, 0.0, 15)]).unwrap();
         let sa = SubTrajectory::for_window(
             ObjectId(1),
-            &DouglasPeucker.simplify(&a, 0.1),
+            &SimplificationMethod::Dp.simplify(&a, 0.1),
             TimeInterval::new(0, 20),
         )
         .unwrap();
         let sb = SubTrajectory::for_window(
             ObjectId(2),
-            &DouglasPeucker.simplify(&b, 0.1),
+            &SimplificationMethod::Dp.simplify(&b, 0.1),
             TimeInterval::new(0, 20),
         )
         .unwrap();
@@ -417,7 +417,7 @@ mod tests {
         let mut pts: Vec<TrajPoint> = (0..=10).map(|t| TrajPoint::new(t as f64, 0.0, t)).collect();
         pts.extend((11..=20).map(|t| TrajPoint::new(10.0, (t - 10) as f64, t)));
         let traj = Trajectory::from_points(pts).unwrap();
-        let simplified = DouglasPeucker.simplify(&traj, 0.5);
+        let simplified = SimplificationMethod::Dp.simplify(&traj, 0.5);
         assert_eq!(simplified.segments().len(), 2);
         let early =
             SubTrajectory::for_window(ObjectId(1), &simplified, TimeInterval::new(0, 5)).unwrap();
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn single_sample_object_gets_degenerate_segment() {
         let traj = Trajectory::from_tuples([(3.0, 3.0, 5)]).unwrap();
-        let simplified = DouglasPeucker.simplify(&traj, 0.5);
+        let simplified = SimplificationMethod::Dp.simplify(&traj, 0.5);
         let s =
             SubTrajectory::for_window(ObjectId(1), &simplified, TimeInterval::new(0, 10)).unwrap();
         assert_eq!(s.segments.len(), 1);
@@ -519,12 +519,12 @@ mod tests {
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         let (sa, sb) = match distance {
             SegmentDistance::Dll => (
-                DouglasPeucker.simplify(a, delta),
-                DouglasPeucker.simplify(b, delta),
+                SimplificationMethod::Dp.simplify(a, delta),
+                SimplificationMethod::Dp.simplify(b, delta),
             ),
             SegmentDistance::DStar => (
-                DouglasPeuckerStar.simplify(a, delta),
-                DouglasPeuckerStar.simplify(b, delta),
+                SimplificationMethod::DpStar.simplify(a, delta),
+                SimplificationMethod::DpStar.simplify(b, delta),
             ),
         };
         let window = a.time_interval().hull(&b.time_interval());
@@ -590,8 +590,8 @@ mod tests {
             delta in 0.1f64..3.0, e in 0.5f64..5.0) {
             // If the Lemma 2 test would discard the pair, the exact ω distance
             // must also exceed e (the pre-filter is conservative).
-            let sa = DouglasPeucker.simplify(&a, delta);
-            let sb = DouglasPeucker.simplify(&b, delta);
+            let sa = SimplificationMethod::Dp.simplify(&a, delta);
+            let sb = SimplificationMethod::Dp.simplify(&b, delta);
             let window = a.time_interval().hull(&b.time_interval());
             if let (Some(sub_a), Some(sub_b)) = (
                 SubTrajectory::for_window(ObjectId(1), &sa, window),

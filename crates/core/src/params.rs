@@ -29,7 +29,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_simplify::{DouglasPeucker, Simplifier};
+    use traj_simplify::SimplificationMethod;
     use trajectory::{ObjectId, TrajPoint, Trajectory};
 
     fn wiggly(n: i64, amplitude: f64) -> Trajectory {
@@ -59,7 +59,7 @@ mod tests {
     #[test]
     fn auto_lambda_respects_k() {
         let traj = wiggly(100, 0.1);
-        let simplified = DouglasPeucker.simplify(&traj, 1.0);
+        let simplified = SimplificationMethod::Dp.simplify(&traj, 1.0);
         let lambda = auto_lambda([&simplified], 10);
         assert!((2..=10).contains(&lambda));
     }

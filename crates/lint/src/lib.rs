@@ -74,6 +74,7 @@ fn rules_for(rel: &str) -> Vec<fn(&FileAnalysis) -> Vec<RawFinding>> {
         "crates/stream/src/",
         "crates/trajectory/src/",
         "crates/obs/src/",
+        "crates/simplify/src/",
     ]) {
         active.push(rules::checked_time_arithmetic);
     }

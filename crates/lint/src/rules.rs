@@ -6,7 +6,7 @@
 //!
 //! | rule | guards | scope |
 //! |---|---|---|
-//! | `checked-time-arithmetic` | bare `+`/`-`/`*`/`+=`/`-=`/`*=` on tick- or nanosecond-named values | `core`, `stream`, `trajectory`, `obs` |
+//! | `checked-time-arithmetic` | bare `+`/`-`/`*`/`+=`/`-=`/`*=` on tick- or nanosecond-named values | `core`, `stream`, `trajectory`, `obs`, `simplify` |
 //! | `no-panic-decode` | unwrap/expect/panic!/indexing on untrusted bytes | checkpoint decode + CSV parse |
 //! | `no-alloc-hot-path` | allocation constructors in marked hot regions | whole workspace |
 //! | `no-unwrap-in-lib` | `.unwrap()`/`.expect()` outside tests | library crates |

@@ -131,6 +131,18 @@ fn time_arith_sees_through_field_and_method_chains() {
     );
 }
 
+#[test]
+fn time_arith_covers_the_simplifiers() {
+    // A time-ratio position computed from a bare tick difference wraps on
+    // chords spanning more than the i64 range.
+    let src =
+        "pub fn ratio(t: i64, a: P, b: P) -> f64 {\n    (t - a.t) as f64 / (b.t - a.t) as f64\n}\n";
+    assert_eq!(
+        lines_of("crates/simplify/src/dp.rs", src, "checked-time-arithmetic"),
+        vec![2, 2]
+    );
+}
+
 // -------------------------------------------------------------- panic decode
 
 #[test]

@@ -1,35 +1,26 @@
 //! # `traj-simplify` — trajectory line-simplification substrate
 //!
 //! The filter step of the CuTS family operates on *simplified* trajectories.
-//! This crate implements the three simplification algorithms studied in the
-//! paper and the bookkeeping they require:
+//! The paper's three simplifiers — DP (Section 2.2 / 5.1), DP+ (Section 6.1)
+//! and DP\* (Section 6.2) — are one Douglas–Peucker routine that differs
+//! only in how deviation is measured and where a range splits; pick one with
+//! [`SimplificationMethod`] and call [`SimplificationMethod::simplify`].
 //!
-//! * [`DouglasPeucker`] (**DP**, Section 2.2 / 5.1): the classic
-//!   divide-and-conquer simplifier, splitting at the sample farthest from the
-//!   current approximation segment.
-//! * [`DouglasPeuckerPlus`] (**DP+**, Section 6.1): splits at the sample
-//!   *closest to the middle index* among those exceeding the tolerance, which
-//!   balances the recursion and also yields smaller actual tolerances.
-//! * [`DouglasPeuckerStar`] (**DP\***, Section 2.2 / 6.2, after Meratnia &
-//!   de By): measures the *time-synchronised* distance between each sample
-//!   and the time-ratio position on the approximation segment, so that the
-//!   simplified segments can be compared with the tighter `D*` distance.
-//!
-//! Every simplifier records the **actual tolerance** `δ(l′)` of each produced
-//! segment (Definition 4): the maximum distance from any original sample in
-//! the segment's time range to the segment. Actual tolerances are what make
-//! the filter-step distance bounds (Lemmas 1–3) tight.
+//! Every simplification records the **actual tolerance** `δ(l′)` of each
+//! produced segment (Definition 4): the maximum deviation of any original
+//! sample in the segment's time range from the segment. Actual tolerances
+//! are what make the filter-step distance bounds (Lemmas 1–3) tight.
 //!
 //! ## Example
 //!
 //! ```
 //! use trajectory::Trajectory;
-//! use traj_simplify::{DouglasPeucker, Simplifier};
+//! use traj_simplify::SimplificationMethod;
 //!
 //! let traj = Trajectory::from_tuples([
 //!     (0.0, 0.0, 0), (1.0, 0.05, 1), (2.0, -0.04, 2), (3.0, 0.0, 3),
 //! ]).unwrap();
-//! let simplified = DouglasPeucker.simplify(&traj, 0.5);
+//! let simplified = SimplificationMethod::Dp.simplify(&traj, 0.5);
 //! assert_eq!(simplified.num_points(), 2);              // straight-ish line collapses
 //! assert!(simplified.max_actual_tolerance() <= 0.5);   // never exceeds δ
 //! ```
@@ -39,19 +30,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod dp;
-pub mod dp_plus;
-pub mod dp_star;
-pub mod incremental;
 pub mod select;
 pub mod simplified;
 pub mod tolerance;
-pub mod traits;
 
-pub use dp::DouglasPeucker;
-pub use dp_plus::DouglasPeuckerPlus;
-pub use dp_star::DouglasPeuckerStar;
-pub use incremental::SlidingDp;
+pub use dp::SimplificationMethod;
 pub use select::{select_delta, select_delta_for_database, select_lambda, DeltaSelection};
-pub use simplified::{SimplifiedSegment, SimplifiedTrajectory, ToleranceMetric};
+pub use simplified::{SimplifiedSegment, SimplifiedTrajectory};
 pub use tolerance::{ReductionStats, ToleranceMode};
-pub use traits::{SimplificationMethod, Simplifier};

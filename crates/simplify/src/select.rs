@@ -183,8 +183,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::Simplifier;
-    use crate::DouglasPeucker;
+    use crate::SimplificationMethod;
     use trajectory::{ObjectId, TrajPoint};
 
     fn traj(pts: &[(f64, f64, i64)]) -> Trajectory {
@@ -267,7 +266,7 @@ mod tests {
                 .map(|i| (i as f64, 0.0, i as i64))
                 .collect::<Vec<_>>(),
         );
-        let dense_simplified = DouglasPeucker.simplify(&dense, 1.0);
+        let dense_simplified = SimplificationMethod::Dp.simplify(&dense, 1.0);
         let lambda_dense = select_lambda([&dense_simplified], 200);
         assert!(
             lambda_dense >= 20,
@@ -280,7 +279,7 @@ mod tests {
                 .map(|i| (i as f64, 0.0, i as i64 * 10))
                 .collect::<Vec<_>>(),
         );
-        let sparse_simplified = DouglasPeucker.simplify(&sparse, 1.0);
+        let sparse_simplified = SimplificationMethod::Dp.simplify(&sparse, 1.0);
         let lambda_sparse = select_lambda([&sparse_simplified], 200);
         assert!(
             lambda_sparse < lambda_dense,
@@ -296,7 +295,7 @@ mod tests {
                 .map(|i| (i as f64, 0.0, i as i64))
                 .collect::<Vec<_>>(),
         );
-        let s = DouglasPeucker.simplify(&dense, 1.0);
+        let s = SimplificationMethod::Dp.simplify(&dense, 1.0);
         assert_eq!(select_lambda([&s], 5), 5, "λ must not exceed k");
         assert_eq!(
             select_lambda(std::iter::empty(), 100),

@@ -1,34 +1,10 @@
 //! Simplified trajectories and their segments.
 
+use crate::dp::{chord, SimplificationMethod};
 use serde::{Deserialize, Serialize};
 use trajectory::geometry::segment::{Segment, TimedSegment};
 use trajectory::geometry::{BoundingBox, Point};
 use trajectory::{TimeInterval, TimePoint, TrajPoint, Trajectory};
-
-/// How the actual tolerance `δ(l′)` of a segment is measured.
-///
-/// The choice matters for the soundness of the filter-step distance bounds:
-///
-/// * Lemma 1 (the `DLL` bound used by CuTS and CuTS+) needs
-///   `DPL(o(t), l′) ≤ δ(l′)` for every `t` in the segment's interval, i.e.
-///   the [`ToleranceMetric::Spatial`] metric.
-/// * Lemma 3 (the `D*` bound used by CuTS*) needs the stronger
-///   `D(l′(t), o(t)) ≤ δ(l′)` where `l′(t)` is the time-ratio position, i.e.
-///   the [`ToleranceMetric::Synchronised`] metric. DP* guarantees this bound
-///   by construction; DP and DP+ do not.
-///
-/// In both cases the maximum over the original *samples* in the segment's
-/// range equals the maximum over the whole continuous interval, because the
-/// original trajectory is piecewise linear and both deviation functions are
-/// convex along each piece.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ToleranceMetric {
-    /// `δ(l′) = max_t DPL(o(t), l′)` — Definition 4 as written.
-    Spatial,
-    /// `δ(l′) = max_t D(l′(t), o(t))` — the time-synchronised deviation,
-    /// never smaller than the spatial one.
-    Synchronised,
-}
 
 /// One line segment `l′` of a simplified trajectory `o′`.
 ///
@@ -87,34 +63,14 @@ pub struct SimplifiedTrajectory {
 }
 
 impl SimplifiedTrajectory {
-    /// Assembles a simplified trajectory from the original trajectory and the
-    /// sorted indices of the retained samples, measuring actual tolerances
-    /// with the [`ToleranceMetric::Spatial`] metric (Definition 4 as written,
-    /// the right choice for DP and DP+).
-    pub fn from_kept_indices(
+    /// Assembles `method`'s simplification of `original` from the sorted
+    /// indices of the retained samples, measuring each segment's actual
+    /// tolerance with the method's deviation over the samples it replaces.
+    pub(crate) fn from_kept(
         original: &Trajectory,
         kept: &[usize],
         global_tolerance: f64,
-    ) -> SimplifiedTrajectory {
-        Self::from_kept_indices_with_metric(
-            original,
-            kept,
-            global_tolerance,
-            ToleranceMetric::Spatial,
-        )
-    }
-
-    /// Assembles a simplified trajectory from the original trajectory and the
-    /// sorted indices of the retained samples.
-    ///
-    /// The actual tolerance of each produced segment is computed here by
-    /// scanning the original samples the segment replaces with the requested
-    /// metric, so the caller only needs to decide *which* samples to keep.
-    pub fn from_kept_indices_with_metric(
-        original: &Trajectory,
-        kept: &[usize],
-        global_tolerance: f64,
-        metric: ToleranceMetric,
+        method: SimplificationMethod,
     ) -> SimplifiedTrajectory {
         debug_assert!(!kept.is_empty(), "at least one sample must be kept");
         debug_assert!(
@@ -123,32 +79,19 @@ impl SimplifiedTrajectory {
         );
         let samples = original.points();
         let points: Vec<TrajPoint> = kept.iter().map(|&i| samples[i]).collect();
-        let mut segments = Vec::with_capacity(kept.len().saturating_sub(1));
-        for w in kept.windows(2) {
-            let (si, ei) = (w[0], w[1]);
-            let a = samples[si];
-            let b = samples[ei];
-            let seg = Segment::new(a.position(), b.position());
-            let interval = TimeInterval::new(a.t, b.t);
-            let timed = TimedSegment::new(seg, interval);
-            // δ(l′) = max over replaced samples of the chosen deviation.
-            let mut actual = 0.0f64;
-            for p in &samples[si..=ei] {
-                let d = match metric {
-                    ToleranceMetric::Spatial => seg.distance_to_point(&p.position()),
-                    ToleranceMetric::Synchronised => timed.location_at(p.t).distance(&p.position()),
-                };
-                if d > actual {
-                    actual = d;
+        let segments = kept
+            .windows(2)
+            .map(|w| {
+                let (si, ei) = (w[0], w[1]);
+                let timed = chord(&samples[si], &samples[ei]);
+                SimplifiedSegment {
+                    timed,
+                    actual_tolerance: method.max_deviation(&timed, &samples[si..=ei]),
+                    start_index: si,
+                    end_index: ei,
                 }
-            }
-            segments.push(SimplifiedSegment {
-                timed,
-                actual_tolerance: actual,
-                start_index: si,
-                end_index: ei,
-            });
-        }
+            })
+            .collect();
         SimplifiedTrajectory {
             points,
             segments,
@@ -266,11 +209,15 @@ mod tests {
         Trajectory::from_tuples(pts.iter().copied()).unwrap()
     }
 
+    fn keep(original: &Trajectory, kept: &[usize], delta: f64) -> SimplifiedTrajectory {
+        SimplifiedTrajectory::from_kept(original, kept, delta, SimplificationMethod::Dp)
+    }
+
     #[test]
-    fn from_kept_indices_builds_segments_with_actual_tolerance() {
+    fn from_kept_builds_segments_with_actual_tolerance() {
         // A detour at t=1 of height 2 above the straight line (0,0)->(4,0).
         let original = traj(&[(0.0, 0.0, 0), (1.0, 2.0, 1), (2.0, 0.0, 2), (4.0, 0.0, 4)]);
-        let s = SimplifiedTrajectory::from_kept_indices(&original, &[0, 3], 5.0);
+        let s = keep(&original, &[0, 3], 5.0);
         assert_eq!(s.num_points(), 2);
         assert_eq!(s.segments().len(), 1);
         let seg = &s.segments()[0];
@@ -286,7 +233,7 @@ mod tests {
     #[test]
     fn keeping_everything_gives_zero_tolerance() {
         let original = traj(&[(0.0, 0.0, 0), (1.0, 2.0, 1), (2.0, 0.0, 2)]);
-        let s = SimplifiedTrajectory::from_kept_indices(&original, &[0, 1, 2], 0.0);
+        let s = keep(&original, &[0, 1, 2], 0.0);
         assert_eq!(s.num_points(), 3);
         assert_eq!(s.max_actual_tolerance(), 0.0);
         assert_eq!(s.reduction_percent(), 0.0);
@@ -295,7 +242,7 @@ mod tests {
     #[test]
     fn single_sample_trajectory_has_no_segments() {
         let original = traj(&[(3.0, 4.0, 7)]);
-        let s = SimplifiedTrajectory::from_kept_indices(&original, &[0], 1.0);
+        let s = keep(&original, &[0], 1.0);
         assert!(s.segments().is_empty());
         assert_eq!(s.location_at(7), Some(Point::new(3.0, 4.0)));
         assert_eq!(s.location_at(8), None);
@@ -306,7 +253,7 @@ mod tests {
     #[test]
     fn segment_covering_and_location() {
         let original = traj(&[(0.0, 0.0, 0), (2.0, 0.0, 2), (2.0, 4.0, 6)]);
-        let s = SimplifiedTrajectory::from_kept_indices(&original, &[0, 1, 2], 0.0);
+        let s = keep(&original, &[0, 1, 2], 0.0);
         assert_eq!(s.segments().len(), 2);
         assert_eq!(s.segment_covering(1).unwrap().start_index, 0);
         assert_eq!(s.segment_covering(2).unwrap().start_index, 0); // boundary → earlier
@@ -321,7 +268,7 @@ mod tests {
     #[test]
     fn segments_intersecting_window() {
         let original = traj(&[(0.0, 0.0, 0), (1.0, 0.0, 4), (2.0, 0.0, 8), (3.0, 0.0, 12)]);
-        let s = SimplifiedTrajectory::from_kept_indices(&original, &[0, 1, 2, 3], 0.0);
+        let s = keep(&original, &[0, 1, 2, 3], 0.0);
         let hits = s.segments_intersecting(TimeInterval::new(5, 9));
         assert_eq!(hits.len(), 2);
         let hits = s.segments_intersecting(TimeInterval::new(0, 12));
@@ -333,7 +280,7 @@ mod tests {
     #[test]
     fn bounding_box_covers_kept_points() {
         let original = traj(&[(0.0, 0.0, 0), (5.0, -3.0, 1), (2.0, 7.0, 2)]);
-        let s = SimplifiedTrajectory::from_kept_indices(&original, &[0, 1, 2], 0.0);
+        let s = keep(&original, &[0, 1, 2], 0.0);
         let b = s.bounding_box();
         assert_eq!(b.min, Point::new(0.0, -3.0));
         assert_eq!(b.max, Point::new(5.0, 7.0));

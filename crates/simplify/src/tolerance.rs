@@ -104,8 +104,7 @@ impl ReductionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::Simplifier;
-    use crate::DouglasPeucker;
+    use crate::SimplificationMethod;
     use trajectory::Trajectory;
 
     fn traj(pts: &[(f64, f64, i64)]) -> Trajectory {
@@ -125,8 +124,8 @@ mod tests {
     fn reduction_stats_aggregate_multiple_trajectories() {
         let t1 = traj(&[(0.0, 0.0, 0), (1.0, 0.0, 1), (2.0, 0.0, 2), (3.0, 0.0, 3)]);
         let t2 = traj(&[(0.0, 0.0, 0), (1.0, 5.0, 1), (2.0, 0.0, 2)]);
-        let s1 = DouglasPeucker.simplify(&t1, 1.0); // collapses to 2 points
-        let s2 = DouglasPeucker.simplify(&t2, 1.0); // spike kept: 3 points
+        let s1 = SimplificationMethod::Dp.simplify(&t1, 1.0); // collapses to 2 points
+        let s2 = SimplificationMethod::Dp.simplify(&t2, 1.0); // spike kept: 3 points
         let stats = ReductionStats::from_simplified([&s1, &s2]);
         assert_eq!(stats.num_trajectories, 2);
         assert_eq!(stats.original_points, 7);

@@ -48,9 +48,10 @@ use convoy_core::{
 use convoy_obs::{Obs, SpanId};
 use std::collections::{BTreeMap, BTreeSet};
 use traj_cluster::{SegmentDistance, SubTrajectory};
-use traj_simplify::{SlidingDp, ToleranceMode};
+use traj_simplify::ToleranceMode;
 use trajectory::{
     FeedError, FeedValidator, ObjectId, Snapshot, SnapshotEntry, TimeInterval, TimePoint,
+    Trajectory,
 };
 
 /// The sample-ingest surface of a streaming discovery pipeline.
@@ -101,7 +102,6 @@ pub struct ConvoyStream {
     // Fields are `pub(crate)` so the sibling `checkpoint` module can export
     // and rebuild the resumable state without widening the public API.
     pub(crate) config: StreamConfig,
-    pub(crate) sliding: SlidingDp,
     pub(crate) distance: SegmentDistance,
     pub(crate) mode: ToleranceMode,
     pub(crate) validator: FeedValidator,
@@ -147,7 +147,6 @@ impl ConvoyStream {
             max_candidates,
         } = config.eviction;
         ConvoyStream {
-            sliding: SlidingDp::new(config.variant.simplification(), config.delta),
             distance: config.variant.segment_distance(),
             mode: config.tolerance_mode,
             validator: FeedValidator::new(),
@@ -302,16 +301,22 @@ impl ConvoyStream {
             0
         };
         let horizon = self.config.eviction.horizon;
+        let simplification = self.config.variant.simplification();
 
         // Sliding-window DP per object: the λ-partition completed, so every
-        // simplified segment intersecting it can now be closed.
+        // simplified segment intersecting it can now be closed. Each run is
+        // a valid δ-simplification of the buffered polyline, so the filter
+        // bounds (Lemmas 1–3) hold, but it differs in general from the batch
+        // simplification: DP's split points depend on samples outside the
+        // window. The coverage fold absorbs that difference.
         let mut items: Vec<SubTrajectory> = Vec::new();
         for (&id, buffer) in &self.buffers {
             let mut segments = Vec::new();
             for run in buffer.runs_for_window(window.start, window.end, horizon) {
-                let Some(simplified) = self.sliding.close_window(run) else {
-                    continue;
-                };
+                let run = Trajectory::from_points(run.to_vec())
+                    // lint: allow(no-unwrap-in-lib) — runs are non-empty and buffered samples stay strictly time-ordered
+                    .expect("window runs are validated sample runs");
+                let simplified = simplification.simplify(&run, self.config.delta);
                 if let Some(sub) = SubTrajectory::for_window(id, &simplified, window) {
                     segments.extend(sub.segments);
                 }

@@ -170,6 +170,7 @@ impl TimedSegment {
     ///
     /// `t` is clamped to the segment's interval; for a zero-length interval
     /// the start point is returned.
+    #[inline]
     pub fn location_at(&self, t: i64) -> Point {
         let (u, v) = (self.interval.start, self.interval.end);
         if v == u {

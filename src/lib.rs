@@ -59,10 +59,7 @@ pub mod prelude {
         generate, open_source, read_csv, write_container_file, write_csv, ContainerError,
         ContainerReader, DatasetProfile, InputFormat, ProfileName,
     };
-    pub use traj_simplify::{
-        DouglasPeucker, DouglasPeuckerPlus, DouglasPeuckerStar, SimplificationMethod, Simplifier,
-        ToleranceMode,
-    };
+    pub use traj_simplify::{SimplificationMethod, ToleranceMode};
     pub use trajectory::{
         ObjectId, Point, ScanStats, TimeInterval, TrajPoint, Trajectory, TrajectoryBuilder,
         TrajectoryDatabase, TrajectorySource,
