@@ -42,7 +42,8 @@ impl ParsedArgs {
     ///
     /// An argument starting with `--` becomes an option when it is followed
     /// by a value that does not itself start with `--`; otherwise it becomes
-    /// a boolean flag.
+    /// a boolean flag (see [`ParsedArgs::get`] for what asking for its value
+    /// does).
     pub fn parse<I, S>(args: I) -> Result<ParsedArgs, ArgError>
     where
         I: IntoIterator<Item = S>,
@@ -79,14 +80,33 @@ impl ParsedArgs {
         Ok(parsed)
     }
 
-    /// Returns the value of `--key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+    /// Returns the value of `--key`, or `None` when the option is absent.
+    /// An option given with no value is the error `--KEY requires a value`,
+    /// so a valueless option can never pass for an absent one.
+    pub fn get(&self, key: &str) -> Result<Option<&str>, ArgError> {
+        match self.options.get(key) {
+            Some(value) => Ok(Some(value)),
+            None if self.flags.iter().any(|f| f == key) => {
+                Err(ArgError(format!("--{key} requires a value")))
+            }
+            None => Ok(None),
+        }
     }
 
     /// Returns `true` when `--flag` was given (with or without a value).
     pub fn has_flag(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag) || self.options.contains_key(flag)
+    }
+
+    /// Returns the value of `--key` parsed as `T`, or `None` when absent.
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.get(key)?
+            .map(|value| {
+                value
+                    .parse::<T>()
+                    .map_err(|_| ArgError(format!("cannot parse --{key} value `{value}`")))
+            })
+            .transpose()
     }
 
     /// Returns the value of `--key` parsed as `T`, or `default` when absent.
@@ -95,22 +115,13 @@ impl ParsedArgs {
         key: &str,
         default: T,
     ) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(value) => value
-                .parse::<T>()
-                .map_err(|_| ArgError(format!("cannot parse --{key} value `{value}`"))),
-        }
+        Ok(self.get_parsed(key)?.unwrap_or(default))
     }
 
     /// Returns the value of `--key` parsed as `T`, erroring when absent.
     pub fn require_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, ArgError> {
-        let value = self
-            .get(key)
-            .ok_or_else(|| ArgError(format!("missing required option --{key}")))?;
-        value
-            .parse::<T>()
-            .map_err(|_| ArgError(format!("cannot parse --{key} value `{value}`")))
+        self.get_parsed(key)?
+            .ok_or_else(|| ArgError(format!("missing required option --{key}")))
     }
 
     /// Ensures that every supplied option/flag is one of `allowed`, so typos
@@ -141,8 +152,8 @@ mod tests {
         let parsed =
             ParsedArgs::parse(["input.csv", "--m", "3", "--verbose", "--e", "2.5"]).unwrap();
         assert_eq!(parsed.positional, vec!["input.csv"]);
-        assert_eq!(parsed.get("m"), Some("3"));
-        assert_eq!(parsed.get("e"), Some("2.5"));
+        assert_eq!(parsed.get("m"), Ok(Some("3")));
+        assert_eq!(parsed.get("e"), Ok(Some("2.5")));
         assert!(parsed.has_flag("verbose"));
         assert!(!parsed.has_flag("quiet"));
     }
@@ -175,6 +186,29 @@ mod tests {
     fn flag_followed_by_option_is_a_flag() {
         let parsed = ParsedArgs::parse(["--quiet", "--m", "3"]).unwrap();
         assert!(parsed.has_flag("quiet"));
-        assert_eq!(parsed.get("m"), Some("3"));
+        assert_eq!(parsed.get("m"), Ok(Some("3")));
+    }
+
+    #[test]
+    fn asking_for_the_value_of_a_valueless_option_is_an_error() {
+        let parsed = ParsedArgs::parse(["--delta", "--m", "3", "--out"]).unwrap();
+        let requires = |key: &str| ArgError(format!("--{key} requires a value"));
+        assert_eq!(parsed.get("delta").unwrap_err(), requires("delta"));
+        assert_eq!(parsed.get("out").unwrap_err(), requires("out"));
+        assert_eq!(
+            parsed.get_parsed::<f64>("delta").unwrap_err(),
+            requires("delta")
+        );
+        assert_eq!(
+            parsed.get_parsed_or("delta", 1.0).unwrap_err(),
+            requires("delta")
+        );
+        assert_eq!(
+            parsed.require_parsed::<f64>("out").unwrap_err(),
+            requires("out")
+        );
+        assert_eq!(parsed.get("absent"), Ok(None));
+        // Switches stay switches.
+        assert!(parsed.has_flag("delta"));
     }
 }

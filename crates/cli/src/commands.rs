@@ -177,16 +177,12 @@ fn load_path(path: &str) -> Result<TrajectoryDatabase, CommandError> {
 /// reported rather than silently ignored.
 fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, CommandError> {
     // A bare `--parallel` (no count, e.g. followed by another flag or at
-    // the end of the line) parses as a boolean flag; it means "every core"
-    // rather than being silently ignored.
-    let parallel = match args.get("parallel") {
-        Some(value) => Some(
-            value
-                .parse()
-                .map_err(|_| CommandError(format!("cannot parse --parallel value `{value}`")))?,
-        ),
-        None if args.flags.iter().any(|f| f == "parallel") => Some(0),
-        None => None,
+    // the end of the line) parses as a boolean flag; it is the one value
+    // option whose valueless form means something: "every core".
+    let parallel = if args.flags.iter().any(|f| f == "parallel") {
+        Some(0)
+    } else {
+        args.get_parsed("parallel")?
     };
     if parallel.is_some() && method != Method::Cmc {
         return Err(CommandError(
@@ -199,24 +195,37 @@ fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, Comm
 fn query_from_args(args: &ParsedArgs) -> Result<ConvoyQuery, CommandError> {
     let m: usize = args.require_parsed("m")?;
     let k: usize = args.require_parsed("k")?;
-    let e: f64 = args.require_parsed("e")?;
-    if e <= 0.0 {
-        return Err(CommandError("--e must be positive".into()));
-    }
+    let e = check_distance("e", args.require_parsed("e")?)?;
     Ok(ConvoyQuery::new(m, k, e))
+}
+
+/// Checks a distance option: `--e` must be positive, `--delta` (any other
+/// key) non-negative. Both comparisons are written so that NaN fails them:
+/// a NaN ε makes CuTS hang and CMC report nothing, and a negative δ inflates
+/// the global tolerance past the filter's no-false-dismissal bound.
+fn check_distance(key: &str, value: f64) -> Result<f64, CommandError> {
+    let (valid, rule) = if key == "e" {
+        (value > 0.0, "positive")
+    } else {
+        (value >= 0.0, "non-negative")
+    };
+    if !valid {
+        return Err(CommandError(format!("--{key} must be {rule}")));
+    }
+    Ok(value)
 }
 
 /// `convoy generate`: write a synthetic dataset CSV.
 pub fn generate_command(args: &ParsedArgs) -> Result<String, CommandError> {
     args.reject_unknown(&["profile", "scale", "seed", "out"])?;
     let profile_name = parse_profile(
-        args.get("profile")
+        args.get("profile")?
             .ok_or_else(|| CommandError("missing --profile".into()))?,
     )?;
     let scale: f64 = args.get_parsed_or("scale", 0.1)?;
     let seed: u64 = args.get_parsed_or("seed", 42)?;
     let out = args
-        .get("out")
+        .get("out")?
         .ok_or_else(|| CommandError("missing --out".into()))?;
 
     let profile = DatasetProfile::named(profile_name).scaled(scale);
@@ -340,17 +349,8 @@ struct ObsSetup {
 }
 
 fn obs_from_args(args: &ParsedArgs) -> Result<ObsSetup, CommandError> {
-    let path_of = |key: &str| -> Result<Option<String>, CommandError> {
-        match args.get(key) {
-            Some(path) => Ok(Some(path.to_string())),
-            None if args.has_flag(key) => {
-                Err(CommandError(format!("--{key} requires an output path")))
-            }
-            None => Ok(None),
-        }
-    };
-    let trace = path_of("trace")?;
-    let metrics = path_of("metrics-json")?;
+    let trace = args.get("trace")?.map(str::to_string);
+    let metrics = args.get("metrics-json")?.map(str::to_string);
     if trace.is_none() && metrics.is_none() {
         return Ok(ObsSetup {
             registry: None,
@@ -392,7 +392,7 @@ impl ObsSetup {
 /// window at all (a full load).
 fn parse_window(args: &ParsedArgs) -> Result<Option<TimeInterval>, CommandError> {
     let parse_bound = |flag: &str| -> Result<Option<i64>, CommandError> {
-        args.get(flag)
+        args.get(flag)?
             .map(|raw| {
                 raw.parse().map_err(|_| {
                     CommandError(format!("cannot parse --{flag} value `{raw}` as a tick"))
@@ -445,23 +445,15 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
     let source_format = source.format_name();
     drop(source);
     let query = query_from_args(args)?;
-    let method = parse_method(args.get("method").unwrap_or("cuts-star"))?;
+    let method = parse_method(args.get("method")?.unwrap_or("cuts-star"))?;
     let engine = engine_from_args(args, method)?;
 
     let mut config = CutsConfig::new(method.cuts_variant().unwrap_or(CutsVariant::CutsStar));
-    if let Some(delta) = args.get("delta") {
-        config = config.with_delta(
-            delta
-                .parse()
-                .map_err(|_| CommandError(format!("cannot parse --delta value `{delta}`")))?,
-        );
+    if let Some(delta) = args.get_parsed("delta")? {
+        config = config.with_delta(check_distance("delta", delta)?);
     }
-    if let Some(lambda) = args.get("lambda") {
-        config = config.with_lambda(
-            lambda
-                .parse()
-                .map_err(|_| CommandError(format!("cannot parse --lambda value `{lambda}`")))?,
-        );
+    if let Some(lambda) = args.get_parsed("lambda")? {
+        config = config.with_lambda(lambda);
     }
     if args.has_flag("global-tolerance") {
         config = config.with_tolerance_mode(ToleranceMode::Global);
@@ -559,10 +551,10 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
         .ok_or_else(|| CommandError("missing input (CSV path or `-` for stdin)".into()))?
         .clone();
 
-    let resume = args.get("resume").map(str::to_string);
-    let checkpoint_path = args.get("checkpoint-path").map(str::to_string);
+    let resume = args.get("resume")?.map(str::to_string);
+    let checkpoint_path = args.get("checkpoint-path")?.map(str::to_string);
     let checkpoint_every: u64 = args.get_parsed_or("checkpoint-every", 1)?;
-    if args.get("checkpoint-every").is_some() && checkpoint_path.is_none() {
+    if args.has_flag("checkpoint-every") && checkpoint_path.is_none() {
         return Err(CommandError(
             "--checkpoint-every requires --checkpoint-path".into(),
         ));
@@ -589,7 +581,7 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
             "horizon",
             "max-candidates",
         ] {
-            if args.get(key).is_some() || args.has_flag(key) {
+            if args.has_flag(key) {
                 return Err(CommandError(format!(
                     "--{key} conflicts with --resume (parameters come from the checkpoint)"
                 )));
@@ -605,7 +597,7 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
         (stream, samples)
     } else {
         let query = query_from_args(args)?;
-        let method = parse_method(args.get("method").unwrap_or("cuts"))?;
+        let method = parse_method(args.get("method")?.unwrap_or("cuts"))?;
         let Some(variant) = method.cuts_variant() else {
             return Err(CommandError(
                 "streaming discovery runs the CuTS pipeline; pick --method cuts, cuts-plus or cuts-star"
@@ -614,38 +606,23 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
         };
 
         let mut eviction = EvictionPolicy::unbounded();
-        if let Some(horizon) = args.get("horizon") {
-            let horizon: i64 = horizon
-                .parse()
-                .map_err(|_| CommandError(format!("cannot parse --horizon value `{horizon}`")))?;
+        if let Some(horizon) = args.get_parsed::<i64>("horizon")? {
             if horizon < 1 {
                 return Err(CommandError("--horizon must be at least 1 tick".into()));
             }
             eviction = eviction.with_horizon(horizon);
         }
-        if let Some(max) = args.get("max-candidates") {
-            let max: usize = max.parse().map_err(|_| {
-                CommandError(format!("cannot parse --max-candidates value `{max}`"))
-            })?;
+        if let Some(max) = args.get_parsed::<usize>("max-candidates")? {
             if max == 0 {
                 return Err(CommandError("--max-candidates must be positive".into()));
             }
             eviction = eviction.with_max_candidates(max);
         }
-        let delta_arg: Option<f64> = match args.get("delta") {
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| CommandError(format!("cannot parse --delta value `{v}`")))?,
-            ),
+        let delta_arg = match args.get_parsed("delta")? {
+            Some(delta) => Some(check_distance("delta", delta)?),
             None => None,
         };
-        let lambda_arg: Option<usize> = match args.get("lambda") {
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| CommandError(format!("cannot parse --lambda value `{v}`")))?,
-            ),
-            None => None,
-        };
+        let lambda_arg: Option<usize> = args.get_parsed("lambda")?;
 
         // Assemble the feed: a file is replayed in time order (with
         // batch-style automatic δ/λ when not given); stdin is consumed line
@@ -743,7 +720,7 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
                 match stream.push(id, p.t, p.x, p.y) {
                     Ok(()) => {}
                     // On --resume the file is replayed from the top; the
-                    // restored validator rejects exactly the samples the
+                    // restored stream rejects exactly the samples the
                     // checkpoint already ingested, which is how the replay
                     // fast-forwards to where it left off.
                     Err(_) if resume.is_some() => {
@@ -846,11 +823,8 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
 pub fn simplify_command(args: &ParsedArgs) -> Result<String, CommandError> {
     args.reject_unknown(&["delta", "method"])?;
     let (path, db) = load_database(args)?;
-    let delta: f64 = args.require_parsed("delta")?;
-    if delta < 0.0 {
-        return Err(CommandError("--delta must be non-negative".into()));
-    }
-    let method = parse_simplifier(args.get("method").unwrap_or("dp"))?;
+    let delta = check_distance("delta", args.require_parsed("delta")?)?;
+    let method = parse_simplifier(args.get("method")?.unwrap_or("dp"))?;
     let simplified: Vec<_> = db.iter().map(|(_, t)| method.simplify(t, delta)).collect();
     let stats = ReductionStats::from_simplified(simplified.iter());
     Ok(format!(
@@ -1031,6 +1005,25 @@ mod tests {
         let args =
             ParsedArgs::parse(["/no/such/file.csv", "--m", "3", "--k", "1", "--e", "5"]).unwrap();
         assert!(discover_command(&args).is_err());
+    }
+
+    #[test]
+    fn distance_options_reject_nan_and_out_of_range_values() {
+        assert_eq!(check_distance("e", 2.5).unwrap(), 2.5);
+        for bad in [0.0, -1.0, f64::NAN] {
+            assert_eq!(
+                check_distance("e", bad).unwrap_err().0,
+                "--e must be positive"
+            );
+        }
+        assert_eq!(check_distance("delta", 0.0).unwrap(), 0.0);
+        for bad in [-5.0, f64::NAN] {
+            let err = check_distance("delta", bad).unwrap_err();
+            assert_eq!(err.0, "--delta must be non-negative");
+        }
+        // The query reader every query command shares applies the check.
+        let args = ParsedArgs::parse(["--m", "3", "--k", "5", "--e", "nan"]).unwrap();
+        assert!(query_from_args(&args).is_err());
     }
 
     #[test]

@@ -311,6 +311,47 @@ fn stream_validates_its_arguments() {
         .stderr_contains("--horizon");
 }
 
+/// Writes the truck fixture (`--scale 0.02 --seed 11`) to `name`.
+fn truck_fixture(name: &str) -> String {
+    let path = temp_path(name);
+    let path = path.to_str().unwrap().to_string();
+    convoy()
+        .args(["generate", "--profile", "truck", "--scale", "0.02"])
+        .args(["--seed", "11", "--out", &path])
+        .assert()
+        .success();
+    path
+}
+
+#[test]
+fn stream_checkpoint_path_without_a_value_is_an_error() {
+    // A valueless option must not pass for an absent one: the run would
+    // succeed with no checkpoint written.
+    let path = truck_fixture("valueless-checkpoint.csv");
+    convoy()
+        .args(["stream", &path, "--m", "3", "--k", "5", "--e", "10"])
+        .arg("--checkpoint-path")
+        .assert()
+        .failure()
+        .code(1)
+        .stdout_is_empty()
+        .stderr_contains("--checkpoint-path requires a value");
+}
+
+#[test]
+fn discover_delta_without_a_value_is_an_error() {
+    // Otherwise the run would silently fall back to the automatic δ.
+    let path = truck_fixture("valueless-delta.csv");
+    convoy()
+        .args(["discover", &path, "--m", "3", "--k", "5", "--e", "10"])
+        .arg("--delta")
+        .assert()
+        .failure()
+        .code(1)
+        .stdout_is_empty()
+        .stderr_contains("--delta requires a value");
+}
+
 /// A stdin feed with a convoy that confirms mid-feed: a pair travels
 /// together for t=0..=9, separates for t=10..=29 (closing the convoy well
 /// before EOF), then one out-of-order straggler arrives as the final line.

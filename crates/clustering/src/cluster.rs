@@ -1,6 +1,5 @@
 //! Clusters of object identifiers.
 
-use serde::{Deserialize, Serialize};
 use trajectory::ObjectId;
 
 /// A cluster of objects: a sorted, de-duplicated set of object ids.
@@ -9,7 +8,7 @@ use trajectory::ObjectId;
 /// clustering routines and the convoy candidate bookkeeping (where they are
 /// intersected across time). Keeping the ids sorted makes intersection and
 /// overlap counting linear.
-#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct Cluster {
     members: Vec<ObjectId>,
 }

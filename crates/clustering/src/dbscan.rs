@@ -7,8 +7,6 @@
 //! point snapshots and simplified sub-trajectories both plug in through the
 //! [`RegionQuery`] trait.
 
-use serde::{Deserialize, Serialize};
-
 /// A neighbourhood provider: given an item index, returns the indices of all
 /// items within distance `e` of it (the `NH_e` set, **including** the item
 /// itself).
@@ -41,7 +39,7 @@ pub trait RegionQuery {
 }
 
 /// The DBSCAN label assigned to an item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Label {
     /// The item has not been visited yet (only observable mid-run).
     Unvisited,

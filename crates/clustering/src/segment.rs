@@ -18,13 +18,12 @@
 
 use crate::cluster::Cluster;
 use crate::dbscan::{dbscan, labels_to_clusters, RegionQuery};
-use serde::{Deserialize, Serialize};
 use traj_simplify::{SimplifiedSegment, SimplifiedTrajectory, ToleranceMode};
 use trajectory::geometry::BoundingBox;
 use trajectory::{ObjectId, TimeInterval};
 
 /// Which segment-to-segment distance the filter step uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentDistance {
     /// The spatial shortest distance `DLL` between segments (Lemma 1;
     /// CuTS and CuTS+).
@@ -60,7 +59,7 @@ impl SegmentDistance {
 
 /// The portion of one object's simplified trajectory that falls into one time
 /// partition: the unit of clustering in the CuTS filter step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubTrajectory {
     /// The object the sub-trajectory belongs to.
     pub object: ObjectId,

@@ -1,13 +1,12 @@
 //! Candidate convoy bookkeeping shared by CMC and the CuTS filter step.
 
 use crate::query::Convoy;
-use serde::{Deserialize, Serialize};
 use traj_cluster::Cluster;
 use trajectory::{ObjectId, TimePoint};
 
 /// A convoy candidate under construction: a set of objects that have stayed
 /// in a common (snapshot or partition) cluster since `start`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateConvoy {
     /// The objects currently shared by every cluster of the candidate's chain.
     pub objects: Cluster,

@@ -11,7 +11,6 @@ use crate::cuts::partition::{cluster_partition, CandidateChain, PartitionCluster
 use crate::cuts::CutsConfig;
 use crate::params::{auto_delta, auto_lambda};
 use crate::query::ConvoyQuery;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use traj_cluster::SubTrajectory;
 use traj_simplify::SimplifiedTrajectory;
@@ -19,7 +18,7 @@ use trajectory::{ObjectId, TimeInterval, TimePartition, TrajectoryDatabase};
 
 /// The output of the filter step: candidate convoys plus the bookkeeping the
 /// refinement step and the benchmark harness need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterOutput {
     /// Candidate convoys (a superset of the true convoys, at partition
     /// granularity).

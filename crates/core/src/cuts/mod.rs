@@ -15,12 +15,11 @@ pub mod filter;
 pub mod partition;
 pub mod refine;
 
-use serde::{Deserialize, Serialize};
 use traj_cluster::SegmentDistance;
 use traj_simplify::{SimplificationMethod, ToleranceMode};
 
 /// The three members of the CuTS family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CutsVariant {
     /// CuTS: DP simplification + `DLL` distance bounds (Lemma 1).
     Cuts,
@@ -73,7 +72,7 @@ impl std::fmt::Display for CutsVariant {
 
 /// Tuning knobs of the CuTS filter step. None of these affect correctness —
 /// only the filter's selectivity and therefore the running time (Section 7.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CutsConfig {
     /// The variant to run.
     pub variant: CutsVariant,

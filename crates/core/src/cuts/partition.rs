@@ -12,7 +12,6 @@
 
 use crate::candidate::{CandidateConvoy, OverlapIndex};
 use crate::query::ConvoyQuery;
-use serde::{Deserialize, Serialize};
 use traj_cluster::{cluster_sub_trajectories, Cluster, SegmentDistance, SubTrajectory};
 use traj_simplify::ToleranceMode;
 use trajectory::TimeInterval;
@@ -21,7 +20,7 @@ use trajectory::TimeInterval;
 /// window. This is the currency between the filter and the refinement stage:
 /// the refinement only ever inspects objects that co-clustered in the
 /// partition covering each time point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionClusters {
     /// The partition's time window (consecutive partitions share their
     /// boundary time point, matching [`trajectory::TimePartition`]).

@@ -11,11 +11,10 @@ use crate::metrics::{refinement_unit, DiscoveryStats};
 use crate::params::auto_delta;
 use crate::query::{normalize_convoys, Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
-use serde::{Deserialize, Serialize};
 use trajectory::{TimeInterval, TrajectoryDatabase, TrajectorySource};
 
 /// Which discovery algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Method {
     /// The CMC baseline (Algorithm 1).
     Cmc,
@@ -64,7 +63,7 @@ impl std::fmt::Display for Method {
 }
 
 /// The result of one discovery run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscoveryOutcome {
     /// The method that produced the result.
     pub method: Method,

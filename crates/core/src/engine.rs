@@ -42,7 +42,6 @@
 use crate::candidate::{CandidateConvoy, OverlapIndex};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -130,7 +129,7 @@ pub struct CmcState {
 /// surface for long or unbounded feeds, where the interesting questions are
 /// "how big did the working set get", "how much of the stream have we seen"
 /// and "how often did feed outages cut chains short".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CmcStats {
     /// Largest number of simultaneously open candidate chains observed (a
     /// bound on the per-tick working set; see
@@ -549,7 +548,7 @@ fn dedup_register(
 }
 
 /// How a CMC run extracts and processes snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CmcEngine {
     /// Stream snapshots from one sorted sweep over all samples
     /// ([`SnapshotSweep`]) and fold them incrementally. The default.

@@ -8,12 +8,11 @@
 //! lifetime constraint and its membership may drift over time.
 
 use crate::query::Convoy;
-use serde::{Deserialize, Serialize};
 use traj_cluster::{Cluster, SnapshotClusterer};
 use trajectory::{SnapshotPolicy, TimePoint, TrajectoryDatabase};
 
 /// Parameters of the MC2 baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mc2Config {
     /// Distance threshold for the snapshot clustering (the convoy query's `e`).
     pub e: f64,

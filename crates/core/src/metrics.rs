@@ -6,11 +6,10 @@ use crate::candidate::CandidateConvoy;
 use crate::discovery::DiscoveryOutcome;
 use crate::engine::CmcStats;
 use convoy_obs::{MetricsSnapshot, Recorder, Registry};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one discovery run, consumed by the benchmark
 /// harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DiscoveryStats {
     /// Number of candidate convoys the filter produced (0 for CMC).
     pub num_candidates: usize,

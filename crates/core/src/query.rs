@@ -1,11 +1,10 @@
 //! The convoy query, convoy results, and result-set comparison utilities.
 
-use serde::{Deserialize, Serialize};
 use traj_cluster::Cluster;
 use trajectory::{TimeInterval, TimePoint};
 
 /// The parameters of a convoy query (Definition 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvoyQuery {
     /// Minimum number of objects in a convoy (`m`).
     pub m: usize,
@@ -29,7 +28,7 @@ impl ConvoyQuery {
 
 /// One convoy in a query result: a group of objects together with the time
 /// interval during which they travelled together.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Convoy {
     /// The member objects.
     pub objects: Cluster,
@@ -145,7 +144,7 @@ pub fn normalize_convoys(convoys: Vec<Convoy>, query: &ConvoyQuery) -> Vec<Convo
 /// Accuracy of a candidate result set against a reference result set, in the
 /// shape of the paper's Figure 19 (percentages of false positives and false
 /// negatives).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AccuracyReport {
     /// Number of reported convoys.
     pub reported: usize,

@@ -1,6 +1,5 @@
 //! Ground-truth records of the convoys planted by the generator.
 
-use serde::{Deserialize, Serialize};
 use trajectory::{ObjectId, TimeInterval, TimePoint};
 
 /// One convoy planted into a generated dataset: the generator steered these
@@ -8,7 +7,7 @@ use trajectory::{ObjectId, TimeInterval, TimePoint};
 /// the interval, so a correct convoy algorithm queried with (m ≤ members,
 /// k ≤ lifetime, e) must report a convoy containing them over (at least) this
 /// interval.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlantedConvoy {
     /// The member objects.
     pub members: Vec<ObjectId>,

@@ -88,10 +88,10 @@ pub fn parse_csv_line(line: &str, line_no: usize) -> Result<Option<(ObjectId, i6
 ///
 /// **Duplicate `(object, t)` samples keep the last occurrence** ("later fix
 /// wins", see [`TrajectoryBuilder::build`]). This deliberately differs from
-/// the streaming path: a live [`trajectory::FeedValidator`] *rejects* a
-/// duplicate timestamp, because by the time the duplicate arrives the first
-/// sample may already have been consumed downstream and cannot be retracted.
-/// Batch ingest sees the whole file before building, so it can honor the
+/// the streaming path: a live feed *rejects* a duplicate timestamp
+/// ([`trajectory::FeedError::DuplicateTimestamp`]), because by the time the
+/// duplicate arrives the first sample may already have been consumed
+/// downstream and cannot be retracted. Batch ingest sees the whole file before building, so it can honor the
 /// later correction. `convoy convert` reports how many samples a file lost
 /// to this collapsing so the divergence is visible.
 pub fn read_csv<R: Read>(reader: R) -> Result<TrajectoryDatabase> {
@@ -232,40 +232,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_streaming_ingest_diverge_on_duplicates_as_documented() {
-        // The same file, both ingest paths. Batch `read_csv` collapses the
-        // duplicate `(object, t)` sample keeping the LAST occurrence; the
-        // streaming `FeedValidator` REJECTS the duplicate, keeping the FIRST.
-        // Both behaviors are intended (see the docs on `read_csv` and
-        // `FeedError::DuplicateTimestamp`); this test pins the divergence so
-        // a change on either side is a conscious one.
-        use trajectory::{FeedError, FeedValidator};
+    fn batch_ingest_keeps_the_last_duplicate_as_documented() {
+        // Batch `read_csv` collapses the duplicate `(object, t)` sample
+        // keeping the LAST occurrence; a live feed (`convoy-stream`) rejects
+        // the duplicate and keeps the FIRST. Both behaviors are intended (see
+        // the docs on `read_csv` and `FeedError::DuplicateTimestamp`); the
+        // stream's tests pin its half on the same file.
         let csv = "1,0,1.0,0.0\n1,1,2.0,0.0\n1,1,9.0,0.0\n2,1,5.0,5.0\n";
 
         let db = read_csv(csv.as_bytes()).unwrap();
         assert_eq!(db.total_points(), 3);
         // Batch: the later fix wins.
         assert_eq!(db.get(ObjectId(1)).unwrap().sample_at(1).unwrap().x, 9.0);
-
-        let mut feed = FeedValidator::new();
-        let mut admitted: Vec<(ObjectId, i64, f64, f64)> = Vec::new();
-        let mut rejected = 0usize;
-        for (line_no, line) in csv.lines().enumerate() {
-            let (id, t, x, y) = parse_csv_line(line, line_no + 1).unwrap().unwrap();
-            match feed.admit(id, t, x, y) {
-                Ok(()) => admitted.push((id, t, x, y)),
-                Err(FeedError::DuplicateTimestamp { object, t }) => {
-                    assert_eq!((object, t), (ObjectId(1), 1));
-                    rejected += 1;
-                }
-                Err(other) => panic!("unexpected feed rejection {other:?}"),
-            }
-        }
-        // Streaming: the first sample stands, the duplicate is refused.
-        assert_eq!(rejected, 1);
-        assert_eq!(admitted.len(), 3);
-        assert!(admitted.contains(&(ObjectId(1), 1, 2.0, 0.0)));
-        assert!(!admitted.contains(&(ObjectId(1), 1, 9.0, 0.0)));
 
         // And the pre-dedup count that `convoy convert` reports: 4 parsed,
         // 3 survive, 1 duplicate.

@@ -1,9 +1,7 @@
 //! Dataset profiles mirroring the paper's Table 3.
 
-use serde::{Deserialize, Serialize};
-
 /// The four named dataset profiles of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProfileName {
     /// Athens concrete trucks: medium N, long T, regular sampling.
     Truck,
@@ -42,7 +40,7 @@ impl std::fmt::Display for ProfileName {
 }
 
 /// How objects move in the synthetic world.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MovementModel {
     /// Side length of the square world the objects roam in.
     pub world_size: f64,
@@ -71,7 +69,7 @@ pub struct MovementModel {
 /// A complete description of a synthetic dataset: size, sampling behaviour,
 /// movement model, planted convoy structure, and the convoy-query parameters
 /// the paper's Table 3 lists for the corresponding real dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetProfile {
     /// Which named profile this derives from.
     pub name: ProfileName,

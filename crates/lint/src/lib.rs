@@ -294,8 +294,8 @@ pub fn render_human(report: &Report) -> String {
     out
 }
 
-/// Renders a report as JSON (hand-rolled — the vendored serde stand-in has
-/// no derive-based serializer, and the shape here is flat and stable).
+/// Renders a report as JSON (hand-rolled: the workspace has no serializer
+/// dependency, and the shape here is flat and stable).
 pub fn render_json(report: &Report) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));

@@ -2,7 +2,6 @@
 //! methods.
 
 use crate::simplified::SimplifiedTrajectory;
-use serde::{Deserialize, Serialize};
 use trajectory::geometry::segment::{Segment, TimedSegment};
 use trajectory::{TimeInterval, TrajPoint, Trajectory};
 
@@ -27,7 +26,7 @@ use trajectory::{TimeInterval, TrajPoint, Trajectory};
 /// cases the maximum over the original samples equals the maximum over the
 /// continuous interval, since the trajectory is piecewise linear and both
 /// deviations are convex along each piece.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimplificationMethod {
     /// Classic Douglas–Peucker (Section 2.2 / 5.1). Distances are `DPL`
     /// (point-to-*segment*), never smaller than the perpendicular distance,

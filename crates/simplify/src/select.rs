@@ -6,12 +6,11 @@
 //! optimal values, exactly as the paper does.
 
 use crate::simplified::SimplifiedTrajectory;
-use serde::{Deserialize, Serialize};
 use trajectory::geometry::Segment;
 use trajectory::{Trajectory, TrajectoryDatabase};
 
 /// The outcome of the δ-selection guideline for a single trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaSelection {
     /// The selected tolerance δ_s (the smaller value of the adjacent pair
     /// with the largest gap, restricted to values below `e`).

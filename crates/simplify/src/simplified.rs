@@ -1,7 +1,6 @@
 //! Simplified trajectories and their segments.
 
 use crate::dp::{chord, SimplificationMethod};
-use serde::{Deserialize, Serialize};
 use trajectory::geometry::segment::{Segment, TimedSegment};
 use trajectory::geometry::{BoundingBox, Point};
 use trajectory::{TimeInterval, TimePoint, TrajPoint, Trajectory};
@@ -12,7 +11,7 @@ use trajectory::{TimeInterval, TimePoint, TrajPoint, Trajectory};
 /// **actual tolerance** `δ(l′)` of Definition 4 — the maximum distance from
 /// any original sample whose timestamp falls inside the segment's interval to
 /// the segment — and the index range of the original samples it replaces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimplifiedSegment {
     /// Spatial endpoints plus time interval.
     pub timed: TimedSegment,
@@ -49,7 +48,7 @@ impl SimplifiedSegment {
 
 /// A simplified trajectory `o′`: the retained samples of the original
 /// trajectory plus the derived segments with their actual tolerances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimplifiedTrajectory {
     /// The retained samples (a subset of the original samples, in time order).
     points: Vec<TrajPoint>,

@@ -2,7 +2,6 @@
 //! the paper) and vertex-reduction statistics (Figure 15).
 
 use crate::simplified::SimplifiedTrajectory;
-use serde::{Deserialize, Serialize};
 
 /// Which tolerance the filter step uses when enlarging its range searches
 /// over simplified segments.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// The paper observes (Section 7.2, Figure 14) that the **actual** tolerance
 /// recorded per segment is never larger than — and usually much smaller than —
 /// the global δ, so using it tightens the filter without risking correctness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ToleranceMode {
     /// Use each segment's recorded actual tolerance `δ(l′)` (the default and
     /// the paper's recommended setting).
@@ -42,7 +41,7 @@ impl ToleranceMode {
 
 /// Aggregate vertex-reduction statistics over a set of simplified
 /// trajectories (one dataset), in the shape of Figure 15(a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReductionStats {
     /// Total number of samples before simplification.
     pub original_points: usize,

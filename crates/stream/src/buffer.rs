@@ -13,8 +13,8 @@
 
 use trajectory::{Point, TimePoint, TrajPoint};
 
-/// One object's buffered samples, time-sorted and duplicate-free (the feed
-/// validator guarantees both).
+/// One object's buffered samples, time-sorted and duplicate-free (the
+/// stream's feed-order check guarantees both).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ObjectBuffer {
     samples: Vec<TrajPoint>,
@@ -45,7 +45,7 @@ impl ObjectBuffer {
 
     /// Rebuilds a buffer from checkpointed samples. Returns `None` unless the
     /// samples are non-empty and strictly increasing in time — the invariants
-    /// the feed validator enforces on the live path.
+    /// the feed-order check enforces on the live path.
     pub fn from_samples(samples: Vec<TrajPoint>) -> Option<Self> {
         if samples.is_empty() || samples.windows(2).any(|w| w[0].t >= w[1].t) {
             return None;
@@ -53,7 +53,7 @@ impl ObjectBuffer {
         Some(ObjectBuffer { samples })
     }
 
-    /// Appends a sample (the validator has already enforced feed order).
+    /// Appends a sample (the stream has already enforced feed order).
     pub fn push(&mut self, sample: TrajPoint) {
         debug_assert!(self.samples.last().is_none_or(|last| last.t < sample.t));
         self.samples.push(sample);

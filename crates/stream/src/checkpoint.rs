@@ -1,8 +1,9 @@
 //! Crash-safe checkpoint/restore for [`ConvoyStream`].
 //!
 //! A checkpoint captures everything a stream needs to resume
-//! **bit-identically**: the feed validator (watermark + per-object cursors),
-//! the per-object sample buffers, the partition cursor, the coarse candidate
+//! **bit-identically**: the feed watermark, the per-object sample buffers
+//! (whose newest samples double as the per-object feed-order cursors), the
+//! partition cursor, the coarse candidate
 //! chain, the refinement fold (including its held-back boundary partition),
 //! the undrained output, and every lifetime counter. Scratch state — the
 //! snapshot clusterer, the dedup index, the cached partition blocker — is
@@ -11,15 +12,16 @@
 //! `run N+M ticks` on raw convoys and [`crate::StreamStats`] alike;
 //! `tests/checkpoint_equivalence.rs` locks this in).
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! ```text
 //! magic   8 bytes   b"CONVOYCK"
-//! version u32 LE    1
+//! version u32 LE    2
 //! 7 sections, fixed order, each: tag u32 LE + payload length u64 LE + payload
 //!   1 CONFIG     query (m, k, e), variant, δ, λ, tolerance mode, eviction
-//!   2 VALIDATOR  watermark + per-object last timestamps (ascending ids)
-//!   3 BUFFERS    per-object samples (ascending ids, ascending timestamps)
+//!   2 WATERMARK  the feed watermark (largest accepted timestamp), optional
+//!   3 BUFFERS    per-object samples (ascending ids, ascending timestamps,
+//!                none newer than the watermark)
 //!   4 FILTER     partition cursor + candidate-chain state
 //!   5 FOLD       refinement-fold state (CmcState view + boundary coverage)
 //!   6 OUTPUT     undrained convoys and candidates
@@ -37,7 +39,8 @@
 //! the checkpoint being written, never corrupt the previous one. Decoding is
 //! strict: a truncated, bit-flipped, version-bumped or trailing-garbage file
 //! is rejected with a [`CheckpointError`], never a panic or a partial
-//! restore.
+//! restore. Version 1 files (which also stored a per-object validator list)
+//! are rejected as [`CheckpointError::UnsupportedVersion`].
 
 // This module faces arbitrary bytes; every abort path is a bug. Enforced
 // three ways: convoy-lint's no-panic-decode rule, the every-byte-flip
@@ -57,9 +60,7 @@ use std::io::Write;
 use std::path::Path;
 use traj_cluster::Cluster;
 use traj_simplify::ToleranceMode;
-use trajectory::{
-    FeedValidator, FeedValidatorSnapshot, ObjectId, TimeInterval, TimePoint, TrajPoint,
-};
+use trajectory::{ObjectId, TimeInterval, TrajPoint};
 
 /// The trailer checksum: the `.convoy` container's IEEE CRC-32, shared.
 pub use traj_datasets::container::crc32;
@@ -68,10 +69,10 @@ pub use traj_datasets::container::crc32;
 pub const MAGIC: [u8; 8] = *b"CONVOYCK";
 
 /// The current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const TAG_CONFIG: u32 = 1;
-const TAG_VALIDATOR: u32 = 2;
+const TAG_WATERMARK: u32 = 2;
 const TAG_BUFFERS: u32 = 3;
 const TAG_FILTER: u32 = 4;
 const TAG_FOLD: u32 = 5;
@@ -426,15 +427,7 @@ impl ConvoyStream {
             e.opt_u64(config.eviction.max_candidates.map(|v| v as u64));
         });
 
-        let validator = self.validator.export_state();
-        e.section(TAG_VALIDATOR, |e| {
-            e.opt_i64(validator.watermark);
-            e.u64(validator.last_per_object.len() as u64);
-            for (object, t) in &validator.last_per_object {
-                e.u64(object.0);
-                e.i64(*t);
-            }
-        });
+        e.section(TAG_WATERMARK, |e| e.opt_i64(self.watermark));
 
         e.section(TAG_BUFFERS, |e| {
             e.u64(self.buffers.len() as u64);
@@ -556,25 +549,9 @@ impl ConvoyStream {
         let config = decode_config(&mut s)?;
         s.finish_section("trailing bytes in config section")?;
 
-        let mut s = d.section(TAG_VALIDATOR)?;
+        let mut s = d.section(TAG_WATERMARK)?;
         let watermark = s.opt_i64()?;
-        let n = s.len_prefix(16)?;
-        let mut last_per_object: Vec<(ObjectId, TimePoint)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let object = ObjectId(s.u64()?);
-            let t = s.i64()?;
-            last_per_object.push((object, t));
-        }
-        if !last_per_object.is_sorted_by(|a, b| a.0 < b.0) {
-            return Err(CheckpointError::Malformed(
-                "validator entries not ascending",
-            ));
-        }
-        s.finish_section("trailing bytes in validator section")?;
-        let validator = FeedValidator::from_state(FeedValidatorSnapshot {
-            watermark,
-            last_per_object,
-        });
+        s.finish_section("trailing bytes in watermark section")?;
 
         let mut s = d.section(TAG_BUFFERS)?;
         let n = s.len_prefix(16)?;
@@ -601,6 +578,13 @@ impl ConvoyStream {
             samples_buffered += samples.len();
             let buffer = ObjectBuffer::from_samples(samples)
                 .ok_or(CheckpointError::Malformed("buffer samples out of order"))?;
+            // Each buffer's newest sample is its object's feed-order cursor,
+            // so it can never lie past the watermark.
+            if watermark.is_none_or(|w| buffer.last_t() > w) {
+                return Err(CheckpointError::Malformed(
+                    "buffered sample newer than the watermark",
+                ));
+            }
             buffers.insert(object, buffer);
         }
         s.finish_section("trailing bytes in buffers section")?;
@@ -662,7 +646,7 @@ impl ConvoyStream {
         }
 
         let mut stream = ConvoyStream::new(config);
-        stream.validator = validator;
+        stream.watermark = watermark;
         stream.buffers = buffers;
         stream.partition_start = partition_start;
         stream.chain = CandidateChain::from_state(&config.query, chain);
@@ -738,5 +722,48 @@ impl ConvoyStream {
         let mut stream = ConvoyStream::from_checkpoint_bytes_obs(&bytes, obs)?;
         stream.set_obs(obs.clone());
         Ok(stream)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FeedIngest;
+
+    /// Checkpoint bytes (CRC valid) of a stream holding a t=2 sample, with
+    /// its watermark overwritten: the encoder writes whatever it is given.
+    fn bytes_with_watermark(watermark: Option<i64>) -> Vec<u8> {
+        let mut stream = ConvoyStream::new(StreamConfig::new(ConvoyQuery::new(2, 3, 1.0), 0.2, 4));
+        for (o, t) in [(0, 0), (1, 0), (0, 1), (1, 2)] {
+            assert!(stream.push(ObjectId(o), t, t as f64, 0.0).is_ok());
+        }
+        stream.watermark = watermark;
+        stream.checkpoint_bytes()
+    }
+
+    #[test]
+    fn buffers_past_the_watermark_are_malformed() {
+        assert!(ConvoyStream::from_checkpoint_bytes(&bytes_with_watermark(Some(2))).is_ok());
+        for watermark in [Some(1), None] {
+            assert!(matches!(
+                ConvoyStream::from_checkpoint_bytes(&bytes_with_watermark(watermark)),
+                Err(CheckpointError::Malformed(
+                    "buffered sample newer than the watermark"
+                ))
+            ));
+        }
+    }
+
+    #[test]
+    fn version_one_files_are_unsupported() {
+        let mut bytes = bytes_with_watermark(Some(2));
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            ConvoyStream::from_checkpoint_bytes(&bytes),
+            Err(CheckpointError::UnsupportedVersion(1))
+        ));
     }
 }

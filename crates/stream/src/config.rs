@@ -2,7 +2,6 @@
 
 use convoy_core::{CmcStats, ConvoyQuery, CutsVariant};
 use convoy_obs::{MetricsSnapshot, Recorder, Registry};
-use serde::{Deserialize, Serialize};
 use traj_simplify::ToleranceMode;
 use trajectory::TimePoint;
 
@@ -11,7 +10,7 @@ use trajectory::TimePoint;
 /// Both knobs bound the stream's working set on an unbounded feed; both
 /// default to unbounded, in which case replaying a finite database is
 /// bit-identical to the batch pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvictionPolicy {
     /// Maximum age in ticks. Three effects, one knob:
     ///
@@ -63,7 +62,7 @@ impl EvictionPolicy {
 /// automatic Section 7.4 guidelines need the whole database, which a live
 /// feed does not have. [`crate::ReplayStream`] derives them the batch way
 /// when replaying a finite database.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// The convoy query to answer.
     pub query: ConvoyQuery,
@@ -124,7 +123,7 @@ impl StreamConfig {
 
 /// Lifetime counters of a [`crate::ConvoyStream`], built on the refinement
 /// fold's [`CmcStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamStats {
     /// Counters of the refinement [`convoy_core::CmcState`] fold: peak open
     /// candidates, ticks ingested, gap closures, convoys closed. With an

@@ -115,10 +115,21 @@ mod tests {
             stream.push(ObjectId(0), 5, 1.0, 1.0),
             Err(FeedError::DuplicateTimestamp { .. })
         ));
-        assert!(matches!(
-            stream.push(ObjectId(0), 6, f64::NAN, 1.0),
-            Err(FeedError::NonFiniteCoordinate { .. })
-        ));
+        for (x, y) in [
+            (f64::NAN, 0.0),
+            (0.0, f64::NAN),
+            (f64::INFINITY, 0.0),
+            (0.0, f64::NEG_INFINITY),
+        ] {
+            assert_eq!(
+                stream.push(ObjectId(0), 6, x, y),
+                Err(FeedError::NonFiniteCoordinate {
+                    object: ObjectId(0),
+                    t: 6
+                })
+            );
+        }
+        assert_eq!(stream.watermark(), Some(5), "rejections move nothing");
         // The stream keeps working after rejections.
         for t in 6..12 {
             push_tick(&mut stream, t, &[(0, t as f64, 0.0), (1, t as f64, 0.5)]);
@@ -127,6 +138,41 @@ mod tests {
         assert_eq!(outcome.convoys.len(), 1);
         assert_eq!(outcome.convoys[0].start, 5);
         assert_eq!(outcome.convoys[0].end, 11);
+
+        // A rejected first sample leaves a fresh stream fresh.
+        let mut stream = ConvoyStream::new(config);
+        assert!(stream.push(ObjectId(0), 0, f64::NAN, 0.0).is_err());
+        assert_eq!(stream.watermark(), None);
+        assert!(stream.buffers.is_empty());
+    }
+
+    #[test]
+    fn feed_keeps_the_first_duplicate_as_documented() {
+        // The file `traj-datasets`' batch test reads, fed line by line: the
+        // feed refuses the later duplicate `(o1, t=1)` and keeps the FIRST
+        // sample, where batch `read_csv` keeps the LAST (see
+        // `FeedError::DuplicateTimestamp`).
+        let csv = "1,0,1.0,0.0\n1,1,2.0,0.0\n1,1,9.0,0.0\n2,1,5.0,5.0\n";
+        let mut stream = ConvoyStream::new(StreamConfig::new(ConvoyQuery::new(2, 2, 1.0), 0.2, 4));
+        let mut rejected = Vec::new();
+        for (line_no, line) in csv.lines().enumerate() {
+            let (id, t, x, y) = traj_datasets::io::parse_csv_line(line, line_no + 1)
+                .unwrap()
+                .unwrap();
+            if let Err(e) = stream.push(id, t, x, y) {
+                rejected.push(e);
+            }
+        }
+        assert_eq!(
+            rejected,
+            vec![FeedError::DuplicateTimestamp {
+                object: ObjectId(1),
+                t: 1
+            }]
+        );
+        assert_eq!(stream.stats().samples_buffered, 3);
+        let o1 = stream.buffers[&ObjectId(1)].samples();
+        assert_eq!((o1[1].t, o1[1].x), (1, 2.0), "the first sample stands");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! push(o, t, x, y)
-//!   │  FeedValidator: global time order, per-object strict order
+//!   │  feed order: t ≥ watermark, t > the object's newest buffered sample
 //!   ▼
 //! ObjectBuffer per object              (samples_buffered)
 //!   │  watermark passes a λ-partition end, every object resolved
@@ -50,8 +50,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use traj_cluster::{SegmentDistance, SubTrajectory};
 use traj_simplify::ToleranceMode;
 use trajectory::{
-    FeedError, FeedValidator, ObjectId, Snapshot, SnapshotEntry, TimeInterval, TimePoint,
-    Trajectory,
+    FeedError, ObjectId, Snapshot, SnapshotEntry, TimeInterval, TimePoint, TrajPoint, Trajectory,
 };
 
 /// The sample-ingest surface of a streaming discovery pipeline.
@@ -104,7 +103,12 @@ pub struct ConvoyStream {
     pub(crate) config: StreamConfig,
     pub(crate) distance: SegmentDistance,
     pub(crate) mode: ToleranceMode,
-    pub(crate) validator: FeedValidator,
+    /// The largest timestamp accepted so far (`None` before the first
+    /// sample).
+    pub(crate) watermark: Option<TimePoint>,
+    /// Each tracked object's recent samples. The newest is also the object's
+    /// feed-order cursor: a buffer is dropped only once that sample is behind
+    /// a closed partition end, hence behind the watermark.
     pub(crate) buffers: BTreeMap<ObjectId, ObjectBuffer>,
     /// Start of the lowest λ-partition not yet closed (`None` before the
     /// first sample anchors the partition grid).
@@ -149,7 +153,7 @@ impl ConvoyStream {
         ConvoyStream {
             distance: config.variant.segment_distance(),
             mode: config.tolerance_mode,
-            validator: FeedValidator::new(),
+            watermark: None,
             buffers: BTreeMap::new(),
             partition_start: None,
             blocker: None,
@@ -181,7 +185,7 @@ impl ConvoyStream {
         self.start_ns = obs.now_ns();
         // Time-to-first-convoy is only meaningful from a cold start; a
         // restored or mid-feed stream (watermark already set) suppresses it.
-        self.ttfc_pending = obs.enabled() && self.validator.watermark().is_none();
+        self.ttfc_pending = obs.enabled() && self.watermark.is_none();
         self.obs = obs;
     }
 
@@ -224,31 +228,21 @@ impl ConvoyStream {
         }
     }
 
-    /// Returns `true` when the silent object can no longer bridge to any
-    /// future sample: even a sample arriving *right now* (at the watermark)
-    /// would straddle a gap the horizon forbids. Exactly the negation of the
-    /// interpolation rule, so the partition-close logic and the snapshot
-    /// builder can never disagree about a gap.
-    fn severed(last: TimePoint, watermark: TimePoint, horizon: Option<TimePoint>) -> bool {
-        !bridgeable(last, watermark, horizon)
-    }
-
-    /// Returns `true` when the object still blocks closing a partition at
-    /// `end`: its samples have not reached `end` and a future sample could
-    /// still bridge into the window (not severed by the horizon).
-    fn blocks(&self, id: ObjectId, end: TimePoint, watermark: TimePoint) -> bool {
-        let horizon = self.config.eviction.horizon;
-        self.buffers
-            .get(&id)
-            .is_some_and(|b| b.last_t() < end && !Self::severed(b.last_t(), watermark, horizon))
+    /// Returns `true` when the object behind `buffer` still blocks closing a
+    /// partition at `end`: its samples have not reached `end` and a sample
+    /// arriving now (at the watermark) could still bridge into the window.
+    /// The gap rule is the interpolation rule itself ([`bridgeable`]), so
+    /// the partition-close logic and the snapshot builder never disagree.
+    fn blocks(&self, buffer: &ObjectBuffer, end: TimePoint, watermark: TimePoint) -> bool {
+        let last = buffer.last_t();
+        last < end && bridgeable(last, watermark, self.config.eviction.horizon)
     }
 
     /// Finds an object blocking the close of partition `[.., end]`, if any.
     fn find_blocker(&self, end: TimePoint, watermark: TimePoint) -> Option<ObjectId> {
-        let horizon = self.config.eviction.horizon;
         self.buffers
             .iter()
-            .find(|(_, b)| b.last_t() < end && !Self::severed(b.last_t(), watermark, horizon))
+            .find(|(_, b)| self.blocks(b, end, watermark))
             .map(|(&id, _)| id)
     }
 
@@ -271,7 +265,11 @@ impl ConvoyStream {
             // where one laggy object holds the partition open — and only
             // fall back to the full scan once it resolves.
             if let Some(blocker) = self.blocker {
-                if self.blocks(blocker, end, watermark) {
+                if self
+                    .buffers
+                    .get(&blocker)
+                    .is_some_and(|b| self.blocks(b, end, watermark))
+                {
                     break;
                 }
                 self.blocker = None;
@@ -360,12 +358,11 @@ impl ConvoyStream {
         self.fold.push_partition(&clustered, &mut snapshot_at);
         let emitted = self.fold.drain_closed();
         if live {
-            let watermark = self.validator.watermark();
             note_emissions(
                 &self.obs,
                 &mut self.ttfc_pending,
                 self.start_ns,
-                watermark,
+                self.watermark,
                 &emitted,
             );
         }
@@ -382,10 +379,9 @@ impl ConvoyStream {
         // severed object whose samples all precede the pending boundary tick
         // can never again contribute a position, a sub-trajectory segment or
         // a partition-close blocker, so its buffer goes entirely (it is
-        // re-admitted as a fresh appearance if it ever returns). The feed
-        // validator's per-object memory compacts on the same schedule.
+        // re-admitted as a fresh appearance if it ever returns).
         if horizon.is_some() {
-            let watermark = self.validator.watermark().unwrap_or(window.end);
+            let watermark = self.watermark.unwrap_or(window.end);
             self.buffers.retain(|_, buffer| {
                 let gone = buffer.last_t() < window.end
                     && !bridgeable(buffer.last_t(), watermark, horizon);
@@ -395,7 +391,6 @@ impl ConvoyStream {
                 !gone
             });
         }
-        self.validator.compact();
         self.samples_buffered -= dropped;
         self.partitions_closed += 1;
         if live {
@@ -420,9 +415,7 @@ impl ConvoyStream {
     /// watermark, flushes the candidate chain and the refinement fold, and
     /// returns every convoy not yet drained plus the final counters.
     pub fn finish(mut self) -> StreamOutcome {
-        if let (Some(mut start), Some(watermark)) =
-            (self.partition_start, self.validator.watermark())
-        {
+        if let (Some(mut start), Some(watermark)) = (self.partition_start, self.watermark) {
             // Close the remaining partitions exactly the way
             // `trajectory::TimePartition` tiles a finite domain: full
             // λ-windows, the last one clipped to the watermark.
@@ -442,9 +435,9 @@ impl ConvoyStream {
             }
         }
 
-        let final_watermark = self.validator.watermark();
         let ConvoyStream {
             config,
+            watermark,
             buffers,
             chain,
             fold,
@@ -477,7 +470,7 @@ impl ConvoyStream {
                 &obs,
                 &mut ttfc_pending,
                 start_ns,
-                final_watermark,
+                watermark,
                 &outcome.convoys,
             );
             obs.span_end(root_span);
@@ -497,18 +490,40 @@ impl ConvoyStream {
             },
         }
     }
+
+    /// Checks one sample against feed order and buffers it. Rejection leaves
+    /// the stream untouched. A duplicate needs `t == watermark`, and every
+    /// object whose newest sample sits on the watermark still has its
+    /// buffer, so comparing with the buffer's newest sample is exact.
+    fn admit(&mut self, object: ObjectId, t: TimePoint, x: f64, y: f64) -> Result<(), FeedError> {
+        if !(x.is_finite() && y.is_finite()) {
+            return Err(FeedError::NonFiniteCoordinate { object, t });
+        }
+        if let Some(watermark) = self.watermark.filter(|&w| t < w) {
+            return Err(FeedError::OutOfOrder {
+                object,
+                t,
+                watermark,
+            });
+        }
+        // An empty (just created) buffer cannot hold a duplicate, so a
+        // rejection never leaves one behind.
+        let buffer = self.buffers.entry(object).or_default();
+        if buffer.samples().last().is_some_and(|p| p.t == t) {
+            return Err(FeedError::DuplicateTimestamp { object, t });
+        }
+        buffer.push(TrajPoint::new(x, y, t));
+        self.watermark = Some(t);
+        Ok(())
+    }
 }
 
 impl FeedIngest for ConvoyStream {
     fn push(&mut self, object: ObjectId, t: TimePoint, x: f64, y: f64) -> Result<(), FeedError> {
-        if let Err(e) = self.validator.admit(object, t, x, y) {
+        if let Err(e) = self.admit(object, t, x, y) {
             self.obs.counter_add("stream.samples_rejected", 1);
             return Err(e);
         }
-        self.buffers
-            .entry(object)
-            .or_default()
-            .push(trajectory::TrajPoint::new(x, y, t));
         self.samples_buffered += 1;
         self.peak_samples_buffered = self.peak_samples_buffered.max(self.samples_buffered);
         if self.partition_start.is_none() {
@@ -527,7 +542,7 @@ impl FeedIngest for ConvoyStream {
     }
 
     fn watermark(&self) -> Option<TimePoint> {
-        self.validator.watermark()
+        self.watermark
     }
 }
 
@@ -613,9 +628,7 @@ pub fn replay_config(
 
 /// Every sample of `db` in feed order (ascending time, object id breaking
 /// ties) — the order a replay pushes them.
-pub fn feed_order_samples(
-    db: &trajectory::TrajectoryDatabase,
-) -> Vec<(ObjectId, trajectory::TrajPoint)> {
+pub fn feed_order_samples(db: &trajectory::TrajectoryDatabase) -> Vec<(ObjectId, TrajPoint)> {
     let mut samples = db.all_samples();
     samples.sort_by_key(|(id, p)| (p.t, *id));
     samples

@@ -74,10 +74,10 @@ impl TrajectoryBuilder {
     /// Finalises the builder into a [`Trajectory`], sorting samples by time
     /// and de-duplicating equal timestamps (**last sample wins** — a later
     /// duplicate is treated as a correction of the earlier fix). This is the
-    /// batch half of the suite's duplicate policy; the streaming
-    /// [`crate::FeedValidator`] takes the opposite stance and *rejects* a
-    /// duplicate timestamp, because a live feed cannot retract what it has
-    /// already emitted (see [`crate::FeedError::DuplicateTimestamp`]).
+    /// batch half of the suite's duplicate policy; a live feed takes the
+    /// opposite stance and *rejects* a duplicate timestamp, because it
+    /// cannot retract what it has already emitted (see
+    /// [`crate::FeedError::DuplicateTimestamp`]).
     pub fn build(mut self) -> Result<Trajectory> {
         // Stable sort preserves push order among equal timestamps, so keeping
         // the last occurrence implements "later fix wins".

@@ -7,14 +7,11 @@ use crate::point::TrajPoint;
 use crate::stats::DatasetStats;
 use crate::time::{TimeInterval, TimePoint};
 use crate::trajectory::Trajectory;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a moving object. Wrapping `u64` in a newtype keeps object
 /// ids from being confused with cluster ids or candidate indices.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u64);
 
 impl std::fmt::Display for ObjectId {
@@ -25,7 +22,7 @@ impl std::fmt::Display for ObjectId {
 
 /// How [`TrajectoryDatabase::snapshot`] treats objects whose time interval
 /// covers the snapshot time but that have no exact sample there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotPolicy {
     /// Include such objects at a linearly interpolated *virtual point*
     /// (the behaviour CMC requires, Section 4 of the paper).
@@ -35,7 +32,7 @@ pub enum SnapshotPolicy {
 }
 
 /// One object's position within a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotEntry {
     /// The object the position belongs to.
     pub id: ObjectId,
@@ -46,7 +43,7 @@ pub struct SnapshotEntry {
 }
 
 /// The set `O_t` of object positions at one time point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// The snapshot time.
     pub time: TimePoint,
@@ -83,7 +80,7 @@ impl Snapshot {
 ///
 /// Iteration order is deterministic (ascending object id), which keeps every
 /// algorithm in the stack reproducible run-to-run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrajectoryDatabase {
     objects: BTreeMap<ObjectId, Trajectory>,
 }

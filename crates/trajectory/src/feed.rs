@@ -1,4 +1,4 @@
-//! Feed-order validation for live sample streams.
+//! Feed-order errors for live sample streams.
 //!
 //! A trajectory *feed* delivers `(object, t, x, y)` samples in time order:
 //! the global timestamp never decreases, and each object's own timestamps
@@ -7,12 +7,11 @@
 //! [`crate::TrajectoryBuilder::build`] time; a streaming consumer cannot —
 //! it closes time partitions as soon as the watermark passes them, so a
 //! late sample would have to be silently dropped or would corrupt already
-//! published results. [`FeedValidator`] rejects such samples at the door
-//! with a precise error instead.
+//! published results. A streaming consumer rejects such samples at the door
+//! with a precise [`FeedError`] instead.
 
 use crate::database::ObjectId;
 use crate::time::TimePoint;
-use std::collections::HashMap;
 
 /// Why a feed sample was rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,250 +77,9 @@ impl std::fmt::Display for FeedError {
 
 impl std::error::Error for FeedError {}
 
-/// Validates that a sample feed is time-ordered.
-///
-/// Tracks the global watermark (largest accepted timestamp) and each
-/// object's last accepted timestamp. A rejected sample leaves the validator
-/// unchanged, so a feed can recover by continuing with valid samples.
-///
-/// ```
-/// use trajectory::{FeedValidator, ObjectId};
-///
-/// let mut feed = FeedValidator::new();
-/// assert!(feed.admit(ObjectId(1), 0, 0.0, 0.0).is_ok());
-/// assert!(feed.admit(ObjectId(2), 0, 1.0, 0.0).is_ok()); // same t, other object
-/// assert!(feed.admit(ObjectId(1), 2, 0.5, 0.0).is_ok());
-/// assert!(feed.admit(ObjectId(2), 1, 1.5, 0.0).is_err()); // behind the watermark
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FeedValidator {
-    watermark: Option<TimePoint>,
-    last_per_object: HashMap<ObjectId, TimePoint>,
-}
-
-/// A serializable view of a [`FeedValidator`]: the watermark plus every
-/// object's last accepted timestamp, sorted by object id so the encoding is
-/// deterministic. Restoring it reproduces the validator's decisions exactly —
-/// in particular, re-feeding a log through a restored validator re-rejects
-/// every sample it has already accepted (older than the watermark, or a
-/// duplicate at it), which is what makes resume-by-replay exactly-once.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FeedValidatorSnapshot {
-    /// The largest accepted timestamp, `None` before the first sample.
-    pub watermark: Option<TimePoint>,
-    /// Each object's last accepted timestamp, ascending by object id.
-    pub last_per_object: Vec<(ObjectId, TimePoint)>,
-}
-
-impl FeedValidator {
-    /// Creates a validator that has seen no samples.
-    pub fn new() -> Self {
-        FeedValidator::default()
-    }
-
-    /// Exports the validator's state for checkpointing (objects ascending).
-    pub fn export_state(&self) -> FeedValidatorSnapshot {
-        let mut last_per_object: Vec<(ObjectId, TimePoint)> =
-            self.last_per_object.iter().map(|(&o, &t)| (o, t)).collect();
-        last_per_object.sort_unstable_by_key(|&(o, _)| o);
-        FeedValidatorSnapshot {
-            watermark: self.watermark,
-            last_per_object,
-        }
-    }
-
-    /// Rebuilds a validator from an exported view.
-    pub fn from_state(snapshot: FeedValidatorSnapshot) -> Self {
-        FeedValidator {
-            watermark: snapshot.watermark,
-            last_per_object: snapshot.last_per_object.into_iter().collect(),
-        }
-    }
-
-    /// The largest timestamp accepted so far, or `None` before the first
-    /// sample.
-    pub fn watermark(&self) -> Option<TimePoint> {
-        self.watermark
-    }
-
-    /// The last accepted timestamp of `object`, if any.
-    pub fn last_timestamp(&self, object: ObjectId) -> Option<TimePoint> {
-        self.last_per_object.get(&object).copied()
-    }
-
-    /// Number of distinct objects seen so far.
-    pub fn objects_seen(&self) -> usize {
-        self.last_per_object.len()
-    }
-
-    /// Forgets per-object bookkeeping that can no longer influence
-    /// validation, returning the number of entries dropped.
-    ///
-    /// Only objects whose last sample sits exactly on the watermark can
-    /// still collide with a future sample (future timestamps are `>=` the
-    /// watermark, so a duplicate requires equality); everything older is
-    /// dead weight. Long-lived feeds with object churn call this
-    /// periodically so the validator's memory tracks the *active* objects,
-    /// not every object ever seen.
-    pub fn compact(&mut self) -> usize {
-        let Some(watermark) = self.watermark else {
-            return 0;
-        };
-        let before = self.last_per_object.len();
-        self.last_per_object.retain(|_, &mut t| t == watermark);
-        before - self.last_per_object.len()
-    }
-
-    /// Validates one sample, updating the watermark on acceptance. Rejection
-    /// leaves the validator's state untouched.
-    pub fn admit(
-        &mut self,
-        object: ObjectId,
-        t: TimePoint,
-        x: f64,
-        y: f64,
-    ) -> Result<(), FeedError> {
-        if !(x.is_finite() && y.is_finite()) {
-            return Err(FeedError::NonFiniteCoordinate { object, t });
-        }
-        if let Some(watermark) = self.watermark {
-            if t < watermark {
-                return Err(FeedError::OutOfOrder {
-                    object,
-                    t,
-                    watermark,
-                });
-            }
-        }
-        if self.last_per_object.get(&object) == Some(&t) {
-            return Err(FeedError::DuplicateTimestamp { object, t });
-        }
-        self.watermark = Some(t);
-        self.last_per_object.insert(object, t);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accepts_time_ordered_samples() {
-        let mut feed = FeedValidator::new();
-        assert_eq!(feed.watermark(), None);
-        feed.admit(ObjectId(1), 0, 0.0, 0.0).unwrap();
-        feed.admit(ObjectId(2), 0, 1.0, 1.0).unwrap();
-        feed.admit(ObjectId(1), 1, 0.5, 0.0).unwrap();
-        feed.admit(ObjectId(3), 5, 2.0, 2.0).unwrap(); // gaps are fine
-        assert_eq!(feed.watermark(), Some(5));
-        assert_eq!(feed.last_timestamp(ObjectId(1)), Some(1));
-        assert_eq!(feed.objects_seen(), 3);
-    }
-
-    #[test]
-    fn rejects_samples_behind_the_watermark() {
-        let mut feed = FeedValidator::new();
-        feed.admit(ObjectId(1), 5, 0.0, 0.0).unwrap();
-        let err = feed.admit(ObjectId(2), 3, 0.0, 0.0).unwrap_err();
-        assert_eq!(
-            err,
-            FeedError::OutOfOrder {
-                object: ObjectId(2),
-                t: 3,
-                watermark: 5
-            }
-        );
-        // Rejection leaves the validator usable.
-        feed.admit(ObjectId(2), 5, 0.0, 0.0).unwrap();
-        assert_eq!(feed.watermark(), Some(5));
-        // Negative timestamps are fine as long as they are first.
-        let mut feed = FeedValidator::new();
-        feed.admit(ObjectId(1), -10, 0.0, 0.0).unwrap();
-        assert!(feed.admit(ObjectId(1), -11, 0.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn rejects_duplicate_per_object_timestamps() {
-        let mut feed = FeedValidator::new();
-        feed.admit(ObjectId(1), 2, 0.0, 0.0).unwrap();
-        let err = feed.admit(ObjectId(1), 2, 9.0, 9.0).unwrap_err();
-        assert_eq!(
-            err,
-            FeedError::DuplicateTimestamp {
-                object: ObjectId(1),
-                t: 2
-            }
-        );
-        // A different object may reuse the timestamp.
-        feed.admit(ObjectId(2), 2, 9.0, 9.0).unwrap();
-    }
-
-    #[test]
-    fn rejects_non_finite_coordinates() {
-        let mut feed = FeedValidator::new();
-        for (x, y) in [
-            (f64::NAN, 0.0),
-            (0.0, f64::NAN),
-            (f64::INFINITY, 0.0),
-            (0.0, f64::NEG_INFINITY),
-        ] {
-            let err = feed.admit(ObjectId(1), 0, x, y).unwrap_err();
-            assert_eq!(
-                err,
-                FeedError::NonFiniteCoordinate {
-                    object: ObjectId(1),
-                    t: 0
-                }
-            );
-        }
-        // The validator saw nothing: the watermark is still unset.
-        assert_eq!(feed.watermark(), None);
-        feed.admit(ObjectId(1), 0, 0.0, 0.0).unwrap();
-    }
-
-    #[test]
-    fn compact_forgets_only_stale_objects() {
-        let mut feed = FeedValidator::new();
-        assert_eq!(feed.compact(), 0, "nothing to forget before any sample");
-        feed.admit(ObjectId(1), 0, 0.0, 0.0).unwrap();
-        feed.admit(ObjectId(2), 5, 0.0, 0.0).unwrap();
-        feed.admit(ObjectId(3), 5, 1.0, 0.0).unwrap();
-        assert_eq!(feed.compact(), 1, "only o1 (behind the watermark) goes");
-        assert_eq!(feed.objects_seen(), 2);
-        // Validation semantics are unchanged: duplicates at the watermark
-        // still bounce, and the forgotten object may resume.
-        assert!(feed.admit(ObjectId(2), 5, 9.0, 9.0).is_err());
-        assert!(feed.admit(ObjectId(1), 5, 9.0, 9.0).is_ok());
-        assert!(
-            feed.admit(ObjectId(1), 4, 0.0, 0.0).is_err(),
-            "watermark still enforced"
-        );
-    }
-
-    #[test]
-    fn state_round_trip_preserves_validation_decisions() {
-        let mut feed = FeedValidator::new();
-        feed.admit(ObjectId(3), 0, 0.0, 0.0).unwrap();
-        feed.admit(ObjectId(1), 4, 0.0, 0.0).unwrap();
-        feed.admit(ObjectId(2), 4, 1.0, 0.0).unwrap();
-        let snapshot = feed.export_state();
-        assert_eq!(snapshot.watermark, Some(4));
-        assert_eq!(
-            snapshot.last_per_object,
-            vec![(ObjectId(1), 4), (ObjectId(2), 4), (ObjectId(3), 0)],
-            "entries are sorted by object id"
-        );
-        let mut restored = FeedValidator::from_state(snapshot);
-        // Re-feeding the already-accepted log is rejected sample for sample…
-        assert!(restored.admit(ObjectId(3), 0, 0.0, 0.0).is_err());
-        assert!(restored.admit(ObjectId(1), 4, 0.0, 0.0).is_err());
-        assert!(restored.admit(ObjectId(2), 4, 1.0, 0.0).is_err());
-        // …while genuinely new samples are accepted, exactly as the original.
-        assert!(restored.admit(ObjectId(3), 4, 2.0, 0.0).is_ok());
-        assert!(restored.admit(ObjectId(1), 5, 0.0, 0.0).is_ok());
-        assert_eq!(restored.watermark(), Some(5));
-    }
 
     #[test]
     fn errors_render_with_context() {

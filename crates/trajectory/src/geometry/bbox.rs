@@ -4,10 +4,9 @@
 //! simplified line segments before their pairwise distances are examined.
 
 use super::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned minimum bounding rectangle in the 2-D spatial domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Corner with the smallest coordinates.
     pub min: Point,

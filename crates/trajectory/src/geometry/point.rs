@@ -1,6 +1,5 @@
 //! 2-D points and the Euclidean distance `D` of Definition 1.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul, Sub};
 
 /// A point (or free vector) in the 2-D spatial domain.
@@ -8,7 +7,7 @@ use std::ops::{Add, Mul, Sub};
 /// Coordinates are `f64`. The type is `Copy` and all operations are
 /// allocation-free; it is used both as a position and as a displacement
 /// vector (e.g. in the closest-point-of-approach computation).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// x coordinate.
     pub x: f64,

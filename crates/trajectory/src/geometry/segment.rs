@@ -5,10 +5,9 @@
 use super::bbox::BoundingBox;
 use super::point::Point;
 use crate::time::TimeInterval;
-use serde::{Deserialize, Serialize};
 
 /// A purely spatial line segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub start: Point,
@@ -151,7 +150,7 @@ impl Segment {
 /// The location at a time `t` inside the interval is obtained by the time-ratio
 /// parameterisation of Section 6.2:
 /// `l'(t) = p_u + (t - u)/(v - u) · (p_v - p_u)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedSegment {
     /// Spatial endpoints.
     pub segment: Segment,

@@ -60,7 +60,7 @@ pub mod trajectory;
 pub use builder::TrajectoryBuilder;
 pub use database::{ObjectId, Snapshot, SnapshotEntry, SnapshotPolicy, TrajectoryDatabase};
 pub use error::{Result, TrajectoryError};
-pub use feed::{FeedError, FeedValidator, FeedValidatorSnapshot};
+pub use feed::FeedError;
 pub use geometry::bbox::BoundingBox;
 pub use geometry::point::Point;
 pub use geometry::segment::Segment;

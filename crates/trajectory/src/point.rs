@@ -2,11 +2,10 @@
 
 use crate::geometry::point::Point;
 use crate::time::TimePoint;
-use serde::{Deserialize, Serialize};
 
 /// A timestamped location: the `p_j = (x_j, y_j, t_j)` of the paper's
 /// trajectory model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajPoint {
     /// x coordinate.
     pub x: f64,

@@ -1,11 +1,9 @@
 //! Dataset statistics in the shape of the paper's Table 3.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a trajectory database, mirroring the first four rows
 /// of Table 3 in the paper (number of objects `N`, time-domain length `T`,
 /// average trajectory length, and total data size in points).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DatasetStats {
     /// Number of objects `N`.
     pub num_objects: usize,

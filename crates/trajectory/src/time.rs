@@ -1,14 +1,12 @@
 //! The discrete time model: time points, closed intervals, and λ-length
 //! partitioning of the time domain (Section 5.3 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete time point. The paper's time domain is the ordered set
 /// `{t_1, t_2, …, t_T}`; we represent time points as `i64` ticks.
 pub type TimePoint = i64;
 
 /// A closed time interval `[start, end]` with `start <= end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeInterval {
     /// First time point of the interval (inclusive).
     pub start: TimePoint,
@@ -92,7 +90,7 @@ impl TimeInterval {
 /// time point (`[t1, t4]`, `[t4, t7]`, … for λ = 4 in the paper's Figure 9),
 /// which is what allows clusters in adjacent partitions to be joined without
 /// losing candidates at partition boundaries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimePartition {
     /// The full time domain being partitioned.
     pub domain: TimeInterval,

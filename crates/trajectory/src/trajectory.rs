@@ -5,7 +5,6 @@ use crate::geometry::bbox::BoundingBox;
 use crate::geometry::point::Point;
 use crate::point::TrajPoint;
 use crate::time::{TimeInterval, TimePoint};
-use serde::{Deserialize, Serialize};
 
 /// The past trajectory of an object: a polyline given as a sequence of
 /// timestamped locations `⟨p_a, p_{a+1}, …, p_b⟩` with strictly increasing
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// the global time domain. [`Trajectory::location_at`] therefore distinguishes
 /// exact samples from linearly interpolated *virtual points* (the virtual
 /// locations used by the CMC algorithm).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     points: Vec<TrajPoint>,
 }
