@@ -82,7 +82,8 @@ COMMANDS:
               `.convoy` input only the blocks whose time range intersects
               the window are read. --stats additionally prints the metric
               registry (fold counters, candidate/refinement counts, source
-              scan counters). --trace PATH writes a Chrome trace_event span
+              scan counters, snapshot-DBSCAN region queries run and
+              skipped). --trace PATH writes a Chrome trace_event span
               tree (loadable in Perfetto / chrome://tracing); --metrics-json
               PATH writes the full metrics snapshot (counters, gauges,
               histograms and wall-clock stage timings) as versioned JSON.
@@ -340,7 +341,8 @@ pub fn convert_command(args: &ParsedArgs) -> Result<String, CommandError> {
 /// registry: it is rendered from a fresh views-only registry fed by the
 /// deterministic `publish_*` functions, so the report text stays
 /// byte-identical run to run (the equivalence tests diff it). Wall-clock
-/// values only ever reach the export files.
+/// values only ever reach the export files. The one exception is
+/// [`DETERMINISTIC_LIVE_COUNTERS`], copied over by name.
 struct ObsSetup {
     registry: Option<Arc<Registry>>,
     obs: Obs,
@@ -348,10 +350,18 @@ struct ObsSetup {
     metrics: Option<String>,
 }
 
-fn obs_from_args(args: &ParsedArgs) -> Result<ObsSetup, CommandError> {
+/// Live counters that depend only on the data and the query — every
+/// clustered tick visits each of its points exactly once, on any engine —
+/// so `discover --stats` can show them without losing its byte-stable text.
+const DETERMINISTIC_LIVE_COUNTERS: [&str; 2] =
+    ["cluster.region_queries", "prune.region_queries_skipped"];
+
+/// Builds the recorder for a command: a live registry when an export flag
+/// asks for one or `record` is set, the zero-cost no-op otherwise.
+fn obs_from_args(args: &ParsedArgs, record: bool) -> Result<ObsSetup, CommandError> {
     let trace = args.get("trace")?.map(str::to_string);
     let metrics = args.get("metrics-json")?.map(str::to_string);
-    if trace.is_none() && metrics.is_none() {
+    if trace.is_none() && metrics.is_none() && !record {
         return Ok(ObsSetup {
             registry: None,
             obs: Obs::noop(),
@@ -433,7 +443,9 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         "trace",
         "metrics-json",
     ])?;
-    let obs = obs_from_args(args)?;
+    // `--stats` records the run so the block can show the region-query
+    // counters, which only a live recorder sees.
+    let obs = obs_from_args(args, args.has_flag("stats"))?;
     let (path, mut source) = open_input(args)?;
     source.set_obs(obs.obs.clone());
     let window = parse_window(args)?;
@@ -514,6 +526,11 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         let views = Registry::new();
         publish_discovery(&views, &outcome);
         publish_scan_stats(&views, &scan);
+        if let Some(live) = &obs.registry {
+            for name in DETERMINISTIC_LIVE_COUNTERS {
+                views.counter_store(name, live.counter(name));
+            }
+        }
         out.push_str(&export::render_text(&views.snapshot()));
     }
     for convoy in outcome.convoys.iter().take(limit) {
@@ -544,7 +561,7 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
         "trace",
         "metrics-json",
     ])?;
-    let obs = obs_from_args(args)?;
+    let obs = obs_from_args(args, false)?;
     let path = args
         .positional
         .first()
@@ -727,7 +744,9 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
                         rejected += 1;
                         continue;
                     }
-                    Err(e) => panic!("a sorted database replay is a valid feed: {e}"),
+                    Err(e) => {
+                        return Err(CommandError(format!("replay sample rejected: {e}")));
+                    }
                 }
                 emit(&mut stream, &mut out);
                 maybe_checkpoint(&mut stream)?;

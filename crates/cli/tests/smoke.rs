@@ -215,7 +215,9 @@ fn discover_stats_flag_prints_fold_counters() {
         .stdout_contains("stats:")
         .stdout_contains("cmc.peak_candidates")
         .stdout_contains("cmc.ticks_ingested")
-        .stdout_contains("cmc.convoys_closed");
+        .stdout_contains("cmc.convoys_closed")
+        .stdout_contains("cluster.region_queries")
+        .stdout_contains("prune.region_queries_skipped");
     // The counters come from the refinement fold for CuTS methods too.
     convoy()
         .args(["discover", path.to_str().unwrap()])

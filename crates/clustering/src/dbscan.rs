@@ -36,6 +36,22 @@ pub trait RegionQuery {
         out.clear();
         out.extend(self.neighbors(idx));
     }
+
+    /// An upper bound on `self.neighbors(idx).len()`, cheaper than the
+    /// query itself.
+    ///
+    /// The contract is one-sided: the bound may overcount but must **never
+    /// undercount**. [`dbscan_into`] skips the region query of any item
+    /// whose bound is below `min_pts` — such an item cannot be core, and the
+    /// core test is the query's only use at those points — so an undercount
+    /// would silently turn a core item into noise or an unexpanded border.
+    ///
+    /// The default, `usize::MAX`, never skips anything; providers without a
+    /// cheap bound (the sub-trajectory query) keep it. [`crate::GridIndex`]
+    /// answers with the point count of the item's 3×3 cell block.
+    fn neighbor_bound(&self, _idx: usize) -> usize {
+        usize::MAX
+    }
 }
 
 /// The DBSCAN label assigned to an item.
@@ -77,6 +93,8 @@ pub struct DbscanScratch {
     labels: Vec<Label>,
     seeds: Vec<usize>,
     neigh: Vec<usize>,
+    region_queries: u64,
+    queries_skipped: u64,
 }
 
 impl DbscanScratch {
@@ -89,6 +107,13 @@ impl DbscanScratch {
     pub fn labels(&self) -> &[Label] {
         &self.labels
     }
+
+    /// The most recent run's `(region queries executed, region queries
+    /// skipped by the [`RegionQuery::neighbor_bound`] test)`. Every item is
+    /// visited exactly once, so the two always sum to the item count.
+    pub fn query_counts(&self) -> (u64, u64) {
+        (self.region_queries, self.queries_skipped)
+    }
 }
 
 /// The scratch-driven DBSCAN all public entry points run on: identical
@@ -98,6 +123,13 @@ impl DbscanScratch {
 ///
 /// After the call, `scratch.labels()` holds the run's result
 /// (`query.len()` entries).
+///
+/// An item's region query runs only when its
+/// [`RegionQuery::neighbor_bound`] admits at least `min_pts` neighbours. At
+/// both places an item is first visited — a fresh cluster start and an
+/// unvisited BFS item — the query's only use is the core test, so an item
+/// whose bound rules it out is labelled exactly as the query would have
+/// labelled it (`Noise` at a start, an unexpanded member in the BFS).
 // lint: hot-path — the per-tick DBSCAN core; all buffers must come from `scratch`
 pub fn dbscan_into<Q: RegionQuery>(query: &Q, min_pts: usize, scratch: &mut DbscanScratch) {
     let n = query.len();
@@ -105,15 +137,25 @@ pub fn dbscan_into<Q: RegionQuery>(query: &Q, min_pts: usize, scratch: &mut Dbsc
         labels,
         seeds,
         neigh,
+        region_queries,
+        queries_skipped,
     } = scratch;
     labels.clear();
     labels.resize(n, Label::Unvisited);
+    *region_queries = 0;
+    *queries_skipped = 0;
     let mut next_cluster = 0usize;
 
     for start in 0..n {
         if labels[start] != Label::Unvisited {
             continue;
         }
+        if query.neighbor_bound(start) < min_pts {
+            *queries_skipped += 1;
+            labels[start] = Label::Noise;
+            continue;
+        }
+        *region_queries += 1;
         query.neighbors_into(start, neigh);
         if neigh.len() < min_pts {
             labels[start] = Label::Noise;
@@ -135,6 +177,11 @@ pub fn dbscan_into<Q: RegionQuery>(query: &Q, min_pts: usize, scratch: &mut Dbsc
                     let was_unvisited = labels[item] == Label::Unvisited;
                     labels[item] = Label::Cluster(cluster_id);
                     if was_unvisited {
+                        if query.neighbor_bound(item) < min_pts {
+                            *queries_skipped += 1;
+                            continue;
+                        }
+                        *region_queries += 1;
                         query.neighbors_into(item, neigh);
                         if neigh.len() >= min_pts {
                             // `item` is itself a core item: its neighbourhood

@@ -44,6 +44,16 @@
 //! test-support crate `traj-cluster-baselines`, and
 //! `tests/kernel_equivalence.rs` pins this index to both, order included).
 //!
+//! ## Density bound before the region query
+//!
+//! Every hit of a query lies in the 3×3 cell block around the point's own
+//! cell, so the block's point count bounds the neighbourhood size from
+//! above. The build records that count per cell (the same sweep that links
+//! the columns, plus a few probes where a block crosses the key wrap), and
+//! [`RegionQuery::neighbor_bound`] serves it: DBSCAN skips the region query
+//! of any point whose block holds fewer than `m` points — on a sparse world
+//! that is almost every point — with labels unchanged.
+//!
 //! ## Scratch reuse
 //!
 //! [`SnapshotClusterer`] owns the grid arrays, the id buffer, the DBSCAN
@@ -113,8 +123,8 @@ pub struct GridIndex {
     /// Per bucket rank, the rank of the same-`cy` cell one column to the
     /// left (`cx - 1`) and one to the right (`cx + 1`), or [`EMPTY_SLOT`]
     /// when that cell is unoccupied (or lies across the u64 sign-boundary
-    /// key wrap). Filled by an O(cells) two-pointer merge of adjacent
-    /// column runs at build time — no hashing — these links resolve the
+    /// key wrap). Filled by one O(cells) forward sweep over the sorted keys
+    /// at build time ([`GridIndex::link_columns`]) — these links resolve the
     /// side columns of a query's 3×3 block with direct rank lookups: in a
     /// dense world, [`RegionQuery::neighbors_into`] touches no hash probe
     /// at all, and [`GridIndex::range_query_into`] only one (the centre
@@ -130,6 +140,12 @@ pub struct GridIndex {
     /// Total candidate points the distance kernel has scanned (full batches
     /// plus scalar tail) since the last [`GridIndex::take_kernel_counts`].
     kernel_lanes: Cell<u64>,
+    /// Per bucket rank, the number of points in the 3×3 cell block around
+    /// the cell — an upper bound on the e-neighbourhood size of every point
+    /// in it, served by [`RegionQuery::neighbor_bound`]. Filled with the
+    /// column links (see [`GridIndex::link_columns`]); sums stay below the
+    /// point count, which [`GridIndex::rebuild_cells`] caps below `u32::MAX`.
+    block_counts: Vec<u32>,
 }
 
 /// Sentinel marking an empty [`GridIndex::rank_table`] slot. Bucket ranks
@@ -212,8 +228,6 @@ impl GridIndex {
         // lint: allow(cast-audit) — keyed holds one pair per point, < u32::MAX, asserted above
         self.bucket_starts.push(self.keyed.len() as u32);
 
-        self.link_columns();
-
         // Open-addressed rank table at ≤ 50% load.
         let slots = (self.cell_keys.len() * 2).next_power_of_two().max(4);
         self.rank_table.clear();
@@ -228,55 +242,89 @@ impl GridIndex {
             // lint: allow(cast-audit) — rank ≤ cell count < u32::MAX, asserted above
             self.rank_table[slot] = (Self::tag(hash), rank as u32);
         }
+
+        // Last: the few cells whose 3×3 block crosses the key wrap are
+        // counted through the probe table.
+        self.link_columns();
     }
 
-    /// Fills [`GridIndex::col_links`] from the sorted key table.
+    /// Fills [`GridIndex::col_links`] and [`GridIndex::block_counts`] in one
+    /// sequential, hash-free sweep over the sorted key table.
     ///
-    /// The sorted keys group into **column runs** (ranks sharing the packed
-    /// key's high half, i.e. the same `cx`), each run internally ordered by
-    /// `cy`-as-u64. Two runs describe horizontally adjacent columns exactly
-    /// when their high halves differ by one (`checked_add` also rejects the
-    /// u64 sign-boundary wrap, mirroring the in-column adjacency guards), and
-    /// then a two-pointer merge pairs their equal-`cy` cells in one linear
-    /// sweep — the whole pass is O(cells), sequential, and hash-free.
+    /// A cell's block count is its own points plus those of every occupied
+    /// cell in its 3×3 block, and block membership is symmetric — so the
+    /// sweep finds each adjacent *pair* once and credits both sides. Keys
+    /// sort by `(cx, cy)` as u64 halves: a cell's vertical neighbour below
+    /// is the previous rank when the keys differ by one, and the cells of
+    /// its left window (`cx − 1`, rows `cy − 1..=cy + 1`) form a contiguous
+    /// key range whose lower end never decreases in key order — one
+    /// forward-only cursor finds every window, O(cells) in total. The same
+    /// window's middle cell, if present, is the cross-column link of both
+    /// cells.
+    ///
+    /// The arithmetic fails only for pairs across the u64 sign-boundary key
+    /// wrap (`cx` or `cy` stepping between `−1` and `0`: u64 `u64::MAX`
+    /// beside `0`, at opposite ends of the table), and both cells of such a
+    /// pair have `cx` or `cy` in `{−1, 0}`. Those few cells are recounted
+    /// exactly with nine probes of the rank table, so no neighbour cell of a
+    /// query is ever left out of its bound. No link crosses the `cx` wrap,
+    /// mirroring the in-column adjacency guards of
+    /// [`GridIndex::query_cells`].
     fn link_columns(&mut self) {
-        self.col_links.clear();
-        self.col_links
-            .resize(self.cell_keys.len(), (EMPTY_SLOT, EMPTY_SLOT));
         let n_cells = self.cell_keys.len();
-        let mut prev_run: Option<(usize, usize, u64)> = None;
-        let mut r = 0usize;
-        while r < n_cells {
-            let high = (self.cell_keys[r] >> 64) as u64;
-            let mut end = r + 1;
-            while end < n_cells && (self.cell_keys[end] >> 64) as u64 == high {
-                end += 1;
+        self.col_links.clear();
+        self.col_links.resize(n_cells, (EMPTY_SLOT, EMPTY_SLOT));
+        self.block_counts.clear();
+        self.block_counts.resize(n_cells, 0);
+        let keys = &self.cell_keys;
+        let points = |rank: usize| self.bucket_starts[rank + 1] - self.bucket_starts[rank];
+        let mut cursor = 0usize;
+        for r in 0..n_cells {
+            let key = keys[r];
+            let own = points(r);
+            self.block_counts[r] += own;
+            if r > 0 && keys[r - 1] + 1 == key {
+                self.block_counts[r] += points(r - 1);
+                self.block_counts[r - 1] += own;
             }
-            if let Some((prev_start, prev_end, prev_high)) = prev_run {
-                if prev_high.checked_add(1) == Some(high) {
-                    // Merge walk: `prev` is the left column, `r..end` the
-                    // right. Shifting a left key up one column cannot
-                    // overflow (prev_high < u64::MAX, checked above).
-                    let (mut a, mut b) = (prev_start, r);
-                    while a < prev_end && b < end {
-                        let shifted = self.cell_keys[a] + (1u128 << 64);
-                        match shifted.cmp(&self.cell_keys[b]) {
-                            std::cmp::Ordering::Equal => {
-                                // lint: allow(cast-audit) — ranks ≤ cell count < u32::MAX, asserted in rebuild_cells
-                                self.col_links[a].1 = b as u32;
-                                // lint: allow(cast-audit) — ranks ≤ cell count < u32::MAX, asserted in rebuild_cells
-                                self.col_links[b].0 = a as u32;
-                                a += 1;
-                                b += 1;
-                            }
-                            std::cmp::Ordering::Less => a += 1,
-                            std::cmp::Ordering::Greater => b += 1,
+            let (cx, cy) = ((key >> 64) as u64, key as u64);
+            let Some(left) = cx.checked_sub(1) else {
+                continue; // the left column lies across the key wrap
+            };
+            let column = u128::from(left) << 64;
+            let mid = column | u128::from(cy);
+            let first = column | u128::from(cy.saturating_sub(1));
+            let last = column | u128::from(cy.saturating_add(1));
+            while keys[cursor] < first {
+                cursor += 1;
+            }
+            // The cursor never passes `r` (its key exceeds `last`).
+            let mut i = cursor;
+            while keys[i] <= last {
+                self.block_counts[r] += points(i);
+                self.block_counts[i] += own;
+                if keys[i] == mid {
+                    // lint: allow(cast-audit) — ranks ≤ cell count < u32::MAX, asserted in rebuild_cells
+                    self.col_links[r].0 = i as u32;
+                    // lint: allow(cast-audit) — ranks ≤ cell count < u32::MAX, asserted in rebuild_cells
+                    self.col_links[i].1 = r as u32;
+                }
+                i += 1;
+            }
+        }
+        for r in 0..n_cells {
+            let (cx, cy) = Self::unpack(self.cell_keys[r]);
+            if matches!(cx, -1 | 0) || matches!(cy, -1 | 0) {
+                let mut count = 0;
+                for col in cx - 1..=cx + 1 {
+                    for row in cy - 1..=cy + 1 {
+                        if let Some(rank) = self.bucket_rank(Self::pack((col, row))) {
+                            count += points(rank);
                         }
                     }
                 }
+                self.block_counts[r] = count;
             }
-            prev_run = Some((r, end, high));
-            r = end;
         }
     }
 
@@ -655,6 +703,14 @@ impl RegionQuery for GridIndex {
         let (cx, cy) = Self::unpack(self.cell_keys[rank]);
         self.query_cells(cx, cy, Some(rank), target, out);
     }
+
+    /// The point count of the 3×3 cell block around the point's own cell:
+    /// every hit of [`RegionQuery::neighbors_into`] lies in that block, so
+    /// the count never undercounts. On sparse worlds it is usually below
+    /// `min_pts`, letting DBSCAN skip the query outright.
+    fn neighbor_bound(&self, idx: usize) -> usize {
+        self.block_counts[self.point_rank[idx] as usize] as usize
+    }
 }
 
 /// Reusable scratch state for snapshot clustering: the grid index, the
@@ -701,7 +757,9 @@ impl SnapshotClusterer {
 
     /// Attaches a recorder for subsequent [`SnapshotClusterer::cluster_into`]
     /// calls (`cluster.calls` / `cluster.points` / `cluster.clusters_found`
-    /// counters and the `cluster.call_ns` latency histogram).
+    /// counters, the `cluster.region_queries` /
+    /// `prune.region_queries_skipped` pair and the `cluster.call_ns` latency
+    /// histogram).
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -767,6 +825,7 @@ impl SnapshotClusterer {
         }
         if live {
             let (kernel_batches, kernel_lanes) = self.grid.take_kernel_counts();
+            let (region_queries, queries_skipped) = self.scratch.query_counts();
             self.obs.counter_add("cluster.calls", 1);
             self.obs
                 .counter_add("cluster.points", self.ids.len() as u64);
@@ -775,6 +834,10 @@ impl SnapshotClusterer {
             self.obs
                 .counter_add("cluster.kernel_batches", kernel_batches);
             self.obs.counter_add("cluster.kernel_lanes", kernel_lanes);
+            self.obs
+                .counter_add("cluster.region_queries", region_queries);
+            self.obs
+                .counter_add("prune.region_queries_skipped", queries_skipped);
             self.obs.histogram_record(
                 "cluster.call_ns",
                 self.obs.now_ns().saturating_sub(started_ns),

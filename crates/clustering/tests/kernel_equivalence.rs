@@ -16,13 +16,20 @@
 //! (every lane of every batch a hit), points at *exactly* distance `e`
 //! (closed-ball inclusivity in every lane slot), and extent sizes covering
 //! every remainder class `n mod LANE_WIDTH` (the scalar tail).
+//!
+//! The same fixtures check the grid's [`RegionQuery::neighbor_bound`], the
+//! 3×3 cell count DBSCAN uses to skip region queries that cannot find a
+//! core point: it must never undercount a neighbourhood, it must equal the
+//! brute-force block count (cells straddling the `0 / −1` key wrap on both
+//! axes included), and the pruned DBSCAN must label exactly like the frozen,
+//! unpruned reference loop.
 
 use proptest::prelude::*;
 use traj_cluster::dbscan::RegionQuery;
 use traj_cluster::kernel::LANE_WIDTH;
 use traj_cluster::{dbscan, GridIndex};
 use traj_cluster_baselines::aos::AosGridIndex;
-use traj_cluster_baselines::reference::HashMapGrid;
+use traj_cluster_baselines::reference::{self, HashMapGrid};
 use trajectory::geometry::Point;
 
 /// Asserts that the batched grid reports exactly the hits and order of both
@@ -58,6 +65,163 @@ fn assert_all_paths_agree(pts: &[Point], e: f64) {
         assert_eq!(
             soa_buf, aos_buf,
             "SoA neighbors_into diverged from frozen AoS baseline at point {i}"
+        );
+    }
+}
+
+/// The grid cell of one coordinate, as every grid in the suite computes it:
+/// `floor(v / e)`, NaN parked in cell 0, clamped to ±2⁶².
+fn cell_coord(v: f64, e: f64) -> i64 {
+    let cell = (v / e).floor();
+    if cell.is_nan() {
+        return 0;
+    }
+    let limit = (1i64 << 62) as f64;
+    cell.clamp(-limit, limit) as i64
+}
+
+/// Asserts that the grid's `neighbor_bound` at every point equals the
+/// brute-force count of points in its 3×3 cell block, and so never falls
+/// below the true neighbourhood size.
+fn assert_bound_is_exact_block_count(pts: &[Point], e: f64) {
+    let grid = GridIndex::build(pts.to_vec(), e);
+    let e = if e > 0.0 { e } else { f64::EPSILON };
+    let cells: Vec<(i64, i64)> = pts
+        .iter()
+        .map(|p| (cell_coord(p.x, e), cell_coord(p.y, e)))
+        .collect();
+    for (i, &(cx, cy)) in cells.iter().enumerate() {
+        let block = cells
+            .iter()
+            // i128: cells at opposite ends of the ±2⁶² clamp differ by 2⁶³.
+            .filter(|&&(x, y)| {
+                (i128::from(x) - i128::from(cx)).abs() <= 1
+                    && (i128::from(y) - i128::from(cy)).abs() <= 1
+            })
+            .count();
+        let bound = grid.neighbor_bound(i);
+        assert_eq!(
+            bound, block,
+            "bound is not the 3×3 block count at point {i}"
+        );
+        let hits = grid.neighbors(i).len();
+        assert!(
+            bound >= hits,
+            "bound {bound} undercounts {hits} hits at point {i}"
+        );
+    }
+}
+
+#[test]
+fn neighbor_bound_resolves_the_key_wrap_on_both_axes() {
+    // Cells 0 and −1 are neighbours, but their packed key halves (0 and
+    // u64::MAX) sit at opposite ends of the sorted key table.
+    let mut pts = Vec::new();
+    for x in [-0.5, 0.5] {
+        for y in [-0.5, 0.5] {
+            pts.push(Point::new(x, y));
+        }
+    }
+    pts.extend([
+        Point::new(-1.5, 0.5),
+        Point::new(1.5, -1.5),
+        Point::new(0.5, -1.5),
+        Point::new(-0.5, 1.5),
+        Point::new(-1.5, -1.5),
+    ]);
+    assert_bound_is_exact_block_count(&pts, 1.0);
+    // Only the wrap neighbours: one point in each of the four cells around
+    // the origin, so each point's bound must see all four.
+    let corners = vec![
+        Point::new(-0.1, -0.1),
+        Point::new(0.1, -0.1),
+        Point::new(-0.1, 0.1),
+        Point::new(0.1, 0.1),
+    ];
+    assert_bound_is_exact_block_count(&corners, 1.0);
+    let grid = GridIndex::build(corners.clone(), 1.0);
+    for i in 0..corners.len() {
+        assert_eq!(grid.neighbor_bound(i), 4);
+        assert_eq!(grid.neighbors(i).len(), 4);
+    }
+    assert_eq!(
+        dbscan(&grid, 4),
+        reference::dbscan(&HashMapGrid::build(corners, 1.0), 4)
+    );
+}
+
+#[test]
+fn neighbor_bound_holds_at_the_clamp_and_for_non_finite_points() {
+    let limit = (1i64 << 62) as f64;
+    let pts = vec![
+        Point::new(limit, limit),
+        Point::new(limit * 4.0, limit),
+        Point::new(-limit, -limit),
+        Point::new(-limit * 4.0, -limit * 2.0),
+        Point::new(limit, -limit),
+        Point::new(f64::INFINITY, f64::INFINITY),
+        Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        Point::new(f64::INFINITY, f64::NEG_INFINITY),
+        Point::new(f64::NAN, 0.0),
+        Point::new(0.0, f64::NAN),
+        Point::new(f64::NAN, f64::NAN),
+        Point::new(0.2, 0.2),
+        Point::new(-0.2, -0.2),
+        Point::new(1e308, -1e308),
+    ];
+    assert_bound_is_exact_block_count(&pts, 1.0);
+    assert_bound_is_exact_block_count(&pts, 0.0);
+    for m in 1..5 {
+        assert_eq!(
+            dbscan(&GridIndex::build(pts.clone(), 1.0), m),
+            reference::dbscan(&HashMapGrid::build(pts.clone(), 1.0), m),
+            "pruned DBSCAN diverged at m = {m}"
+        );
+    }
+}
+
+#[test]
+fn neighbor_bound_counts_thousands_of_duplicates_in_one_cell() {
+    let mut pts = vec![Point::new(-0.5, -0.5); 4096];
+    pts.push(Point::new(0.5, 0.5));
+    pts.push(Point::new(-1.5, 0.5));
+    pts.push(Point::new(30.0, 30.0));
+    assert_bound_is_exact_block_count(&pts, 1.0);
+    let grid = GridIndex::build(pts.clone(), 1.0);
+    assert_eq!(grid.neighbor_bound(0), 4098);
+    assert_eq!(grid.neighbor_bound(4096), 4097);
+    assert_eq!(grid.neighbor_bound(4098), 1);
+}
+
+#[test]
+fn pruned_dbscan_matches_the_unpruned_reference_on_a_sparse_world() {
+    // Mostly isolated points — the regime where almost every region query
+    // is skipped — plus a few dense clumps, chains and near-misses of size
+    // m − 1 that the bound admits but the query rejects.
+    let mut state = 0x243f_6a88_85a3_08d3_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 1_000_000) as f64 * 1e-3 - 500.0
+    };
+    let mut pts: Vec<Point> = (0..3_000).map(|_| Point::new(next(), next())).collect();
+    for clump in 0..12 {
+        let (ax, ay) = (next(), next());
+        for i in 0..(clump % 5 + 1) {
+            pts.push(Point::new(ax + i as f64 * 0.3, ay - i as f64 * 0.2));
+        }
+    }
+    let chain: Vec<Point> = (0..20).map(|i| Point::new(i as f64 * 0.9, -0.4)).collect();
+    pts.extend(chain);
+    for (e, m) in [(1.0, 2), (1.0, 3), (2.0, 3), (0.5, 4), (3.0, 5)] {
+        assert_bound_is_exact_block_count(&pts, e);
+        let grid = GridIndex::build(pts.clone(), e);
+        let pruned = dbscan(&grid, m);
+        assert_eq!(
+            pruned,
+            reference::dbscan(&HashMapGrid::build(pts.clone(), e), m),
+            "pruned DBSCAN diverged from the frozen reference at e = {e}, m = {m}"
         );
     }
 }
@@ -193,6 +357,22 @@ fn grid_rebuild_reuse_keeps_the_kernel_path_exact() {
 }
 
 proptest! {
+    #[test]
+    fn neighbor_bound_never_undercounts(
+        coords in proptest::collection::vec((-12.0f64..12.0, -12.0f64..12.0), 1..150),
+        e in 0.2f64..4.0,
+        m in 1usize..6,
+    ) {
+        // Worlds straddle the origin, so the `0 / −1` wrap is in play on
+        // both axes in most cases.
+        let pts: Vec<Point> = coords.iter().map(|(x, y)| Point::new(*x, *y)).collect();
+        assert_bound_is_exact_block_count(&pts, e);
+        prop_assert_eq!(
+            dbscan(&GridIndex::build(pts.clone(), e), m),
+            reference::dbscan(&HashMapGrid::build(pts, e), m)
+        );
+    }
+
     #[test]
     fn random_worlds_agree_with_both_references(
         coords in proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 1..120),

@@ -197,8 +197,10 @@ impl CmcState {
     /// Attaches a metrics recorder: per-tick `cmc.*` counters, gauges and
     /// histograms, plus the `cluster.*` metrics of the internal
     /// [`SnapshotClusterer`] (call/point/cluster totals, the per-call
-    /// latency histogram, and the batched-kernel utilisation pair
-    /// `cluster.kernel_batches` / `cluster.kernel_lanes`). The default is
+    /// latency histogram, the batched-kernel utilisation pair
+    /// `cluster.kernel_batches` / `cluster.kernel_lanes`, and the
+    /// region-query pair `cluster.region_queries` /
+    /// `prune.region_queries_skipped`). The default is
     /// the no-op recorder, which keeps every instrumented path at a single
     /// branch.
     pub fn set_obs(&mut self, obs: Obs) {

@@ -193,6 +193,18 @@ fn warmed_clusterer_with_live_registry_performs_zero_allocations() {
         batches * (traj_cluster::kernel::LANE_WIDTH as u64) <= lanes,
         "kernel batch accounting inconsistent: {batches} batches vs {lanes} lanes"
     );
+    // Every point of a tick with at least m entries is visited exactly once,
+    // and each visit either runs its region query or skips it on the 3×3
+    // density bound.
+    let queries = registry.counter("cluster.region_queries");
+    let skipped = registry.counter("prune.region_queries_skipped");
+    assert!(queries > 0, "no region query ran");
+    assert!(skipped > 0, "the density bound skipped no region query");
+    assert_eq!(
+        queries + skipped,
+        registry.counter("cluster.points"),
+        "region queries ({queries}) + skipped ({skipped}) must cover every point"
+    );
 }
 
 #[test]

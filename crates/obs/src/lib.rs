@@ -42,6 +42,7 @@
 //! | `stream.time_to_first_convoy_ns` | histogram | streaming first-result latency |
 //! | `scan.blocks_read` / `scan.blocks_pruned` | counter | container block-index pruning |
 //! | `cluster.kernel_batches` / `cluster.kernel_lanes` | counter | batched-kernel utilisation (full `LANE_WIDTH` batches vs total candidate lanes scanned) |
+//! | `cluster.region_queries` / `prune.region_queries_skipped` | counter | snapshot-DBSCAN region queries run vs skipped because the point's 3×3 cell block holds fewer than m points (the two sum to `cluster.points` over ticks with ≥ m objects) |
 //!
 //! # Spans
 //!

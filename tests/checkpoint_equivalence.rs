@@ -3,7 +3,7 @@
 //! checkpoint, restore, run M more ≡ run N+M straight, on the raw convoys
 //! (order included), the candidates, and every [`StreamStats`] counter. The
 //! property holds at *any* cut point, mid-partition included, because the
-//! checkpoint captures the full resumable frontier (validator, buffers,
+//! checkpoint captures the full resumable frontier (feed watermark, buffers,
 //! partition cursor, candidate chain, refinement fold, undrained output)
 //! and everything it omits is scratch whose reconstruction is
 //! output-neutral.
