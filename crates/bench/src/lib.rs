@@ -21,16 +21,20 @@
 //! writes one `bench_results/<name>.csv` per artifact (echoed to stdout).
 //! Discovery times are the `discover.*` spans of each run, kept by a
 //! recorder that drops every other metric, so the engines run as
-//! uninstrumented as under the no-op recorder. The Criterion benches under `benches/` (engine scaling, micro
-//! primitives, kernels, container vs CSV, obs overhead) back the committed
-//! `BENCH_*.json` files.
+//! uninstrumented as under the no-op recorder.
+//!
+//! Performance is measured by the end-to-end ledger (`BENCHMARK.json`,
+//! `ledger/`): medians with spread on named workloads, split into the
+//! layers the obs registry names. This crate holds no micro-benches.
 //!
 //! ## Scaling
 //!
 //! The synthetic profiles default to a fraction of the paper's dataset sizes
 //! so that the whole suite runs in minutes on a laptop. Set the environment
 //! variable `CONVOY_SCALE` (e.g. `CONVOY_SCALE=1.0`) to change the fraction;
-//! relative comparisons between algorithms are stable across scales.
+//! relative comparisons between algorithms are stable across scales. A
+//! value that is not a finite number greater than 0 is an error
+//! ([`scale_from_env`]), never a silent fall-back to the default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,8 +45,6 @@ pub mod prepare;
 pub mod report;
 pub mod runner;
 
-pub use prepare::{
-    bench_scale, prepared, scale_from_env, Datasets, PreparedDataset, DEFAULT_SCALE,
-};
+pub use prepare::{prepared, scale_from_env, Datasets, PreparedDataset, DEFAULT_SCALE};
 pub use report::Report;
 pub use runner::{run_method, MeasuredRun};

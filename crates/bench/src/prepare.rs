@@ -1,4 +1,4 @@
-//! Dataset preparation shared by the paper experiments and the benches.
+//! Dataset preparation for the paper experiments.
 
 use convoy_core::ConvoyQuery;
 use traj_datasets::{generate, DatasetProfile, GeneratedDataset, ProfileName};
@@ -7,10 +7,6 @@ use traj_datasets::{generate, DatasetProfile, GeneratedDataset, ProfileName};
 /// not set: large enough that the algorithmic trade-offs are visible, small
 /// enough that the whole suite runs in minutes.
 pub const DEFAULT_SCALE: f64 = 0.15;
-
-/// Scale used by the Criterion benches (which execute each body many
-/// times); can be overridden with `CONVOY_BENCH_SCALE`.
-pub const BENCH_SCALE: f64 = 0.05;
 
 /// The seed every experiment uses, so that figures are reproducible
 /// run-to-run.
@@ -30,24 +26,24 @@ pub struct PreparedDataset {
     pub query: ConvoyQuery,
 }
 
-/// Reads the experiment scale from `CONVOY_SCALE`, falling back to
-/// [`DEFAULT_SCALE`].
-pub fn scale_from_env() -> f64 {
-    std::env::var("CONVOY_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(DEFAULT_SCALE)
+/// Reads the experiment scale from `CONVOY_SCALE`: unset means
+/// [`DEFAULT_SCALE`], and a set value must be a finite number greater than
+/// 0. The error names the variable and the value it got.
+pub fn scale_from_env() -> Result<f64, String> {
+    let value = std::env::var_os("CONVOY_SCALE");
+    parse_scale(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
 }
 
-/// Reads the Criterion bench scale from `CONVOY_BENCH_SCALE`, falling back to
-/// [`BENCH_SCALE`].
-pub fn bench_scale() -> f64 {
-    std::env::var("CONVOY_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(BENCH_SCALE)
+fn parse_scale(value: Option<&str>) -> Result<f64, String> {
+    let Some(value) = value else {
+        return Ok(DEFAULT_SCALE);
+    };
+    match value.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "CONVOY_SCALE must be a finite number greater than 0, got {value:?}"
+        )),
+    }
 }
 
 /// Generates the dataset for one profile at the given scale, together with
@@ -128,9 +124,27 @@ mod tests {
     }
 
     #[test]
-    fn scale_parsing_falls_back_to_default() {
-        // The environment variable is not set in the test harness.
-        assert!(scale_from_env() > 0.0);
-        assert!(bench_scale() > 0.0);
+    fn scale_parsing_accepts_only_finite_positive_values() {
+        assert_eq!(parse_scale(None), Ok(DEFAULT_SCALE));
+        for (value, expected) in [
+            ("abc", None),
+            ("", None),
+            ("0", None),
+            ("-1", None),
+            ("nan", None),
+            ("inf", None),
+            ("1e309", None),
+            ("0.02", Some(0.02)),
+            ("1.0", Some(1.0)),
+        ] {
+            match (parse_scale(Some(value)), expected) {
+                (Ok(scale), Some(expected)) => assert_eq!(scale, expected, "{value:?}"),
+                (Err(message), None) => {
+                    assert!(message.contains("CONVOY_SCALE"), "{message}");
+                    assert!(message.contains(&format!("{value:?}")), "{message}");
+                }
+                (got, _) => panic!("{value:?} parsed to {got:?}, expected {expected:?}"),
+            }
+        }
     }
 }

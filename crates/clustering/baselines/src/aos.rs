@@ -1,6 +1,5 @@
 //! The **frozen scalar array-of-structs CSR grid**, kept verbatim as the
-//! baseline the batched structure-of-arrays kernel is measured and tested
-//! against — not production code (the same role [`crate::reference`] plays
+//! baseline the batched structure-of-arrays kernel is tested against — not production code (the same role [`crate::reference`] plays
 //! for the original `HashMap` grid).
 //!
 //! This is the PR-5 CSR [`GridIndex`](traj_cluster::GridIndex) exactly as it stood
@@ -9,13 +8,12 @@
 //! are grouped with a comparison `sort_unstable`, and the per-bucket
 //! distance scan walks one scalar `distance_squared` at a time with a
 //! branch per point. Everything else (packed keys, sorted key table, probe
-//! table, column chaining) is identical to the production grid, so a
-//! benchmark of the two isolates precisely the layout + kernel change, and
-//! an equivalence test of the two pins the batched path to the historical
-//! hits and order.
+//! table, column chaining) is identical to the production grid, so an
+//! equivalence test of the two pins the batched path to the historical hits
+//! and order.
 //!
 //! Do not "improve" this module: any edit here silently changes what
-//! `kernel_equivalence.rs` and `BENCH_kernels.json` claim to pin.
+//! `kernel_equivalence.rs` claims to pin.
 
 use traj_cluster::dbscan::RegionQuery;
 use trajectory::geometry::Point;
@@ -52,15 +50,6 @@ impl AosGridIndex {
         index.epsilon = if epsilon > 0.0 { epsilon } else { f64::EPSILON };
         index.rebuild_cells();
         index
-    }
-
-    /// Re-indexes in place (the reuse entry point, as in the production
-    /// grid).
-    pub fn rebuild(&mut self, epsilon: f64, points: impl IntoIterator<Item = Point>) {
-        self.points.clear();
-        self.points.extend(points);
-        self.epsilon = if epsilon > 0.0 { epsilon } else { f64::EPSILON };
-        self.rebuild_cells();
     }
 
     fn rebuild_cells(&mut self) {
@@ -131,11 +120,6 @@ impl AosGridIndex {
             }
             slot = (slot + 1) & mask;
         }
-    }
-
-    /// The indexed points.
-    pub fn points(&self) -> &[Point] {
-        &self.points
     }
 
     /// Like the production `range_query_into`: same hits, same order, but

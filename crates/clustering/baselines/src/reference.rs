@@ -3,26 +3,19 @@
 //!
 //! The CSR [`GridIndex`](traj_cluster::GridIndex) rewrite promises the exact
 //! neighbour sets *and order* of the original `HashMap`-bucket
-//! implementation (the engines' bit-identical guarantees depend on it), and
-//! `BENCH_baseline.json` records the speedup against the original's real
-//! cost profile. Both claims need the original to stay available and
-//! unchanged in one place:
-//!
-//! * the order-equivalence property tests in `traj-cluster`'s
-//!   `kernel_equivalence.rs` compare the CSR index against [`HashMapGrid`]
-//!   hit-for-hit, order included;
-//! * the `micro_primitives` bench times [`snapshot_clusters`] (this
-//!   module's, with the pre-scratch DBSCAN loop below) against the CSR +
-//!   scratch-reuse path.
+//! implementation (the engines' bit-identical guarantees depend on it).
+//! That claim needs the original to stay available and unchanged in one
+//! place: the order-equivalence tests in `traj-cluster`'s
+//! `kernel_equivalence.rs` compare the CSR index against [`HashMapGrid`]
+//! hit-for-hit, order included, and the production DBSCAN against the
+//! unpruned, allocating [`dbscan`] loop below.
 //!
 //! Do not "improve" this module: any edit here silently changes what the
-//! tests and the recorded baseline claim to pin.
+//! tests claim to pin.
 
 use std::collections::HashMap;
-use traj_cluster::cluster::Cluster;
-use traj_cluster::dbscan::{labels_to_clusters, Label, RegionQuery};
+use traj_cluster::dbscan::{Label, RegionQuery};
 use trajectory::geometry::Point;
-use trajectory::{ObjectId, Snapshot};
 
 /// The pre-CSR grid: `HashMap` buckets keyed by cell coordinates, one
 /// heap-allocated `Vec` per cell, a freshly allocated hit list per query.
@@ -136,24 +129,4 @@ pub fn dbscan<Q: RegionQuery>(query: &Q, min_pts: usize) -> Vec<Label> {
         }
     }
     labels
-}
-
-/// The pre-CSR `snapshot_clusters`: fresh id/point vectors, fresh
-/// `HashMap` grid, the allocating DBSCAN above.
-pub fn snapshot_clusters(snapshot: &Snapshot, e: f64, m: usize) -> Vec<Cluster> {
-    if snapshot.len() < m {
-        return Vec::new();
-    }
-    let ids: Vec<ObjectId> = snapshot.entries.iter().map(|entry| entry.id).collect();
-    let points: Vec<Point> = snapshot
-        .entries
-        .iter()
-        .map(|entry| entry.position)
-        .collect();
-    let index = HashMapGrid::build(points, e);
-    let labels = dbscan(&index, m);
-    labels_to_clusters(&labels)
-        .into_iter()
-        .map(|members| Cluster::new(members.into_iter().map(|i| ids[i]).collect()))
-        .collect()
 }

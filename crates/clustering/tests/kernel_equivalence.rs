@@ -227,6 +227,35 @@ fn pruned_dbscan_matches_the_unpruned_reference_on_a_sparse_world() {
 }
 
 #[test]
+fn production_sized_uniform_worlds_agree_with_both_references() {
+    // The engines' per-tick shape at 1k to 100k points: uniform points at
+    // constant density (the side grows with √n, ≈7 points per e-disc at
+    // e = 3), so key ranges are wide and the radix build takes several
+    // passes, unlike the small proptest worlds above.
+    const EPS: f64 = 3.0;
+    const MIN_PTS: usize = 3;
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for n in [1_000usize, 10_000, 100_000] {
+        let side = (n as f64).sqrt() * 2.0;
+        let pts: Vec<Point> = (0..n)
+            .map(|_| Point::new(unit() * side, unit() * side))
+            .collect();
+        assert_all_paths_agree(&pts, EPS);
+        assert_eq!(
+            dbscan(&GridIndex::build(pts.clone(), EPS), MIN_PTS),
+            reference::dbscan(&HashMapGrid::build(pts, EPS), MIN_PTS),
+            "pruned DBSCAN diverged from the frozen reference at n = {n}"
+        );
+    }
+}
+
+#[test]
 fn non_finite_coordinates_agree_with_both_references() {
     // NaN cells hash to cell 0, ±∞ clamps to the world edge; none of them
     // may ever appear in a neighbourhood, and their presence must not

@@ -5,8 +5,8 @@
 //! reporting intervals (the Taxi dataset reports "once in several minutes"),
 //! and devices that switch off for parts of the day. These helpers apply such
 //! perturbations to an existing [`TrajectoryDatabase`], which is how the
-//! robustness tests and the ablation benches stress the discovery algorithms
-//! without changing the generator itself.
+//! robustness tests stress the discovery algorithms without changing the
+//! generator itself.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
