@@ -224,6 +224,11 @@ pub fn generate_command(args: &ParsedArgs) -> Result<String, CommandError> {
             .ok_or_else(|| CommandError("missing --profile".into()))?,
     )?;
     let scale: f64 = args.get_parsed_or("scale", 0.1)?;
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(CommandError(format!(
+            "--scale must be a finite number greater than 0, got {scale}"
+        )));
+    }
     let seed: u64 = args.get_parsed_or("seed", 42)?;
     let out = args
         .get("out")?

@@ -73,6 +73,18 @@ fn generate_requires_profile_and_out() {
         .failure()
         .code(1)
         .stderr_contains("missing --out");
+    // A scale must be finite and positive; nothing is written otherwise.
+    let out = temp_path("bad-scale.csv");
+    for scale in ["inf", "0", "-1", "nan"] {
+        convoy()
+            .args(["generate", "--profile", "truck", "--scale", scale])
+            .args(["--out", out.to_str().unwrap()])
+            .assert()
+            .failure()
+            .code(1)
+            .stderr_contains("--scale must be a finite number greater than 0");
+        assert!(!out.exists(), "--scale {scale} wrote a file");
+    }
 }
 
 #[test]
@@ -235,6 +247,20 @@ fn discover_stats_flag_prints_fold_counters() {
         .assert()
         .success()
         .stdout_contains("cmc.peak_candidates");
+    // The filter line reports the λ the partitioning ran, not the request.
+    for (requested, used) in [
+        ("0", "λ=2,"),
+        ("1", "λ=2,"),
+        ("18446744073709551615", "λ=9223372036854775807,"),
+    ] {
+        convoy()
+            .args(["discover", path.to_str().unwrap()])
+            .args(["--method", "cuts-star", "--m", "3", "--k", "5", "--e", "10"])
+            .args(["--lambda", requested])
+            .assert()
+            .success()
+            .stdout_contains(used);
+    }
 }
 
 #[test]
@@ -311,6 +337,14 @@ fn stream_validates_its_arguments() {
         .failure()
         .code(1)
         .stderr_contains("--horizon");
+    // A λ beyond the i64 time axis runs, and is reported, as i64::MAX.
+    let path = truck_fixture("stream-huge-lambda.csv");
+    convoy()
+        .args(["stream", &path, "--m", "3", "--k", "5", "--e", "8"])
+        .args(["--delta", "1", "--lambda", "18446744073709551615"])
+        .assert()
+        .success()
+        .stdout_contains("λ=9223372036854775807");
 }
 
 /// Writes the truck fixture (`--scale 0.02 --seed 11`) to `name`.

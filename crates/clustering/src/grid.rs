@@ -12,33 +12,34 @@
 //! than a `HashMap<cell, Vec<usize>>`: one flat array of `(cell key, point
 //! index)` pairs grouped in place by a byte-adaptive radix sort (`keyed`),
 //! a sorted table of the distinct keys (`cell_keys`) with their bucket
-//! extents (`bucket_starts`), flat per-cell columns — the point-index
-//! column `bucket_points` plus **structure-of-arrays coordinate columns**
-//! `cell_xs` / `cell_ys` (split from the former interleaved `Vec<Point>`
-//! copy so the distance scan streams pure `f64` lanes) — and a compact
-//! open-addressed `(hash tag, rank)` probe table. A range query resolves
-//! the 3×3 neighbour cells with typically **one hash probe per column**:
-//! vertically adjacent cells have numerically consecutive packed keys, so
-//! once one cell of a column is anchored, its neighbours chain via a single
-//! sequential comparison in the sorted key table — and an indexed point's
-//! own cell needs no probe (and no coordinate division) at all, its bucket
-//! rank being recorded at build time. No per-cell `Vec`, no SipHash, no
-//! pointer chasing — the flat-bucket structure the grid-join literature
-//! gets its speed from.
+//! extents (`bucket_starts`), and flat per-cell columns — the point-index
+//! column `bucket_points` plus the **structure-of-arrays coordinate columns**
+//! `cell_xs` / `cell_ys`, so the distance scan streams pure `f64` lanes. No
+//! per-cell `Vec`, no hashing, no pointer chasing — the flat-bucket
+//! structure the grid-join literature gets its speed from.
 //!
-//! The per-cell distance tests run through the batched
-//! [`kernel`] module: a column's vertically adjacent buckets
-//! occupy *consecutive ranks* whenever their keys are consecutive, so the
-//! scan fuses them into one contiguous extent and tests it in
-//! [`kernel::LANE_WIDTH`]-wide branch-free lanes
-//! (autovectorizable), emitting hits from a bitmask in ascending-index
-//! order (the mask-then-emit argument in the kernel docs).
+//! ## One extent per block column
+//!
+//! A cell key packs `(cx, cy)` with the sign bit of each half flipped, so the
+//! keys sort in `(cx, cy)` order and a cell's neighbours sit at fixed key
+//! offsets: `± 1` is the cell above or below, `± 2⁶⁴` the cell to the right
+//! or left (cell coordinates are clamped to ±2⁶², so no offset overflows).
+//! The occupied cells of one column of a 3×3 block — column `cx + dx`, rows
+//! `cy − 1..=cy + 1` — therefore have consecutive ranks, and their buckets
+//! form one contiguous extent of the CSR columns. The build records the
+//! three column extents of every cell's block in one forward sweep over the
+//! sorted keys (`fill_blocks`, O(cells)). A query at an indexed point
+//! reads its cell's three extents and hands each to
+//! [`kernel::scan_soa`], which tests it in [`kernel::LANE_WIDTH`]-wide
+//! branch-free lanes (autovectorizable) and emits hits from a bitmask in
+//! ascending-index order (the mask-then-emit argument in the kernel docs).
 //!
 //! Grouping by `(key, index)` keeps each bucket's points in ascending point
 //! index, which is exactly the insertion order the previous `HashMap`
-//! implementation produced; together with the fixed 3×3 `dx`/`dy` cell visit
-//! order this makes every neighbourhood list — and therefore every DBSCAN
-//! label sequence — bit-identical to the historical behaviour, which the
+//! implementation produced, and the extents are scanned columns left to
+//! right, each from `cy − 1` up — the `HashMap` grid's fixed 3×3 `dx`/`dy`
+//! visit order. So every neighbourhood list — and therefore every DBSCAN
+//! label sequence — is bit-identical to the historical behaviour, which the
 //! engine/stream equivalence suites rely on (the frozen originals — the
 //! `HashMap` grid and the scalar array-of-structs CSR grid — live in the
 //! test-support crate `traj-cluster-baselines`, and
@@ -47,9 +48,8 @@
 //! ## Density bound before the region query
 //!
 //! Every hit of a query lies in the 3×3 cell block around the point's own
-//! cell, so the block's point count bounds the neighbourhood size from
-//! above. The build records that count per cell (the same sweep that links
-//! the columns, plus a few probes where a block crosses the key wrap), and
+//! cell, so the block's point count — the summed length of its three column
+//! extents — bounds the neighbourhood size from above.
 //! [`RegionQuery::neighbor_bound`] serves it: DBSCAN skips the region query
 //! of any point whose block holds fewer than `m` points — on a sparse world
 //! that is almost every point — with labels unchanged.
@@ -92,7 +92,8 @@ pub struct GridIndex {
     /// and this scratch, so the sort allocates nothing once both have grown
     /// to the working-set size.
     keyed_scratch: Vec<(u128, u32)>,
-    /// The distinct cell keys, ascending, indexed by bucket rank.
+    /// The distinct cell keys in `(cx, cy)` order (see [`GridIndex::pack`]),
+    /// indexed by bucket rank.
     cell_keys: Vec<u128>,
     /// `bucket_starts[r]..bucket_starts[r + 1]` is the extent of bucket `r`
     /// inside `bucket_points` / `cell_xs` / `cell_ys`.
@@ -106,32 +107,13 @@ pub struct GridIndex {
     cell_xs: Vec<f64>,
     /// y coordinates in bucket order (see [`GridIndex::cell_xs`]).
     cell_ys: Vec<f64>,
-    /// Open-addressed lookup table of `(hash tag, bucket rank)` pairs,
-    /// resolved by linear probing: a probe compares the 32-bit tag (one
-    /// 8-byte load), and only a tag match pays the exact key verification
-    /// against `cell_keys`. Sized to the next power of two ≥ 2× the cell
-    /// count, so probes stay short and the table stays compact (8 bytes per
-    /// slot). Replaces both the `HashMap` of the original implementation
-    /// (whose SipHash dominated lookups) and a sorted-key binary search
-    /// (whose ~log₂ cells u128 comparisons per cell lookup measurably lose
-    /// to one multiply-shift hash).
-    rank_table: Vec<(u32, u32)>,
     /// Bucket rank of every point's own cell (filled free during the
-    /// grouping pass): the centre column of a [`RegionQuery::neighbors_into`]
-    /// query needs no hash probe at all.
+    /// grouping pass).
     point_rank: Vec<u32>,
-    /// Per bucket rank, the rank of the same-`cy` cell one column to the
-    /// left (`cx - 1`) and one to the right (`cx + 1`), or [`EMPTY_SLOT`]
-    /// when that cell is unoccupied (or lies across the u64 sign-boundary
-    /// key wrap). Filled by one O(cells) forward sweep over the sorted keys
-    /// at build time ([`GridIndex::link_columns`]) — these links resolve the
-    /// side columns of a query's 3×3 block with direct rank lookups: in a
-    /// dense world, [`RegionQuery::neighbors_into`] touches no hash probe
-    /// at all, and [`GridIndex::range_query_into`] only one (the centre
-    /// cell). Every probe is a guaranteed-random memory access, so on
-    /// large worlds this is the difference between ~3 cache misses per
-    /// query and ~0-1.
-    col_links: Vec<(u32, u32)>,
+    /// Per bucket rank, the `start..end` extents of the CSR columns that
+    /// hold the cell's 3×3 block: one per column `cx − 1`, `cx`, `cx + 1`,
+    /// each covering rows `cy − 1..=cy + 1` (see [`GridIndex::fill_blocks`]).
+    blocks: Vec<[(u32, u32); 3]>,
     /// Full [`kernel::LANE_WIDTH`]-wide batches the distance kernel has
     /// executed since the last [`GridIndex::take_kernel_counts`]. A `Cell`
     /// because queries take `&self`; plain adds, no atomics — queries are
@@ -140,18 +122,14 @@ pub struct GridIndex {
     /// Total candidate points the distance kernel has scanned (full batches
     /// plus scalar tail) since the last [`GridIndex::take_kernel_counts`].
     kernel_lanes: Cell<u64>,
-    /// Per bucket rank, the number of points in the 3×3 cell block around
-    /// the cell — an upper bound on the e-neighbourhood size of every point
-    /// in it, served by [`RegionQuery::neighbor_bound`]. Filled with the
-    /// column links (see [`GridIndex::link_columns`]); sums stay below the
-    /// point count, which [`GridIndex::rebuild_cells`] caps below `u32::MAX`.
-    block_counts: Vec<u32>,
 }
 
-/// Sentinel marking an empty [`GridIndex::rank_table`] slot. Bucket ranks
-/// are bounded by the point count, which [`GridIndex::rebuild_cells`] caps
-/// below `u32::MAX`.
-const EMPTY_SLOT: u32 = u32::MAX;
+/// The key offset of one grid column: `pack((cx + 1, cy)) − pack((cx, cy))`.
+const COLUMN: u128 = 1 << 64;
+
+/// The sign bit flipped in each half of a packed key, which turns two's
+/// complement order into unsigned order.
+const SIGN: u64 = 1 << 63;
 
 impl GridIndex {
     /// Builds the index over `points` for range queries of radius `epsilon`.
@@ -227,104 +205,37 @@ impl GridIndex {
         }
         // lint: allow(cast-audit) — keyed holds one pair per point, < u32::MAX, asserted above
         self.bucket_starts.push(self.keyed.len() as u32);
-
-        // Open-addressed rank table at ≤ 50% load.
-        let slots = (self.cell_keys.len() * 2).next_power_of_two().max(4);
-        self.rank_table.clear();
-        self.rank_table.resize(slots, (0, EMPTY_SLOT));
-        let mask = slots - 1;
-        for (rank, &key) in self.cell_keys.iter().enumerate() {
-            let hash = Self::hash_key(key);
-            let mut slot = hash as usize & mask;
-            while self.rank_table[slot].1 != EMPTY_SLOT {
-                slot = (slot + 1) & mask;
-            }
-            // lint: allow(cast-audit) — rank ≤ cell count < u32::MAX, asserted above
-            self.rank_table[slot] = (Self::tag(hash), rank as u32);
-        }
-
-        // Last: the few cells whose 3×3 block crosses the key wrap are
-        // counted through the probe table.
-        self.link_columns();
+        self.fill_blocks();
     }
 
-    /// Fills [`GridIndex::col_links`] and [`GridIndex::block_counts`] in one
-    /// sequential, hash-free sweep over the sorted key table.
+    /// Fills [`GridIndex::blocks`] in one forward sweep over the sorted key
+    /// table.
     ///
-    /// A cell's block count is its own points plus those of every occupied
-    /// cell in its 3×3 block, and block membership is symmetric — so the
-    /// sweep finds each adjacent *pair* once and credits both sides. Keys
-    /// sort by `(cx, cy)` as u64 halves: a cell's vertical neighbour below
-    /// is the previous rank when the keys differ by one, and the cells of
-    /// its left window (`cx − 1`, rows `cy − 1..=cy + 1`) form a contiguous
-    /// key range whose lower end never decreases in key order — one
-    /// forward-only cursor finds every window, O(cells) in total. The same
-    /// window's middle cell, if present, is the cross-column link of both
-    /// cells.
-    ///
-    /// The arithmetic fails only for pairs across the u64 sign-boundary key
-    /// wrap (`cx` or `cy` stepping between `−1` and `0`: u64 `u64::MAX`
-    /// beside `0`, at opposite ends of the table), and both cells of such a
-    /// pair have `cx` or `cy` in `{−1, 0}`. Those few cells are recounted
-    /// exactly with nine probes of the rank table, so no neighbour cell of a
-    /// query is ever left out of its bound. No link crosses the `cx` wrap,
-    /// mirroring the in-column adjacency guards of
-    /// [`GridIndex::query_cells`].
-    fn link_columns(&mut self) {
-        let n_cells = self.cell_keys.len();
-        self.col_links.clear();
-        self.col_links.resize(n_cells, (EMPTY_SLOT, EMPTY_SLOT));
-        self.block_counts.clear();
-        self.block_counts.resize(n_cells, 0);
+    /// The rows `cy − 1..=cy + 1` of column `cx + dx` are the keys
+    /// `key + dx·2⁶⁴ − 1 ..= key + dx·2⁶⁴ + 1`, a contiguous key range and
+    /// so a contiguous rank range. Both of its ends grow with `key`, so two
+    /// forward-only cursors per column find every range: O(cells) in total,
+    /// no search and no lookup table.
+    fn fill_blocks(&mut self) {
         let keys = &self.cell_keys;
-        let points = |rank: usize| self.bucket_starts[rank + 1] - self.bucket_starts[rank];
-        let mut cursor = 0usize;
-        for r in 0..n_cells {
-            let key = keys[r];
-            let own = points(r);
-            self.block_counts[r] += own;
-            if r > 0 && keys[r - 1] + 1 == key {
-                self.block_counts[r] += points(r - 1);
-                self.block_counts[r - 1] += own;
-            }
-            let (cx, cy) = ((key >> 64) as u64, key as u64);
-            let Some(left) = cx.checked_sub(1) else {
-                continue; // the left column lies across the key wrap
-            };
-            let column = u128::from(left) << 64;
-            let mid = column | u128::from(cy);
-            let first = column | u128::from(cy.saturating_sub(1));
-            let last = column | u128::from(cy.saturating_add(1));
-            while keys[cursor] < first {
-                cursor += 1;
-            }
-            // The cursor never passes `r` (its key exceeds `last`).
-            let mut i = cursor;
-            while keys[i] <= last {
-                self.block_counts[r] += points(i);
-                self.block_counts[i] += own;
-                if keys[i] == mid {
-                    // lint: allow(cast-audit) — ranks ≤ cell count < u32::MAX, asserted in rebuild_cells
-                    self.col_links[r].0 = i as u32;
-                    // lint: allow(cast-audit) — ranks ≤ cell count < u32::MAX, asserted in rebuild_cells
-                    self.col_links[i].1 = r as u32;
+        let starts = &self.bucket_starts;
+        self.blocks.clear();
+        // Per column: the first rank at or past the low row, and the first
+        // rank past the high row.
+        let mut first = [0usize; 3];
+        let mut end = [0usize; 3];
+        for &key in keys {
+            let mut block = [(0, 0); 3];
+            for (dx, mid) in [key - COLUMN, key, key + COLUMN].into_iter().enumerate() {
+                while first[dx] < keys.len() && keys[first[dx]] < mid - 1 {
+                    first[dx] += 1;
                 }
-                i += 1;
-            }
-        }
-        for r in 0..n_cells {
-            let (cx, cy) = Self::unpack(self.cell_keys[r]);
-            if matches!(cx, -1 | 0) || matches!(cy, -1 | 0) {
-                let mut count = 0;
-                for col in cx - 1..=cx + 1 {
-                    for row in cy - 1..=cy + 1 {
-                        if let Some(rank) = self.bucket_rank(Self::pack((col, row))) {
-                            count += points(rank);
-                        }
-                    }
+                while end[dx] < keys.len() && keys[end[dx]] <= mid + 1 {
+                    end[dx] += 1;
                 }
-                self.block_counts[r] = count;
+                block[dx] = (starts[first[dx]], starts[end[dx]]);
             }
+            self.blocks.push(block);
         }
     }
 
@@ -409,54 +320,12 @@ impl GridIndex {
         (self.kernel_batches.take(), self.kernel_lanes.take())
     }
 
-    /// Multiply-shift hash of a packed cell key. Collisions are resolved by
-    /// probing with tag comparison plus exact key verification, so the hash
-    /// only affects speed, never correctness.
-    #[inline]
-    fn hash_key(key: u128) -> u64 {
-        let lo = key as u64;
-        let hi = (key >> 64) as u64;
-        (hi ^ lo.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    /// The tag bits of a hash stored in the probe table (its high half —
-    /// disjoint from the low bits that pick the slot, so colliding slots
-    /// rarely share a tag).
-    #[inline]
-    fn tag(hash: u64) -> u32 {
-        // lint: allow(cast-audit) — intentional truncation to the high 32 bits
-        (hash >> 32) as u32
-    }
-
-    /// Looks up the bucket rank of `key` in the open-addressed table.
-    // lint: hot-path — open-addressed probe on every column resolution
-    #[inline]
-    fn bucket_rank(&self, key: u128) -> Option<usize> {
-        let mask = self.rank_table.len().checked_sub(1)?;
-        let hash = Self::hash_key(key);
-        let tag = Self::tag(hash);
-        let mut slot = hash as usize & mask;
-        loop {
-            let (stored_tag, rank) = self.rank_table[slot];
-            if rank == EMPTY_SLOT {
-                return None;
-            }
-            // A tag match is near-certain to be the key; the exact
-            // comparison keeps false positives impossible rather than rare.
-            if stored_tag == tag && self.cell_keys[rank as usize] == key {
-                return Some(rank as usize);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
     /// Largest cell coordinate magnitude the grid uses. `floor() as i64`
     /// saturates at `i64::MAX` for huge or infinite inputs, and the ±1
-    /// neighbour offsets of [`GridIndex::range_query`] would then overflow;
-    /// clamping to ±2⁶² (exactly representable as `f64`) keeps every
-    /// neighbour-cell computation in range. Points this far out are beyond
-    /// any meaningful `epsilon`, so the distance filter still rejects every
-    /// false bucket-mate.
+    /// neighbour offsets of a packed key would then overflow; clamping to
+    /// ±2⁶² (exactly representable as `f64`) keeps every neighbour-cell key
+    /// in range. Points this far out are beyond any meaningful `epsilon`, so
+    /// the distance filter still rejects every false bucket-mate.
     const CELL_LIMIT: f64 = (1i64 << 62) as f64;
 
     #[inline]
@@ -480,12 +349,14 @@ impl GridIndex {
         )
     }
 
-    /// Packs a cell coordinate pair into one order-irrelevant `u128` key
-    /// (bucket lookup only ever tests equality of exact keys, so the packed
-    /// ordering does not need to match the lexicographic `(i64, i64)` one).
+    /// Packs a cell coordinate pair into one `u128` key whose unsigned order
+    /// is the lexicographic `(cx, cy)` order: each coordinate becomes a u64
+    /// half with its sign bit flipped. With coordinates clamped to ±2⁶²,
+    /// `key ± 1` is the cell above or below and `key ± COLUMN` the cell to
+    /// the right or left, with no wrap anywhere.
     #[inline]
     fn pack((cx, cy): (i64, i64)) -> u128 {
-        ((cx as u64 as u128) << 64) | (cy as u64 as u128)
+        (u128::from(cx as u64 ^ SIGN) << 64) | u128::from(cy as u64 ^ SIGN)
     }
 
     /// The number of indexed points.
@@ -514,150 +385,35 @@ impl GridIndex {
     /// Like [`GridIndex::range_query`], but writes the indices into `out`
     /// (cleared first) instead of allocating — same hits, same order.
     ///
-    /// One hash probe resolves the target's own cell; when it exists (a
-    /// query at an indexed point always lands in one), the side columns
-    /// follow from its cross-column links and no further probes run.
+    /// `target` need not be an indexed point, so its block has no recorded
+    /// extents: two binary searches of the key table find each column's.
     pub fn range_query_into(&self, target: &Point, out: &mut Vec<usize>) {
         out.clear();
-        let (cx, cy) = Self::cell_of(target, self.epsilon);
-        let center = self.bucket_rank(Self::pack((cx, cy)));
-        self.query_cells(cx, cy, center, target, out);
-    }
-
-    /// The single batched query entry point shared by
-    /// [`GridIndex::range_query_into`] and [`RegionQuery::neighbors_into`]:
-    /// scans the 3×3 cell block around `(cx, cy)` column by column, pushing
-    /// every indexed point within `epsilon` of `target`. `eps²` is computed
-    /// exactly once, here.
-    ///
-    /// ### Column resolution
-    ///
-    /// Within a column, consecutive `cy` cells have numerically consecutive
-    /// packed keys (except across the rare u64 sign-boundary wrap, which the
-    /// `checked_add` guards detect), and the key table is sorted — so once
-    /// one cell of the column is resolved, its neighbours are found with a
-    /// single sequential key comparison at the adjacent rank. The side
-    /// columns' mid cells come from the centre cell's precomputed
-    /// [`GridIndex::col_links`]. Typical dense-grid cost: **zero** hash
-    /// probes when the caller supplies `center_rank` (an indexed point's
-    /// own cell, recorded at build time), with per-column probe fallbacks
-    /// for absent cells and unlinked columns.
-    ///
-    /// ### Run merging and the batched kernel
-    ///
-    /// Occupied column cells with consecutive ranks occupy contiguous CSR
-    /// extents, so their buckets fuse into one slice handed to
-    /// [`kernel::scan_soa`] as a single batch — at typical query density a
-    /// full 3-cell column becomes one multi-point extent instead of three
-    /// tiny scalar loops. Fusing only ever joins rank `r` with rank `r + 1`
-    /// in the lo → mid → hi scan order, so the merged kernel pass visits
-    /// buckets in precisely the order the scalar path scanned them one at a
-    /// time: hits and order stay bit-identical to the frozen references.
-    // lint: hot-path — the one batched query path; eps² computed once, extents go to the kernel
-    fn query_cells(
-        &self,
-        cx: i64,
-        cy: i64,
-        center_rank: Option<usize>,
-        target: &Point,
-        out: &mut Vec<usize>,
-    ) {
+        if self.cell_keys.is_empty() {
+            return;
+        }
+        let key = Self::pack(Self::cell_of(target, self.epsilon));
         let eps_sq = self.epsilon * self.epsilon;
-        // The centre cell's cross-column links hand the side columns their
-        // mid-cell ranks for free; a missing link (absent cell, or the rare
-        // key wrap) falls back to the hash-probe resolution below.
-        let (left_hint, right_hint) = match center_rank {
-            Some(r) => {
-                let (l, rt) = self.col_links[r];
-                (
-                    (l != EMPTY_SLOT).then_some(l as usize),
-                    (rt != EMPTY_SLOT).then_some(rt as usize),
-                )
-            }
-            None => (None, None),
-        };
-        for (col, col_rank) in [(cx - 1, left_hint), (cx, center_rank), (cx + 1, right_hint)] {
-            let k_lo = Self::pack((col, cy - 1));
-            let k_mid = Self::pack((col, cy));
-            let k_hi = Self::pack((col, cy + 1));
-            let lo_adjacent = k_lo.checked_add(1) == Some(k_mid);
-            let mid_adjacent = k_mid.checked_add(1) == Some(k_hi);
-
-            let r_lo = match col_rank {
-                Some(r_mid) if lo_adjacent => {
-                    if r_mid > 0 && self.cell_keys[r_mid - 1] == k_lo {
-                        Some(r_mid - 1)
-                    } else {
-                        None
-                    }
-                }
-                _ => self.bucket_rank(k_lo),
-            };
-            let r_mid = match (col_rank, r_lo) {
-                (Some(r), _) => Some(r),
-                (None, Some(r)) if lo_adjacent => {
-                    if self.cell_keys.get(r + 1) == Some(&k_mid) {
-                        Some(r + 1)
-                    } else {
-                        None
-                    }
-                }
-                _ => self.bucket_rank(k_mid),
-            };
-            let r_hi = match (r_mid, r_lo) {
-                (Some(r), _) if mid_adjacent => {
-                    if self.cell_keys.get(r + 1) == Some(&k_hi) {
-                        Some(r + 1)
-                    } else {
-                        None
-                    }
-                }
-                // The middle cell was just probed absent, so if `k_hi`
-                // exists it immediately follows the low cell's rank.
-                (None, Some(r)) if lo_adjacent && mid_adjacent => {
-                    if self.cell_keys.get(r + 1) == Some(&k_hi) {
-                        Some(r + 1)
-                    } else {
-                        None
-                    }
-                }
-                _ => self.bucket_rank(k_hi),
-            };
-
-            // Fuse consecutive-rank buckets into one contiguous SoA extent,
-            // preserving the lo → mid → hi scan order.
-            let mut run: Option<(usize, usize)> = None;
-            for rank in [r_lo, r_mid, r_hi].into_iter().flatten() {
-                run = match run {
-                    Some((first, last)) if rank == last + 1 => Some((first, rank)),
-                    Some((first, last)) => {
-                        self.scan_extent(first, last, target, eps_sq, out);
-                        Some((rank, rank))
-                    }
-                    None => Some((rank, rank)),
-                };
-            }
-            if let Some((first, last)) = run {
-                self.scan_extent(first, last, target, eps_sq, out);
-            }
+        for mid in [key - COLUMN, key, key + COLUMN] {
+            let first = self.cell_keys.partition_point(|&k| k < mid - 1);
+            let end = self.cell_keys.partition_point(|&k| k <= mid + 1);
+            self.scan_extent(
+                self.bucket_starts[first],
+                self.bucket_starts[end],
+                target,
+                eps_sq,
+                out,
+            );
         }
     }
 
-    /// Hands the contiguous SoA extent spanning bucket ranks
-    /// `first_rank..=last_rank` to the batched kernel, and accounts the work
-    /// in the counters behind `cluster.kernel_batches` /
+    /// Hands the CSR extent `start..end` to the batched kernel, and accounts
+    /// the work in the counters behind `cluster.kernel_batches` /
     /// `cluster.kernel_lanes`.
+    // lint: hot-path — every query's distance tests; eps² comes from the caller
     #[inline]
-    fn scan_extent(
-        &self,
-        first_rank: usize,
-        last_rank: usize,
-        target: &Point,
-        eps_sq: f64,
-        out: &mut Vec<usize>,
-    ) {
-        let start = self.bucket_starts[first_rank] as usize;
-        let end = self.bucket_starts[last_rank + 1] as usize;
+    fn scan_extent(&self, start: u32, end: u32, target: &Point, eps_sq: f64, out: &mut Vec<usize>) {
+        let (start, end) = (start as usize, end as usize);
         let len = end - start;
         self.kernel_batches
             .set(self.kernel_batches.get() + kernel::full_batches(len) as u64);
@@ -671,12 +427,6 @@ impl GridIndex {
             eps_sq,
             out,
         );
-    }
-
-    /// Inverse of [`GridIndex::pack`].
-    #[inline]
-    fn unpack(key: u128) -> (i64, i64) {
-        (((key >> 64) as u64) as i64, (key as u64) as i64)
     }
 }
 
@@ -693,15 +443,15 @@ impl RegionQuery for GridIndex {
 
     /// The DBSCAN hot path: identical hits and order to
     /// [`GridIndex::range_query_into`] at the point's own position, but the
-    /// point's cell is recovered from its recorded bucket rank — no
-    /// coordinate divisions, and the centre column needs no hash probe.
-    /// Both entry points funnel into the one audited `query_cells` region.
+    /// three column extents come precomputed with the point's cell — no
+    /// coordinate division, no search.
     fn neighbors_into(&self, idx: usize, out: &mut Vec<usize>) {
         out.clear();
         let target = &self.points[idx];
-        let rank = self.point_rank[idx] as usize;
-        let (cx, cy) = Self::unpack(self.cell_keys[rank]);
-        self.query_cells(cx, cy, Some(rank), target, out);
+        let eps_sq = self.epsilon * self.epsilon;
+        for &(start, end) in &self.blocks[self.point_rank[idx] as usize] {
+            self.scan_extent(start, end, target, eps_sq, out);
+        }
     }
 
     /// The point count of the 3×3 cell block around the point's own cell:
@@ -709,7 +459,10 @@ impl RegionQuery for GridIndex {
     /// the count never undercounts. On sparse worlds it is usually below
     /// `min_pts`, letting DBSCAN skip the query outright.
     fn neighbor_bound(&self, idx: usize) -> usize {
-        self.block_counts[self.point_rank[idx] as usize] as usize
+        self.blocks[self.point_rank[idx] as usize]
+            .iter()
+            .map(|&(start, end)| (end - start) as usize)
+            .sum()
     }
 }
 
@@ -935,6 +688,39 @@ mod tests {
         let points = vec![Point::new(1e300, 0.0), Point::new(2e300, 0.0)];
         let index = GridIndex::build(points.clone(), 5.0);
         assert_eq!(index.range_query(&Point::new(1e300, 0.0)), vec![0]);
+    }
+
+    #[test]
+    fn packed_keys_sort_like_cells_and_step_to_neighbours() {
+        // Across the sign boundary and out to the clamp limit, key order is
+        // `(cx, cy)` order, `+ 1` is the next row and `+ COLUMN` the next
+        // column — the invariants the block extents are built on.
+        let limit = 1i64 << 62;
+        let coords = [-limit, -limit + 1, -2, -1, 0, 1, limit - 1, limit];
+        for &cx in &coords {
+            for &cy in &coords {
+                let key = GridIndex::pack((cx, cy));
+                assert_eq!(
+                    key + 1,
+                    GridIndex::pack((cx, cy + 1)),
+                    "row after {cx},{cy}"
+                );
+                assert_eq!(
+                    key + COLUMN,
+                    GridIndex::pack((cx + 1, cy)),
+                    "column after {cx},{cy}"
+                );
+                for &ox in &coords {
+                    for &oy in &coords {
+                        assert_eq!(
+                            key.cmp(&GridIndex::pack((ox, oy))),
+                            (cx, cy).cmp(&(ox, oy)),
+                            "order of ({cx},{cy}) and ({ox},{oy})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 ///
 /// Eight `f64` lanes span four SSE2 / two AVX vectors — wide enough that the
 /// autovectorized compare amortizes the mask drain, narrow enough that the
-/// typical merged 3-cell column extent (~8 points at a constant density of
+/// typical 3-cell column extent of a query block (~8 points at a density of
 /// ≈7 points per e-disc) still fills a batch. The emit mask is a `u32`, so the
 /// width is statically capped at 32.
 pub const LANE_WIDTH: usize = 8;

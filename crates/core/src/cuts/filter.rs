@@ -29,7 +29,9 @@ pub struct FilterOutput {
     pub partitions: Vec<PartitionClusters>,
     /// The simplification tolerance δ actually used.
     pub delta: f64,
-    /// The partition length λ actually used.
+    /// The partition length λ: the configured one (which
+    /// [`CutsConfig::with_lambda`] normalises to the λ the partitioning
+    /// runs) or the automatic one.
     pub lambda: usize,
     /// Total number of samples before simplification.
     pub original_points: usize,
@@ -92,7 +94,7 @@ pub fn filter_simplified(
 
     let distance = config.variant.segment_distance();
     let mode = config.tolerance_mode;
-    let partition = TimePartition::new(domain, lambda as i64);
+    let partition = TimePartition::new(domain, TimePartition::clamp_lambda(lambda) as i64);
 
     // The partition loop proper lives in `cuts::partition`, shared with the
     // streaming filter: cluster each λ-partition's sub-trajectories, fold the
@@ -227,6 +229,11 @@ mod tests {
         let output = filter(&db, &query, &config);
         assert_eq!(output.delta, 0.75);
         assert_eq!(output.lambda, 6);
+        // Out-of-range requests report the λ the partitioning ran.
+        for (requested, used) in [(0, 2), (1, 2), (usize::MAX, i64::MAX as usize)] {
+            let output = filter(&db, &query, &config.with_lambda(requested));
+            assert_eq!(output.lambda, used, "requested λ = {requested}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub mod refine;
 
 use traj_cluster::SegmentDistance;
 use traj_simplify::{SimplificationMethod, ToleranceMode};
+use trajectory::TimePartition;
 
 /// The three members of the CuTS family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,10 +108,11 @@ impl CutsConfig {
         self
     }
 
-    /// Overrides the partition length λ.
+    /// Overrides the partition length λ, normalised by
+    /// [`TimePartition::clamp_lambda`] to the λ the filter runs.
     #[must_use]
     pub fn with_lambda(mut self, lambda: usize) -> Self {
-        self.lambda = Some(lambda);
+        self.lambda = Some(TimePartition::clamp_lambda(lambda));
         self
     }
 

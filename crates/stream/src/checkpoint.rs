@@ -60,7 +60,7 @@ use std::io::Write;
 use std::path::Path;
 use traj_cluster::Cluster;
 use traj_simplify::ToleranceMode;
-use trajectory::{ObjectId, TimeInterval, TrajPoint};
+use trajectory::{ObjectId, TimeInterval, TimePartition, TrajPoint};
 
 /// The trailer checksum: the `.convoy` container's IEEE CRC-32, shared.
 pub use traj_datasets::container::crc32;
@@ -385,7 +385,13 @@ fn decode_config(d: &mut Dec<'_>) -> Result<StreamConfig, CheckpointError> {
     };
     let horizon = d.opt_i64()?;
     let max_candidates = d.opt_u64()?.map(|v| v as usize);
-    if m == 0 || k == 0 || !e.is_finite() || !delta.is_finite() || lambda < 2 {
+    // A λ the configuration would clamp is not one a stream ever ran.
+    if m == 0
+        || k == 0
+        || !e.is_finite()
+        || !delta.is_finite()
+        || TimePartition::clamp_lambda(lambda) != lambda
+    {
         return Err(CheckpointError::Malformed("configuration out of range"));
     }
     Ok(StreamConfig::new(ConvoyQuery::new(m, k, e), delta, lambda)
@@ -750,6 +756,20 @@ mod tests {
                 Err(CheckpointError::Malformed(
                     "buffered sample newer than the watermark"
                 ))
+            ));
+        }
+    }
+
+    #[test]
+    fn lambda_beyond_the_time_axis_is_malformed() {
+        let mut stream = ConvoyStream::new(StreamConfig::new(ConvoyQuery::new(2, 3, 1.0), 0.2, 4));
+        stream.config.lambda = i64::MAX as usize;
+        assert!(ConvoyStream::from_checkpoint_bytes(&stream.checkpoint_bytes()).is_ok());
+        for lambda in [i64::MAX as usize + 1, usize::MAX] {
+            stream.config.lambda = lambda;
+            assert!(matches!(
+                ConvoyStream::from_checkpoint_bytes(&stream.checkpoint_bytes()),
+                Err(CheckpointError::Malformed("configuration out of range"))
             ));
         }
     }

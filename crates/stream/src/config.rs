@@ -3,7 +3,7 @@
 use convoy_core::{CmcStats, ConvoyQuery, CutsVariant};
 use convoy_obs::{MetricsSnapshot, Recorder, Registry};
 use traj_simplify::ToleranceMode;
-use trajectory::TimePoint;
+use trajectory::{TimePartition, TimePoint};
 
 /// Windowed-eviction policy of a [`crate::ConvoyStream`].
 ///
@@ -71,8 +71,8 @@ pub struct StreamConfig {
     pub variant: CutsVariant,
     /// Simplification tolerance δ for the sliding-window DP.
     pub delta: f64,
-    /// λ-partition length in time points (clamped to at least 2, matching
-    /// [`trajectory::TimePartition`]).
+    /// λ-partition length in time points (clamped to `2..=i64::MAX` by
+    /// [`TimePartition::clamp_lambda`]).
     pub lambda: usize,
     /// Tolerance mode of the filter's range searches.
     pub tolerance_mode: ToleranceMode,
@@ -87,7 +87,7 @@ impl StreamConfig {
             query,
             variant: CutsVariant::Cuts,
             delta,
-            lambda: lambda.max(2),
+            lambda: TimePartition::clamp_lambda(lambda),
             tolerance_mode: ToleranceMode::Actual,
             eviction: EvictionPolicy::unbounded(),
         }
@@ -117,7 +117,7 @@ impl StreamConfig {
     /// The partition step in ticks (consecutive partitions share a boundary
     /// point, so a λ-point partition advances by λ − 1).
     pub(crate) fn step(&self) -> i64 {
-        self.lambda as i64 - 1
+        TimePartition::clamp_lambda(self.lambda) as i64 - 1
     }
 }
 
@@ -216,6 +216,9 @@ mod tests {
         assert_eq!(config.tolerance_mode, ToleranceMode::Global);
         assert_eq!(config.eviction.horizon, Some(9));
         assert_eq!(StreamConfig::new(query, 0.5, 8).step(), 7);
+        let longest = StreamConfig::new(query, 0.5, usize::MAX);
+        assert_eq!(longest.lambda, i64::MAX as usize);
+        assert_eq!(longest.step(), i64::MAX - 1);
     }
 
     #[test]

@@ -109,6 +109,14 @@ impl TimePartition {
         }
     }
 
+    /// The λ a partitioning runs for a requested `lambda`: at least 2 (as in
+    /// [`TimePartition::new`]) and at most `i64::MAX`, the longest partition
+    /// the `i64` time axis can count. Every configuration that takes a λ
+    /// normalises it here, so the λ it reports is the λ it runs.
+    pub fn clamp_lambda(lambda: usize) -> usize {
+        lambda.clamp(2, i64::MAX as usize)
+    }
+
     /// Number of partitions produced: one for a zero-length domain,
     /// otherwise `ceil(duration / (λ − 1))` — closed form, equal to
     /// `self.iter().count()` (saturating at `usize::MAX`).
@@ -275,6 +283,9 @@ mod tests {
         assert_eq!(p.lambda, 2);
         let parts: Vec<_> = p.iter().collect();
         assert_eq!(parts.len(), 4);
+        assert_eq!(TimePartition::clamp_lambda(0), 2);
+        assert_eq!(TimePartition::clamp_lambda(7), 7);
+        assert_eq!(TimePartition::clamp_lambda(usize::MAX), i64::MAX as usize);
     }
 
     #[test]
