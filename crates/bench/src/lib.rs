@@ -20,8 +20,8 @@
 //! none) one after another, generating each dataset profile once, and
 //! writes one `bench_results/<name>.csv` per artifact (echoed to stdout).
 //! Discovery times are the `discover.*` spans of each run, kept by a
-//! recorder that drops every other metric, so the engines run as
-//! uninstrumented as under the no-op recorder.
+//! spans-only `Obs` handle that drops every other metric, so the engines
+//! run as uninstrumented as when observability is off.
 //!
 //! Performance is measured by the end-to-end ledger (`BENCHMARK.json`,
 //! `ledger/`): medians with spread on named workloads, split into the

@@ -2,21 +2,21 @@
 
 use crate::prepare::PreparedDataset;
 use convoy_core::{CutsConfig, Discovery, DiscoveryOutcome, Method};
-use convoy_obs::{Obs, Recorder, Registry, SpanId};
+use convoy_obs::{Obs, Registry};
 use std::sync::Arc;
 
-/// One discovery run together with the clock that recorded its spans.
+/// One discovery run together with the registry that recorded its spans.
 pub struct MeasuredRun {
     /// The discovery outcome (convoys, statistics).
     pub outcome: DiscoveryOutcome,
-    clock: Arc<StageClock>,
+    registry: Arc<Registry>,
 }
 
 impl MeasuredRun {
     /// Seconds spent in the spans named `span`: `discover.simplify`,
     /// `discover.filter` or `discover.refine` for the Figure 13 stages.
     pub fn seconds(&self, span: &str) -> f64 {
-        self.clock.registry.span_total_ns(span) as f64 / 1e9
+        self.registry.span_total_ns(span) as f64 / 1e9
     }
 
     /// Elapsed seconds of the whole run: its `discover` root span.
@@ -26,57 +26,24 @@ impl MeasuredRun {
 }
 
 /// Runs one method on a prepared dataset with an optional CuTS configuration
-/// override, timed by a fresh spans-only `StageClock`.
+/// override, timed by a fresh registry behind [`Obs::spans_only`]. That
+/// handle keeps only the spans and reports itself disabled, so the engines
+/// skip their per-tick clock reads and metrics just as when off. The timing
+/// columns thus cost a handful of spans per run, the same for every method,
+/// rather than full recording, whose cost differs by method (a full registry
+/// inflated CMC's sub-second runs up to 3×).
 pub fn run_method(
     prepared: &PreparedDataset,
     method: Method,
     config: Option<CutsConfig>,
 ) -> MeasuredRun {
-    let clock = Arc::new(StageClock {
-        registry: Registry::new(),
-    });
-    let mut discovery = Discovery::new(method).with_obs(Obs::new(clock.clone()));
+    let registry = Arc::new(Registry::new());
+    let mut discovery = Discovery::new(method).with_obs(Obs::spans_only(registry.clone()));
     if let Some(config) = config {
         discovery = discovery.with_config(config);
     }
     let outcome = discovery.run(&prepared.dataset.database, &prepared.query);
-    MeasuredRun { outcome, clock }
-}
-
-/// The recorder of a measured run: a [`Registry`] that keeps only the
-/// `discover` spans and drops everything else. It reports itself disabled,
-/// so the engines skip their per-tick clock reads and histograms just as
-/// under the no-op recorder (spans are opened whatever `enabled` says). The
-/// timing columns thus cost a handful of spans per run, the same for every
-/// method, rather than full recording, whose cost differs by method.
-struct StageClock {
-    registry: Registry,
-}
-
-impl Recorder for StageClock {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-    fn gauge_set(&self, _name: &'static str, _value: i64) {}
-    fn gauge_max(&self, _name: &'static str, _value: i64) {}
-    fn histogram_record(&self, _name: &'static str, _value: u64) {}
-    fn now_ns(&self) -> u64 {
-        0
-    }
-    fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
-        if name.starts_with("discover") {
-            self.registry.span_start(name, parent)
-        } else {
-            SpanId::NONE
-        }
-    }
-    fn span_end(&self, span: SpanId) {
-        self.registry.span_end(span);
-    }
-    fn span_at(&self, _name: &'static str, _parent: SpanId, _start: u64, _dur: u64) -> SpanId {
-        SpanId::NONE
-    }
+    MeasuredRun { outcome, registry }
 }
 
 #[cfg(test)]
@@ -116,10 +83,22 @@ mod tests {
         assert!(run.seconds("discover.simplify") > 0.0);
         assert!(stages <= run.elapsed_secs() + 1e-9);
 
-        let kept = run.clock.registry.spans();
-        assert!(
-            kept.iter().all(|s| s.name.starts_with("discover")),
-            "{kept:?}"
-        );
+        for measured in [&cmc, &run] {
+            let metrics = measured.registry.snapshot();
+            let names = metrics
+                .counters
+                .keys()
+                .chain(metrics.gauges.keys())
+                .chain(metrics.histograms.keys());
+            for name in names {
+                assert!(
+                    !name.starts_with("cmc.") && !name.starts_with("cluster."),
+                    "a spans-only run recorded the metric {name}"
+                );
+            }
+            assert!(measured.registry.span_total_ns("discover") > 0);
+        }
+        assert!(run.registry.span_total_ns("discover.filter") > 0);
+        assert!(run.registry.span_total_ns("discover.refine") > 0);
     }
 }

@@ -609,3 +609,122 @@ fn generate_stats_discover_pipeline_succeeds() {
         .success()
         .stdout_contains("reduction");
 }
+
+/// Offsets to damage in a file of `len` bytes: each of the first 12 (magic,
+/// version and header fields), eleven more spread evenly over the rest, and
+/// the last byte.
+fn damage_offsets(len: usize) -> Vec<usize> {
+    let mut offsets: Vec<usize> = (0..len.min(12)).collect();
+    offsets.extend((1..=11).map(|i| i * len / 12));
+    offsets.push(len.saturating_sub(1));
+    offsets.sort_unstable();
+    offsets.dedup();
+    offsets
+}
+
+/// Every truncation and single-byte flip of `original` at the sampled
+/// offsets, each labelled for the failure message. Flips alternate between
+/// inverting the whole byte and its lowest bit (which keeps a CSV digit a
+/// digit).
+fn damaged_copies(original: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let mut copies = Vec::new();
+    for (i, offset) in damage_offsets(original.len()).into_iter().enumerate() {
+        copies.push((
+            format!("truncated to {offset} bytes"),
+            original[..offset].to_vec(),
+        ));
+        let mask = if i % 2 == 0 { 0xFF } else { 0x01 };
+        let mut flipped = original.to_vec();
+        flipped[offset] ^= mask;
+        copies.push((format!("byte {offset} xor {mask:#04x}"), flipped));
+    }
+    copies
+}
+
+/// The CLI contract on damaged input: exit 0 (the damage still parses) or
+/// exit 1 with an `error:` line, never 101 (a panic) or a signal.
+fn assert_clean_outcome(what: &str, output: &std::process::Output) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    match output.status.code() {
+        Some(0) => {}
+        Some(1) => assert!(
+            stderr.contains("error:"),
+            "{what}: exit 1 without an `error:` line\n{stderr}"
+        ),
+        other => panic!("{what}: exit {other:?}, expected 0 or 1\n{stderr}"),
+    }
+}
+
+#[test]
+fn damaged_inputs_exit_cleanly() {
+    let csv = temp_path("damage-source.csv");
+    let container = temp_path("damage-source.convoy");
+    let ckpt = temp_path("damage-source.snap");
+    let _ = std::fs::remove_file(&ckpt);
+    convoy()
+        .args(["generate", "--profile", "truck", "--scale", "0.02"])
+        .args(["--seed", "11", "--out", csv.to_str().unwrap()])
+        .assert()
+        .success();
+    convoy()
+        .args([
+            "convert",
+            csv.to_str().unwrap(),
+            container.to_str().unwrap(),
+        ])
+        .args(["--block-records", "8"])
+        .assert()
+        .success();
+
+    // A live stdin feed must be time-ordered; checkpoint a prefix of it so
+    // the snapshot carries in-flight buffers and candidates.
+    let text = std::fs::read_to_string(&csv).unwrap();
+    let mut records: Vec<&str> = text.lines().skip(1).collect();
+    let key = |line: &&str| -> (i64, u64) {
+        let fields: Vec<&str> = line.split(',').collect();
+        (fields[1].parse().unwrap(), fields[0].parse().unwrap())
+    };
+    records.sort_by_key(key);
+    let feed = format!("object_id,t,x,y\n{}\n", records.join("\n"));
+    let prefix: String = feed
+        .lines()
+        .take(records.len() / 2)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    convoy()
+        .args(["stream", "-", "--m", "3", "--k", "5", "--e", "10"])
+        .args(["--delta", "2", "--lambda", "5"])
+        .args([
+            "--checkpoint-path",
+            ckpt.to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+        ])
+        .write_stdin(prefix)
+        .assert()
+        .success();
+
+    for (source, name) in [(&csv, "damaged.csv"), (&container, "damaged.convoy")] {
+        let damaged = temp_path(name);
+        for (damage, bytes) in damaged_copies(&std::fs::read(source).unwrap()) {
+            std::fs::write(&damaged, bytes).unwrap();
+            let run = convoy()
+                .args(["discover", damaged.to_str().unwrap(), "--method", "cmc"])
+                .args(["--m", "3", "--k", "5", "--e", "10"])
+                .assert();
+            assert_clean_outcome(&format!("discover on {name}, {damage}"), run.get_output());
+        }
+    }
+    let damaged = temp_path("damaged.snap");
+    for (damage, bytes) in damaged_copies(&std::fs::read(&ckpt).unwrap()) {
+        std::fs::write(&damaged, bytes).unwrap();
+        let run = convoy()
+            .args(["stream", "-", "--resume", damaged.to_str().unwrap()])
+            .write_stdin(feed.clone())
+            .assert();
+        assert_clean_outcome(
+            &format!("resume from a checkpoint {damage}"),
+            run.get_output(),
+        );
+    }
+}

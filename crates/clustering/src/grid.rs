@@ -487,7 +487,7 @@ pub struct SnapshotClusterer {
     /// Pooled output clusters; the first `n` are overwritten per call, the
     /// rest keep stale members but are never exposed.
     clusters: Vec<Cluster>,
-    /// Recorder for the `cluster.*` metrics; the no-op default costs one
+    /// Handle for the `cluster.*` metrics; the off default costs one
     /// branch per call. A live [`convoy_obs::Registry`] stays within the
     /// zero-allocation contract: metric names are `&'static str` keys whose
     /// map nodes exist after the first call.

@@ -116,7 +116,7 @@ pub struct CmcState {
     /// allocates nothing. It only ever holds buffers that once backed open
     /// chains, so it is bounded by the working set.
     spare: Vec<Cluster>,
-    /// Recorder for the `cmc.*` fold metrics (no-op by default; one branch
+    /// Handle for the `cmc.*` fold metrics (off by default; one branch
     /// per tick when disabled, so the hot-path contract holds either way).
     obs: Obs,
     /// Nanoseconds this state has spent density-clustering snapshots

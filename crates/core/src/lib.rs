@@ -74,8 +74,7 @@ pub use discovery::{Discovery, DiscoveryOutcome, Method};
 pub use engine::{CmcEngine, CmcState, CmcStateSnapshot, CmcStats};
 pub use mc2::{mc2, Mc2Config};
 pub use metrics::{
-    fold_stats_from_snapshot, publish_discovery, publish_fold_stats, publish_stage_timings,
-    refinement_unit, DiscoveryStats,
+    publish_discovery, publish_fold_stats, publish_stage_timings, refinement_unit, DiscoveryStats,
 };
 pub use params::{auto_delta, auto_lambda};
 pub use query::{compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery};

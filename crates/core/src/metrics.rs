@@ -5,7 +5,7 @@
 use crate::candidate::CandidateConvoy;
 use crate::discovery::DiscoveryOutcome;
 use crate::engine::CmcStats;
-use convoy_obs::{MetricsSnapshot, Recorder, Registry};
+use convoy_obs::Registry;
 
 /// Summary statistics of one discovery run, consumed by the benchmark
 /// harness.
@@ -62,18 +62,6 @@ pub fn publish_fold_stats(registry: &Registry, fold: &CmcStats) {
         "cmc.peak_candidates",
         i64::try_from(fold.peak_candidates).unwrap_or(i64::MAX),
     );
-}
-
-/// Reads the `cmc.*` fold counters back out of a snapshot — the inverse of
-/// [`publish_fold_stats`], used by tests and by consumers that want the
-/// typed struct rather than the raw name/value map.
-pub fn fold_stats_from_snapshot(snapshot: &MetricsSnapshot) -> CmcStats {
-    CmcStats {
-        peak_candidates: usize::try_from(snapshot.gauge("cmc.peak_candidates")).unwrap_or(0),
-        ticks_ingested: snapshot.counter("cmc.ticks_ingested"),
-        gap_closures: snapshot.counter("cmc.gap_closures"),
-        convoys_closed: snapshot.counter("cmc.convoys_closed"),
-    }
 }
 
 /// Publishes a [`DiscoveryOutcome`]'s *deterministic* statistics (fold

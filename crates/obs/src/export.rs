@@ -148,7 +148,7 @@ pub(crate) fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Recorder, Registry, SpanId};
+    use crate::{Registry, SpanId};
 
     #[test]
     fn text_table_is_sorted_and_aligned() {

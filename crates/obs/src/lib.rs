@@ -1,17 +1,18 @@
 //! `convoy-obs` — the suite's observability core: monotonic counters,
-//! gauges, fixed-bucket log-scale histograms and hierarchical timed spans
-//! behind the [`Recorder`] trait.
+//! gauges, fixed-bucket log-scale histograms and hierarchical timed spans,
+//! kept by one concrete [`Registry`] and reached through the [`Obs`] handle.
 //!
 //! The design constraints come straight from the hot paths this crate
 //! instruments (`SnapshotClusterer::cluster_into`, `CmcState::ingest_clusters`):
 //!
-//! * **Zero-cost when off.** The default [`NoopRecorder`] allocates nothing
-//!   and every call through it is a single dynamic dispatch that inlines to
-//!   a no-op; call sites batch their work behind one `enabled()` check so a
-//!   disabled recorder costs at most one branch per instrumented region.
-//!   This keeps the no-op safe inside `// lint: hot-path` regions and
-//!   preserves the zero-allocation contract of PR 5 (enforced by the
-//!   counting-allocator tests).
+//! * **Zero-cost when off.** [`Obs`] is in one of three fixed states: off
+//!   (the default), spans-only or full. Off allocates nothing and every call
+//!   is one inlined match on the state; call sites batch their work behind
+//!   one [`Obs::enabled`] check, so a disabled handle costs at most one
+//!   branch per instrumented region. Spans-only records the coarse spans a
+//!   stage clock needs and is disabled for everything else. This keeps the
+//!   handle safe inside `// lint: hot-path` regions and preserves the
+//!   zero-allocation contract (enforced by the counting-allocator tests).
 //! * **Deterministic when on.** The concrete [`Registry`] keeps every metric
 //!   in ordered maps keyed by `&'static str`, so snapshots, diffs and the
 //!   JSON export are byte-deterministic for a given sequence of operations.
@@ -46,8 +47,8 @@
 //!
 //! # Spans
 //!
-//! [`Recorder::span_start`]/[`Recorder::span_end`] produce hierarchical
-//! wall-clock spans; [`Recorder::span_at`] records a pre-timed span, which
+//! [`Obs::span_start`]/[`Obs::span_end`] produce hierarchical
+//! wall-clock spans; [`Obs::span_at`] records a pre-timed span, which
 //! the sequential engines use to re-lay *accumulated* per-stage time
 //! (sweep → cluster → fold interleave per tick, so their stage spans are
 //! totals laid out sequentially, while the parallel engine emits real
@@ -66,15 +67,15 @@ pub use histogram::{bucket_index, bucket_lower_bound, HistogramSnapshot, BUCKET_
 pub use registry::{MetricsSnapshot, Registry, SpanSnapshot};
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Identifier of a recorded span. `SpanId::NONE` (0) means "no span": it is
-/// both the root parent and the id the no-op recorder hands out.
+/// both the root parent and the id an off [`Obs`] hands out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
-    /// The null span: parent of root spans, and the no-op recorder's answer.
+    /// The null span: parent of root spans, and an off handle's answer.
     pub const NONE: SpanId = SpanId(0);
 
     /// True for [`SpanId::NONE`].
@@ -83,174 +84,141 @@ impl SpanId {
     }
 }
 
-/// Sink for metrics and spans. Implementations must be cheap to call when
-/// disabled: every method on the [`NoopRecorder`] is an empty inlineable
-/// body, and instrumented hot paths batch multi-metric updates behind one
-/// [`Recorder::enabled`] check.
+/// The handle instrumented structs embed. It is in one of three fixed
+/// states, chosen by its constructor:
 ///
-/// All methods take `&self`; implementations are shared across threads
-/// (parallel engine workers record into the same registry).
-pub trait Recorder: Send + Sync {
-    /// Whether this recorder keeps per-event metrics. Hot paths use this as
-    /// their single branch; when it returns `false` they skip metric
-    /// construction and their clock reads entirely. Spans are opened
-    /// whatever this returns, so a recorder that keeps only coarse spans
-    /// (a stage clock) may return `false`.
-    fn enabled(&self) -> bool;
-
-    /// Adds `delta` to the monotonic counter `name`.
-    fn counter_add(&self, name: &'static str, delta: u64);
-
-    /// Sets the gauge `name` to `value`.
-    fn gauge_set(&self, name: &'static str, value: i64);
-
-    /// Raises the gauge `name` to `value` if `value` is larger (high-water
-    /// marks: peak candidates, peak buffered samples).
-    fn gauge_max(&self, name: &'static str, value: i64);
-
-    /// Records one observation into the log-scale histogram `name`.
-    fn histogram_record(&self, name: &'static str, value: u64);
-
-    /// Nanoseconds since this recorder's epoch (0 for the no-op). Used by
-    /// call sites that accumulate stage time before emitting it as a span.
-    fn now_ns(&self) -> u64;
-
-    /// Opens a span under `parent` (or as a root for [`SpanId::NONE`]),
-    /// timestamped now.
-    fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId;
-
-    /// Closes a span opened by [`Recorder::span_start`].
-    fn span_end(&self, span: SpanId);
-
-    /// Records a pre-timed span: `start_ns`..`start_ns + dur_ns` relative to
-    /// this recorder's epoch. Used for accumulated per-stage totals that
-    /// have no contiguous wall-clock extent.
-    fn span_at(&self, name: &'static str, parent: SpanId, start_ns: u64, dur_ns: u64) -> SpanId;
-}
-
-/// The zero-cost default recorder: drops everything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-    #[inline]
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-    #[inline]
-    fn gauge_set(&self, _name: &'static str, _value: i64) {}
-    #[inline]
-    fn gauge_max(&self, _name: &'static str, _value: i64) {}
-    #[inline]
-    fn histogram_record(&self, _name: &'static str, _value: u64) {}
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        0
-    }
-    #[inline]
-    fn span_start(&self, _name: &'static str, _parent: SpanId) -> SpanId {
-        SpanId::NONE
-    }
-    #[inline]
-    fn span_end(&self, _span: SpanId) {}
-    #[inline]
-    fn span_at(
-        &self,
-        _name: &'static str,
-        _parent: SpanId,
-        _start_ns: u64,
-        _dur_ns: u64,
-    ) -> SpanId {
-        SpanId::NONE
-    }
-}
-
-/// Shared, thread-safe handle to a recorder.
-pub type RecorderHandle = Arc<dyn Recorder>;
-
-fn noop_handle() -> RecorderHandle {
-    static NOOP: OnceLock<RecorderHandle> = OnceLock::new();
-    NOOP.get_or_init(|| Arc::new(NoopRecorder)).clone()
-}
-
-/// The handle instrumented structs embed: a cloneable, defaultable wrapper
-/// over a [`RecorderHandle`] with forwarding methods. `Obs::default()` is the
-/// no-op (cloning a cached `Arc` — no allocation), so adding an `Obs` field
-/// to a struct changes none of its construction costs.
-#[derive(Clone)]
+/// * **off** ([`Obs::noop`], also `Obs::default()`): drops everything and
+///   allocates nothing, so adding an `Obs` field to a struct changes none of
+///   its construction costs;
+/// * **spans-only** ([`Obs::spans_only`]): records the spans opened with
+///   [`Obs::span_start`] into a shared [`Registry`] and drops everything
+///   else, reporting itself disabled — the cheap stage clock the paper
+///   experiments time runs with;
+/// * **full** ([`Obs::registry`]): forwards every call to a shared
+///   [`Registry`].
+///
+/// Every method takes `&self`; clones share the registry, so parallel engine
+/// workers record into the same one.
+#[derive(Clone, Default)]
 pub struct Obs {
-    recorder: RecorderHandle,
+    state: State,
+}
+
+#[derive(Clone, Default)]
+enum State {
+    #[default]
+    Off,
+    SpansOnly(Arc<Registry>),
+    Full(Arc<Registry>),
 }
 
 impl Obs {
-    /// The disabled recorder (same as `Obs::default()`).
+    /// The disabled handle (same as `Obs::default()`).
     pub fn noop() -> Self {
+        Obs::default()
+    }
+
+    /// Records only the spans opened with [`Obs::span_start`] into
+    /// `registry`; counters, gauges, histograms and [`Obs::span_at`] are
+    /// dropped, [`Obs::now_ns`] reads 0 and [`Obs::enabled`] is false, so
+    /// hot paths skip their per-event clock reads just as when off.
+    pub fn spans_only(registry: Arc<Registry>) -> Self {
         Obs {
-            recorder: noop_handle(),
+            state: State::SpansOnly(registry),
         }
     }
 
-    /// Wraps an arbitrary recorder.
-    pub fn new(recorder: RecorderHandle) -> Self {
-        Obs { recorder }
-    }
-
-    /// Wraps a shared [`Registry`].
+    /// Records everything into `registry`.
     pub fn registry(registry: Arc<Registry>) -> Self {
-        Obs { recorder: registry }
+        Obs {
+            state: State::Full(registry),
+        }
     }
 
-    /// See [`Recorder::enabled`].
+    #[inline]
+    fn full(&self) -> Option<&Registry> {
+        match &self.state {
+            State::Full(registry) => Some(registry),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn spans(&self) -> Option<&Registry> {
+        match &self.state {
+            State::Off => None,
+            State::SpansOnly(registry) | State::Full(registry) => Some(registry),
+        }
+    }
+
+    /// Whether per-event metrics are kept (true only for the full state).
+    /// Hot paths use this as their single branch; when it returns `false`
+    /// they skip metric construction and their clock reads entirely. Spans
+    /// are opened whatever this returns.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.recorder.enabled()
+        self.full().is_some()
     }
 
-    /// See [`Recorder::counter_add`].
+    /// Adds `delta` to the monotonic counter `name`.
     #[inline]
     pub fn counter_add(&self, name: &'static str, delta: u64) {
-        self.recorder.counter_add(name, delta);
+        if let Some(registry) = self.full() {
+            registry.counter_add(name, delta);
+        }
     }
 
-    /// See [`Recorder::gauge_set`].
+    /// Sets the gauge `name` to `value`.
     #[inline]
     pub fn gauge_set(&self, name: &'static str, value: i64) {
-        self.recorder.gauge_set(name, value);
+        if let Some(registry) = self.full() {
+            registry.gauge_set(name, value);
+        }
     }
 
-    /// See [`Recorder::gauge_max`].
+    /// Raises the gauge `name` to `value` if `value` is larger (high-water
+    /// marks: peak candidates, peak buffered samples).
     #[inline]
     pub fn gauge_max(&self, name: &'static str, value: i64) {
-        self.recorder.gauge_max(name, value);
+        if let Some(registry) = self.full() {
+            registry.gauge_max(name, value);
+        }
     }
 
-    /// See [`Recorder::histogram_record`].
+    /// Records one observation into the log-scale histogram `name`.
     #[inline]
     pub fn histogram_record(&self, name: &'static str, value: u64) {
-        self.recorder.histogram_record(name, value);
+        if let Some(registry) = self.full() {
+            registry.histogram_record(name, value);
+        }
     }
 
-    /// See [`Recorder::now_ns`].
+    /// Nanoseconds since the registry's epoch (0 unless full). Used by call
+    /// sites that accumulate stage time before emitting it as a span.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.recorder.now_ns()
+        self.full().map_or(0, Registry::now_ns)
     }
 
-    /// See [`Recorder::span_start`].
+    /// Opens a span under `parent` (or as a root for [`SpanId::NONE`]),
+    /// timestamped now; [`SpanId::NONE`] when off.
     #[inline]
     pub fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
-        self.recorder.span_start(name, parent)
+        self.spans()
+            .map_or(SpanId::NONE, |registry| registry.span_start(name, parent))
     }
 
-    /// See [`Recorder::span_end`].
+    /// Closes a span opened by [`Obs::span_start`].
     #[inline]
     pub fn span_end(&self, span: SpanId) {
-        self.recorder.span_end(span);
+        if let Some(registry) = self.spans() {
+            registry.span_end(span);
+        }
     }
 
-    /// See [`Recorder::span_at`].
+    /// Records a pre-timed span (full state only): `start_ns`..`start_ns +
+    /// dur_ns` relative to the registry's epoch. Used for accumulated
+    /// per-stage totals that have no contiguous wall-clock extent.
     #[inline]
     pub fn span_at(
         &self,
@@ -259,7 +227,9 @@ impl Obs {
         start_ns: u64,
         dur_ns: u64,
     ) -> SpanId {
-        self.recorder.span_at(name, parent, start_ns, dur_ns)
+        self.full().map_or(SpanId::NONE, |registry| {
+            registry.span_at(name, parent, start_ns, dur_ns)
+        })
     }
 
     /// Opens a span closed automatically when the guard drops.
@@ -271,19 +241,13 @@ impl Obs {
     }
 }
 
-impl Default for Obs {
-    fn default() -> Self {
-        Obs::noop()
-    }
-}
-
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.enabled() {
-            f.write_str("Obs(live)")
-        } else {
-            f.write_str("Obs(noop)")
-        }
+        f.write_str(match self.state {
+            State::Off => "Obs(noop)",
+            State::SpansOnly(_) => "Obs(spans)",
+            State::Full(_) => "Obs(live)",
+        })
     }
 }
 
@@ -330,6 +294,49 @@ mod tests {
         let copy = obs.clone();
         assert!(!copy.enabled());
         assert_eq!(format!("{obs:?}"), "Obs(noop)");
+    }
+
+    #[test]
+    fn spans_only_keeps_spans_and_drops_metrics() {
+        let registry = Arc::new(Registry::new());
+        let obs = Obs::spans_only(registry.clone());
+        assert!(!obs.enabled());
+        assert_eq!(obs.now_ns(), 0);
+        assert_eq!(format!("{obs:?}"), "Obs(spans)");
+        let root = obs.span_start("root", SpanId::NONE);
+        obs.counter_add("c", 1);
+        obs.gauge_set("g", 2);
+        obs.gauge_max("peak", 3);
+        obs.histogram_record("h", 4);
+        assert!(obs.span_at("pre-timed", root, 0, 10).is_none());
+        {
+            let child = obs.span_guard("child", root);
+            assert!(!child.id().is_none());
+        }
+        obs.span_end(root);
+        assert_eq!(registry.snapshot(), MetricsSnapshot::default());
+        let spans = registry.spans();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["root", "child"]);
+        assert!(spans.iter().all(|s| s.closed));
+        assert_eq!(spans[1].parent, root.0);
+    }
+
+    #[test]
+    fn full_registry_keeps_everything() {
+        let registry = Arc::new(Registry::new());
+        let obs = Obs::registry(registry.clone());
+        assert!(obs.enabled());
+        assert_eq!(format!("{obs:?}"), "Obs(live)");
+        obs.counter_add("c", 1);
+        obs.gauge_max("peak", 3);
+        obs.histogram_record("h", 4);
+        assert!(!obs.span_at("pre-timed", SpanId::NONE, 0, 10).is_none());
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("c"), 1);
+        assert_eq!(snapshot.gauge("peak"), 3);
+        assert!(snapshot.histogram("h").is_some());
+        assert_eq!(registry.span_total_ns("pre-timed"), 10);
     }
 
     #[test]

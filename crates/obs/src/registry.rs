@@ -1,4 +1,4 @@
-//! The concrete [`Registry`] recorder: ordered in-memory metric storage with
+//! The concrete [`Registry`]: ordered in-memory metric storage with
 //! deterministic snapshot/diff semantics.
 //!
 //! All state lives behind one `Mutex`; metric maps are `BTreeMap`s keyed by
@@ -9,7 +9,7 @@
 //! registry legal inside the suite's allocation-free hot paths once warmed.
 
 use crate::histogram::{bucket_index, bucket_lower_bound, HistogramSnapshot, BUCKET_COUNT};
-use crate::{Recorder, SpanId};
+use crate::SpanId;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use std::thread::ThreadId;
@@ -100,10 +100,11 @@ impl Inner {
     }
 }
 
-/// The live recorder: collects counters, gauges, histograms and spans, and
+/// The one recorder: collects counters, gauges, histograms and spans, and
 /// produces deterministic [`MetricsSnapshot`]s. Share it as an
-/// `Arc<Registry>` (it implements [`Recorder`], and [`crate::Obs::registry`]
-/// wraps it).
+/// `Arc<Registry>` and record through an [`crate::Obs`] handle:
+/// [`crate::Obs::registry`] forwards everything, [`crate::Obs::spans_only`]
+/// only the spans.
 pub struct Registry {
     epoch: Instant,
     inner: Mutex<Inner>,
@@ -207,31 +208,28 @@ impl Registry {
             .filter(|s| s.closed && s.name == name)
             .fold(0u64, |total, s| total.saturating_add(s.dur_ns))
     }
-}
 
-impl Recorder for Registry {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn counter_add(&self, name: &'static str, delta: u64) {
+    /// Adds `delta` to the monotonic counter `name` (saturating).
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
         let mut inner = self.lock();
         let cell = inner.counters.entry(name).or_insert(0);
         *cell = cell.saturating_add(delta);
     }
 
-    fn gauge_set(&self, name: &'static str, value: i64) {
+    /// Sets the gauge `name` to `value`.
+    pub fn gauge_set(&self, name: &'static str, value: i64) {
         self.lock().gauges.insert(name, value);
     }
 
-    fn gauge_max(&self, name: &'static str, value: i64) {
+    /// Raises the gauge `name` to `value` if `value` is larger.
+    pub fn gauge_max(&self, name: &'static str, value: i64) {
         let mut inner = self.lock();
         let cell = inner.gauges.entry(name).or_insert(value);
         *cell = (*cell).max(value);
     }
 
-    fn histogram_record(&self, name: &'static str, value: u64) {
+    /// Records one observation into the log-scale histogram `name`.
+    pub fn histogram_record(&self, name: &'static str, value: u64) {
         self.lock()
             .histograms
             .entry(name)
@@ -239,11 +237,14 @@ impl Recorder for Registry {
             .record(value);
     }
 
-    fn now_ns(&self) -> u64 {
+    /// Nanoseconds since this registry's epoch.
+    pub fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
+    /// Opens a span under `parent` (a root for [`SpanId::NONE`]),
+    /// timestamped now.
+    pub fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
         let start_ns = self.now_ns();
         let mut inner = self.lock();
         let tid = inner.tid(std::thread::current().id());
@@ -258,7 +259,9 @@ impl Recorder for Registry {
         SpanId(inner.spans.len() as u64)
     }
 
-    fn span_end(&self, span: SpanId) {
+    /// Closes a span opened by [`Registry::span_start`]; ending
+    /// [`SpanId::NONE`] or an already closed span does nothing.
+    pub fn span_end(&self, span: SpanId) {
         if span.is_none() {
             return;
         }
@@ -273,7 +276,15 @@ impl Recorder for Registry {
         }
     }
 
-    fn span_at(&self, name: &'static str, parent: SpanId, start_ns: u64, dur_ns: u64) -> SpanId {
+    /// Records a closed, pre-timed span: `start_ns`..`start_ns + dur_ns`
+    /// relative to this registry's epoch.
+    pub fn span_at(
+        &self,
+        name: &'static str,
+        parent: SpanId,
+        start_ns: u64,
+        dur_ns: u64,
+    ) -> SpanId {
         let mut inner = self.lock();
         let tid = inner.tid(std::thread::current().id());
         inner.spans.push(SpanCell {

@@ -3,9 +3,7 @@
 //! sequences.
 
 use convoy_obs::export::{render_json, render_trace};
-use convoy_obs::{
-    bucket_index, bucket_lower_bound, json, Recorder, Registry, SpanId, BUCKET_COUNT,
-};
+use convoy_obs::{bucket_index, bucket_lower_bound, json, Registry, SpanId, BUCKET_COUNT};
 use proptest::prelude::*;
 
 proptest! {

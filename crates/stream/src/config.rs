@@ -1,7 +1,7 @@
 //! Configuration and observability types of the streaming pipeline.
 
 use convoy_core::{CmcStats, ConvoyQuery, CutsVariant};
-use convoy_obs::{MetricsSnapshot, Recorder, Registry};
+use convoy_obs::Registry;
 use traj_simplify::ToleranceMode;
 use trajectory::{TimePartition, TimePoint};
 
@@ -172,21 +172,6 @@ pub fn publish_stream_stats(registry: &Registry, stats: &StreamStats) {
     );
 }
 
-/// Reads the `stream.*` metrics back out of a snapshot — the inverse of
-/// [`publish_stream_stats`].
-pub fn stream_stats_from_snapshot(snapshot: &MetricsSnapshot) -> StreamStats {
-    let gauge_usize = |name: &str| usize::try_from(snapshot.gauge(name)).unwrap_or(0);
-    StreamStats {
-        fold: convoy_core::fold_stats_from_snapshot(snapshot),
-        partitions_closed: snapshot.counter("stream.partitions_closed"),
-        filter_candidates: snapshot.counter("stream.filter_candidates"),
-        peak_filter_candidates: gauge_usize("stream.peak_filter_candidates"),
-        candidates_evicted: snapshot.counter("stream.candidates_evicted"),
-        samples_buffered: gauge_usize("stream.samples_buffered"),
-        peak_samples_buffered: gauge_usize("stream.peak_samples_buffered"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +226,16 @@ mod tests {
         // Publishing over stale live-recorded values must overwrite them.
         registry.counter_add("stream.partitions_closed", 1000);
         publish_stream_stats(&registry, &stats);
-        assert_eq!(stream_stats_from_snapshot(&registry.snapshot()), stats);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.gauge("cmc.peak_candidates"), 7);
+        assert_eq!(snapshot.counter("cmc.ticks_ingested"), 40);
+        assert_eq!(snapshot.counter("cmc.gap_closures"), 2);
+        assert_eq!(snapshot.counter("cmc.convoys_closed"), 3);
+        assert_eq!(snapshot.counter("stream.partitions_closed"), 9);
+        assert_eq!(snapshot.counter("stream.filter_candidates"), 5);
+        assert_eq!(snapshot.gauge("stream.peak_filter_candidates"), 4);
+        assert_eq!(snapshot.counter("stream.candidates_evicted"), 1);
+        assert_eq!(snapshot.gauge("stream.samples_buffered"), 80);
+        assert_eq!(snapshot.gauge("stream.peak_samples_buffered"), 120);
     }
 }

@@ -39,9 +39,7 @@ pub mod config;
 pub mod stream;
 
 pub use checkpoint::CheckpointError;
-pub use config::{
-    publish_stream_stats, stream_stats_from_snapshot, EvictionPolicy, StreamConfig, StreamStats,
-};
+pub use config::{publish_stream_stats, EvictionPolicy, StreamConfig, StreamStats};
 pub use stream::{
     feed_order_samples, replay_config, ConvoyStream, FeedIngest, ReplayStream, StreamOutcome,
 };

@@ -129,12 +129,12 @@ pub struct ConvoyStream {
     pub(crate) chain_evicted: u64,
     pub(crate) samples_buffered: usize,
     pub(crate) peak_samples_buffered: usize,
-    /// Recorder for the `stream.*` metrics (no-op by default; one branch per
+    /// Handle for the `stream.*` metrics (off by default; one branch per
     /// push when disabled). Runtime-only: checkpoints do not store it.
     pub(crate) obs: Obs,
     /// Root span of the attached recorder ([`SpanId::NONE`] when no-op).
     pub(crate) root_span: SpanId,
-    /// Recorder timestamp of [`ConvoyStream::set_obs`], the baseline of the
+    /// Registry timestamp of [`ConvoyStream::set_obs`], the baseline of the
     /// one-shot `stream.time_to_first_convoy_ns` latency.
     pub(crate) start_ns: u64,
     /// True until the first convoy is emitted with a live recorder attached

@@ -55,12 +55,6 @@ impl TrajectoryBuilder {
         self
     }
 
-    /// Adds an already-constructed point.
-    pub fn add_point(&mut self, p: TrajPoint) -> &mut Self {
-        self.points.push(p);
-        self
-    }
-
     /// Number of samples currently buffered.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -132,8 +126,7 @@ mod tests {
     #[test]
     fn mutable_add_interface() {
         let mut b = TrajectoryBuilder::with_capacity(3);
-        b.add(0.0, 0.0, 0).add(1.0, 0.0, 1);
-        b.add_point(TrajPoint::new(2.0, 0.0, 2));
+        b.add(0.0, 0.0, 0).add(1.0, 0.0, 1).add(2.0, 0.0, 2);
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
         let t = b.build().unwrap();

@@ -1,7 +1,6 @@
 //! The trajectory database: a collection of object trajectories with snapshot
 //! extraction, the substrate every discovery algorithm operates on.
 
-use crate::error::{Result, TrajectoryError};
 use crate::geometry::point::Point;
 use crate::point::TrajPoint;
 use crate::stats::DatasetStats;
@@ -99,15 +98,6 @@ impl TrajectoryDatabase {
         self.objects.insert(id, trajectory);
     }
 
-    /// Inserts a trajectory for `id`, erroring when the object already exists.
-    pub fn try_insert(&mut self, id: ObjectId, trajectory: Trajectory) -> Result<()> {
-        if self.objects.contains_key(&id) {
-            return Err(TrajectoryError::DuplicateObject { id: id.0 });
-        }
-        self.objects.insert(id, trajectory);
-        Ok(())
-    }
-
     /// Number of objects stored.
     pub fn len(&self) -> usize {
         self.objects.len()
@@ -123,13 +113,6 @@ impl TrajectoryDatabase {
         self.objects.get(&id)
     }
 
-    /// Like [`TrajectoryDatabase::get`] but returns an error for unknown ids.
-    pub fn try_get(&self, id: ObjectId) -> Result<&Trajectory> {
-        self.objects
-            .get(&id)
-            .ok_or(TrajectoryError::UnknownObject { id: id.0 })
-    }
-
     /// Removes an object's trajectory, returning it if present.
     pub fn remove(&mut self, id: ObjectId) -> Option<Trajectory> {
         self.objects.remove(&id)
@@ -143,11 +126,6 @@ impl TrajectoryDatabase {
     /// Iterates over `(id, trajectory)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &Trajectory)> + '_ {
         self.objects.iter().map(|(id, t)| (*id, t))
-    }
-
-    /// All object ids in ascending order.
-    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.keys().copied()
     }
 
     /// The time domain spanned by the database: the hull of every
@@ -332,23 +310,14 @@ mod tests {
         assert_eq!(db.len(), 3);
         assert!(db.contains(ObjectId(2)));
         assert!(db.get(ObjectId(9)).is_none());
-        assert_eq!(
-            db.try_get(ObjectId(9)).unwrap_err(),
-            TrajectoryError::UnknownObject { id: 9 }
-        );
         assert!(db.remove(ObjectId(2)).is_some());
         assert_eq!(db.len(), 2);
         assert!(!db.contains(ObjectId(2)));
     }
 
     #[test]
-    fn try_insert_rejects_duplicates() {
+    fn insert_replaces_an_existing_object() {
         let mut db = sample_db();
-        let err = db
-            .try_insert(ObjectId(1), traj(&[(0.0, 0.0, 0)]))
-            .unwrap_err();
-        assert_eq!(err, TrajectoryError::DuplicateObject { id: 1 });
-        // Plain insert replaces.
         db.insert(ObjectId(1), traj(&[(9.0, 9.0, 0)]));
         assert_eq!(db.get(ObjectId(1)).unwrap().len(), 1);
     }
@@ -522,7 +491,7 @@ mod tests {
         db.insert(ObjectId(30), traj(&[(0.0, 0.0, 0)]));
         db.insert(ObjectId(10), traj(&[(0.0, 0.0, 0)]));
         db.insert(ObjectId(20), traj(&[(0.0, 0.0, 0)]));
-        let ids: Vec<_> = db.object_ids().collect();
+        let ids: Vec<_> = db.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![ObjectId(10), ObjectId(20), ObjectId(30)]);
     }
 }

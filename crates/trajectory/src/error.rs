@@ -20,25 +20,6 @@ pub enum TrajectoryError {
         /// Index of the offending point within the input sequence.
         index: usize,
     },
-    /// A location was requested outside the trajectory's time interval.
-    TimeOutOfRange {
-        /// The requested time point.
-        requested: i64,
-        /// Trajectory start time.
-        start: i64,
-        /// Trajectory end time.
-        end: i64,
-    },
-    /// The requested object does not exist in the database.
-    UnknownObject {
-        /// The requested object id.
-        id: u64,
-    },
-    /// An object id was inserted twice into a database.
-    DuplicateObject {
-        /// The duplicated object id.
-        id: u64,
-    },
     /// A parse error from textual trajectory input (CSV et al.).
     Parse {
         /// Line number (1-based) at which parsing failed.
@@ -88,20 +69,6 @@ impl fmt::Display for TrajectoryError {
                 f,
                 "trajectory coordinates must be finite (violated at point {index})"
             ),
-            TrajectoryError::TimeOutOfRange {
-                requested,
-                start,
-                end,
-            } => write!(
-                f,
-                "time {requested} is outside the trajectory interval [{start}, {end}]"
-            ),
-            TrajectoryError::UnknownObject { id } => {
-                write!(f, "object {id} is not present in the database")
-            }
-            TrajectoryError::DuplicateObject { id } => {
-                write!(f, "object {id} is already present in the database")
-            }
             TrajectoryError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
@@ -142,16 +109,6 @@ mod tests {
             ),
             (TrajectoryError::NonFiniteCoordinate { index: 1 }, "finite"),
             (
-                TrajectoryError::TimeOutOfRange {
-                    requested: 9,
-                    start: 0,
-                    end: 5,
-                },
-                "outside",
-            ),
-            (TrajectoryError::UnknownObject { id: 42 }, "42"),
-            (TrajectoryError::DuplicateObject { id: 7 }, "already"),
-            (
                 TrajectoryError::Parse {
                     line: 12,
                     message: "bad x".into(),
@@ -189,12 +146,12 @@ mod tests {
     #[test]
     fn errors_are_comparable() {
         assert_eq!(
-            TrajectoryError::UnknownObject { id: 1 },
-            TrajectoryError::UnknownObject { id: 1 }
+            TrajectoryError::NonMonotonicTime { index: 1 },
+            TrajectoryError::NonMonotonicTime { index: 1 }
         );
         assert_ne!(
-            TrajectoryError::UnknownObject { id: 1 },
-            TrajectoryError::UnknownObject { id: 2 }
+            TrajectoryError::NonMonotonicTime { index: 1 },
+            TrajectoryError::NonMonotonicTime { index: 2 }
         );
     }
 }

@@ -54,12 +54,6 @@ impl BoundingBox {
         self.max.y - self.min.y
     }
 
-    /// Area of the box.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Centre point of the box.
     #[inline]
     pub fn center(&self) -> Point {
@@ -138,7 +132,6 @@ mod tests {
         assert_eq!(b.max, Point::new(5.0, 3.0));
         assert_eq!(b.width(), 7.0);
         assert_eq!(b.height(), 4.0);
-        assert_eq!(b.area(), 28.0);
     }
 
     #[test]

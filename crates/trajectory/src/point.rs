@@ -41,12 +41,6 @@ impl TrajPoint {
         self.x.is_finite() && self.y.is_finite()
     }
 
-    /// Builds a timestamped point from a spatial position and a time.
-    #[inline]
-    pub fn from_position(p: Point, t: TimePoint) -> Self {
-        TrajPoint::new(p.x, p.y, t)
-    }
-
     /// The linearly interpolated *virtual point* (Section 4 of the paper)
     /// between two bracketing samples at time `t`.
     ///
@@ -102,12 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn tuple_conversion_and_from_position() {
+    fn tuple_conversion() {
         let p: TrajPoint = (1.0, -1.0, 3).into();
         assert_eq!(p, TrajPoint::new(1.0, -1.0, 3));
-        assert_eq!(
-            TrajPoint::from_position(Point::new(2.0, 3.0), 9),
-            TrajPoint::new(2.0, 3.0, 9)
-        );
     }
 }

@@ -146,17 +146,6 @@ impl Trajectory {
         }
     }
 
-    /// Like [`Trajectory::location_at`] but returns an error naming the valid
-    /// interval when `t` is out of range.
-    pub fn try_location_at(&self, t: TimePoint) -> Result<Point> {
-        self.location_at(t)
-            .ok_or_else(|| TrajectoryError::TimeOutOfRange {
-                requested: t,
-                start: self.start_time(),
-                end: self.end_time(),
-            })
-    }
-
     /// Returns the sub-trajectory restricted to the samples with timestamps
     /// inside `interval`, or `None` when no sample falls inside it.
     ///
@@ -193,19 +182,6 @@ impl Trajectory {
         BoundingBox::from_points(self.points.iter().map(|p| p.position()))
             // lint: allow(no-unwrap-in-lib) — Trajectory construction rejects empty point sets
             .expect("trajectory is never empty")
-    }
-
-    /// Number of time points of the global domain `[start_time, end_time]`
-    /// that have **no** exact sample (the "missing points" the CMC algorithm
-    /// must interpolate).
-    pub fn missing_sample_count(&self) -> i64 {
-        self.time_interval().num_points() - self.points.len() as i64
-    }
-
-    /// Density of the trajectory in its own time interval:
-    /// `|samples| / |time points covered|` ∈ (0, 1].
-    pub fn sampling_density(&self) -> f64 {
-        self.points.len() as f64 / self.time_interval().num_points() as f64
     }
 }
 
@@ -269,7 +245,6 @@ mod tests {
         assert_eq!(t.location_at(5), Some(Point::new(1.0, 2.0)));
         assert_eq!(t.location_at(6), None);
         assert_eq!(t.path_length(), 0.0);
-        assert_eq!(t.missing_sample_count(), 0);
     }
 
     #[test]
@@ -289,15 +264,6 @@ mod tests {
         let t = traj(&[(0.0, 0.0, 2), (1.0, 1.0, 4)]);
         assert_eq!(t.location_at(1), None);
         assert_eq!(t.location_at(5), None);
-        let err = t.try_location_at(9).unwrap_err();
-        assert_eq!(
-            err,
-            TrajectoryError::TimeOutOfRange {
-                requested: 9,
-                start: 2,
-                end: 4
-            }
-        );
     }
 
     #[test]
@@ -320,18 +286,6 @@ mod tests {
         let b = t.bounding_box();
         assert_eq!(b.min, Point::new(0.0, 0.0));
         assert_eq!(b.max, Point::new(3.0, 4.0));
-    }
-
-    #[test]
-    fn missing_samples_and_density() {
-        // Covers [0, 10] = 11 time points with only 3 samples.
-        let t = traj(&[(0.0, 0.0, 0), (1.0, 0.0, 5), (2.0, 0.0, 10)]);
-        assert_eq!(t.missing_sample_count(), 8);
-        assert!((t.sampling_density() - 3.0 / 11.0).abs() < 1e-12);
-        // Fully sampled trajectory has density 1.
-        let full = traj(&[(0.0, 0.0, 0), (1.0, 0.0, 1), (2.0, 0.0, 2)]);
-        assert_eq!(full.missing_sample_count(), 0);
-        assert_eq!(full.sampling_density(), 1.0);
     }
 
     #[test]
