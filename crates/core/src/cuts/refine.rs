@@ -5,8 +5,9 @@
 //! Where the paper's Algorithm 3 runs CMC once per candidate convoy, here one
 //! [`CmcState`] folds every tick of the filtered domain, with each tick's
 //! snapshot built from only the objects that co-clustered in the
-//! λ-partition(s) covering it. Batch refinement looks those objects up
-//! directly ([`TrajectoryDatabase::snapshot_of`]), so its cost scales with
+//! λ-partition(s) covering it. Batch refinement reads those objects through
+//! one [`CoverageReader`], which seeks an object's cursor when it enters the
+//! coverage and steps it forward while it stays, so its cost scales with
 //! the covered object-ticks — typically a small fraction of objects × ticks —
 //! and objects the filter dismissed are never read.
 //!
@@ -39,17 +40,19 @@ use crate::engine::{CmcState, CmcStats};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::Obs;
 use std::collections::BTreeSet;
-use trajectory::{ObjectId, Snapshot, TimeInterval, TimePoint, TrajectoryDatabase};
+use trajectory::{
+    CoverageReader, ObjectId, Snapshot, TimeInterval, TimePoint, Trajectory, TrajectoryDatabase,
+};
 
 /// The coverage-restricted [`CmcState`] fold shared by batch refinement
 /// ([`refine_partitions`]) and the streaming pipeline (see the module docs
 /// for the exactness argument).
 ///
 /// The fold is agnostic of where positions come from: every tick's
-/// restricted snapshot is produced by a caller-supplied source, so the batch
-/// side looks the covered objects up in the database while a stream reads
-/// its ingest buffers — and both drive the identical per-tick loop, eviction
-/// hooks included.
+/// restricted snapshot is produced by a caller-supplied source. Batch and
+/// stream both read through a [`CoverageReader`], over the database and
+/// over the ingest buffers respectively — and both drive the identical
+/// per-tick loop, eviction hooks included.
 #[derive(Debug, Clone)]
 pub struct RefineFold {
     state: CmcState,
@@ -260,18 +263,20 @@ pub struct FoldOutcome {
 /// Refines a filter's λ-partition clusters with the coverage fold: every
 /// tick of the filtered domain is folded through one [`CmcState`], its
 /// snapshot built from the objects of the partition clusters covering it
-/// ([`TrajectoryDatabase::snapshot_of`]).
+/// (one [`CoverageReader`] over the database).
 ///
 /// Returns the raw (un-normalised) convoys in closure order together with
 /// the fold's counters. The module docs explain why this output is
 /// bit-identical to plain CMC over the same database — and therefore to the
 /// streaming pipeline's output, whatever its filter decided.
 ///
-/// **Cost profile.** Each tick's snapshot is assembled by looking up only
-/// the covered objects, so extraction costs one position lookup per
-/// *covered object-tick*, not objects × ticks: objects outside every
-/// partition cluster are never read, and a tick with empty coverage costs
-/// one empty snapshot (it is still folded, because it closes open chains).
+/// **Cost profile.** Each tick's snapshot reads only the covered objects:
+/// an object entering the coverage costs one lookup and one binary search,
+/// and every further covered tick one forward cursor step. Extraction
+/// therefore scales with the *covered object-ticks*, not objects × ticks:
+/// objects outside every partition cluster are never read, and a tick with
+/// empty coverage costs one empty snapshot (it is still folded, because it
+/// closes open chains).
 /// Unlike the per-candidate Algorithm 3, the fold clusters the coverage of
 /// every partition — including clusters that never persisted `k` ticks — so
 /// on data that clusters densely but briefly the clustering cost approaches
@@ -310,8 +315,9 @@ pub fn refine_partitions_obs(
         "refine_partitions requires contiguous partitions sharing boundary ticks"
     );
     let mut snapshot_points = 0u64;
+    let mut reader = CoverageReader::new(None);
     let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| -> Snapshot {
-        let snapshot = db.snapshot_of(t, coverage.iter().copied());
+        let snapshot = reader.snapshot(t, coverage, |id| db.get(id).map(Trajectory::points));
         snapshot_points += snapshot.len() as u64;
         snapshot
     };
@@ -330,7 +336,6 @@ mod tests {
     use super::*;
     use crate::engine::CmcEngine;
     use traj_cluster::Cluster;
-    use trajectory::{ObjectId, Trajectory};
 
     fn db() -> TrajectoryDatabase {
         let mut db = TrajectoryDatabase::new();

@@ -44,16 +44,13 @@ struct MovingCluster {
 /// over-reports (no lifetime constraint, drifting membership) and
 /// under-reports (a high θ splits long convoys into fragments).
 pub fn mc2(db: &TrajectoryDatabase, config: &Mc2Config) -> Vec<Convoy> {
-    let Some(domain) = db.time_domain() else {
-        return Vec::new();
-    };
     let mut results: Vec<Convoy> = Vec::new();
     let mut current: Vec<MovingCluster> = Vec::new();
     // Snapshot-clustering scratch reused across the whole domain sweep.
     let mut clusterer = SnapshotClusterer::new();
 
-    for t in domain.iter() {
-        let snapshot = db.snapshot(t, SnapshotPolicy::Interpolate);
+    for snapshot in db.sweep(SnapshotPolicy::Interpolate) {
+        let t = snapshot.time;
         let clusters: Vec<Cluster> = if snapshot.len() < config.m {
             Vec::new()
         } else {

@@ -316,31 +316,49 @@ impl ReadStats {
     }
 }
 
-/// Bounded decoder over one block's bytes — the checkpoint `Dec` idiom:
-/// every read is bounds-checked, corrupt input surfaces as an error, never
-/// a panic.
-struct Dec<'a> {
+/// A [`ByteReader`] ran out of bytes: the encoded structure is longer than
+/// its input (a torn write).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Truncated;
+
+impl From<Truncated> for ContainerError {
+    fn from(_: Truncated) -> Self {
+        ContainerError::Truncated
+    }
+}
+
+/// Bounded little-endian decoder over a byte slice, shared by the `.convoy`
+/// container and the stream checkpoint: every read is bounds-checked, so
+/// corrupt input surfaces as [`Truncated`], never a panic.
+#[derive(Debug, Clone)]
+pub struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ContainerError> {
+impl<'a> ByteReader<'a> {
+    /// A reader positioned at the first byte of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        ByteReader { bytes, pos: 0 }
+    }
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&end| end <= self.bytes.len())
-            .ok_or(ContainerError::Truncated)?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(ContainerError::Truncated)?;
+            .ok_or(Truncated)?;
+        let slice = self.bytes.get(self.pos..end).ok_or(Truncated)?;
         self.pos = end;
         Ok(slice)
     }
+    /// The number of bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
     /// Reads exactly `N` bytes into a fixed-size array. The copy is bounded
     /// by both sides of the `zip`, so no length mismatch can panic.
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], ContainerError> {
+    pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
         let src = self.take(N)?;
         let mut out = [0u8; N];
         for (dst, byte) in out.iter_mut().zip(src) {
@@ -348,23 +366,32 @@ impl<'a> Dec<'a> {
         }
         Ok(out)
     }
-    fn u64(&mut self) -> Result<u64, ContainerError> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, Truncated> {
+        let [b] = self.take_array::<1>()?;
+        Ok(b)
+    }
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, Truncated> {
+        Ok(u32::from_le_bytes(self.take_array()?))
+    }
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, Truncated> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
-    fn i64(&mut self) -> Result<i64, ContainerError> {
+    /// A little-endian `i64`.
+    pub fn i64(&mut self) -> Result<i64, Truncated> {
         Ok(i64::from_le_bytes(self.take_array()?))
     }
-    fn f64(&mut self) -> Result<f64, ContainerError> {
+    /// A little-endian `f64`.
+    pub fn f64(&mut self) -> Result<f64, Truncated> {
         Ok(f64::from_le_bytes(self.take_array()?))
     }
 }
 
 /// Parses and sanity-checks one 56-byte block header at `offset`.
 fn decode_block_header(header: &[u8], offset: u64) -> Result<BlockMeta, ContainerError> {
-    let mut d = Dec {
-        bytes: header,
-        pos: 0,
-    };
+    let mut d = ByteReader::new(header);
     let records = d.u64()?;
     let t_min = d.i64()?;
     let t_max = d.i64()?;
@@ -441,14 +468,11 @@ impl<R: Read + Seek> ContainerReader<R> {
         }
         let mut head = [0u8; FILE_HEADER_LEN as usize];
         reader.read_exact(&mut head)?;
-        let mut d = Dec {
-            bytes: &head,
-            pos: 0,
-        };
+        let mut d = ByteReader::new(&head);
         if d.take(MAGIC.len())? != MAGIC.as_slice() {
             return Err(ContainerError::BadMagic);
         }
-        let version = u32::from_le_bytes(d.take_array()?);
+        let version = d.u32()?;
         if version != FORMAT_VERSION {
             return Err(ContainerError::UnsupportedVersion(version));
         }
@@ -603,10 +627,7 @@ impl<R: Read + Seek> ContainerReader<R> {
             return Err(ContainerError::ChecksumMismatch { block: bi });
         }
 
-        let mut d = Dec {
-            bytes: body,
-            pos: 0,
-        };
+        let mut d = ByteReader::new(body);
         // Re-decode the header out of the checksummed bytes and require it
         // to match the index built at open time.
         if decode_block_header(d.take(BLOCK_HEADER_LEN as usize)?, meta.offset)? != *meta {

@@ -7,11 +7,13 @@
 //! * **Filter**: which sample *runs* fall into a λ-partition's window
 //!   (including the bracketing samples just outside it), severed wherever a
 //!   sample gap exceeds the eviction horizon?
-//! * **Refinement**: where is the object at tick `t` — exactly the virtual-
-//!   point semantics of [`trajectory::Trajectory::location_at`], except that
-//!   gaps beyond the horizon are not interpolated?
+//! * **Refinement**: where is the object at tick `t`? The buffer hands its
+//!   samples to a [`trajectory::CoverageReader`], which gives exactly the
+//!   virtual-point semantics of [`trajectory::Trajectory::location_at`],
+//!   except that gaps beyond the horizon are not interpolated.
 
-use trajectory::{Point, TimePoint, TrajPoint};
+use trajectory::sweep::bridgeable;
+use trajectory::{TimePoint, TrajPoint};
 
 /// One object's buffered samples, time-sorted and duplicate-free (the
 /// stream's feed-order check guarantees both).
@@ -20,25 +22,9 @@ pub(crate) struct ObjectBuffer {
     samples: Vec<TrajPoint>,
 }
 
-/// Returns `true` when interpolation may bridge the gap between two
-/// consecutive samples: the number of missing ticks between them must not
-/// exceed the horizon (`None` = any gap bridges, the batch semantics).
-#[inline]
-pub(crate) fn bridgeable(before: TimePoint, after: TimePoint, horizon: Option<TimePoint>) -> bool {
-    match horizon {
-        None => true,
-        // The missing-tick count `after - before - 1` can exceed `i64` when a
-        // negative-epoch sample meets a far-future watermark; a gap too wide
-        // to even represent is certainly too wide to bridge.
-        Some(h) => match after.checked_sub(before).and_then(|gap| gap.checked_sub(1)) {
-            Some(missing) => missing <= h,
-            None => false,
-        },
-    }
-}
-
 impl ObjectBuffer {
-    /// The buffered samples, oldest first (checkpoint export).
+    /// The buffered samples, oldest first: what checkpoints export and
+    /// what the refinement's [`trajectory::CoverageReader`] reads.
     pub fn samples(&self) -> &[TrajPoint] {
         &self.samples
     }
@@ -108,31 +94,6 @@ impl ObjectBuffer {
         runs
     }
 
-    /// The object's (possibly virtual) position at tick `t`, together with
-    /// whether it was interpolated. `None` outside the buffered interval or
-    /// across a gap larger than the horizon.
-    ///
-    /// Exact samples and the shared [`TrajPoint::interpolate`] arithmetic
-    /// make the result bit-identical to
-    /// [`trajectory::Trajectory::location_at`] whenever the bracketing
-    /// samples are buffered and the gap bridges.
-    pub fn position_at(&self, t: TimePoint, horizon: Option<TimePoint>) -> Option<(Point, bool)> {
-        match self.samples.binary_search_by_key(&t, |p| p.t) {
-            Ok(i) => Some((self.samples[i].position(), false)),
-            Err(i) => {
-                if i == 0 || i == self.samples.len() {
-                    return None;
-                }
-                let before = &self.samples[i - 1];
-                let after = &self.samples[i];
-                if !bridgeable(before.t, after.t, horizon) {
-                    return None;
-                }
-                Some((TrajPoint::interpolate(before, after, t), true))
-            }
-        }
-    }
-
     /// Drops samples no longer needed once the refinement fold has passed
     /// `cursor`: everything strictly before the newest sample at or before
     /// `cursor` (which stays, as the interpolation bracket for later ticks).
@@ -186,48 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn position_matches_trajectory_interpolation() {
-        use trajectory::Trajectory;
-        let times = [0i64, 2, 5, 9];
-        let b = buffer(&times);
-        let traj = Trajectory::from_tuples(times.iter().map(|&t| (t as f64, 0.0, t))).unwrap();
-        for t in -1..=10 {
-            let expected = traj.location_at(t);
-            let got = b.position_at(t, None).map(|(p, _)| p);
-            assert_eq!(got, expected, "t={t}");
-        }
-        let (_, interpolated) = b.position_at(2, None).unwrap();
-        assert!(!interpolated);
-        let (_, interpolated) = b.position_at(3, None).unwrap();
-        assert!(interpolated);
-    }
-
-    #[test]
-    fn position_refuses_to_bridge_beyond_the_horizon() {
-        let b = buffer(&[0, 10]);
-        assert!(b.position_at(5, None).is_some());
-        assert!(
-            b.position_at(5, Some(9)).is_some(),
-            "9 missing ticks, horizon 9: exactly at the horizon bridges"
-        );
-        assert!(b.position_at(5, Some(8)).is_none());
-        // Exact samples are always visible.
-        assert!(b.position_at(0, Some(1)).is_some());
-        assert!(b.position_at(10, Some(1)).is_some());
-    }
-
-    #[test]
-    fn bridgeable_survives_extreme_gaps_and_horizons() {
-        // A gap wider than i64 severs instead of wrapping (debug: panicking).
-        assert!(!bridgeable(i64::MIN + 10, i64::MAX - 10, Some(i64::MAX)));
-        assert!(bridgeable(i64::MIN + 10, i64::MAX - 10, None));
-        // Negative-epoch samples under a huge horizon always bridge.
-        assert!(bridgeable(-100, -95, Some(i64::MAX)));
-        // Gap of exactly i64::MAX ticks: i64::MAX - 1 missing, still bridges.
-        assert!(bridgeable(0, i64::MAX, Some(i64::MAX)));
-    }
-
-    #[test]
     fn checkpoint_round_trip_preserves_samples() {
         let b = buffer(&[0, 2, 5, 9]);
         let restored = ObjectBuffer::from_samples(b.samples().to_vec()).unwrap();
@@ -246,9 +165,10 @@ mod tests {
             "t=0 and t=2 go, t=5 stays as the bracket"
         );
         assert_eq!(b.len(), 2);
-        assert!(
-            b.position_at(7, None).is_some(),
-            "interpolation across the cursor still works"
+        assert_eq!(
+            b.samples()[0].t,
+            5,
+            "the bracket for interpolation across the cursor stays"
         );
         assert_eq!(b.trim_before(0), 0, "nothing older than the first sample");
         assert_eq!(b.last_t(), 9);

@@ -64,6 +64,7 @@ use trajectory::{ObjectId, TimeInterval, TimePartition, TrajPoint};
 
 /// The trailer checksum: the `.convoy` container's IEEE CRC-32, shared.
 pub use traj_datasets::container::crc32;
+use traj_datasets::container::{ByteReader, Truncated};
 
 /// The checkpoint file's magic bytes.
 pub const MAGIC: [u8; 8] = *b"CONVOYCK";
@@ -214,159 +215,120 @@ impl Enc {
 }
 
 // ---------------------------------------------------------------------------
-// Decoder
+// Decoder: the checkpoint's own structures (options, length prefixes,
+// sections, clusters), read through the container's bounds-checked
+// [`ByteReader`].
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(CheckpointError::Truncated)?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(CheckpointError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-    /// Reads exactly `N` bytes into a fixed-size array. The copy is bounded
-    /// by both sides of the `zip`, so no length mismatch can panic — unlike
-    /// `try_into().unwrap()` or `copy_from_slice`, there is no abort path on
-    /// corrupt input.
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
-        let src = self.take(N)?;
-        let mut out = [0u8; N];
-        for (dst, byte) in out.iter_mut().zip(src) {
-            *dst = *byte;
-        }
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        let [b] = self.take_array::<1>()?;
-        Ok(b)
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take_array()?))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-    fn i64(&mut self) -> Result<i64, CheckpointError> {
-        Ok(i64::from_le_bytes(self.take_array()?))
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_le_bytes(self.take_array()?))
-    }
-    fn opt_i64(&mut self) -> Result<Option<i64>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.i64()?)),
-            _ => Err(CheckpointError::Malformed("option tag")),
-        }
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(CheckpointError::Malformed("option tag")),
-        }
-    }
-    /// Reads a length prefix, bounding it by the bytes actually left (each
-    /// item occupies at least `min_item_size` bytes) so a corrupt count can
-    /// not trigger an absurd allocation.
-    fn len_prefix(&mut self, min_item_size: usize) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        let max = self.remaining() / min_item_size.max(1);
-        if n as usize > max {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(n as usize)
-    }
-    fn members(&mut self) -> Result<Cluster, CheckpointError> {
-        let n = self.len_prefix(8)?;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(ObjectId(self.u64()?));
-        }
-        if !ids.is_sorted_by(|a, b| a < b) {
-            return Err(CheckpointError::Malformed("cluster members not ascending"));
-        }
-        Ok(Cluster::new(ids))
-    }
-    fn candidate(&mut self) -> Result<CandidateConvoy, CheckpointError> {
-        let objects = self.members()?;
-        let start = self.i64()?;
-        let end = self.i64()?;
-        if start > end {
-            return Err(CheckpointError::Malformed("candidate interval inverted"));
-        }
-        Ok(CandidateConvoy::new(objects, start, end))
-    }
-    fn candidates(&mut self) -> Result<Vec<CandidateConvoy>, CheckpointError> {
-        let n = self.len_prefix(24)?;
-        (0..n).map(|_| self.candidate()).collect()
-    }
-    fn convoys(&mut self) -> Result<Vec<Convoy>, CheckpointError> {
-        let n = self.len_prefix(24)?;
-        (0..n)
-            .map(|_| {
-                let objects = self.members()?;
-                let start = self.i64()?;
-                let end = self.i64()?;
-                if start > end {
-                    return Err(CheckpointError::Malformed("convoy interval inverted"));
-                }
-                Ok(Convoy::new(objects, start, end))
-            })
-            .collect()
-    }
-    fn cmc_state(&mut self) -> Result<CmcStateSnapshot, CheckpointError> {
-        Ok(CmcStateSnapshot {
-            current: self.candidates()?,
-            closed: self.convoys()?,
-            peak_candidates: self.u64()? as usize,
-            last_tick: self.opt_i64()?,
-            ticks_ingested: self.u64()?,
-            gap_closures: self.u64()?,
-            convoys_closed: self.u64()?,
-        })
-    }
-    /// Reads a section header, returning a sub-decoder over exactly the
-    /// section's payload.
-    fn section(&mut self, expected_tag: u32) -> Result<Dec<'a>, CheckpointError> {
-        let tag = self.u32()?;
-        if tag != expected_tag {
-            return Err(CheckpointError::Malformed("unexpected section tag"));
-        }
-        let len = self.u64()?;
-        if len > self.remaining() as u64 {
-            return Err(CheckpointError::Truncated);
-        }
-        let body = self.take(len as usize)?;
-        Ok(Dec {
-            bytes: body,
-            pos: 0,
-        })
-    }
-    /// Asserts the decoder consumed its input exactly.
-    fn finish_section(self, what: &'static str) -> Result<(), CheckpointError> {
-        if self.remaining() != 0 {
-            return Err(CheckpointError::Malformed(what));
-        }
-        Ok(())
+impl From<Truncated> for CheckpointError {
+    fn from(_: Truncated) -> Self {
+        CheckpointError::Truncated
     }
 }
 
-fn decode_config(d: &mut Dec<'_>) -> Result<StreamConfig, CheckpointError> {
+/// Reads an option: a 0/1 tag, then the value `read` decodes when present.
+fn opt<'a, T>(
+    d: &mut ByteReader<'a>,
+    read: impl FnOnce(&mut ByteReader<'a>) -> Result<T, Truncated>,
+) -> Result<Option<T>, CheckpointError> {
+    match d.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(read(d)?)),
+        _ => Err(CheckpointError::Malformed("option tag")),
+    }
+}
+
+/// Reads a length prefix, bounding it by the bytes actually left (each item
+/// occupies at least `min_item_size` bytes) so a corrupt count can not
+/// trigger an absurd allocation.
+fn len_prefix(d: &mut ByteReader<'_>, min_item_size: usize) -> Result<usize, CheckpointError> {
+    let n = d.u64()?;
+    let max = d.remaining() / min_item_size.max(1);
+    if n as usize > max {
+        return Err(CheckpointError::Truncated);
+    }
+    Ok(n as usize)
+}
+
+fn members(d: &mut ByteReader<'_>) -> Result<Cluster, CheckpointError> {
+    let n = len_prefix(d, 8)?;
+    let mut ids = Vec::with_capacity(n);
+    for _ in 0..n {
+        ids.push(ObjectId(d.u64()?));
+    }
+    if !ids.is_sorted_by(|a, b| a < b) {
+        return Err(CheckpointError::Malformed("cluster members not ascending"));
+    }
+    Ok(Cluster::new(ids))
+}
+
+fn candidate(d: &mut ByteReader<'_>) -> Result<CandidateConvoy, CheckpointError> {
+    let objects = members(d)?;
+    let start = d.i64()?;
+    let end = d.i64()?;
+    if start > end {
+        return Err(CheckpointError::Malformed("candidate interval inverted"));
+    }
+    Ok(CandidateConvoy::new(objects, start, end))
+}
+
+fn candidates(d: &mut ByteReader<'_>) -> Result<Vec<CandidateConvoy>, CheckpointError> {
+    let n = len_prefix(d, 24)?;
+    (0..n).map(|_| candidate(d)).collect()
+}
+
+fn convoys(d: &mut ByteReader<'_>) -> Result<Vec<Convoy>, CheckpointError> {
+    let n = len_prefix(d, 24)?;
+    (0..n)
+        .map(|_| {
+            let objects = members(d)?;
+            let start = d.i64()?;
+            let end = d.i64()?;
+            if start > end {
+                return Err(CheckpointError::Malformed("convoy interval inverted"));
+            }
+            Ok(Convoy::new(objects, start, end))
+        })
+        .collect()
+}
+
+fn cmc_state(d: &mut ByteReader<'_>) -> Result<CmcStateSnapshot, CheckpointError> {
+    Ok(CmcStateSnapshot {
+        current: candidates(d)?,
+        closed: convoys(d)?,
+        peak_candidates: d.u64()? as usize,
+        last_tick: opt(d, ByteReader::i64)?,
+        ticks_ingested: d.u64()?,
+        gap_closures: d.u64()?,
+        convoys_closed: d.u64()?,
+    })
+}
+
+/// Reads a section header, returning a reader over exactly the section's
+/// payload.
+fn section<'a>(
+    d: &mut ByteReader<'a>,
+    expected_tag: u32,
+) -> Result<ByteReader<'a>, CheckpointError> {
+    let tag = d.u32()?;
+    if tag != expected_tag {
+        return Err(CheckpointError::Malformed("unexpected section tag"));
+    }
+    let len = d.u64()?;
+    if len > d.remaining() as u64 {
+        return Err(CheckpointError::Truncated);
+    }
+    Ok(ByteReader::new(d.take(len as usize)?))
+}
+
+/// Asserts the section's reader consumed its payload exactly.
+fn finish_section(d: ByteReader<'_>, what: &'static str) -> Result<(), CheckpointError> {
+    if d.remaining() != 0 {
+        return Err(CheckpointError::Malformed(what));
+    }
+    Ok(())
+}
+
+fn decode_config(d: &mut ByteReader<'_>) -> Result<StreamConfig, CheckpointError> {
     let m = d.u64()? as usize;
     let k = d.u64()? as usize;
     let e = d.f64()?;
@@ -383,8 +345,8 @@ fn decode_config(d: &mut Dec<'_>) -> Result<StreamConfig, CheckpointError> {
         1 => ToleranceMode::Global,
         _ => return Err(CheckpointError::Malformed("tolerance mode")),
     };
-    let horizon = d.opt_i64()?;
-    let max_candidates = d.opt_u64()?.map(|v| v as usize);
+    let horizon = opt(d, ByteReader::i64)?;
+    let max_candidates = opt(d, ByteReader::u64)?.map(|v| v as usize);
     // A λ the configuration would clamp is not one a stream ever ran.
     if m == 0
         || k == 0
@@ -542,25 +504,23 @@ impl ConvoyStream {
             return Err(CheckpointError::ChecksumMismatch);
         }
 
-        let mut d = Dec {
-            bytes: body,
-            pos: MAGIC.len(),
-        };
+        let mut d = ByteReader::new(body);
+        d.take(MAGIC.len())?; // the magic, checked above
         let version = d.u32()?;
         if version != FORMAT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
 
-        let mut s = d.section(TAG_CONFIG)?;
+        let mut s = section(&mut d, TAG_CONFIG)?;
         let config = decode_config(&mut s)?;
-        s.finish_section("trailing bytes in config section")?;
+        finish_section(s, "trailing bytes in config section")?;
 
-        let mut s = d.section(TAG_WATERMARK)?;
-        let watermark = s.opt_i64()?;
-        s.finish_section("trailing bytes in watermark section")?;
+        let mut s = section(&mut d, TAG_WATERMARK)?;
+        let watermark = opt(&mut s, ByteReader::i64)?;
+        finish_section(s, "trailing bytes in watermark section")?;
 
-        let mut s = d.section(TAG_BUFFERS)?;
-        let n = s.len_prefix(16)?;
+        let mut s = section(&mut d, TAG_BUFFERS)?;
+        let n = len_prefix(&mut s, 16)?;
         let mut buffers: BTreeMap<ObjectId, ObjectBuffer> = BTreeMap::new();
         let mut samples_buffered = 0usize;
         let mut prev_object: Option<ObjectId> = None;
@@ -570,7 +530,7 @@ impl ConvoyStream {
                 return Err(CheckpointError::Malformed("buffers not ascending"));
             }
             prev_object = Some(object);
-            let count = s.len_prefix(24)?;
+            let count = len_prefix(&mut s, 24)?;
             let mut samples = Vec::with_capacity(count);
             for _ in 0..count {
                 let x = s.f64()?;
@@ -593,26 +553,26 @@ impl ConvoyStream {
             }
             buffers.insert(object, buffer);
         }
-        s.finish_section("trailing bytes in buffers section")?;
+        finish_section(s, "trailing bytes in buffers section")?;
 
-        let mut s = d.section(TAG_FILTER)?;
-        let partition_start = s.opt_i64()?;
+        let mut s = section(&mut d, TAG_FILTER)?;
+        let partition_start = opt(&mut s, ByteReader::i64)?;
         let chain = CandidateChainSnapshot {
-            current: s.candidates()?,
-            closed: s.candidates()?,
+            current: candidates(&mut s)?,
+            closed: candidates(&mut s)?,
             peak_open: s.u64()? as usize,
             partitions_folded: s.u64()?,
         };
-        s.finish_section("trailing bytes in filter section")?;
+        finish_section(s, "trailing bytes in filter section")?;
 
-        let mut s = d.section(TAG_FOLD)?;
-        let state = s.cmc_state()?;
+        let mut s = section(&mut d, TAG_FOLD)?;
+        let state = cmc_state(&mut s)?;
         let prev = match s.u8()? {
             0 => None,
             1 => {
                 let start = s.i64()?;
                 let end = s.i64()?;
-                let count = s.len_prefix(8)?;
+                let count = len_prefix(&mut s, 8)?;
                 let mut coverage = Vec::with_capacity(count);
                 for _ in 0..count {
                     coverage.push(ObjectId(s.u64()?));
@@ -630,22 +590,22 @@ impl ConvoyStream {
         let fold = RefineFoldSnapshot {
             state,
             prev,
-            last_tick: s.opt_i64()?,
+            last_tick: opt(&mut s, ByteReader::i64)?,
             evicted: s.u64()?,
         };
-        s.finish_section("trailing bytes in fold section")?;
+        finish_section(s, "trailing bytes in fold section")?;
 
-        let mut s = d.section(TAG_OUTPUT)?;
-        let ready = s.convoys()?;
-        let ready_candidates = s.candidates()?;
-        s.finish_section("trailing bytes in output section")?;
+        let mut s = section(&mut d, TAG_OUTPUT)?;
+        let ready = convoys(&mut s)?;
+        let ready_candidates = candidates(&mut s)?;
+        finish_section(s, "trailing bytes in output section")?;
 
-        let mut s = d.section(TAG_STATS)?;
+        let mut s = section(&mut d, TAG_STATS)?;
         let partitions_closed = s.u64()?;
         let filter_candidates = s.u64()?;
         let chain_evicted = s.u64()?;
         let peak_samples_buffered = s.u64()? as usize;
-        s.finish_section("trailing bytes in stats section")?;
+        finish_section(s, "trailing bytes in stats section")?;
 
         if d.remaining() != 0 {
             return Err(CheckpointError::Malformed("trailing bytes after sections"));

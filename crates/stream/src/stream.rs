@@ -38,7 +38,7 @@
 //! where [`ConvoyStream::finish`] settles everything — while a finite
 //! horizon bounds both the wait and the buffered window on a live feed.
 
-use crate::buffer::{bridgeable, ObjectBuffer};
+use crate::buffer::ObjectBuffer;
 use crate::config::{EvictionPolicy, StreamConfig, StreamStats};
 use convoy_core::cuts::filter::simplify_database;
 use convoy_core::{
@@ -49,8 +49,9 @@ use convoy_obs::{Obs, SpanId};
 use std::collections::{BTreeMap, BTreeSet};
 use traj_cluster::{SegmentDistance, SubTrajectory};
 use traj_simplify::ToleranceMode;
+use trajectory::sweep::bridgeable;
 use trajectory::{
-    FeedError, ObjectId, Snapshot, SnapshotEntry, TimeInterval, TimePoint, TrajPoint, Trajectory,
+    CoverageReader, FeedError, ObjectId, TimeInterval, TimePoint, TrajPoint, Trajectory,
 };
 
 /// The sample-ingest surface of a streaming discovery pipeline.
@@ -232,7 +233,8 @@ impl ConvoyStream {
     /// partition at `end`: its samples have not reached `end` and a sample
     /// arriving now (at the watermark) could still bridge into the window.
     /// The gap rule is the interpolation rule itself ([`bridgeable`]), so
-    /// the partition-close logic and the snapshot builder never disagree.
+    /// the partition-close logic and the refinement's
+    /// [`CoverageReader`] never disagree.
     fn blocks(&self, buffer: &ObjectBuffer, end: TimePoint, watermark: TimePoint) -> bool {
         let last = buffer.last_t();
         last < end && bridgeable(last, watermark, self.config.eviction.horizon)
@@ -350,10 +352,17 @@ impl ConvoyStream {
         self.ready_candidates.extend(closed_candidates);
 
         // Refinement: the shared coverage fold, reading positions from the
-        // ingest buffers with the same severing rule the filter used.
+        // ingest buffers with the same severing rule the filter used. The
+        // close rules keep every bracketing sample buffered, so while no gap
+        // exceeds the horizon the snapshots equal batch refinement's. The
+        // buffers are trimmed below, so the reader's cursors live for this
+        // partition only.
         let buffers = &self.buffers;
+        let mut reader = CoverageReader::new(horizon);
         let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| {
-            snapshot_from_buffers(buffers, t, coverage, horizon)
+            reader.snapshot(t, coverage, |id| {
+                buffers.get(&id).map(ObjectBuffer::samples)
+            })
         };
         self.fold.push_partition(&clustered, &mut snapshot_at);
         let emitted = self.fold.drain_closed();
@@ -460,9 +469,11 @@ impl ConvoyStream {
         filter_candidates += final_candidates.len() as u64;
         ready_candidates.extend(final_candidates);
 
-        let horizon = config.eviction.horizon;
+        let mut reader = CoverageReader::new(config.eviction.horizon);
         let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| {
-            snapshot_from_buffers(&buffers, t, coverage, horizon)
+            reader.snapshot(t, coverage, |id| {
+                buffers.get(&id).map(ObjectBuffer::samples)
+            })
         };
         let outcome = fold.finish(&mut snapshot_at);
         if obs.enabled() {
@@ -576,34 +587,6 @@ fn note_emissions(
         let delay = watermark.saturating_sub(convoy.end).max(0);
         obs.histogram_record("stream.emission_delay_ticks", delay as u64);
     }
-}
-
-/// Builds the coverage-restricted snapshot of tick `t` from the ingest
-/// buffers: entries in ascending object order, positions via the shared
-/// virtual-point arithmetic — bit-identical to the batch refinement's
-/// [`trajectory::TrajectoryDatabase::snapshot_of`] over the same coverage,
-/// as long as the bracketing samples are buffered (the partition close rules
-/// guarantee they are) and no gap exceeds the horizon.
-fn snapshot_from_buffers(
-    buffers: &BTreeMap<ObjectId, ObjectBuffer>,
-    t: TimePoint,
-    coverage: &BTreeSet<ObjectId>,
-    horizon: Option<TimePoint>,
-) -> Snapshot {
-    let mut entries = Vec::with_capacity(coverage.len());
-    for &id in coverage {
-        let Some(buffer) = buffers.get(&id) else {
-            continue;
-        };
-        if let Some((position, interpolated)) = buffer.position_at(t, horizon) {
-            entries.push(SnapshotEntry {
-                id,
-                position,
-                interpolated,
-            });
-        }
-    }
-    Snapshot { time: t, entries }
 }
 
 /// Derives a replay [`StreamConfig`] from a batch CuTS configuration

@@ -144,31 +144,19 @@ impl TrajectoryDatabase {
     pub fn snapshot(&self, t: TimePoint, policy: SnapshotPolicy) -> Snapshot {
         let entries = self
             .iter()
-            .filter_map(|(id, traj)| snapshot_entry(id, traj, t, policy))
-            .collect();
-        Snapshot { time: t, entries }
-    }
-
-    /// The [`SnapshotPolicy::Interpolate`] snapshot at `t` restricted to
-    /// the objects in `ids`, which must be in ascending id order (unknown ids
-    /// are skipped). Each entry is built by the same per-object step as
-    /// [`TrajectoryDatabase::snapshot`], so the result equals the full
-    /// snapshot with every other object removed, at the cost of one lookup
-    /// per listed object instead of a scan of the whole database.
-    pub fn snapshot_of<I>(&self, t: TimePoint, ids: I) -> Snapshot
-    where
-        I: IntoIterator<Item = ObjectId>,
-    {
-        let entries: Vec<SnapshotEntry> = ids
-            .into_iter()
-            .filter_map(|id| {
-                snapshot_entry(id, self.objects.get(&id)?, t, SnapshotPolicy::Interpolate)
+            .filter_map(|(id, traj)| match policy {
+                SnapshotPolicy::Interpolate => Some(SnapshotEntry {
+                    id,
+                    position: traj.location_at(t)?,
+                    interpolated: traj.sample_at(t).is_none(),
+                }),
+                SnapshotPolicy::ExactOnly => traj.sample_at(t).map(|p| SnapshotEntry {
+                    id,
+                    position: p.position(),
+                    interpolated: false,
+                }),
             })
             .collect();
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].id < w[1].id),
-            "snapshot_of requires ascending, distinct ids"
-        );
         Snapshot { time: t, entries }
     }
 
@@ -231,32 +219,6 @@ impl TrajectoryDatabase {
             }
         }
         out
-    }
-}
-
-/// One object's entry in the snapshot at `t`, or `None` when the object is
-/// absent there under `policy` — the per-object step shared by
-/// [`TrajectoryDatabase::snapshot`] and [`TrajectoryDatabase::snapshot_of`].
-fn snapshot_entry(
-    id: ObjectId,
-    traj: &Trajectory,
-    t: TimePoint,
-    policy: SnapshotPolicy,
-) -> Option<SnapshotEntry> {
-    if !traj.covers(t) {
-        return None;
-    }
-    match policy {
-        SnapshotPolicy::Interpolate => Some(SnapshotEntry {
-            id,
-            position: traj.location_at(t)?,
-            interpolated: !traj.has_sample_at(t),
-        }),
-        SnapshotPolicy::ExactOnly => traj.sample_at(t).map(|p| SnapshotEntry {
-            id,
-            position: p.position(),
-            interpolated: false,
-        }),
     }
 }
 
@@ -465,24 +427,6 @@ mod tests {
             restricted.snapshot(4, SnapshotPolicy::ExactOnly),
             db.snapshot(4, SnapshotPolicy::ExactOnly)
         );
-    }
-
-    #[test]
-    fn snapshot_of_is_the_full_snapshot_restricted_to_the_ids() {
-        // Every subset of {1, 2, 3} plus an unknown id, at every tick around
-        // the domain.
-        let db = sample_db();
-        for t in -1..=5 {
-            for mask in 0u64..16 {
-                let ids: Vec<ObjectId> = (1..=4u64)
-                    .filter(|i| mask & (1 << (i - 1)) != 0)
-                    .map(ObjectId)
-                    .collect();
-                let mut expected = db.snapshot(t, SnapshotPolicy::Interpolate);
-                expected.entries.retain(|e| ids.contains(&e.id));
-                assert_eq!(db.snapshot_of(t, ids.iter().copied()), expected);
-            }
-        }
     }
 
     #[test]

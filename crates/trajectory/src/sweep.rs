@@ -13,20 +13,89 @@
 //! [`TrajectoryDatabase::snapshot`] calls (same entry order, same
 //! interpolation arithmetic), which is what lets the convoy engines switch
 //! between the two extraction paths freely.
+//!
+//! [`CoverageReader`] steps the same per-object cursor over a changing set
+//! of covered objects, reading `&[TrajPoint]` slices from the database or
+//! from a stream's buffers: it builds every snapshot of the CuTS refinement
+//! fold. [`bridgeable`] is the horizon rule it shares with the stream's
+//! filter runs and partition-close check.
 
 use crate::database::ObjectId;
 use crate::database::{Snapshot, SnapshotEntry, SnapshotPolicy, TrajectoryDatabase};
 use crate::point::TrajPoint;
 use crate::time::{TimeInterval, TimePoint};
+use std::collections::BTreeSet;
 
-/// A forward-only cursor into one object's sample list.
-#[derive(Debug, Clone)]
+/// Returns `true` when interpolation may bridge the gap between two
+/// consecutive samples: the number of missing ticks between them must not
+/// exceed the horizon (`None` = any gap bridges, the batch semantics).
+#[inline]
+pub fn bridgeable(before: TimePoint, after: TimePoint, horizon: Option<TimePoint>) -> bool {
+    // The missing-tick count `after - before - 1` can exceed `i64` when a
+    // negative-epoch sample meets a far-future watermark; a gap too wide to
+    // even represent is certainly too wide to bridge.
+    let missing = after.checked_sub(before).and_then(|gap| gap.checked_sub(1));
+    horizon.is_none_or(|h| missing.is_some_and(|missing| missing <= h))
+}
+
+/// A forward-only cursor into one object's sample list: the suite's one
+/// position reader, behind both [`SnapshotSweep`] and [`CoverageReader`].
+#[derive(Debug, Clone, Copy)]
 struct ObjectCursor<'a> {
     id: ObjectId,
     points: &'a [TrajPoint],
-    /// Index of the last sample with `points[idx].t <= t` for the sweep's
+    /// Index of the last sample with `points[idx].t <= t` for the reader's
     /// current time `t` (only valid once `t` has reached the object's start).
     idx: usize,
+}
+
+impl<'a> ObjectCursor<'a> {
+    /// A cursor positioned for reads at `t` and later: one binary search for
+    /// the last sample at or before `t`, so a read deep into a long
+    /// trajectory does not linearly advance through every earlier sample.
+    fn seek(id: ObjectId, points: &'a [TrajPoint], t: TimePoint) -> Self {
+        let idx = points.partition_point(|p| p.t <= t).saturating_sub(1);
+        ObjectCursor { id, points, idx }
+    }
+
+    /// The object's entry at `t`, which must not precede the previous read:
+    /// the exact sample, or a virtual point by the shared
+    /// [`TrajPoint::interpolate`] arithmetic (the one
+    /// [`crate::Trajectory::location_at`] uses) unless `policy` is
+    /// [`SnapshotPolicy::ExactOnly`] or the gap is not [`bridgeable`] within
+    /// `horizon`. `None` outside the sampled interval.
+    #[inline]
+    fn entry(
+        &mut self,
+        t: TimePoint,
+        policy: SnapshotPolicy,
+        horizon: Option<TimePoint>,
+    ) -> Option<SnapshotEntry> {
+        if t < self.points.first()?.t || t > self.points.last()?.t {
+            return None;
+        }
+        // Reads only move forward, so across a run each cursor advances at
+        // most `points.len()` times: amortized O(1) per tick.
+        while self.idx + 1 < self.points.len() && self.points[self.idx + 1].t <= t {
+            self.idx += 1;
+        }
+        let before = &self.points[self.idx];
+        if before.t == t {
+            return Some(SnapshotEntry {
+                id: self.id,
+                position: before.position(),
+                interpolated: false,
+            });
+        }
+        let after = &self.points[self.idx + 1];
+        (policy == SnapshotPolicy::Interpolate && bridgeable(before.t, after.t, horizon)).then(
+            || SnapshotEntry {
+                id: self.id,
+                position: TrajPoint::interpolate(before, after, t),
+                interpolated: true,
+            },
+        )
+    }
 }
 
 /// A streaming cursor that yields the successive [`Snapshot`]s of a time
@@ -71,17 +140,7 @@ impl<'a> SnapshotSweep<'a> {
     pub fn new(db: &'a TrajectoryDatabase, window: TimeInterval, policy: SnapshotPolicy) -> Self {
         let cursors = db
             .iter()
-            .map(|(id, traj)| {
-                let points = traj.points();
-                // Seek once to the last sample at or before the window start
-                // (one binary search), so a sub-window sweep deep into a long
-                // trajectory does not linearly advance through every earlier
-                // sample on its first tick.
-                let idx = points
-                    .partition_point(|p| p.t <= window.start)
-                    .saturating_sub(1);
-                ObjectCursor { id, points, idx }
-            })
+            .map(|(id, traj)| ObjectCursor::seek(id, traj.points(), window.start))
             .collect();
         SnapshotSweep {
             cursors,
@@ -131,38 +190,13 @@ impl Iterator for SnapshotSweep<'_> {
             _ => self.finished = true,
         }
 
+        // Cursors are in ascending id order (database iteration order), so
+        // the entries come out sorted by id exactly like `snapshot()`.
+        let policy = self.policy;
         let mut entries: Vec<SnapshotEntry> = Vec::with_capacity(self.last_len);
         for cursor in &mut self.cursors {
-            // Cursors are in ascending id order (database iteration order), so
-            // the entries come out sorted by id exactly like `snapshot()`.
-            let first_t = cursor.points[0].t;
-            let last_t = cursor.points[cursor.points.len() - 1].t;
-            if t < first_t || t > last_t {
-                continue;
-            }
-            // Advance to the last sample at or before `t`. The sweep time only
-            // moves forward, so across the whole window each cursor advances
-            // at most `points.len()` times: amortized O(1) per tick.
-            while cursor.idx + 1 < cursor.points.len() && cursor.points[cursor.idx + 1].t <= t {
-                cursor.idx += 1;
-            }
-            let before = &cursor.points[cursor.idx];
-            if before.t == t {
-                entries.push(SnapshotEntry {
-                    id: cursor.id,
-                    position: before.position(),
-                    interpolated: false,
-                });
-            } else if self.policy == SnapshotPolicy::Interpolate {
-                // Same virtual-point arithmetic as `Trajectory::location_at`
-                // (one shared helper), so swept and per-tick snapshots are
-                // bit-identical.
-                let after = &cursor.points[cursor.idx + 1];
-                entries.push(SnapshotEntry {
-                    id: cursor.id,
-                    position: TrajPoint::interpolate(before, after, t),
-                    interpolated: true,
-                });
+            if let Some(entry) = cursor.entry(t, policy, None) {
+                entries.push(entry);
             }
         }
         self.last_len = entries.len();
@@ -176,6 +210,74 @@ impl Iterator for SnapshotSweep<'_> {
 }
 
 impl ExactSizeIterator for SnapshotSweep<'_> {}
+
+/// Reads coverage-restricted [`SnapshotPolicy::Interpolate`] snapshots at
+/// rising ticks: the position reader of the CuTS refinement fold, over the
+/// database (batch) or the ingest buffers (stream).
+///
+/// Each call merge-walks the tick's coverage against the previous call's
+/// cursors. An object that stays covered steps its cursor forward, a newly
+/// covered object costs one `points_of` lookup and one binary search, and an
+/// object that left the coverage is dropped. Coverage changes only at
+/// λ-partition boundaries, so a read costs amortized O(1) per covered
+/// object-tick, and the cursor buffers are reused across calls.
+///
+/// Entries match [`TrajectoryDatabase::snapshot`] restricted to the coverage
+/// (same order, same arithmetic), except that with a `horizon` a gap that is
+/// not [`bridgeable`] yields no virtual point.
+#[derive(Debug, Clone)]
+pub struct CoverageReader<'a> {
+    horizon: Option<TimePoint>,
+    /// The previous call's cursors, ascending by id.
+    cursors: Vec<ObjectCursor<'a>>,
+    /// Where the next call builds its cursors before swapping them in.
+    spare: Vec<ObjectCursor<'a>>,
+}
+
+impl<'a> CoverageReader<'a> {
+    /// A reader that interpolates across gaps of at most `horizon` missing
+    /// ticks (`None` = any gap, the batch semantics).
+    pub fn new(horizon: Option<TimePoint>) -> Self {
+        CoverageReader {
+            horizon,
+            cursors: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// The snapshot at `t` of the objects in `coverage`, positions read from
+    /// the sample slices `points_of` returns (`None` skips the object).
+    /// Ticks must not decrease from one call to the next.
+    pub fn snapshot<F>(
+        &mut self,
+        t: TimePoint,
+        coverage: &BTreeSet<ObjectId>,
+        mut points_of: F,
+    ) -> Snapshot
+    where
+        F: FnMut(ObjectId) -> Option<&'a [TrajPoint]>,
+    {
+        self.spare.clear();
+        let mut previous = self.cursors.iter().peekable();
+        for &id in coverage {
+            while previous.next_if(|c| c.id < id).is_some() {}
+            if let Some(cursor) = previous.next_if(|c| c.id == id) {
+                self.spare.push(*cursor);
+            } else if let Some(points) = points_of(id) {
+                self.spare.push(ObjectCursor::seek(id, points, t));
+            }
+        }
+        std::mem::swap(&mut self.cursors, &mut self.spare);
+        let horizon = self.horizon;
+        let mut entries = Vec::with_capacity(self.cursors.len());
+        for cursor in &mut self.cursors {
+            if let Some(entry) = cursor.entry(t, SnapshotPolicy::Interpolate, horizon) {
+                entries.push(entry);
+            }
+        }
+        Snapshot { time: t, entries }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -321,21 +423,38 @@ mod tests {
         assert_eq!(sweep.size_hint(), (4, Some(4)));
     }
 
+    #[test]
+    fn bridgeable_survives_extreme_gaps_and_horizons() {
+        // A gap wider than i64 severs instead of wrapping (debug: panicking).
+        assert!(!bridgeable(i64::MIN + 10, i64::MAX - 10, Some(i64::MAX)));
+        assert!(bridgeable(i64::MIN + 10, i64::MAX - 10, None));
+        // Negative-epoch samples under a huge horizon always bridge.
+        assert!(bridgeable(-100, -95, Some(i64::MAX)));
+        // Gap of exactly i64::MAX ticks: i64::MAX - 1 missing, still bridges.
+        assert!(bridgeable(0, i64::MAX, Some(i64::MAX)));
+    }
+
     prop_compose! {
-        fn arb_db()(num_objects in 1usize..6)
-            (tables in proptest::collection::vec(
-                (proptest::collection::btree_set(-20i64..20, 1..12),
+        /// Up to 24 objects with sparse, non-contiguous ids. Half of them are
+        /// short-lived (every sample within three ticks of a random start),
+        /// the rest irregularly sampled across the whole range; some hold a
+        /// single sample.
+        fn arb_db()(num_objects in 1usize..24)
+            (ids in proptest::collection::btree_set(0u64..1_000, num_objects),
+             tables in proptest::collection::vec(
+                ((0u8..2, -20i64..20),
+                 proptest::collection::btree_set(0i64..40, 1..12),
                  proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 12)),
-                num_objects..num_objects + 1))
+                num_objects))
             -> TrajectoryDatabase {
             let mut db = TrajectoryDatabase::new();
-            for (i, (times, coords)) in tables.into_iter().enumerate() {
-                let pts: Vec<TrajPoint> = times
+            for (id, ((short_lived, start), offsets, coords)) in ids.into_iter().zip(tables) {
+                let times: BTreeSet<i64> = offsets
                     .into_iter()
-                    .zip(coords)
-                    .map(|(t, (x, y))| TrajPoint::new(x, y, t))
+                    .map(|o| if short_lived == 1 { start + o % 3 } else { o - 20 })
                     .collect();
-                db.insert(ObjectId(i as u64), Trajectory::from_points(pts).unwrap());
+                let samples = times.into_iter().zip(coords).map(|(t, (x, y))| (x, y, t));
+                db.insert(ObjectId(id), Trajectory::from_tuples(samples).unwrap());
             }
             db
         }
@@ -343,14 +462,67 @@ mod tests {
 
     proptest! {
         #[test]
-        fn sweep_equals_per_tick_extraction_on_random_databases(db in arb_db()) {
-            let window = db.time_domain().unwrap();
+        fn sweep_equals_per_tick_extraction_on_random_databases(
+            db in arb_db(),
+            start in -40i64..40,
+            len in 0i64..30,
+        ) {
+            let sub_window = TimeInterval::new(start, start + len);
             for policy in [SnapshotPolicy::Interpolate, SnapshotPolicy::ExactOnly] {
-                let swept: Vec<Snapshot> = SnapshotSweep::new(&db, window, policy).collect();
-                prop_assert_eq!(swept.len() as i64, window.num_points());
-                for (snapshot, t) in swept.iter().zip(window.iter()) {
-                    prop_assert_eq!(snapshot, &db.snapshot(t, policy));
+                let sweeps = [
+                    (db.time_domain().unwrap(), db.sweep(policy)),
+                    (sub_window, SnapshotSweep::new(&db, sub_window, policy)),
+                ];
+                for (window, mut sweep) in sweeps {
+                    for t in window.iter() {
+                        prop_assert_eq!(sweep.len() as i64, window.end - t + 1);
+                        prop_assert_eq!(sweep.next(), Some(db.snapshot(t, policy)));
+                    }
+                    prop_assert_eq!(sweep.next(), None);
                 }
+            }
+        }
+
+        #[test]
+        fn coverage_reader_equals_the_restricted_snapshot(
+            db in arb_db(),
+            ticks in proptest::collection::btree_set(-25i64..25, 1..20),
+            masks in proptest::collection::vec(0u64..u64::MAX, 20),
+            horizon in 0i64..6,
+        ) {
+            // Every known id plus three unknown ones; bit `i` of `covered`
+            // covers `universe[i]`.
+            let mut universe: Vec<ObjectId> = db.iter().map(|(id, _)| id).collect();
+            universe.extend([ObjectId(1_000), ObjectId(1_001), ObjectId(1_002)]);
+            let mut unbounded = CoverageReader::new(None);
+            let mut severing = CoverageReader::new(Some(horizon));
+            let mut covered = 0u64;
+            for (&t, mask) in ticks.iter().zip(masks) {
+                // A non-zero flip: the coverage changes at every tick, so
+                // objects leave and come back.
+                covered ^= 1 + mask % ((1 << universe.len()) - 1);
+                let coverage: BTreeSet<ObjectId> = universe
+                    .iter()
+                    .enumerate()
+                    .filter(|(bit, _)| covered & (1 << bit) != 0)
+                    .map(|(_, &id)| id)
+                    .collect();
+                let points_of = |id| db.get(id).map(Trajectory::points);
+
+                let mut expected = db.snapshot(t, SnapshotPolicy::Interpolate);
+                expected.entries.retain(|e| coverage.contains(&e.id));
+                prop_assert_eq!(unbounded.snapshot(t, &coverage, points_of), expected.clone());
+
+                // Severing reference: an entry survives unless its bracketing
+                // samples, found by linear scans, lie more than `horizon`
+                // missing ticks apart (an exact sample brackets itself).
+                expected.entries.retain(|e| {
+                    let points = db.get(e.id).unwrap().points();
+                    let before = points.iter().rev().find(|p| p.t <= t).unwrap();
+                    let after = points.iter().find(|p| p.t >= t).unwrap();
+                    after.t - before.t - 1 <= horizon
+                });
+                prop_assert_eq!(severing.snapshot(t, &coverage, points_of), expected);
             }
         }
     }

@@ -116,13 +116,6 @@ impl Trajectory {
             .map(|i| &self.points[i])
     }
 
-    /// Returns `true` when the trajectory has an exact (non-interpolated)
-    /// sample at time `t`.
-    #[inline]
-    pub fn has_sample_at(&self, t: TimePoint) -> bool {
-        self.sample_at(t).is_some()
-    }
-
     /// `o(t)`: the location of the object at time `t`.
     ///
     /// When `t` coincides with a sample the sampled position is returned;
@@ -255,8 +248,8 @@ mod tests {
         // Interpolated (virtual) point halfway through.
         assert_eq!(t.location_at(5), Some(Point::new(5.0, 0.0)));
         assert_eq!(t.location_at(3), Some(Point::new(3.0, 0.0)));
-        assert!(t.has_sample_at(0));
-        assert!(!t.has_sample_at(5));
+        assert!(t.sample_at(0).is_some());
+        assert!(t.sample_at(5).is_none());
     }
 
     #[test]
@@ -324,7 +317,7 @@ mod tests {
         fn exact_samples_round_trip(t in arb_trajectory()) {
             for p in t.points() {
                 prop_assert_eq!(t.location_at(p.t).unwrap(), p.position());
-                prop_assert!(t.has_sample_at(p.t));
+                prop_assert!(t.sample_at(p.t).is_some());
             }
         }
 
