@@ -80,13 +80,14 @@ COMMANDS:
               --from/--to restrict discovery to samples with T inside the
               inclusive tick window (no interpolation at the edges); on a
               `.convoy` input only the blocks whose time range intersects
-              the window are read. --stats additionally prints the metric
-              registry (fold counters, candidate/refinement counts, source
-              scan counters, snapshot-DBSCAN region queries run and
-              skipped). --trace PATH writes a Chrome trace_event span
-              tree (loadable in Perfetto / chrome://tracing); --metrics-json
-              PATH writes the full metrics snapshot (counters, gauges,
-              histograms and wall-clock stage timings) as versioned JSON.
+              the window are read. --stats additionally prints the run's
+              counters (the fold's counters and work, snapshot-DBSCAN
+              region queries run and skipped among them; candidate and
+              refinement counts; source scan counters). --trace PATH
+              writes a Chrome trace_event span tree (loadable in Perfetto
+              / chrome://tracing); --metrics-json PATH writes the full
+              metrics snapshot (counters, gauges, histograms and wall-clock
+              stage timings) as versioned JSON.
     stream    FILE|- --m N --k N --e F [--method cuts|cuts-plus|cuts-star]
               [--delta F] [--lambda N] [--horizon H] [--max-candidates N]
               [--limit N] [--strict] [--trace PATH] [--metrics-json PATH]
@@ -339,15 +340,15 @@ pub fn convert_command(args: &ParsedArgs) -> Result<String, CommandError> {
 
 /// The `--trace` / `--metrics-json` export flags shared by `discover` and
 /// `stream`. When either asks for an export a live [`Registry`] records real
-/// spans and wall-clock timings alongside the deterministic counters;
-/// otherwise `obs` is the zero-cost no-op and nothing is recorded.
+/// spans, wall-clock timings and per-tick histograms, and the command
+/// publishes its typed stats into it before writing; otherwise `obs` is the
+/// zero-cost no-op and nothing is recorded.
 ///
-/// The `--stats` terminal block deliberately does **not** come from this
-/// registry: it is rendered from a fresh views-only registry fed by the
-/// deterministic `publish_*` functions, so the report text stays
-/// byte-identical run to run (the equivalence tests diff it). Wall-clock
-/// values only ever reach the export files. The one exception is
-/// [`DETERMINISTIC_LIVE_COUNTERS`], copied over by name.
+/// The `--stats` terminal block never comes from this registry: it is
+/// rendered from a fresh views-only registry fed by the deterministic
+/// `publish_*` functions, so the report text stays byte-identical run to run
+/// (the equivalence tests diff it). Wall-clock values only ever reach the
+/// export files.
 struct ObsSetup {
     registry: Option<Arc<Registry>>,
     obs: Obs,
@@ -355,18 +356,12 @@ struct ObsSetup {
     metrics: Option<String>,
 }
 
-/// Live counters that depend only on the data and the query — every
-/// clustered tick visits each of its points exactly once, on any engine —
-/// so `discover --stats` can show them without losing its byte-stable text.
-const DETERMINISTIC_LIVE_COUNTERS: [&str; 2] =
-    ["cluster.region_queries", "prune.region_queries_skipped"];
-
 /// Builds the recorder for a command: a live registry when an export flag
-/// asks for one or `record` is set, the zero-cost no-op otherwise.
-fn obs_from_args(args: &ParsedArgs, record: bool) -> Result<ObsSetup, CommandError> {
+/// asks for one, the zero-cost no-op otherwise.
+fn obs_from_args(args: &ParsedArgs) -> Result<ObsSetup, CommandError> {
     let trace = args.get("trace")?.map(str::to_string);
     let metrics = args.get("metrics-json")?.map(str::to_string);
-    if trace.is_none() && metrics.is_none() && !record {
+    if trace.is_none() && metrics.is_none() {
         return Ok(ObsSetup {
             registry: None,
             obs: Obs::noop(),
@@ -448,9 +443,7 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         "trace",
         "metrics-json",
     ])?;
-    // `--stats` records the run so the block can show the region-query
-    // counters, which only a live recorder sees.
-    let obs = obs_from_args(args, args.has_flag("stats"))?;
+    let obs = obs_from_args(args)?;
     let (path, mut source) = open_input(args)?;
     source.set_obs(obs.obs.clone());
     let window = parse_window(args)?;
@@ -486,11 +479,9 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
     let limit: usize = args.get_parsed_or("limit", 50)?;
 
     if let Some(live) = &obs.registry {
-        // Reconcile the live registry with the authoritative outcome (store
-        // semantics make this idempotent over the partials recorded during
-        // the run), add the wall-clock stage timings from the run's spans —
-        // which never appear in the terminal report — and write the export
-        // files.
+        // Publish the run's typed stats into the live registry, add the
+        // wall-clock stage timings from the run's spans — which never appear
+        // in the terminal report — and write the export files.
         publish_discovery(live, &outcome);
         publish_scan_stats(live, &scan);
         publish_stage_timings(live);
@@ -531,11 +522,6 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         let views = Registry::new();
         publish_discovery(&views, &outcome);
         publish_scan_stats(&views, &scan);
-        if let Some(live) = &obs.registry {
-            for name in DETERMINISTIC_LIVE_COUNTERS {
-                views.counter_store(name, live.counter(name));
-            }
-        }
         out.push_str(&export::render_text(&views.snapshot()));
     }
     for convoy in outcome.convoys.iter().take(limit) {
@@ -566,7 +552,7 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
         "trace",
         "metrics-json",
     ])?;
-    let obs = obs_from_args(args, false)?;
+    let obs = obs_from_args(args)?;
     let path = args
         .positional
         .first()
@@ -924,6 +910,7 @@ pub fn run(command: &str, args: &ParsedArgs) -> Result<String, CommandError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn temp_csv(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("convoy-cli-tests");
@@ -1313,52 +1300,101 @@ mod tests {
         assert!(err.to_string().contains("empty window"), "{err}");
     }
 
+    /// Checks a `--metrics-json` export against its run's report: it
+    /// validates against the v1 schema, holds every name in `names` (as a
+    /// counter or a gauge) and agrees with `expected` and with each line of
+    /// the report's `stats:` block, which is rendered from the run's typed
+    /// stats.
+    fn check_export(report: &str, export: &Path, names: &[&str], expected: &[(&str, f64)]) {
+        let parse =
+            |path: &Path| convoy_obs::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let schema = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../schemas/metrics-v1.schema.json"
+        );
+        let doc = parse(export);
+        convoy_obs::json::validate(&parse(Path::new(schema)), &doc)
+            .expect("metrics match the v1 schema");
+        let value = |name: &str| {
+            ["counters", "gauges"]
+                .iter()
+                .find_map(|kind| doc.get(kind)?.get(name)?.as_f64())
+        };
+        for name in names {
+            assert!(value(name).is_some(), "the export lacks {name}");
+        }
+        let block = report.lines().skip_while(|l| !l.starts_with("stats:"));
+        let lines: Vec<(&str, f64)> = block
+            .skip(1)
+            .map_while(|l| {
+                let (name, number) = l.trim().split_once(' ')?;
+                Some((name, number.trim().parse().ok()?))
+            })
+            .collect();
+        assert!(!lines.is_empty(), "{report}");
+        for &(name, number) in lines.iter().chain(expected) {
+            assert_eq!(value(name), Some(number), "{name}");
+        }
+    }
+
+    /// The clusterer's and the fold's counts, which every run exports.
+    const FOLD_NAMES: [&str; 11] = [
+        "cluster.calls",
+        "cluster.points",
+        "cluster.clusters_found",
+        "cluster.kernel_batches",
+        "cluster.kernel_lanes",
+        "cluster.region_queries",
+        "prune.region_queries_skipped",
+        "cmc.ticks_ingested",
+        "cmc.overlap_lookups",
+        "cmc.extensions",
+        "cmc.peak_candidates",
+    ];
+
     #[test]
     fn discover_writes_schema_valid_metrics_and_trace_exports() {
         let path = generate_fixture("obs-export.csv");
         let trace = temp_csv("obs-export.trace.json");
         let metrics = temp_csv("obs-export.metrics.json");
-        let args = ParsedArgs::parse([
-            path.as_str(),
-            "--method",
-            "cmc",
-            "--m",
-            "3",
-            "--k",
-            "5",
-            "--e",
-            "10",
-            "--trace",
-            trace.to_str().unwrap(),
-            "--metrics-json",
-            metrics.to_str().unwrap(),
-        ])
-        .unwrap();
-        let report = discover_command(&args).unwrap();
-        assert!(report.contains("convoy(s) found by CMC"), "{report}");
+        let scan = [
+            "scan.blocks_read",
+            "scan.blocks_pruned",
+            "scan.records_read",
+        ];
+        let names = [&FOLD_NAMES[..], &scan, &["discover.total_ns"]].concat();
+        for engine in [
+            &["--method", "cmc"][..],
+            &["--method", "cmc", "--parallel", "2"],
+            &["--method", "cuts-star"],
+        ] {
+            let mut args = vec![
+                path.as_str(),
+                "--m",
+                "3",
+                "--k",
+                "5",
+                "--e",
+                "10",
+                "--stats",
+            ];
+            args.extend(engine);
+            args.extend(["--trace", trace.to_str().unwrap()]);
+            args.extend(["--metrics-json", metrics.to_str().unwrap()]);
+            let report = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap();
+            assert!(report.contains("convoy(s) found by"), "{report}");
+            // The deterministic views, equal to the `--stats` block, and the
+            // wall-clock timings.
+            check_export(&report, &metrics, &names, &[]);
 
-        // The metrics snapshot validates against the published v1 schema and
-        // carries both the deterministic views and the wall-clock timings.
-        let schema_path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../schemas/metrics-v1.schema.json"
-        );
-        let schema =
-            convoy_obs::json::parse(&std::fs::read_to_string(schema_path).unwrap()).unwrap();
-        let doc = convoy_obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-        convoy_obs::json::validate(&schema, &doc).expect("metrics match the v1 schema");
-        let counters = doc.get("counters").expect("counters object");
-        assert!(counters.get("cmc.ticks_ingested").is_some(), "views");
-        assert!(counters.get("scan.blocks_read").is_some(), "scan views");
-        assert!(counters.get("discover.total_ns").is_some(), "timings");
-
-        // The trace is a well-formed Chrome trace_event document rooted at
-        // the discover span.
-        let trace_text = std::fs::read_to_string(&trace).unwrap();
-        let trace_doc = convoy_obs::json::parse(&trace_text).unwrap();
-        let events = convoy_obs::json::validate_trace(&trace_doc).expect("trace well-formed");
-        assert!(events > 0);
-        assert!(trace_text.contains("\"discover\""), "{trace_text}");
+            // The trace is a well-formed Chrome trace_event document rooted
+            // at the discover span.
+            let trace_text = std::fs::read_to_string(&trace).unwrap();
+            let trace_doc = convoy_obs::json::parse(&trace_text).unwrap();
+            let events = convoy_obs::json::validate_trace(&trace_doc).expect("trace well-formed");
+            assert!(events > 0);
+            assert!(trace_text.contains("\"discover\""), "{trace_text}");
+        }
 
         // A bare --trace with no path is an error, not a silent no-op.
         let args = ParsedArgs::parse([
@@ -1397,10 +1433,20 @@ mod tests {
         let report = stream_command(&args).unwrap();
         assert!(report.contains("partitions closed:"), "{report}");
 
-        let doc = convoy_obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-        let counters = doc.get("counters").expect("counters object");
-        assert!(counters.get("stream.samples_ingested").is_some());
-        assert!(counters.get("stream.partitions_closed").is_some());
+        let stream = [
+            "stream.partitions_closed",
+            "stream.candidates_evicted",
+            "stream.samples_buffered",
+            "stream.peak_samples_buffered",
+        ];
+        let samples = load_path(&path).unwrap().total_points() as f64;
+        let ingested = [("stream.samples_ingested", samples)];
+        check_export(
+            &report,
+            &metrics,
+            &[&FOLD_NAMES[..], &stream].concat(),
+            &ingested,
+        );
         let trace_doc = convoy_obs::json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
         assert!(convoy_obs::json::validate_trace(&trace_doc).unwrap() > 0);
     }

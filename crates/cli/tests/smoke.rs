@@ -217,7 +217,7 @@ fn discover_stats_flag_prints_fold_counters() {
         .args(["--seed", "11", "--out", path.to_str().unwrap()])
         .assert()
         .success();
-    convoy()
+    let swept = convoy()
         .args(["discover", path.to_str().unwrap()])
         .args([
             "--method", "cmc", "--m", "3", "--k", "5", "--e", "10", "--stats",
@@ -230,6 +230,17 @@ fn discover_stats_flag_prints_fold_counters() {
         .stdout_contains("cmc.convoys_closed")
         .stdout_contains("cluster.region_queries")
         .stdout_contains("prune.region_queries_skipped");
+    // The block does not depend on the engine: the parallel workers'
+    // clusterer counts sum to the swept run's.
+    let parallel = convoy()
+        .args(["discover", path.to_str().unwrap()])
+        .args(["--method", "cmc", "--m", "3", "--k", "5", "--e", "10"])
+        .args(["--stats", "--parallel", "2"])
+        .assert()
+        .success();
+    let swept_block = summary_lines(&swept.get_output().stdout);
+    assert!(swept_block.len() > 1, "{swept_block:?}");
+    assert_eq!(summary_lines(&parallel.get_output().stdout), swept_block);
     // The counters come from the refinement fold for CuTS methods too.
     convoy()
         .args(["discover", path.to_str().unwrap()])
@@ -246,7 +257,8 @@ fn discover_stats_flag_prints_fold_counters() {
         ])
         .assert()
         .success()
-        .stdout_contains("cmc.peak_candidates");
+        .stdout_contains("cmc.peak_candidates")
+        .stdout_contains("cluster.region_queries");
     // The filter line reports the λ the partitioning ran, not the request.
     for (requested, used) in [
         ("0", "λ=2,"),
@@ -704,15 +716,30 @@ fn damaged_inputs_exit_cleanly() {
         .assert()
         .success();
 
-    for (source, name) in [(&csv, "damaged.csv"), (&container, "damaged.convoy")] {
+    // Every subcommand that reads a trajectory file, each converting to
+    // the other format.
+    let query = ["--m", "3", "--k", "5", "--e", "10"];
+    for (source, name, converted) in [
+        (&csv, "damaged.csv", "damaged-out.convoy"),
+        (&container, "damaged.convoy", "damaged-out.csv"),
+    ] {
         let damaged = temp_path(name);
+        let input = damaged.to_str().unwrap();
+        let converted = temp_path(converted);
+        let commands: [Vec<&str>; 6] = [
+            [&["discover", input, "--method", "cmc"][..], &query].concat(),
+            [&["discover", input, "--method", "cuts-star"][..], &query].concat(),
+            vec!["convert", input, converted.to_str().unwrap()],
+            vec!["stats", input],
+            vec!["simplify", input, "--delta", "2"],
+            [&["compare", input, "--theta", "0.8"][..], &query].concat(),
+        ];
         for (damage, bytes) in damaged_copies(&std::fs::read(source).unwrap()) {
             std::fs::write(&damaged, bytes).unwrap();
-            let run = convoy()
-                .args(["discover", damaged.to_str().unwrap(), "--method", "cmc"])
-                .args(["--m", "3", "--k", "5", "--e", "10"])
-                .assert();
-            assert_clean_outcome(&format!("discover on {name}, {damage}"), run.get_output());
+            for args in &commands {
+                let run = convoy().args(args).assert();
+                assert_clean_outcome(&format!("{args:?}, {damage}"), run.get_output());
+            }
         }
     }
     let damaged = temp_path("damaged.snap");

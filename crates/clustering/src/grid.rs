@@ -313,9 +313,9 @@ impl GridIndex {
 
     /// Drains the batched-kernel work counters accumulated since the last
     /// call: `(full LANE_WIDTH batches executed, total candidate points
-    /// scanned)`. The [`SnapshotClusterer`] publishes them per tick as
-    /// `cluster.kernel_batches` / `cluster.kernel_lanes`, making the
-    /// batching ratio (`batches × LANE_WIDTH / lanes`) observable per run.
+    /// scanned)`. The [`SnapshotClusterer`] adds them into its
+    /// [`ClusterCounts`] on every call, making the batching ratio
+    /// (`batches × LANE_WIDTH / lanes`) observable per run.
     pub fn take_kernel_counts(&self) -> (u64, u64) {
         (self.kernel_batches.take(), self.kernel_lanes.take())
     }
@@ -466,6 +466,40 @@ impl RegionQuery for GridIndex {
     }
 }
 
+/// The work a [`SnapshotClusterer`] has done over its
+/// [`SnapshotClusterer::cluster_into`] calls: the values the `cluster.*`
+/// and `prune.region_queries_skipped` counters report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClusterCounts {
+    /// `cluster_into` calls.
+    pub calls: u64,
+    /// Snapshot entries those calls were given.
+    pub points: u64,
+    /// Clusters they reported.
+    pub clusters_found: u64,
+    /// Full [`kernel::LANE_WIDTH`]-wide distance-kernel batches executed.
+    pub kernel_batches: u64,
+    /// Candidate points the distance kernel scanned.
+    pub kernel_lanes: u64,
+    /// DBSCAN region queries run.
+    pub region_queries: u64,
+    /// Region queries skipped because the point's 3×3 cell block holds
+    /// fewer than `m` points (with `region_queries`, every clustered point).
+    pub region_queries_skipped: u64,
+}
+
+impl std::ops::AddAssign for ClusterCounts {
+    fn add_assign(&mut self, other: ClusterCounts) {
+        self.calls += other.calls;
+        self.points += other.points;
+        self.clusters_found += other.clusters_found;
+        self.kernel_batches += other.kernel_batches;
+        self.kernel_lanes += other.kernel_lanes;
+        self.region_queries += other.region_queries;
+        self.region_queries_skipped += other.region_queries_skipped;
+    }
+}
+
 /// Reusable scratch state for snapshot clustering: the grid index, the
 /// object-id buffer, the DBSCAN working arrays and a pool of output
 /// clusters.
@@ -487,10 +521,12 @@ pub struct SnapshotClusterer {
     /// Pooled output clusters; the first `n` are overwritten per call, the
     /// rest keep stale members but are never exposed.
     clusters: Vec<Cluster>,
-    /// Handle for the `cluster.*` metrics; the off default costs one
-    /// branch per call. A live [`convoy_obs::Registry`] stays within the
-    /// zero-allocation contract: metric names are `&'static str` keys whose
-    /// map nodes exist after the first call.
+    /// The work done since the last [`SnapshotClusterer::take_counts`].
+    counts: ClusterCounts,
+    /// Handle for the `cluster.call_ns` latency histogram; the off default
+    /// costs one branch per call. A live [`convoy_obs::Registry`] stays
+    /// within the zero-allocation contract: the histogram's map node exists
+    /// after the first call.
     obs: Obs,
 }
 
@@ -508,13 +544,17 @@ impl SnapshotClusterer {
         }
     }
 
-    /// Attaches a recorder for subsequent [`SnapshotClusterer::cluster_into`]
-    /// calls (`cluster.calls` / `cluster.points` / `cluster.clusters_found`
-    /// counters, the `cluster.region_queries` /
-    /// `prune.region_queries_skipped` pair and the `cluster.call_ns` latency
-    /// histogram).
+    /// Attaches a recorder for the `cluster.call_ns` latency histogram of
+    /// subsequent [`SnapshotClusterer::cluster_into`] calls. The calls'
+    /// counts are kept whether or not a recorder is attached (see
+    /// [`SnapshotClusterer::take_counts`]).
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
+    }
+
+    /// Hands out the work done since the last call and restarts the count.
+    pub fn take_counts(&mut self) -> ClusterCounts {
+        std::mem::take(&mut self.counts)
     }
 
     /// Density-clusters the objects of `snapshot` (DBSCAN with range `e` and
@@ -528,12 +568,9 @@ impl SnapshotClusterer {
     pub fn cluster_into(&mut self, snapshot: &Snapshot, e: f64, m: usize) -> &[Cluster] {
         let live = self.obs.enabled();
         let started_ns = if live { self.obs.now_ns() } else { 0 };
+        self.counts.calls += 1;
+        self.counts.points += snapshot.len() as u64;
         if snapshot.len() < m {
-            if live {
-                self.obs.counter_add("cluster.calls", 1);
-                self.obs
-                    .counter_add("cluster.points", snapshot.len() as u64);
-            }
             return &[];
         }
         self.ids.clear();
@@ -576,21 +613,14 @@ impl SnapshotClusterer {
                     .map(|&(_, i)| ids[i as usize]),
             );
         }
+        let (kernel_batches, kernel_lanes) = self.grid.take_kernel_counts();
+        let (region_queries, queries_skipped) = self.scratch.query_counts();
+        self.counts.clusters_found += u64::from(num_clusters);
+        self.counts.kernel_batches += kernel_batches;
+        self.counts.kernel_lanes += kernel_lanes;
+        self.counts.region_queries += region_queries;
+        self.counts.region_queries_skipped += queries_skipped;
         if live {
-            let (kernel_batches, kernel_lanes) = self.grid.take_kernel_counts();
-            let (region_queries, queries_skipped) = self.scratch.query_counts();
-            self.obs.counter_add("cluster.calls", 1);
-            self.obs
-                .counter_add("cluster.points", self.ids.len() as u64);
-            self.obs
-                .counter_add("cluster.clusters_found", num_clusters as u64);
-            self.obs
-                .counter_add("cluster.kernel_batches", kernel_batches);
-            self.obs.counter_add("cluster.kernel_lanes", kernel_lanes);
-            self.obs
-                .counter_add("cluster.region_queries", region_queries);
-            self.obs
-                .counter_add("prune.region_queries_skipped", queries_skipped);
             self.obs.histogram_record(
                 "cluster.call_ns",
                 self.obs.now_ns().saturating_sub(started_ns),

@@ -49,5 +49,5 @@ pub mod segment;
 
 pub use cluster::Cluster;
 pub use dbscan::{dbscan, dbscan_into, DbscanScratch, Label, RegionQuery};
-pub use grid::{snapshot_clusters, GridIndex, SnapshotClusterer};
+pub use grid::{snapshot_clusters, ClusterCounts, GridIndex, SnapshotClusterer};
 pub use segment::{cluster_sub_trajectories, omega_distance, SegmentDistance, SubTrajectory};

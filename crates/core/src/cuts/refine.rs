@@ -37,6 +37,7 @@
 
 use crate::cuts::partition::PartitionClusters;
 use crate::engine::{CmcState, CmcStats};
+use crate::metrics::FoldWork;
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::Obs;
 use std::collections::BTreeSet;
@@ -188,9 +189,8 @@ impl RefineFold {
         }
     }
 
-    /// Attaches a metrics recorder to the inner [`CmcState`]: per-tick
-    /// `cmc.*` fold metrics plus the `cluster.*` metrics of its clusterer
-    /// (see [`CmcState::set_obs`]).
+    /// Attaches a metrics recorder to the inner [`CmcState`]: its per-tick
+    /// histograms and gauge (see [`CmcState::set_obs`]).
     pub fn set_obs(&mut self, obs: Obs) {
         self.state.set_obs(obs);
     }
@@ -211,6 +211,12 @@ impl RefineFold {
         self.state.stats()
     }
 
+    /// Hands out the work done since the last call (see
+    /// [`CmcState::take_work`]).
+    pub fn take_work(&mut self) -> FoldWork {
+        self.state.take_work()
+    }
+
     /// Ends the fold: ingests the final partition's end tick, closes every
     /// open chain, and returns the convoys not yet drained plus the fold's
     /// lifetime counters.
@@ -222,11 +228,13 @@ impl RefineFold {
             self.ingest(window.end, &coverage, snapshot_at);
         }
         let evicted = self.evicted;
+        let work = self.state.take_work();
         let (convoys, stats) = self.state.finish_with_stats();
         FoldOutcome {
             convoys,
             stats,
             evicted,
+            work,
         }
     }
 }
@@ -258,6 +266,8 @@ pub struct FoldOutcome {
     /// Chains force-closed by the eviction policy over the fold's lifetime
     /// (final boundary tick included).
     pub evicted: u64,
+    /// The work done since the last [`RefineFold::take_work`].
+    pub work: FoldWork,
 }
 
 /// Refines a filter's λ-partition clusters with the coverage fold: every
@@ -295,19 +305,21 @@ pub fn refine_partitions(
     query: &ConvoyQuery,
     partitions: &[PartitionClusters],
 ) -> (Vec<Convoy>, CmcStats) {
-    refine_partitions_obs(db, query, partitions, &Obs::noop())
+    let (convoys, stats, _) = refine_partitions_obs(db, query, partitions, &Obs::noop());
+    (convoys, stats)
 }
 
-/// Like [`refine_partitions`], recording the fold's `cmc.*` and `cluster.*`
-/// metrics into `obs`, plus `cuts.refine.snapshot_points`: the entries of
-/// the coverage snapshots folded. (The surrounding `discover.refine` span is
-/// the caller's — [`crate::discovery::Discovery`] wraps this call.)
+/// Like [`refine_partitions`], also returning the fold's [`FoldWork`] and
+/// recording into `obs` the fold's per-tick histograms plus
+/// `cuts.refine.snapshot_points`: the entries of the coverage snapshots
+/// folded. (The surrounding `discover.refine` span is the caller's —
+/// [`crate::discovery::Discovery`] wraps this call.)
 pub fn refine_partitions_obs(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
     partitions: &[PartitionClusters],
     obs: &Obs,
-) -> (Vec<Convoy>, CmcStats) {
+) -> (Vec<Convoy>, CmcStats, FoldWork) {
     assert!(
         partitions
             .windows(2)
@@ -328,7 +340,7 @@ pub fn refine_partitions_obs(
     }
     let outcome = fold.finish(&mut snapshot_at);
     obs.counter_add("cuts.refine.snapshot_points", snapshot_points);
-    (outcome.convoys, outcome.stats)
+    (outcome.convoys, outcome.stats, outcome.work)
 }
 
 #[cfg(test)]

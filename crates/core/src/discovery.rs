@@ -99,8 +99,9 @@ impl Discovery {
     /// with one child span per stage — `discover.simplify` (δ selection and
     /// simplification) / `discover.filter` / `discover.refine` for the CuTS
     /// family; a single `discover.filter` holding the engine's span tree for
-    /// CMC, which has no simplify or refine stage — plus the `cmc.*` /
-    /// `cluster.*` metrics of whatever fold executes. These spans are the
+    /// CMC, which has no simplify or refine stage — plus the per-tick
+    /// histograms of whatever fold executes. Counts are returned in
+    /// [`DiscoveryStats`] instead, recorder or not. These spans are the
     /// run's only clock: read stage times with
     /// [`convoy_obs::Registry::span_total_ns`]. The default is the no-op
     /// recorder.
@@ -190,7 +191,7 @@ impl Discovery {
             Method::Cmc => {
                 // CMC is all filter: it has no simplify or refine stage.
                 let filter_span = self.obs.span_start("discover.filter", root);
-                let (raw, fold) = match db.time_domain() {
+                let (raw, fold, work) = match db.time_domain() {
                     Some(window) => self.cmc_engine.run_windowed_with_stats_obs(
                         db,
                         query,
@@ -207,6 +208,7 @@ impl Discovery {
                     stats: DiscoveryStats {
                         num_convoys: convoys.len(),
                         fold,
+                        work,
                         ..DiscoveryStats::default()
                     },
                     convoys,
@@ -231,7 +233,8 @@ impl Discovery {
                 // streaming pipeline; see `cuts::refine` for the exactness
                 // argument).
                 let refine_span = self.obs.span_start("discover.refine", root);
-                let (raw, fold) = refine_partitions_obs(db, query, &output.partitions, &self.obs);
+                let (raw, fold, work) =
+                    refine_partitions_obs(db, query, &output.partitions, &self.obs);
                 self.obs.span_end(refine_span);
 
                 let convoys = normalize_convoys(raw, query);
@@ -245,6 +248,7 @@ impl Discovery {
                         lambda: output.lambda,
                         reduction_percent: output.reduction_percent(),
                         fold,
+                        work,
                     },
                     convoys,
                 }

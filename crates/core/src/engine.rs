@@ -40,12 +40,13 @@
 //! same run folds in 0.09 s of 0.52 s, a 1.55× speedup.
 
 use crate::candidate::{CandidateConvoy, OverlapIndex};
+use crate::metrics::FoldWork;
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use traj_cluster::{Cluster, SnapshotClusterer};
+use traj_cluster::{Cluster, ClusterCounts, SnapshotClusterer};
 use trajectory::{
     Snapshot, SnapshotPolicy, SnapshotSweep, TimeInterval, TimePoint, TrajectoryDatabase,
 };
@@ -116,8 +117,12 @@ pub struct CmcState {
     /// allocates nothing. It only ever holds buffers that once backed open
     /// chains, so it is bounded by the working set.
     spare: Vec<Cluster>,
-    /// Handle for the `cmc.*` fold metrics (off by default; one branch
-    /// per tick when disabled, so the hot-path contract holds either way).
+    /// The fold's own work since the last [`CmcState::take_work`] (its
+    /// `cluster` counts live in the clusterer).
+    work: FoldWork,
+    /// Handle for the per-tick `cmc.*` histograms and gauge (off by
+    /// default; one branch per tick when disabled, so the hot-path contract
+    /// holds either way).
     obs: Obs,
     /// Nanoseconds this state has spent density-clustering snapshots
     /// (accumulated only while the recorder is live; the engines re-lay it
@@ -189,18 +194,17 @@ impl CmcState {
             assigned: Vec::new(),
             index: OverlapIndex::default(),
             spare: Vec::new(),
+            work: FoldWork::default(),
             obs: Obs::noop(),
             cluster_ns: 0,
         }
     }
 
-    /// Attaches a metrics recorder: per-tick `cmc.*` counters, gauges and
-    /// histograms, plus the `cluster.*` metrics of the internal
-    /// [`SnapshotClusterer`] (call/point/cluster totals, the per-call
-    /// latency histogram, the batched-kernel utilisation pair
-    /// `cluster.kernel_batches` / `cluster.kernel_lanes`, and the
-    /// region-query pair `cluster.region_queries` /
-    /// `prune.region_queries_skipped`). The default is
+    /// Attaches a metrics recorder: the per-tick `cmc.clusters_per_tick` /
+    /// `cmc.candidates_per_tick` histograms and `cmc.candidates_open` gauge,
+    /// plus the `cluster.call_ns` latency histogram of the internal
+    /// [`SnapshotClusterer`]. Counts are not recorded here: they stay in the
+    /// state ([`CmcState::stats`], [`CmcState::take_work`]). The default is
     /// the no-op recorder, which keeps every instrumented path at a single
     /// branch.
     pub fn set_obs(&mut self, obs: Obs) {
@@ -336,20 +340,18 @@ impl CmcState {
 
         std::mem::swap(&mut self.current, &mut self.next);
         self.peak_candidates = self.peak_candidates.max(self.current.len());
+        self.work.overlap_lookups += lookups;
+        self.work.extensions += extensions;
 
         if self.obs.enabled() {
             // All names are pre-registered after the first tick, so the
             // steady state of a live registry allocates nothing here.
-            self.obs.counter_add("cmc.ticks_ingested", 1);
-            self.obs.counter_add("cmc.overlap_lookups", lookups);
-            self.obs.counter_add("cmc.extensions", extensions);
             self.obs
                 .histogram_record("cmc.clusters_per_tick", clusters.len() as u64);
             self.obs
                 .histogram_record("cmc.candidates_per_tick", self.current.len() as u64);
             let open = i64::try_from(self.current.len()).unwrap_or(i64::MAX);
             self.obs.gauge_set("cmc.candidates_open", open);
-            self.obs.gauge_max("cmc.peak_candidates", open);
         }
     }
 
@@ -385,6 +387,17 @@ impl CmcState {
             ticks_ingested: self.ticks_ingested,
             gap_closures: self.gap_closures,
             convoys_closed: self.convoys_closed,
+        }
+    }
+
+    /// Hands out the work this state has done since the last call — its
+    /// clusterer's counts, overlap lookups and extensions — and restarts
+    /// the count. Session counts: [`CmcState::export_state`] does not carry
+    /// them, so a restored state starts from zero.
+    pub fn take_work(&mut self) -> FoldWork {
+        FoldWork {
+            cluster: self.clusterer.take_counts(),
+            ..std::mem::take(&mut self.work)
         }
     }
 
@@ -609,12 +622,15 @@ impl CmcEngine {
         query: &ConvoyQuery,
         window: TimeInterval,
     ) -> (Vec<Convoy>, CmcStats) {
-        self.run_windowed_with_stats_obs(db, query, window, &Obs::noop(), SpanId::NONE)
+        let (convoys, stats, _) =
+            self.run_windowed_with_stats_obs(db, query, window, &Obs::noop(), SpanId::NONE);
+        (convoys, stats)
     }
 
-    /// Like [`CmcEngine::run_windowed_with_stats`], recording into `obs` the
-    /// per-tick `cmc.*` metrics of the fold and one root span per engine
-    /// (child of `parent`):
+    /// Like [`CmcEngine::run_windowed_with_stats`], also returning the run's
+    /// [`FoldWork`] (every clusterer's counts summed, the parallel workers'
+    /// included) and recording into `obs` the per-tick histograms of the
+    /// fold and one root span per engine (child of `parent`):
     ///
     /// * `cmc.swept` → `cmc.sweep`, `cmc.cluster`,
     ///   `cmc.fold` (accumulated stage totals);
@@ -632,7 +648,7 @@ impl CmcEngine {
         window: TimeInterval,
         obs: &Obs,
         parent: SpanId,
-    ) -> (Vec<Convoy>, CmcStats) {
+    ) -> (Vec<Convoy>, CmcStats, FoldWork) {
         match *self {
             CmcEngine::Swept => sequential(
                 SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate),
@@ -660,7 +676,7 @@ fn sequential(
     query: &ConvoyQuery,
     obs: &Obs,
     parent: SpanId,
-) -> (Vec<Convoy>, CmcStats) {
+) -> (Vec<Convoy>, CmcStats, FoldWork) {
     let engine_span = obs.span_start("cmc.swept", parent);
     let run_start_ns = obs.now_ns();
     let live = obs.enabled();
@@ -681,7 +697,8 @@ fn sequential(
         }
     }
     let cluster_ns = state.cluster_time_ns();
-    let out = state.finish_with_stats();
+    let work = state.take_work();
+    let (convoys, stats) = state.finish_with_stats();
     if live {
         let fold_ns = ingest_ns.saturating_sub(cluster_ns);
         let mut cursor_ns = run_start_ns;
@@ -695,7 +712,7 @@ fn sequential(
         }
     }
     obs.span_end(engine_span);
-    out
+    (convoys, stats, work)
 }
 
 /// Splits `window` into `parts` contiguous, disjoint sub-windows whose sizes
@@ -732,8 +749,9 @@ fn split_window(window: TimeInterval, parts: usize) -> Vec<TimeInterval> {
 ///
 /// Spans: a `cmc.parallel` root, one *real* `cmc.partition` span per worker
 /// thread (each worker density-clusters with its own recorder-attached
-/// scratch, so `cluster.*` metrics accrue from all workers), and a real
-/// `cmc.fold` span over the sequential stitch.
+/// scratch, so `cluster.call_ns` accrues from all workers), and a real
+/// `cmc.fold` span over the sequential stitch. Each worker hands back its
+/// clusterer's counts; the run's [`FoldWork`] sums them at join.
 fn parallel(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
@@ -741,7 +759,7 @@ fn parallel(
     threads: usize,
     obs: &Obs,
     parent: SpanId,
-) -> (Vec<Convoy>, CmcStats) {
+) -> (Vec<Convoy>, CmcStats, FoldWork) {
     let partitions = split_window(window, threads);
     if partitions.len() <= 1 {
         let sweep = SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate);
@@ -749,7 +767,8 @@ fn parallel(
     }
     let engine_span = obs.span_start("cmc.parallel", parent);
 
-    let clustered: Vec<Vec<(TimePoint, Vec<Cluster>)>> = std::thread::scope(|scope| {
+    type Worked = (Vec<(TimePoint, Vec<Cluster>)>, ClusterCounts);
+    let clustered: Vec<Worked> = std::thread::scope(|scope| {
         let handles: Vec<_> = partitions
             .iter()
             .map(|&partition| {
@@ -772,7 +791,7 @@ fn parallel(
                             })
                             .collect();
                     obs.span_end(partition_span);
-                    out
+                    (out, clusterer.take_counts())
                 })
             })
             .collect();
@@ -789,15 +808,19 @@ fn parallel(
     let fold_span = obs.span_start("cmc.fold", engine_span);
     let mut state = CmcState::new(query);
     state.set_obs(obs.clone());
-    for partition in &clustered {
+    for (partition, _) in &clustered {
         for (t, clusters) in partition {
             state.ingest_clusters(*t, clusters);
         }
     }
-    let out = state.finish_with_stats();
+    let mut work = state.take_work();
+    for (_, counts) in clustered {
+        work.cluster += counts;
+    }
+    let (convoys, stats) = state.finish_with_stats();
     obs.span_end(fold_span);
     obs.span_end(engine_span);
-    out
+    (convoys, stats, work)
 }
 
 #[cfg(test)]
@@ -831,6 +854,15 @@ mod tests {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 5, 1.5);
         let reference = vec![Convoy::new(cluster(&[0, 1, 2]), 0, 29)];
+        let window = db.time_domain().unwrap();
+        let work_of = |engine: CmcEngine| {
+            engine
+                .run_windowed_with_stats_obs(&db, &query, window, &Obs::noop(), SpanId::NONE)
+                .2
+        };
+        let swept_work = work_of(CmcEngine::Swept);
+        // Every one of the 30 ticks holds all four objects and is clustered.
+        assert_eq!(swept_work.cluster.points, 30 * 4);
         for engine in [
             CmcEngine::Swept,
             CmcEngine::Parallel { threads: 2 },
@@ -839,6 +871,8 @@ mod tests {
         ] {
             let got = normalize_convoys(engine.run(&db, &query), &query);
             assert_eq!(got, reference, "{} missed the convoy", engine.name());
+            // The parallel driver sums its workers' counts at join.
+            assert_eq!(work_of(engine), swept_work, "{}", engine.name());
         }
     }
 
@@ -895,7 +929,8 @@ mod tests {
             let parent = obs.span_start("test", SpanId::NONE);
             let recorded = engine.run_windowed_with_stats_obs(&db, &query, window, &obs, parent);
             obs.span_end(parent);
-            let unrecorded = engine.run_windowed_with_stats(&db, &query, window);
+            let unrecorded =
+                engine.run_windowed_with_stats_obs(&db, &query, window, &Obs::noop(), SpanId::NONE);
             assert_eq!(
                 recorded,
                 unrecorded,

@@ -1,11 +1,13 @@
 //! Instrumentation: candidate statistics, the *refinement unit* cost model
-//! used by the paper's Figures 16 and 17, and the `discover.*` / `cmc.*`
-//! registry views. Stage timings are the `discover.*` spans themselves.
+//! used by the paper's Figures 16 and 17, a fold's work counts, and the
+//! registry views of them. Stage timings are the `discover.*` spans
+//! themselves.
 
 use crate::candidate::CandidateConvoy;
 use crate::discovery::DiscoveryOutcome;
 use crate::engine::CmcStats;
 use convoy_obs::Registry;
+use traj_cluster::ClusterCounts;
 
 /// Summary statistics of one discovery run, consumed by the benchmark
 /// harness.
@@ -27,6 +29,42 @@ pub struct DiscoveryStats {
     /// result: the whole run for CMC, the coverage-restricted refinement
     /// fold for the CuTS family.
     pub fold: CmcStats,
+    /// The work of that fold and of every clusterer that fed it.
+    pub work: FoldWork,
+}
+
+/// The work a [`crate::engine::CmcState`] fold did in this process: the
+/// counts of the clusterers that fed it, plus its own overlap-index lookups
+/// and extensions. These are session counts, kept out of [`CmcStats`] and
+/// out of checkpoints; see [`crate::engine::CmcState::take_work`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FoldWork {
+    /// The snapshot clusterers' counts (every parallel worker's summed).
+    pub cluster: ClusterCounts,
+    /// Candidate members looked up in the per-tick object → cluster index.
+    pub overlap_lookups: u64,
+    /// Candidate × cluster pairs that kept at least `m` objects.
+    pub extensions: u64,
+}
+
+impl FoldWork {
+    /// Every count under its registry name. The batch path stores these
+    /// ([`publish_discovery`]) and the stream adds them as it drains them,
+    /// so this is the one place the names are written.
+    pub fn counters(&self) -> [(&'static str, u64); 9] {
+        let c = &self.cluster;
+        [
+            ("cluster.calls", c.calls),
+            ("cluster.points", c.points),
+            ("cluster.clusters_found", c.clusters_found),
+            ("cluster.kernel_batches", c.kernel_batches),
+            ("cluster.kernel_lanes", c.kernel_lanes),
+            ("cluster.region_queries", c.region_queries),
+            ("prune.region_queries_skipped", c.region_queries_skipped),
+            ("cmc.overlap_lookups", self.overlap_lookups),
+            ("cmc.extensions", self.extensions),
+        ]
+    }
 }
 
 /// The *refinement unit* of a set of candidates (Section 7.3): for each
@@ -48,12 +86,8 @@ pub fn refinement_unit(candidates: &[CandidateConvoy]) -> f64 {
 }
 
 /// Publishes a [`CmcStats`] into `registry` under the canonical `cmc.*`
-/// names — the typed-view half of the `--stats` rendering path.
-///
-/// Store semantics, not add: the struct is the authoritative lifetime view
-/// (it survives checkpoints, which live per-tick counters do not), so it
-/// *overwrites* whatever the live recorder accumulated. On an uninterrupted
-/// run the two agree and the overwrite is idempotent.
+/// names. Store semantics: the struct is the fold's whole lifetime (it
+/// survives checkpoints), so each publish replaces the previous values.
 pub fn publish_fold_stats(registry: &Registry, fold: &CmcStats) {
     registry.counter_store("cmc.ticks_ingested", fold.ticks_ingested);
     registry.counter_store("cmc.gap_closures", fold.gap_closures);
@@ -65,14 +99,18 @@ pub fn publish_fold_stats(registry: &Registry, fold: &CmcStats) {
 }
 
 /// Publishes a [`DiscoveryOutcome`]'s *deterministic* statistics (fold
-/// counters, candidate counts, parameters) under the `cmc.*` / `discover.*`
-/// names. Wall-clock timings are deliberately not included — publish those
+/// counters and work, candidate counts, parameters) under the `cmc.*` /
+/// `cluster.*` / `prune.*` / `discover.*` names, with store semantics.
+/// Wall-clock timings are deliberately not included — publish those
 /// separately with [`publish_stage_timings`] into recorders whose output may
 /// vary run to run (the metrics-JSON/trace export), never into the registry
 /// that renders `--stats` (whose text must be byte-stable for equivalence
 /// checks).
 pub fn publish_discovery(registry: &Registry, outcome: &DiscoveryOutcome) {
     publish_fold_stats(registry, &outcome.stats.fold);
+    for (name, value) in outcome.stats.work.counters() {
+        registry.counter_store(name, value);
+    }
     registry.counter_store("discover.candidates", outcome.stats.num_candidates as u64);
     registry.counter_store("discover.convoys", outcome.stats.num_convoys as u64);
     // The paper's Fig. 17 cost model is a f64; whole units are enough for

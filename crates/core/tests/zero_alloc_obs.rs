@@ -4,10 +4,10 @@
 //! [`SnapshotClusterer`] allocates nothing per tick with the default no-op
 //! recorder. This binary proves the same promise survives instrumentation:
 //! with a live [`Registry`] attached, steady-state updates of
-//! already-registered counters, gauges and histograms perform no heap
-//! allocation (the registry's documented contract — map nodes exist,
-//! histogram buckets are fixed arrays), so turning recording on cannot
-//! reintroduce per-tick allocation into `// lint: hot-path` regions.
+//! already-registered gauges and histograms perform no heap allocation
+//! (the registry's documented contract — map nodes exist, histogram
+//! buckets are fixed arrays), so turning recording on cannot reintroduce
+//! per-tick allocation into `// lint: hot-path` regions.
 //!
 //! Four angles:
 //! 1. a warmed clusterer with a live registry still does **0** allocations
@@ -158,7 +158,7 @@ fn warmed_clusterer_with_live_registry_performs_zero_allocations() {
 
     let mut clusterer = SnapshotClusterer::with_obs(Obs::registry(registry.clone()));
     // Warm-up: two passes grow every scratch buffer to the working-set
-    // fixpoint and register every `cluster.*` metric name in the registry.
+    // fixpoint and register the `cluster.call_ns` histogram in the registry.
     for _ in 0..2 {
         for snap in &ticks {
             clusterer.cluster_into(snap, 3.0, 3);
@@ -181,13 +181,19 @@ fn warmed_clusterer_with_live_registry_performs_zero_allocations() {
         ticks.len()
     );
     // The instrumentation actually ran: 3 passes × 40 ticks of calls.
-    assert_eq!(registry.counter("cluster.calls"), 120);
+    let timed_calls = registry
+        .snapshot()
+        .histogram("cluster.call_ns")
+        .map(|h| h.count);
+    assert_eq!(timed_calls, Some(120));
+    let counts = clusterer.take_counts();
+    assert_eq!(counts.calls, 120);
     // The batched-kernel utilisation counters accrued through the same
     // zero-allocation path: every DBSCAN neighbourhood query scans at least
     // the queried point itself, and full batches can never account for more
     // lanes than were scanned in total.
-    let lanes = registry.counter("cluster.kernel_lanes");
-    let batches = registry.counter("cluster.kernel_batches");
+    let lanes = counts.kernel_lanes;
+    let batches = counts.kernel_batches;
     assert!(lanes > 0, "kernel scans recorded no candidate lanes");
     assert!(
         batches * (traj_cluster::kernel::LANE_WIDTH as u64) <= lanes,
@@ -196,13 +202,13 @@ fn warmed_clusterer_with_live_registry_performs_zero_allocations() {
     // Every point of a tick with at least m entries is visited exactly once,
     // and each visit either runs its region query or skips it on the 3×3
     // density bound.
-    let queries = registry.counter("cluster.region_queries");
-    let skipped = registry.counter("prune.region_queries_skipped");
+    let queries = counts.region_queries;
+    let skipped = counts.region_queries_skipped;
     assert!(queries > 0, "no region query ran");
     assert!(skipped > 0, "the density bound skipped no region query");
     assert_eq!(
         queries + skipped,
-        registry.counter("cluster.points"),
+        counts.points,
         "region queries ({queries}) + skipped ({skipped}) must cover every point"
     );
 }
@@ -215,8 +221,8 @@ fn quiescent_cmc_fold_with_live_registry_performs_zero_allocations() {
 
     let mut state = CmcState::new(&ConvoyQuery::new(3, 3, 3.0));
     state.set_obs(Obs::registry(registry.clone()));
-    // Warm-up: real ticks register every `cluster.*` and `cmc.*` metric name
-    // and grow the fold's scratch buffers.
+    // Warm-up: real ticks register every per-tick metric name and grow the
+    // fold's scratch buffers.
     for t in 0..30 {
         state.ingest_snapshot(&snapshot(&mut rng, t, 300));
     }
@@ -226,8 +232,8 @@ fn quiescent_cmc_fold_with_live_registry_performs_zero_allocations() {
     drop(state.drain_closed());
     assert_eq!(state.active_candidates(), 0);
 
-    // Measured: empty ticks exercise the whole per-tick obs block (counter,
-    // two histograms, two gauges against a live registry) with no fold work
+    // Measured: empty ticks exercise the whole per-tick obs block (two
+    // histograms and a gauge against a live registry) with no fold work
     // left, so every allocation counted here is the recorder's.
     let before = allocations();
     for t in 31..81 {
@@ -241,7 +247,12 @@ fn quiescent_cmc_fold_with_live_registry_performs_zero_allocations() {
          over 50 quiescent instrumented ticks)",
         after - before
     );
-    assert_eq!(registry.counter("cmc.ticks_ingested"), 81);
+    assert_eq!(state.stats().ticks_ingested, 81);
+    let recorded_ticks = registry
+        .snapshot()
+        .histogram("cmc.clusters_per_tick")
+        .map(|h| h.count);
+    assert_eq!(recorded_ticks, Some(81), "the live registry saw every tick");
 }
 
 #[test]
@@ -275,7 +286,7 @@ fn warmed_fold_without_extensions_performs_zero_allocations() {
     for t in 0..10 {
         state.ingest_clusters(t, layouts[t as usize % 2]);
     }
-    let lookups_before = registry.counter("cmc.overlap_lookups");
+    let warm_up = state.take_work();
 
     let before = allocations();
     for t in 10..60 {
@@ -292,11 +303,14 @@ fn warmed_fold_without_extensions_performs_zero_allocations() {
     assert_eq!(state.active_candidates(), GROUPS as usize);
     assert_eq!(state.stats().convoys_closed, 0);
     // Every tick looked up all 60 members of the open chains; none reached m.
-    assert_eq!(
-        registry.counter("cmc.overlap_lookups") - lookups_before,
-        50 * 60
-    );
-    assert_eq!(registry.counter("cmc.extensions"), 0);
+    let work = state.take_work();
+    assert_eq!(work.overlap_lookups, 50 * 60);
+    assert_eq!(warm_up.extensions + work.extensions, 0);
+    let recorded_ticks = registry
+        .snapshot()
+        .histogram("cmc.clusters_per_tick")
+        .map(|h| h.count);
+    assert_eq!(recorded_ticks, Some(60), "the live registry saw every tick");
 }
 
 #[test]
@@ -306,7 +320,7 @@ fn live_registry_adds_zero_allocations_to_a_full_cmc_workload() {
     // fold allocates by design; the obs guarantee is that recording adds
     // *nothing on top*. Run the identical warmed workload twice — no-op
     // recorder vs live registry — and require equal allocation counts.
-    let measured = |obs: Obs| -> (u64, u64) {
+    let measured = |obs: Obs| -> (u64, u64, u64) {
         let mut rng = XorShift(0xdeadbeefcafef00d);
         let ticks: Vec<Snapshot> = (0..120).map(|t| convoy_snapshot(&mut rng, t, 40)).collect();
         let mut state = CmcState::new(&ConvoyQuery::new(3, 3, 3.0));
@@ -318,7 +332,9 @@ fn live_registry_adds_zero_allocations_to_a_full_cmc_workload() {
         for snap in &ticks[60..] {
             state.ingest_snapshot(snap);
         }
-        (allocations() - before, state.stats().convoys_closed)
+        let allocs = allocations() - before;
+        let calls = state.take_work().cluster.calls;
+        (allocs, state.stats().convoys_closed, calls)
     };
 
     // The exact-equality comparison is sensitive to ambient allocations from
@@ -329,7 +345,7 @@ fn live_registry_adds_zero_allocations_to_a_full_cmc_workload() {
     let mut noop_allocs = u64::MAX;
     let mut noop_closed = 0;
     for _ in 0..3 {
-        let (allocs, closed) = measured(Obs::noop());
+        let (allocs, closed, _) = measured(Obs::noop());
         noop_allocs = noop_allocs.min(allocs);
         noop_closed = closed;
     }
@@ -338,11 +354,14 @@ fn live_registry_adds_zero_allocations_to_a_full_cmc_workload() {
     let mut recorded_ticks = 0;
     for _ in 0..3 {
         let registry = Arc::new(Registry::new());
-        let (allocs, closed) = measured(Obs::registry(registry.clone()));
+        let (allocs, closed, calls) = measured(Obs::registry(registry.clone()));
         live_allocs = live_allocs.min(allocs);
         live_closed = closed;
-        recorded_ticks = registry.counter("cmc.ticks_ingested");
-        assert_eq!(registry.counter("cluster.calls"), 120);
+        recorded_ticks = registry
+            .snapshot()
+            .histogram("cmc.clusters_per_tick")
+            .map_or(0, |h| h.count);
+        assert_eq!(calls, 120);
     }
 
     assert_eq!(

@@ -96,23 +96,14 @@ pub fn open_source<P: AsRef<Path>>(path: P) -> Result<Box<dyn TrajectorySource>>
     })
 }
 
-/// Records one load's `scan.*` metrics: decode latency, block economy,
-/// record and byte throughput. Counters *add* — a session that loads twice
-/// (say a full load then a windowed one) reports the combined I/O, while the
-/// deterministic view publish ([`trajectory::publish_scan_stats`])
-/// overwrites with the last load's authoritative numbers before export.
-fn record_scan(obs: &Obs, started_ns: u64, stats: ScanStats, bytes_scanned: u64) {
-    if !obs.enabled() {
-        return;
-    }
+/// Records one load's `scan.*` metrics that [`ScanStats`] does not hold:
+/// decode latency, the load itself and the bytes it scanned. Counters *add*,
+/// so a session that loads twice (say a full load then a windowed one)
+/// reports the combined I/O. Block and record counts are the load's
+/// [`ScanStats`], published by [`trajectory::publish_scan_stats`].
+fn record_scan(obs: &Obs, started_ns: u64, bytes_scanned: u64) {
     obs.histogram_record("scan.decode_ns", obs.now_ns().saturating_sub(started_ns));
     obs.counter_add("scan.loads", 1);
-    obs.counter_add("scan.blocks_read", stats.blocks_read as u64);
-    obs.counter_add(
-        "scan.blocks_pruned",
-        stats.blocks_total.saturating_sub(stats.blocks_read) as u64,
-    );
-    obs.counter_add("scan.records_read", stats.records_read);
     obs.counter_add("scan.bytes_scanned", bytes_scanned);
 }
 
@@ -148,7 +139,7 @@ impl TrajectorySource for CsvSource {
             blocks_read: 1,
             records_read: records,
         };
-        record_scan(&self.obs, started_ns, self.stats, bytes_scanned);
+        record_scan(&self.obs, started_ns, bytes_scanned);
         Ok(db)
     }
 
@@ -195,7 +186,7 @@ impl ContainerSource {
             blocks_read: stats.blocks_read,
             records_read: stats.records_read,
         };
-        record_scan(&self.obs, started_ns, self.stats, stats.bytes_scanned());
+        record_scan(&self.obs, started_ns, stats.bytes_scanned());
     }
 }
 

@@ -5,6 +5,10 @@
 //! The design constraints come straight from the hot paths this crate
 //! instruments (`SnapshotClusterer::cluster_into`, `CmcState::ingest_clusters`):
 //!
+//! * **Counts are not recorded per event.** A count lives in a field of the
+//!   struct that does the work and leaves it as one typed value, whose names
+//!   one `publish_*` function writes (see the table below). Per event, hot
+//!   paths record only clock values and per-tick histograms.
 //! * **Zero-cost when off.** [`Obs`] is in one of three fixed states: off
 //!   (the default), spans-only or full. Off allocates nothing and every call
 //!   is one inlined match on the state; call sites batch their work behind
@@ -29,21 +33,21 @@
 //! The canonical metric names published by the suite reproduce the paper's
 //! experimental axes (Jeung et al., PVLDB 2008):
 //!
-//! | metric | kind | paper figure |
-//! |---|---|---|
-//! | `discover.simplify_ns` / `filter_ns` / `refine_ns` / `total_ns` | counter | Fig. 13 — stage time breakdown, derived from the `discover.*` span totals ([`Registry::span_total_ns`]) |
-//! | `discover.candidates` | counter | Fig. 16 — candidate count vs λ/δ |
-//! | `discover.refinement_units` | counter | Fig. 17 — refinement-unit cost |
-//! | `discover.convoys` | counter | result cardinality |
-//! | `cmc.ticks_ingested`, `cmc.clusters_per_tick` | counter / histogram | CMC fold progress (Alg. 1) |
-//! | `cmc.peak_candidates`, `cmc.candidates_open` | gauge | candidate-set pressure |
-//! | `cmc.overlap_lookups` / `cmc.extensions` | counter | fold work (candidate members looked up in the per-tick object→cluster index) vs useful outcomes (candidate × cluster pairs that kept ≥ m objects) |
-//! | `cuts.refine.snapshot_points` | counter | CuTS refinement work: entries of the coverage snapshots folded (covered object-ticks) |
-//! | `stream.emission_delay_ticks` | histogram | per-result delay (ranked-enumeration lens) |
-//! | `stream.time_to_first_convoy_ns` | histogram | streaming first-result latency |
-//! | `scan.blocks_read` / `scan.blocks_pruned` | counter | container block-index pruning |
-//! | `cluster.kernel_batches` / `cluster.kernel_lanes` | counter | batched-kernel utilisation (full `LANE_WIDTH` batches vs total candidate lanes scanned) |
-//! | `cluster.region_queries` / `prune.region_queries_skipped` | counter | snapshot-DBSCAN region queries run vs skipped because the point's 3×3 cell block holds fewer than m points (the two sum to `cluster.points` over ticks with ≥ m objects) |
+//! | metric | kind | source | paper figure |
+//! |---|---|---|---|
+//! | `discover.simplify_ns` / `filter_ns` / `refine_ns` / `total_ns` | counter | the `discover.*` span totals ([`Registry::span_total_ns`]) | Fig. 13 — stage time breakdown |
+//! | `discover.candidates` | counter | `DiscoveryStats` | Fig. 16 — candidate count vs λ/δ |
+//! | `discover.refinement_units` | counter | `DiscoveryStats` | Fig. 17 — refinement-unit cost |
+//! | `discover.convoys` | counter | `DiscoveryStats` | result cardinality |
+//! | `cmc.ticks_ingested`, `cmc.peak_candidates` | counter / gauge | `CmcStats` | CMC fold progress (Alg. 1), candidate-set pressure |
+//! | `cmc.clusters_per_tick`, `cmc.candidates_per_tick`, `cmc.candidates_open` | histogram / gauge | recorded per tick | cluster and candidate counts per tick |
+//! | `cmc.overlap_lookups` / `cmc.extensions` | counter | `FoldWork` | fold work (candidate members looked up in the per-tick object→cluster index) vs useful outcomes (candidate × cluster pairs that kept ≥ m objects) |
+//! | `cuts.refine.snapshot_points` | counter | once per refinement | CuTS refinement work: entries of the coverage snapshots folded (covered object-ticks) |
+//! | `stream.emission_delay_ticks` | histogram | per emitted convoy | per-result delay (ranked-enumeration lens) |
+//! | `stream.time_to_first_convoy_ns` | counter | once per stream | streaming first-result latency |
+//! | `scan.blocks_read` / `scan.blocks_pruned` | counter | `ScanStats` | container block-index pruning |
+//! | `cluster.kernel_batches` / `cluster.kernel_lanes` | counter | `ClusterCounts` in `FoldWork` | batched-kernel utilisation (full `LANE_WIDTH` batches vs total candidate lanes scanned) |
+//! | `cluster.region_queries` / `prune.region_queries_skipped` | counter | `ClusterCounts` in `FoldWork` | snapshot-DBSCAN region queries run vs skipped because the point's 3×3 cell block holds fewer than m points (the two sum to `cluster.points` over ticks with ≥ m objects) |
 //!
 //! # Spans
 //!
@@ -176,15 +180,6 @@ impl Obs {
         }
     }
 
-    /// Raises the gauge `name` to `value` if `value` is larger (high-water
-    /// marks: peak candidates, peak buffered samples).
-    #[inline]
-    pub fn gauge_max(&self, name: &'static str, value: i64) {
-        if let Some(registry) = self.full() {
-            registry.gauge_max(name, value);
-        }
-    }
-
     /// Records one observation into the log-scale histogram `name`.
     #[inline]
     pub fn histogram_record(&self, name: &'static str, value: u64) {
@@ -306,7 +301,6 @@ mod tests {
         let root = obs.span_start("root", SpanId::NONE);
         obs.counter_add("c", 1);
         obs.gauge_set("g", 2);
-        obs.gauge_max("peak", 3);
         obs.histogram_record("h", 4);
         assert!(obs.span_at("pre-timed", root, 0, 10).is_none());
         {
@@ -329,12 +323,12 @@ mod tests {
         assert!(obs.enabled());
         assert_eq!(format!("{obs:?}"), "Obs(live)");
         obs.counter_add("c", 1);
-        obs.gauge_max("peak", 3);
+        obs.gauge_set("g", 3);
         obs.histogram_record("h", 4);
         assert!(!obs.span_at("pre-timed", SpanId::NONE, 0, 10).is_none());
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("c"), 1);
-        assert_eq!(snapshot.gauge("peak"), 3);
+        assert_eq!(snapshot.gauge("g"), 3);
         assert!(snapshot.histogram("h").is_some());
         assert_eq!(registry.span_total_ns("pre-timed"), 10);
     }

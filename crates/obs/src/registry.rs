@@ -138,8 +138,8 @@ impl Registry {
 
     /// Overwrites the counter `name` with an absolute value. This is the
     /// import path for the typed stats views (`CmcStats`, `StreamStats`, …):
-    /// after a run the authoritative struct values are stored over whatever
-    /// was live-recorded, making view import idempotent.
+    /// storing a view again replaces its earlier values, so import is
+    /// idempotent.
     pub fn counter_store(&self, name: &'static str, value: u64) {
         self.lock().counters.insert(name, value);
     }
@@ -219,13 +219,6 @@ impl Registry {
     /// Sets the gauge `name` to `value`.
     pub fn gauge_set(&self, name: &'static str, value: i64) {
         self.lock().gauges.insert(name, value);
-    }
-
-    /// Raises the gauge `name` to `value` if `value` is larger.
-    pub fn gauge_max(&self, name: &'static str, value: i64) {
-        let mut inner = self.lock();
-        let cell = inner.gauges.entry(name).or_insert(value);
-        *cell = (*cell).max(value);
     }
 
     /// Records one observation into the log-scale histogram `name`.
@@ -402,16 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_max() {
+    fn gauges_keep_the_last_value() {
         let r = Registry::new();
         r.gauge_set("g", 5);
         r.gauge_set("g", -2);
-        r.gauge_max("peak", 3);
-        r.gauge_max("peak", 1);
-        r.gauge_max("peak", 9);
         let s = r.snapshot();
         assert_eq!(s.gauge("g"), -2);
-        assert_eq!(s.gauge("peak"), 9);
     }
 
     #[test]

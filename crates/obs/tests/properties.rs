@@ -45,18 +45,16 @@ fn bucket_edges_are_exact() {
 enum Op {
     Counter(usize, u64),
     GaugeSet(usize, i64),
-    GaugeMax(usize, i64),
     Histogram(usize, u64),
 }
 
 const NAMES: [&str; 4] = ["alpha", "beta.x", "gamma_ns", "delta"];
 
 prop_compose! {
-    fn arb_op()(kind in 0u8..4, name in 0usize..4, v in 0u64..u64::MAX, g in -1000i64..1000) -> Op {
+    fn arb_op()(kind in 0u8..3, name in 0usize..4, v in 0u64..u64::MAX, g in -1000i64..1000) -> Op {
         match kind {
             0 => Op::Counter(name, v % 1000),
             1 => Op::GaugeSet(name, g),
-            2 => Op::GaugeMax(name, g),
             // Cap below 2^48 so u64 sums cannot saturate across a run
             // (saturation breaks diff additivity by design).
             _ => Op::Histogram(name, v % (1u64 << 48)),
@@ -69,7 +67,6 @@ fn apply(r: &Registry, ops: &[Op]) {
         match *op {
             Op::Counter(n, v) => r.counter_add(NAMES[n], v),
             Op::GaugeSet(n, v) => r.gauge_set(NAMES[n], v),
-            Op::GaugeMax(n, v) => r.gauge_max(NAMES[n], v),
             Op::Histogram(n, v) => r.histogram_record(NAMES[n], v),
         }
     }

@@ -148,11 +148,10 @@ pub struct StreamStats {
 }
 
 /// Publishes a [`StreamStats`] into `registry` under the canonical
-/// `stream.*` (and nested `cmc.*`) names — the typed-view half of the
-/// streaming `--stats` rendering path. Store semantics like
-/// [`convoy_core::publish_fold_stats`]: the struct is the authoritative
-/// lifetime view (it survives checkpoint/restore, which live-recorded
-/// counters do not), so it overwrites whatever was live-recorded.
+/// `stream.*` (and nested `cmc.*`) names. Store semantics like
+/// [`convoy_core::publish_fold_stats`]: the struct is the stream's whole
+/// lifetime (it survives checkpoint/restore), so each publish replaces the
+/// previous values.
 pub fn publish_stream_stats(registry: &Registry, stats: &StreamStats) {
     convoy_core::publish_fold_stats(registry, &stats.fold);
     registry.counter_store("stream.partitions_closed", stats.partitions_closed);
@@ -223,7 +222,7 @@ mod tests {
             peak_samples_buffered: 120,
         };
         let registry = Registry::new();
-        // Publishing over stale live-recorded values must overwrite them.
+        // Publishing over earlier values replaces them.
         registry.counter_add("stream.partitions_closed", 1000);
         publish_stream_stats(&registry, &stats);
         let snapshot = registry.snapshot();

@@ -43,7 +43,7 @@ use crate::config::{EvictionPolicy, StreamConfig, StreamStats};
 use convoy_core::cuts::filter::simplify_database;
 use convoy_core::{
     auto_delta, auto_lambda, cluster_partition, CandidateChain, CandidateConvoy, Convoy,
-    ConvoyQuery, CutsConfig, Discovery, RefineFold,
+    ConvoyQuery, CutsConfig, Discovery, FoldWork, RefineFold,
 };
 use convoy_obs::{Obs, SpanId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -130,8 +130,13 @@ pub struct ConvoyStream {
     pub(crate) chain_evicted: u64,
     pub(crate) samples_buffered: usize,
     pub(crate) peak_samples_buffered: usize,
-    /// Handle for the `stream.*` metrics (off by default; one branch per
-    /// push when disabled). Runtime-only: checkpoints do not store it.
+    /// Samples accepted and rejected since the counts were last added to
+    /// `obs` (see `publish_session`). Session counts: checkpoints do not
+    /// store them.
+    pub(crate) samples_ingested: u64,
+    pub(crate) samples_rejected: u64,
+    /// Handle for the `stream.*` metrics (off by default). Runtime-only:
+    /// checkpoints do not store it.
     pub(crate) obs: Obs,
     /// Root span of the attached recorder ([`SpanId::NONE`] when no-op).
     pub(crate) root_span: SpanId,
@@ -167,6 +172,8 @@ impl ConvoyStream {
             chain_evicted: 0,
             samples_buffered: 0,
             peak_samples_buffered: 0,
+            samples_ingested: 0,
+            samples_rejected: 0,
             obs: Obs::noop(),
             root_span: SpanId::NONE,
             start_ns: 0,
@@ -175,11 +182,12 @@ impl ConvoyStream {
         }
     }
 
-    /// Attaches a recorder: subsequent pushes record the `stream.*` ingest
-    /// and latency metrics, partition closes get `stream.partition` spans
-    /// under a `stream` root span, and the refinement fold records its
-    /// `cmc.*` counters. Replaces any previous recorder (each attachment
-    /// starts its own root span and latency baseline).
+    /// Attaches a recorder: partition closes get `stream.partition` spans
+    /// under a `stream` root span and the latency metrics, the refinement
+    /// fold records its per-tick histograms, and every partition close and
+    /// [`ConvoyStream::finish`] add the session counts gathered since the
+    /// last one. Replaces any previous recorder (each attachment starts its
+    /// own root span and latency baseline).
     pub fn set_obs(&mut self, obs: Obs) {
         self.fold.set_obs(obs.clone());
         self.root_span = obs.span_start("stream", SpanId::NONE);
@@ -295,11 +303,6 @@ impl ConvoyStream {
             SpanId::NONE
         };
         let started_ns = if live { self.obs.now_ns() } else { 0 };
-        let evicted_before = if live {
-            self.fold.evicted().saturating_add(self.chain_evicted)
-        } else {
-            0
-        };
         let horizon = self.config.eviction.horizon;
         let simplification = self.config.variant.simplification();
 
@@ -402,20 +405,16 @@ impl ConvoyStream {
         }
         self.samples_buffered -= dropped;
         self.partitions_closed += 1;
+        publish_session(
+            &self.obs,
+            self.fold.take_work(),
+            std::mem::take(&mut self.samples_ingested),
+            std::mem::take(&mut self.samples_rejected),
+        );
         if live {
             let close_ns = self.obs.now_ns().saturating_sub(started_ns);
             self.obs
                 .histogram_record("stream.partition_close_ns", close_ns);
-            self.obs.counter_add("stream.partitions_closed", 1);
-            let evicted_now = self
-                .fold
-                .evicted()
-                .saturating_add(self.chain_evicted)
-                .saturating_sub(evicted_before);
-            if evicted_now > 0 {
-                self.obs
-                    .counter_add("stream.candidates_evicted", evicted_now);
-            }
             self.obs.span_end(span);
         }
     }
@@ -457,6 +456,8 @@ impl ConvoyStream {
             chain_evicted,
             samples_buffered,
             peak_samples_buffered,
+            samples_ingested,
+            samples_rejected,
             obs,
             root_span,
             start_ns,
@@ -476,6 +477,7 @@ impl ConvoyStream {
             })
         };
         let outcome = fold.finish(&mut snapshot_at);
+        publish_session(&obs, outcome.work, samples_ingested, samples_rejected);
         if obs.enabled() {
             note_emissions(
                 &obs,
@@ -532,28 +534,39 @@ impl ConvoyStream {
 impl FeedIngest for ConvoyStream {
     fn push(&mut self, object: ObjectId, t: TimePoint, x: f64, y: f64) -> Result<(), FeedError> {
         if let Err(e) = self.admit(object, t, x, y) {
-            self.obs.counter_add("stream.samples_rejected", 1);
+            self.samples_rejected += 1;
             return Err(e);
         }
+        self.samples_ingested += 1;
         self.samples_buffered += 1;
         self.peak_samples_buffered = self.peak_samples_buffered.max(self.samples_buffered);
         if self.partition_start.is_none() {
             self.partition_start = Some(t);
         }
         self.advance(t);
-        if self.obs.enabled() {
-            self.obs.counter_add("stream.samples_ingested", 1);
-            // Occupancy after `advance`: partition closes trim buffers, so
-            // this gauge tracks what the stream actually holds right now.
-            let buffered = i64::try_from(self.samples_buffered).unwrap_or(i64::MAX);
-            self.obs.gauge_set("stream.samples_buffered", buffered);
-            self.obs.gauge_max("stream.peak_samples_buffered", buffered);
-        }
         Ok(())
     }
 
     fn watermark(&self) -> Option<TimePoint> {
         self.watermark
+    }
+}
+
+/// Adds a stream's session counts to `obs`: its refinement fold's work, under
+/// the names [`FoldWork::counters`] gives them, and the samples it ingested
+/// and rejected, each added only once non-zero (like a per-sample counter,
+/// a name appears with its first sample).
+fn publish_session(obs: &Obs, work: FoldWork, ingested: u64, rejected: u64) {
+    for (name, n) in work.counters() {
+        obs.counter_add(name, n);
+    }
+    for (name, n) in [
+        ("stream.samples_ingested", ingested),
+        ("stream.samples_rejected", rejected),
+    ] {
+        if n > 0 {
+            obs.counter_add(name, n);
+        }
     }
 }
 

@@ -65,15 +65,14 @@ pub trait TrajectorySource {
     fn format_name(&self) -> &'static str;
 
     /// Attaches a recorder: subsequent loads record the `scan.*` I/O metrics
-    /// (blocks read/pruned, records decoded, bytes scanned, decode time).
+    /// that [`ScanStats`] does not hold (loads, bytes scanned, decode time).
     /// Default: ignored, for backends without instrumentation.
     fn set_obs(&mut self, _obs: Obs) {}
 }
 
 /// Publishes a [`ScanStats`] into `registry` under the canonical `scan.*`
-/// names — the typed-view half of the `--stats` rendering path. Store
-/// semantics: the struct describes the *most recent* load, and the published
-/// values overwrite whatever earlier loads recorded live.
+/// names. Store semantics: the struct describes the *most recent* load, so
+/// each publish replaces the previous values.
 pub fn publish_scan_stats(registry: &Registry, stats: &ScanStats) {
     registry.counter_store("scan.blocks_total", stats.blocks_total as u64);
     registry.counter_store("scan.blocks_read", stats.blocks_read as u64);

@@ -185,6 +185,37 @@ fn no_convoy_bridges_a_feed_gap_larger_than_the_horizon() {
     assert!(outcome.convoys.iter().all(|c| c.lifetime() <= 12));
 }
 
+#[test]
+fn refinement_never_interpolates_a_silence_longer_than_the_horizon() {
+    // Objects 1–3 travel together on [0, 23]. Object 1 is silent on ticks
+    // 6..=10: five missing ticks, one more than the horizon, in the middle of
+    // the λ-partition [0, 11]. It co-clusters there before its silence, so it
+    // stays in that partition's coverage at ticks 6..=10, and its samples at
+    // 5 and 11 are both buffered when the partition closes. Interpolating
+    // between them would put it with the others on those five ticks (k = 3).
+    let query = ConvoyQuery::new(3, 3, 1.5);
+    let config = StreamConfig::new(query, 0.2, 12)
+        .with_eviction(EvictionPolicy::unbounded().with_horizon(4));
+    let mut stream = ConvoyStream::new(config);
+    for t in 0..24 {
+        for o in 1..=3u64 {
+            if o == 1 && (6..=10).contains(&t) {
+                continue;
+            }
+            stream
+                .push(ObjectId(o), t, t as f64, o as f64 * 0.5)
+                .unwrap();
+        }
+    }
+    let outcome = stream.finish();
+    let trio = Cluster::new(vec![ObjectId(1), ObjectId(2), ObjectId(3)]);
+    let expected: Vec<Convoy> = [(0, 3), (11, 14), (15, 18), (19, 22)]
+        .into_iter()
+        .map(|(start, end)| Convoy::new(trio.clone(), start, end))
+        .collect();
+    assert_eq!(outcome.convoys, expected);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
