@@ -726,9 +726,14 @@ fn damaged_inputs_exit_cleanly() {
         let damaged = temp_path(name);
         let input = damaged.to_str().unwrap();
         let converted = temp_path(converted);
-        let commands: [Vec<&str>; 6] = [
+        let commands: [Vec<&str>; 7] = [
             [&["discover", input, "--method", "cmc"][..], &query].concat(),
             [&["discover", input, "--method", "cuts-star"][..], &query].concat(),
+            [
+                &["stream", input, "--delta", "2", "--lambda", "5"][..],
+                &query,
+            ]
+            .concat(),
             vec!["convert", input, converted.to_str().unwrap()],
             vec!["stats", input],
             vec!["simplify", input, "--delta", "2"],

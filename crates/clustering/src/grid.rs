@@ -523,6 +523,8 @@ pub struct SnapshotClusterer {
     clusters: Vec<Cluster>,
     /// The work done since the last [`SnapshotClusterer::take_counts`].
     counts: ClusterCounts,
+    /// Nanoseconds of every `cluster.call_ns` sample recorded so far.
+    call_ns_total: u64,
     /// Handle for the `cluster.call_ns` latency histogram; the off default
     /// costs one branch per call. A live [`convoy_obs::Registry`] stays
     /// within the zero-allocation contract: the histogram's map node exists
@@ -555,6 +557,14 @@ impl SnapshotClusterer {
     /// Hands out the work done since the last call and restarts the count.
     pub fn take_counts(&mut self) -> ClusterCounts {
         std::mem::take(&mut self.counts)
+    }
+
+    /// Nanoseconds spent in [`SnapshotClusterer::cluster_into`] calls that
+    /// clustered, summed over this clusterer's life: the total of the
+    /// `cluster.call_ns` samples it recorded (0 unless a live recorder is
+    /// attached).
+    pub fn call_ns_total(&self) -> u64 {
+        self.call_ns_total
     }
 
     /// Density-clusters the objects of `snapshot` (DBSCAN with range `e` and
@@ -621,10 +631,9 @@ impl SnapshotClusterer {
         self.counts.region_queries += region_queries;
         self.counts.region_queries_skipped += queries_skipped;
         if live {
-            self.obs.histogram_record(
-                "cluster.call_ns",
-                self.obs.now_ns().saturating_sub(started_ns),
-            );
+            let call_ns = self.obs.now_ns().saturating_sub(started_ns);
+            self.call_ns_total = self.call_ns_total.saturating_add(call_ns);
+            self.obs.histogram_record("cluster.call_ns", call_ns);
         }
         &self.clusters[..num_clusters as usize]
     }

@@ -70,6 +70,9 @@ pub struct RefineFold {
     /// the oldest chains are closed until the bound holds again.
     max_candidates: Option<usize>,
     evicted: u64,
+    /// Entries of the snapshots folded since the last
+    /// [`RefineFold::take_work`].
+    snapshot_points: u64,
 }
 
 impl RefineFold {
@@ -92,6 +95,7 @@ impl RefineFold {
             horizon,
             max_candidates,
             evicted: 0,
+            snapshot_points: 0,
         }
     }
 
@@ -108,7 +112,9 @@ impl RefineFold {
         if let Some(horizon) = self.horizon {
             self.evicted += self.state.evict_longer_than(horizon) as u64;
         }
-        self.state.ingest_snapshot(&snapshot_at(t, coverage));
+        let snapshot = snapshot_at(t, coverage);
+        self.snapshot_points += snapshot.len() as u64;
+        self.state.ingest_snapshot(&snapshot);
         if let Some(max) = self.max_candidates {
             self.evicted += self.state.evict_to_capacity(max) as u64;
         }
@@ -186,6 +192,7 @@ impl RefineFold {
             horizon,
             max_candidates,
             evicted: snapshot.evicted,
+            snapshot_points: 0,
         }
     }
 
@@ -212,9 +219,13 @@ impl RefineFold {
     }
 
     /// Hands out the work done since the last call (see
-    /// [`CmcState::take_work`]).
+    /// [`CmcState::take_work`]), with the entries of the coverage snapshots
+    /// folded as [`FoldWork::refine_snapshot_points`].
     pub fn take_work(&mut self) -> FoldWork {
-        self.state.take_work()
+        FoldWork {
+            refine_snapshot_points: std::mem::take(&mut self.snapshot_points),
+            ..self.state.take_work()
+        }
     }
 
     /// Ends the fold: ingests the final partition's end tick, closes every
@@ -228,7 +239,7 @@ impl RefineFold {
             self.ingest(window.end, &coverage, snapshot_at);
         }
         let evicted = self.evicted;
-        let work = self.state.take_work();
+        let work = self.take_work();
         let (convoys, stats) = self.state.finish_with_stats();
         FoldOutcome {
             convoys,
@@ -309,10 +320,10 @@ pub fn refine_partitions(
     (convoys, stats)
 }
 
-/// Like [`refine_partitions`], also returning the fold's [`FoldWork`] and
-/// recording into `obs` the fold's per-tick histograms plus
-/// `cuts.refine.snapshot_points`: the entries of the coverage snapshots
-/// folded. (The surrounding `discover.refine` span is the caller's —
+/// Like [`refine_partitions`], also returning the fold's [`FoldWork`] (whose
+/// `refine_snapshot_points` counts the entries of the coverage snapshots
+/// folded) and recording into `obs` the fold's per-tick histograms. (The
+/// surrounding `discover.refine` span is the caller's —
 /// [`crate::discovery::Discovery`] wraps this call.)
 pub fn refine_partitions_obs(
     db: &TrajectoryDatabase,
@@ -326,12 +337,9 @@ pub fn refine_partitions_obs(
             .all(|w| w[0].window.end == w[1].window.start),
         "refine_partitions requires contiguous partitions sharing boundary ticks"
     );
-    let mut snapshot_points = 0u64;
     let mut reader = CoverageReader::new(None);
     let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| -> Snapshot {
-        let snapshot = reader.snapshot(t, coverage, |id| db.get(id).map(Trajectory::points));
-        snapshot_points += snapshot.len() as u64;
-        snapshot
+        reader.snapshot(t, coverage, |id| db.get(id).map(Trajectory::points))
     };
     let mut fold = RefineFold::new(query);
     fold.set_obs(obs.clone());
@@ -339,7 +347,6 @@ pub fn refine_partitions_obs(
         fold.push_partition(partition, &mut snapshot_at);
     }
     let outcome = fold.finish(&mut snapshot_at);
-    obs.counter_add("cuts.refine.snapshot_points", snapshot_points);
     (outcome.convoys, outcome.stats, outcome.work)
 }
 

@@ -435,7 +435,6 @@ mod tests {
         use crate::cuts::filter::filter;
         use convoy_obs::Registry;
         use std::collections::BTreeSet;
-        use std::sync::Arc;
 
         // Convoy B's objects (ids 3–6) join late and leave early, so some
         // partitions cover them at ticks their trajectories do not reach.
@@ -449,10 +448,9 @@ mod tests {
             db.insert(id, clipped);
         }
         let query = ConvoyQuery::new(3, 10, 2.0);
-        let registry = Arc::new(Registry::new());
-        Discovery::new(Method::CutsStar)
-            .with_obs(Obs::registry(registry.clone()))
-            .run(&db, &query);
+        let outcome = Discovery::new(Method::CutsStar).run(&db, &query);
+        let registry = Registry::new();
+        crate::metrics::publish_discovery(&registry, &outcome);
 
         // Recompute: each tick of the filtered domain is folded once, with
         // the union of the clusters of every partition containing it, and

@@ -124,10 +124,6 @@ pub struct CmcState {
     /// default; one branch per tick when disabled, so the hot-path contract
     /// holds either way).
     obs: Obs,
-    /// Nanoseconds this state has spent density-clustering snapshots
-    /// (accumulated only while the recorder is live; the engines re-lay it
-    /// as the `cmc.cluster` stage span).
-    cluster_ns: u64,
 }
 
 /// Counters describing a [`CmcState`]'s life so far — the observability
@@ -196,7 +192,6 @@ impl CmcState {
             spare: Vec::new(),
             work: FoldWork::default(),
             obs: Obs::noop(),
-            cluster_ns: 0,
         }
     }
 
@@ -213,10 +208,12 @@ impl CmcState {
     }
 
     /// Nanoseconds spent density-clustering so far (0 unless a live recorder
-    /// is attached). The engines subtract this from their fold total to
-    /// split the `cmc.cluster` and `cmc.fold` stage spans.
+    /// is attached): the internal clusterer's
+    /// [`SnapshotClusterer::call_ns_total`]. The engines subtract this from
+    /// their fold total to split the `cmc.cluster` and `cmc.fold` stage
+    /// spans.
     pub fn cluster_time_ns(&self) -> u64 {
-        self.cluster_ns
+        self.clusterer.call_ns_total()
     }
 
     /// Ingests the snapshot of one time point: density-clusters it and folds
@@ -231,14 +228,7 @@ impl CmcState {
         // Detach the clusterer so its borrowed output can be fed back into
         // `self` (a plain move of empty-capacity headers, no allocation).
         let mut clusterer = std::mem::take(&mut self.clusterer);
-        let live = self.obs.enabled();
-        let started_ns = if live { self.obs.now_ns() } else { 0 };
         let clusters = clusterer.cluster_into(snapshot, self.query.e, self.query.m);
-        if live {
-            self.cluster_ns = self
-                .cluster_ns
-                .saturating_add(self.obs.now_ns().saturating_sub(started_ns));
-        }
         self.ingest_clusters(snapshot.time, clusters);
         self.clusterer = clusterer;
     }

@@ -34,9 +34,11 @@ pub struct DiscoveryStats {
 }
 
 /// The work a [`crate::engine::CmcState`] fold did in this process: the
-/// counts of the clusterers that fed it, plus its own overlap-index lookups
-/// and extensions. These are session counts, kept out of [`CmcStats`] and
-/// out of checkpoints; see [`crate::engine::CmcState::take_work`].
+/// counts of the clusterers that fed it, its own overlap-index lookups and
+/// extensions, and — for a CuTS refinement fold — the entries of the
+/// coverage snapshots it folded. These are session counts, kept out of
+/// [`CmcStats`] and out of checkpoints; see
+/// [`crate::engine::CmcState::take_work`] and [`crate::RefineFold::take_work`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FoldWork {
     /// The snapshot clusterers' counts (every parallel worker's summed).
@@ -45,13 +47,16 @@ pub struct FoldWork {
     pub overlap_lookups: u64,
     /// Candidate × cluster pairs that kept at least `m` objects.
     pub extensions: u64,
+    /// Entries of the coverage snapshots a [`crate::RefineFold`] folded
+    /// (covered object-ticks); 0 for a plain CMC fold.
+    pub refine_snapshot_points: u64,
 }
 
 impl FoldWork {
     /// Every count under its registry name. The batch path stores these
     /// ([`publish_discovery`]) and the stream adds them as it drains them,
     /// so this is the one place the names are written.
-    pub fn counters(&self) -> [(&'static str, u64); 9] {
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
         let c = &self.cluster;
         [
             ("cluster.calls", c.calls),
@@ -63,6 +68,7 @@ impl FoldWork {
             ("prune.region_queries_skipped", c.region_queries_skipped),
             ("cmc.overlap_lookups", self.overlap_lookups),
             ("cmc.extensions", self.extensions),
+            ("cuts.refine.snapshot_points", self.refine_snapshot_points),
         ]
     }
 }

@@ -37,17 +37,35 @@
 //! future-version file is rejected, not partially loaded. Writes are atomic
 //! (temp file + fsync + rename), so a crash mid-convert never leaves a torn
 //! container behind.
+//!
+//! ## Decode path
+//!
+//! A load is built to cost what the bytes cost:
+//!
+//! - [`crc32`] is slicing-by-8: eight compile-time tables fold one 8-byte
+//!   word per step with eight independent lookups, then the remainder goes
+//!   bytewise. Checksums are byte-identical to the classic one-table loop.
+//! - Each column is read as 8-byte words behind one bounds check.
+//! - Records go into **slots**, one per object in order of first
+//!   appearance, found through an id → slot hash map. Records are sorted by
+//!   `(t, object)`, so each slot's samples arrive time-ascending; one sort
+//!   of the slots by id and one exact-capacity copy per slot then build the
+//!   database with no re-sort and no growth slack
+//!   ([`trajectory::Trajectory::from_points`] still checks monotonicity).
+//!
+//! Every per-record check — block time range, finite coordinates, block
+//! bbox, strict `(t, object)` ascent — runs before a record reaches a slot.
 
 // This module faces arbitrary bytes; every abort path is a bug. Enforced by
 // convoy-lint's no-panic-decode rule, the corruption suite
 // (`crates/datasets/tests/container_corruption.rs`) and clippy:
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use trajectory::{ObjectId, TimeInterval, TrajectoryBuilder, TrajectoryDatabase};
+use trajectory::{ObjectId, TimeInterval, TrajPoint, Trajectory, TrajectoryDatabase};
 
 /// The container file's magic bytes (≠ the checkpoint's `CONVOYCK`).
 pub const MAGIC: [u8; 8] = *b"CONVOYTR";
@@ -134,12 +152,16 @@ fn map_eof_to_truncated(e: std::io::Error) -> ContainerError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the polynomial zlib and PNG use), table built at
-// compile time so the hot path is one lookup per byte. The stream
+// CRC-32 (IEEE 802.3, the polynomial zlib and PNG use), slicing-by-8: eight
+// tables built at compile time let the hot loop fold eight bytes per step
+// with eight independent lookups instead of eight dependent ones. The stream
 // checkpoint trailer re-exports this same function.
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so one step can fold a byte
+/// that sits `k` places before the end of an 8-byte word.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -152,19 +174,51 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c; // lint: allow(no-panic-decode) — const loop, i < 256 == table.len()
+        tables[0][i] = c; // lint: allow(no-panic-decode) — const loop, i < 256 == table.len()
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            // lint: allow(no-panic-decode) — const loop, 1 <= k < 8 and i < 256 match the table shape
+            let prev = tables[k - 1][i];
+            // lint: allow(no-panic-decode) — const loop, k < 8 and i < 256 match the table shape; the byte index is masked to 0..=255
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// Entry `byte & 0xFF` of one CRC table.
+#[inline(always)]
+fn crc_lookup(table: &[u32; 256], byte: u32) -> u32 {
+    // lint: allow(no-panic-decode) — index masked to 0..=255, table length 256
+    table[(byte & 0xFF) as usize]
+}
 
 /// IEEE CRC-32 of `bytes` (the checksum each block trailer and the stream
 /// checkpoint trailer store).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // lint: allow(no-panic-decode) — index masked to 0..=255, table length 256
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let (words, rest) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        c = crc_lookup(t7, lo)
+            ^ crc_lookup(t6, lo >> 8)
+            ^ crc_lookup(t5, lo >> 16)
+            ^ crc_lookup(t4, lo >> 24)
+            ^ crc_lookup(t3, hi)
+            ^ crc_lookup(t2, hi >> 8)
+            ^ crc_lookup(t1, hi >> 16)
+            ^ crc_lookup(t0, hi >> 24);
+    }
+    for &b in rest {
+        c = crc_lookup(t0, c ^ u32::from(b)) ^ (c >> 8);
     }
     !c
 }
@@ -546,7 +600,12 @@ impl<R: Read + Seek> ContainerReader<R> {
         &mut self,
         window: Option<TimeInterval>,
     ) -> Result<(TrajectoryDatabase, ReadStats), ContainerError> {
-        let mut builders: BTreeMap<ObjectId, TrajectoryBuilder> = BTreeMap::new();
+        // One slot per object, in order of first appearance: the id map
+        // finds a record's slot and the record is appended to it. Records
+        // arrive time-ascending, so each slot's samples are already in
+        // trajectory order.
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        let mut slots: Vec<(u64, Vec<TrajPoint>)> = Vec::new();
         let mut stats = ReadStats::default();
         // `(t, id)` of the last decoded record, across blocks: the file is
         // globally sorted, so any subset of blocks must decode strictly
@@ -591,19 +650,36 @@ impl<R: Read + Seek> ContainerReader<R> {
                 if window.is_some_and(|w| t < w.start || t > w.end) {
                     continue;
                 }
-                builders.entry(ObjectId(id)).or_default().add(x, y, t);
+                let slot = *slot_of.entry(id).or_insert_with(|| {
+                    slots.push((id, Vec::new()));
+                    slots.len() - 1
+                });
+                if let Some((_, points)) = slots.get_mut(slot) {
+                    points.push(TrajPoint::new(x, y, t));
+                }
             }
         }
-        let mut db = TrajectoryDatabase::new();
-        for (id, builder) in builders {
-            // Records are strictly `(t, object)`-ascending, so per-object
-            // timestamps are strictly increasing and `build` cannot fail on
-            // them; map any residual error instead of unwrapping.
-            let traj = builder
-                .build()
-                .map_err(|_| ContainerError::Malformed("block records do not form a trajectory"))?;
-            db.insert(id, traj);
-        }
+        drop(slot_of);
+        slots.sort_unstable_by_key(|&(id, _)| id);
+        let db = slots
+            .into_iter()
+            .map(|(id, points)| {
+                // An exact-capacity copy, freeing the slot as it goes: no
+                // growth slack survives into the database, and trajectories
+                // land one after another in id order. (An in-place
+                // `shrink_to_fit` leaves each where its last doubling put it;
+                // the CuTS* filter, which walks them in id order, measured
+                // about 15% slower on that layout.)
+                // Records are strictly `(t, object)`-ascending, so per-object
+                // timestamps are strictly increasing and `from_points` cannot
+                // fail on them; map any residual error instead of unwrapping.
+                Trajectory::from_points(points.to_vec())
+                    .map(|traj| (ObjectId(id), traj))
+                    .map_err(|_| {
+                        ContainerError::Malformed("block records do not form a trajectory")
+                    })
+            })
+            .collect::<Result<TrajectoryDatabase, _>>()?;
         Ok((db, stats))
     }
 
@@ -633,27 +709,22 @@ impl<R: Read + Seek> ContainerReader<R> {
         if decode_block_header(d.take(BLOCK_HEADER_LEN as usize)?, meta.offset)? != *meta {
             return Err(ContainerError::Malformed("block header changed since open"));
         }
-        let n = meta.records as usize;
+        // Each column is `records` little-endian 8-byte words, read in one
+        // bounds check per column.
+        let column_len = usize::try_from(meta.records)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .ok_or(ContainerError::Truncated)?;
+        let mut column = || d.take(column_len).map(|bytes| bytes.as_chunks::<8>().0);
+        let (ids, ts, xs, ys) = (column()?, column()?, column()?, column()?);
         self.ids.clear();
         self.ts.clear();
         self.xs.clear();
         self.ys.clear();
-        self.ids.reserve(n);
-        self.ts.reserve(n);
-        self.xs.reserve(n);
-        self.ys.reserve(n);
-        for _ in 0..n {
-            self.ids.push(d.u64()?);
-        }
-        for _ in 0..n {
-            self.ts.push(d.i64()?);
-        }
-        for _ in 0..n {
-            self.xs.push(d.f64()?);
-        }
-        for _ in 0..n {
-            self.ys.push(d.f64()?);
-        }
+        self.ids.extend(ids.iter().map(|&w| u64::from_le_bytes(w)));
+        self.ts.extend(ts.iter().map(|&w| i64::from_le_bytes(w)));
+        self.xs.extend(xs.iter().map(|&w| f64::from_le_bytes(w)));
+        self.ys.extend(ys.iter().map(|&w| f64::from_le_bytes(w)));
         if d.pos != body.len() {
             return Err(ContainerError::Malformed("trailing bytes in block"));
         }
@@ -666,6 +737,7 @@ impl<R: Read + Seek> ContainerReader<R> {
 mod tests {
     use super::*;
     use crate::{generate, DatasetProfile};
+    use std::collections::BTreeSet;
     use std::io::Cursor;
 
     fn encode(db: &TrajectoryDatabase, block_records: usize) -> Vec<u8> {
@@ -683,6 +755,91 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise table loop `crc32` used before slicing-by-8, frozen
+    /// with its own table as the reference the sliced loop must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table: Vec<u32> = (0..256u32)
+            .map(|i| {
+                (0..8).fold(i, |c, _| {
+                    if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    }
+                })
+            })
+            .collect();
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    proptest::prop_compose! {
+        /// Up to 12 objects with sparse ids whose first appearance is not
+        /// in id order: each object's start is drawn on its own, or (when
+        /// `reversed`) falls as the id rises, so small ids start late. Some
+        /// objects hold a single sample.
+        fn arb_db()(num_objects in 1usize..12)
+            (ids in proptest::collection::btree_set(0u64..10_000, num_objects),
+             reversed in 0u8..2,
+             tables in proptest::collection::vec(
+                ((0i64..60, 0u8..3),
+                 proptest::collection::btree_set(0i64..30, 1..10),
+                 proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 10)),
+                num_objects))
+            -> TrajectoryDatabase {
+            let mut db = TrajectoryDatabase::new();
+            let n = ids.len() as i64;
+            for (rank, (id, ((start, shape), offsets, coords))) in
+                ids.into_iter().zip(tables).enumerate()
+            {
+                let start = if reversed == 1 { (n - rank as i64) * 4 + start % 4 } else { start };
+                let times: Vec<i64> = match shape {
+                    0 => vec![start],
+                    1 => offsets.into_iter().map(|o| start + o % 4).collect::<BTreeSet<_>>().into_iter().collect(),
+                    _ => offsets.into_iter().map(|o| start + o).collect(),
+                };
+                let samples = times.into_iter().zip(coords).map(|(t, (x, y))| (x, y, t));
+                db.insert(ObjectId(id), Trajectory::from_tuples(samples).unwrap());
+            }
+            db
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn sliced_crc_equals_the_bytewise_loop(
+            buffer in proptest::collection::vec(0u8..=255, 4096 + 16),
+            len in 0usize..4096,
+        ) {
+            // Every start offset 0..8 inside the buffer and every remainder
+            // length 0..7 after the 8-byte words.
+            for offset in 0..8 {
+                for tail in 0..8 {
+                    let bytes = &buffer[offset..offset + len / 8 * 8 + tail];
+                    proptest::prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+                }
+            }
+        }
+
+        #[test]
+        fn slot_decode_round_trips_unordered_first_appearances(
+            db in arb_db(),
+            block_records in 1usize..16,
+            window in (-10i64..80, 0i64..40),
+        ) {
+            let bytes = encode(&db, block_records);
+            let mut reader = ContainerReader::open(Cursor::new(&bytes)).unwrap();
+            proptest::prop_assert_eq!(&reader.load().unwrap().0, &db);
+            let window = TimeInterval::new(window.0, window.0 + window.1);
+            proptest::prop_assert_eq!(reader.load_window(window).unwrap().0, db.restrict(window));
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! by binary-searching every trajectory, which costs `O(N log |o|)` per time
 //! point and `O(T · N log |o|)` for a whole CMC run. A convoy query, however,
 //! visits time points *in order*, so the searches are pure waste: a cursor
-//! per object that only ever moves forward yields every snapshot of the
-//! window in amortized `O(total samples + N · T)` — one sorted sweep, no
-//! re-searching and no per-tick index rebuilds.
+//! per object that only ever moves forward, read only while its object is
+//! live, yields every snapshot of the window in
+//! `O(total samples + live object-ticks + N log N)` — one sorted sweep, no
+//! re-searching, no per-tick index rebuilds and no visits to objects that
+//! have not started or have already ended.
 //!
 //! [`SnapshotSweep`] is that cursor. It is an `Iterator<Item = Snapshot>`
 //! producing snapshots bit-identical to per-tick
@@ -105,6 +107,10 @@ impl<'a> ObjectCursor<'a> {
 /// empty ones (an empty snapshot is what closes open convoy candidates, so
 /// skipping it would change CMC semantics).
 ///
+/// Only live objects are read: a cursor is admitted at its object's first
+/// sample and retired after its last, so a tick costs the objects alive at
+/// it, not every object of the database.
+///
 /// ```
 /// use trajectory::{ObjectId, SnapshotPolicy, SnapshotSweep, Trajectory, TrajectoryDatabase};
 ///
@@ -119,7 +125,14 @@ impl<'a> ObjectCursor<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SnapshotSweep<'a> {
+    /// One cursor per object whose sampled interval meets the window.
+    /// `cursors[admitted..]` are not yet live, ascending by first sample;
+    /// each batch admitted at one tick is re-sorted by id in place.
     cursors: Vec<ObjectCursor<'a>>,
+    admitted: usize,
+    /// Indices of the live cursors, ascending by object id, so reading them
+    /// in order yields entries sorted by id exactly like `snapshot()`.
+    active: Vec<usize>,
     next_t: TimePoint,
     end: TimePoint,
     /// Set once the snapshot at `end` has been produced. The end state is a
@@ -128,27 +141,28 @@ pub struct SnapshotSweep<'a> {
     /// incrementing there is exactly the overflow this guards against.
     finished: bool,
     policy: SnapshotPolicy,
-    /// Capacity hint carried between ticks: consecutive snapshots have
-    /// near-identical sizes, so the previous length avoids re-growing the
-    /// entry vector at every time point.
-    last_len: usize,
 }
 
 impl<'a> SnapshotSweep<'a> {
     /// Creates a sweep over `window` (clamped to nothing when the window is
     /// empty of objects — the iterator then yields empty snapshots).
     pub fn new(db: &'a TrajectoryDatabase, window: TimeInterval, policy: SnapshotPolicy) -> Self {
-        let cursors = db
+        // An object whose sampled interval misses the window has no entry in
+        // it, so it gets no cursor at all.
+        let mut cursors: Vec<ObjectCursor<'a>> = db
             .iter()
+            .filter(|(_, traj)| traj.start_time() <= window.end && traj.end_time() >= window.start)
             .map(|(id, traj)| ObjectCursor::seek(id, traj.points(), window.start))
             .collect();
+        cursors.sort_unstable_by_key(|c| c.points[0].t);
         SnapshotSweep {
             cursors,
+            admitted: 0,
+            active: Vec::new(),
             next_t: window.start,
             end: window.end,
             finished: window.start > window.end,
             policy,
-            last_len: 0,
         }
     }
 
@@ -157,11 +171,12 @@ impl<'a> SnapshotSweep<'a> {
     pub fn empty(policy: SnapshotPolicy) -> SnapshotSweep<'static> {
         SnapshotSweep {
             cursors: Vec::new(),
+            admitted: 0,
+            active: Vec::new(),
             next_t: 1,
             end: 0,
             finished: true,
             policy,
-            last_len: 0,
         }
     }
 
@@ -171,6 +186,34 @@ impl<'a> SnapshotSweep<'a> {
             0
         } else {
             self.end.saturating_sub(self.next_t).saturating_add(1) as usize
+        }
+    }
+
+    /// Makes live every not-yet-admitted cursor whose first sample is at or
+    /// before `t`, keeping `active` ascending by id.
+    fn admit(&mut self, t: TimePoint) {
+        let first = self.admitted;
+        let count = self.cursors[first..].partition_point(|c| c.points[0].t <= t);
+        if count == 0 {
+            return;
+        }
+        self.admitted += count;
+        // Admitted cursors leave the start order, so the batch may be sorted
+        // by id in place; then merge it into `active` from the back.
+        self.cursors[first..self.admitted].sort_unstable_by_key(|c| c.id);
+        let cursors = &self.cursors;
+        let (mut live, mut rest) = (self.active.len(), count);
+        self.active.resize(live + count, 0);
+        while rest > 0 {
+            let slot = live + rest - 1;
+            let arrival = first + rest - 1;
+            if live > 0 && cursors[self.active[live - 1]].id > cursors[arrival].id {
+                live -= 1;
+                self.active[slot] = self.active[live];
+            } else {
+                rest -= 1;
+                self.active[slot] = arrival;
+            }
         }
     }
 }
@@ -190,16 +233,19 @@ impl Iterator for SnapshotSweep<'_> {
             _ => self.finished = true,
         }
 
-        // Cursors are in ascending id order (database iteration order), so
-        // the entries come out sorted by id exactly like `snapshot()`.
+        self.admit(t);
+        // Read the live cursors in id order, retiring each one whose last
+        // sample is at or before `t`: it has no entry at any later tick.
         let policy = self.policy;
-        let mut entries: Vec<SnapshotEntry> = Vec::with_capacity(self.last_len);
-        for cursor in &mut self.cursors {
+        let cursors = &mut self.cursors;
+        let mut entries: Vec<SnapshotEntry> = Vec::with_capacity(self.active.len());
+        self.active.retain(|&i| {
+            let cursor = &mut cursors[i];
             if let Some(entry) = cursor.entry(t, policy, None) {
                 entries.push(entry);
             }
-        }
-        self.last_len = entries.len();
+            cursor.points.last().is_some_and(|last| last.t > t)
+        });
         Some(Snapshot { time: t, entries })
     }
 
