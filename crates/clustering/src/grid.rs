@@ -844,7 +844,6 @@ mod tests {
                 .map(|(i, (x, y))| SnapshotEntry {
                     id: ObjectId(i as u64),
                     position: Point::new(*x, *y),
-                    interpolated: false,
                 })
                 .collect(),
         }

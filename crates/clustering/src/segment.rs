@@ -437,7 +437,8 @@ mod tests {
         let s =
             SubTrajectory::for_window(ObjectId(1), &simplified, TimeInterval::new(0, 10)).unwrap();
         assert_eq!(s.segments.len(), 1);
-        assert!(s.segments[0].segment().is_degenerate());
+        let segment = s.segments[0].segment();
+        assert_eq!(segment.start, segment.end);
         assert!(
             SubTrajectory::for_window(ObjectId(1), &simplified, TimeInterval::new(6, 10)).is_none()
         );

@@ -86,7 +86,6 @@ fn snapshot(rng: &mut XorShift, time: i64, n: usize) -> Snapshot {
             .map(|i| SnapshotEntry {
                 id: ObjectId(i as u64),
                 position: Point::new(rng.coord(), rng.coord()),
-                interpolated: false,
             })
             .collect(),
     }

@@ -113,7 +113,6 @@ fn snapshot(rng: &mut XorShift, time: i64, n: usize) -> Snapshot {
             .map(|i| SnapshotEntry {
                 id: ObjectId(i as u64),
                 position: Point::new(rng.coord(), rng.coord()),
-                interpolated: false,
             })
             .collect(),
     }
@@ -142,7 +141,6 @@ fn convoy_snapshot(rng: &mut XorShift, time: i64, groups: usize) -> Snapshot {
             entries.push(SnapshotEntry {
                 id: ObjectId((g * PER_GROUP + i) as u64),
                 position,
-                interpolated: false,
             });
         }
     }

@@ -19,19 +19,6 @@ pub struct GeneratedDataset {
     pub profile: DatasetProfile,
 }
 
-/// Convenience wrapper: generates a dataset from a profile and a seed.
-pub fn generate(profile: &DatasetProfile, seed: u64) -> GeneratedDataset {
-    DatasetGenerator::new(*profile, seed).generate()
-}
-
-/// The generator itself. Construction is cheap; [`DatasetGenerator::generate`]
-/// does the work.
-#[derive(Debug, Clone)]
-pub struct DatasetGenerator {
-    profile: DatasetProfile,
-    seed: u64,
-}
-
 /// A correlated random walk: smooth heading changes, reflecting at the world
 /// boundary, optionally drawn towards a hotspot. This is the movement model
 /// for both group leaders and independent background objects.
@@ -94,142 +81,137 @@ impl Walker {
     }
 }
 
-impl DatasetGenerator {
-    /// Creates a generator for `profile` with a deterministic `seed`.
-    pub fn new(profile: DatasetProfile, seed: u64) -> Self {
-        DatasetGenerator { profile, seed }
-    }
+/// Generates a dataset from `profile`: planted convoy groups, then
+/// independent background movers. Deterministic for a fixed (profile, seed)
+/// pair.
+pub fn generate(profile: &DatasetProfile, seed: u64) -> GeneratedDataset {
+    let p = profile;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut database = TrajectoryDatabase::new();
+    let mut ground_truth = Vec::new();
 
-    /// Generates the dataset. Deterministic for a fixed (profile, seed) pair.
-    pub fn generate(&self) -> GeneratedDataset {
-        let p = &self.profile;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut database = TrajectoryDatabase::new();
-        let mut ground_truth = Vec::new();
+    // Shared hotspots (depots, intersections, water points) that
+    // independent objects gravitate towards, creating the incidental
+    // co-location real GPS data exhibits.
+    let hotspots: Vec<(f64, f64)> = (0..p.movement.num_hotspots)
+        .map(|_| {
+            (
+                rng.gen_range(0.0..p.movement.world_size),
+                rng.gen_range(0.0..p.movement.world_size),
+            )
+        })
+        .collect();
 
-        // Shared hotspots (depots, intersections, water points) that
-        // independent objects gravitate towards, creating the incidental
-        // co-location real GPS data exhibits.
-        let hotspots: Vec<(f64, f64)> = (0..p.movement.num_hotspots)
+    let convoy_member_total = p.num_convoys * p.convoy_size;
+    let mut next_id = 0u64;
+
+    // --- Planted convoy groups -------------------------------------------------
+    for _ in 0..p.num_convoys {
+        let members: Vec<ObjectId> = (0..p.convoy_size)
+            .map(|i| ObjectId(next_id + i as u64))
+            .collect();
+        next_id += p.convoy_size as u64;
+
+        // The group's shared lifetime inside the time domain.
+        let lifetime = p.convoy_lifetime.min(p.time_domain);
+        let latest_start = (p.time_domain - lifetime).max(0);
+        let start: TimePoint = if latest_start == 0 {
+            0
+        } else {
+            rng.gen_range(0..=latest_start)
+        };
+        let end = start + lifetime - 1;
+
+        // A leader walk shared by the group; members follow with a fixed
+        // per-member offset plus small jitter bounded by e × member_jitter,
+        // which keeps every member within e of the leader (and therefore
+        // the group density-connected) at every tick of the interval.
+        let mut leader = Walker::new(&mut rng, p.movement.world_size, p.movement.mean_speed);
+        let max_offset = p.e * p.movement.member_jitter;
+        let offsets: Vec<(f64, f64)> = members
+            .iter()
             .map(|_| {
                 (
-                    rng.gen_range(0.0..p.movement.world_size),
-                    rng.gen_range(0.0..p.movement.world_size),
+                    rng.gen_range(-max_offset..max_offset),
+                    rng.gen_range(-max_offset..max_offset),
                 )
             })
             .collect();
 
-        let convoy_member_total = p.num_convoys * p.convoy_size;
-        let mut next_id = 0u64;
-
-        // --- Planted convoy groups -------------------------------------------------
-        for _ in 0..p.num_convoys {
-            let members: Vec<ObjectId> = (0..p.convoy_size)
-                .map(|i| ObjectId(next_id + i as u64))
-                .collect();
-            next_id += p.convoy_size as u64;
-
-            // The group's shared lifetime inside the time domain.
-            let lifetime = p.convoy_lifetime.min(p.time_domain);
-            let latest_start = (p.time_domain - lifetime).max(0);
-            let start: TimePoint = if latest_start == 0 {
-                0
-            } else {
-                rng.gen_range(0..=latest_start)
-            };
-            let end = start + lifetime - 1;
-
-            // A leader walk shared by the group; members follow with a fixed
-            // per-member offset plus small jitter bounded by e × member_jitter,
-            // which keeps every member within e of the leader (and therefore
-            // the group density-connected) at every tick of the interval.
-            let mut leader = Walker::new(&mut rng, p.movement.world_size, p.movement.mean_speed);
-            let max_offset = p.e * p.movement.member_jitter;
-            let offsets: Vec<(f64, f64)> = members
-                .iter()
-                .map(|_| {
-                    (
-                        rng.gen_range(-max_offset..max_offset),
-                        rng.gen_range(-max_offset..max_offset),
-                    )
-                })
-                .collect();
-
-            let mut tracks: Vec<Vec<TrajPoint>> = vec![Vec::new(); members.len()];
-            for t in start..=end {
-                leader.step(&mut rng, p.movement.world_size, p.movement.turn_sigma, 0.0);
-                for (mi, (ox, oy)) in offsets.iter().enumerate() {
-                    let jitter = max_offset * 0.2;
-                    let jx = rng.gen_range(-jitter..jitter);
-                    let jy = rng.gen_range(-jitter..jitter);
-                    tracks[mi].push(TrajPoint::new(leader.x + ox + jx, leader.y + oy + jy, t));
-                }
-            }
-
-            // Convoy members are sampled *regularly* during the planted
-            // interval so that the ground truth is airtight; irregular
-            // sampling is applied to the background objects instead.
-            for (member, track) in members.iter().zip(tracks) {
-                if let Ok(traj) = Trajectory::from_points(track) {
-                    database.insert(*member, traj);
-                }
-            }
-            ground_truth.push(PlantedConvoy {
-                members,
-                start,
-                end,
-            });
-        }
-
-        // --- Independent background objects ----------------------------------------
-        let background = p.num_objects.saturating_sub(convoy_member_total);
-        for _ in 0..background {
-            let id = ObjectId(next_id);
-            next_id += 1;
-
-            // Presence window.
-            let length = ((p.time_domain as f64 * p.presence_fraction).round() as i64)
-                .clamp(2, p.time_domain);
-            let latest_start = (p.time_domain - length).max(0);
-            let start: TimePoint = if latest_start == 0 {
-                0
-            } else {
-                rng.gen_range(0..=latest_start)
-            };
-            let end = start + length - 1;
-
-            let mut walker = Walker::new(&mut rng, p.movement.world_size, p.movement.mean_speed);
-            let mut points = Vec::with_capacity(length as usize);
-            for t in start..=end {
-                // Periodically (re)pick a hotspot to head towards; between
-                // switches the walker blends its random walk with the pull.
-                if !hotspots.is_empty() && (walker.target.is_none() || rng.gen::<f64>() < 0.01) {
-                    walker.target = Some(hotspots[rng.gen_range(0..hotspots.len())]);
-                }
-                walker.step(
-                    &mut rng,
-                    p.movement.world_size,
-                    p.movement.turn_sigma,
-                    p.movement.hotspot_attraction,
-                );
-                // Irregular sampling: drop interior samples with the profile's
-                // probability, always keeping the first and last so the
-                // presence window is honoured.
-                let is_boundary = t == start || t == end;
-                if is_boundary || rng.gen::<f64>() >= p.missing_probability {
-                    points.push(TrajPoint::new(walker.x, walker.y, t));
-                }
-            }
-            if let Ok(traj) = Trajectory::from_points(points) {
-                database.insert(id, traj);
+        let mut tracks: Vec<Vec<TrajPoint>> = vec![Vec::new(); members.len()];
+        for t in start..=end {
+            leader.step(&mut rng, p.movement.world_size, p.movement.turn_sigma, 0.0);
+            for (mi, (ox, oy)) in offsets.iter().enumerate() {
+                let jitter = max_offset * 0.2;
+                let jx = rng.gen_range(-jitter..jitter);
+                let jy = rng.gen_range(-jitter..jitter);
+                tracks[mi].push(TrajPoint::new(leader.x + ox + jx, leader.y + oy + jy, t));
             }
         }
 
-        GeneratedDataset {
-            database,
-            ground_truth,
-            profile: *p,
+        // Convoy members are sampled *regularly* during the planted
+        // interval so that the ground truth is airtight; irregular
+        // sampling is applied to the background objects instead.
+        for (member, track) in members.iter().zip(tracks) {
+            if let Ok(traj) = Trajectory::from_points(track) {
+                database.insert(*member, traj);
+            }
         }
+        ground_truth.push(PlantedConvoy {
+            members,
+            start,
+            end,
+        });
+    }
+
+    // --- Independent background objects ----------------------------------------
+    let background = p.num_objects.saturating_sub(convoy_member_total);
+    for _ in 0..background {
+        let id = ObjectId(next_id);
+        next_id += 1;
+
+        // Presence window.
+        let length =
+            ((p.time_domain as f64 * p.presence_fraction).round() as i64).clamp(2, p.time_domain);
+        let latest_start = (p.time_domain - length).max(0);
+        let start: TimePoint = if latest_start == 0 {
+            0
+        } else {
+            rng.gen_range(0..=latest_start)
+        };
+        let end = start + length - 1;
+
+        let mut walker = Walker::new(&mut rng, p.movement.world_size, p.movement.mean_speed);
+        let mut points = Vec::with_capacity(length as usize);
+        for t in start..=end {
+            // Periodically (re)pick a hotspot to head towards; between
+            // switches the walker blends its random walk with the pull.
+            if !hotspots.is_empty() && (walker.target.is_none() || rng.gen::<f64>() < 0.01) {
+                walker.target = Some(hotspots[rng.gen_range(0..hotspots.len())]);
+            }
+            walker.step(
+                &mut rng,
+                p.movement.world_size,
+                p.movement.turn_sigma,
+                p.movement.hotspot_attraction,
+            );
+            // Irregular sampling: drop interior samples with the profile's
+            // probability, always keeping the first and last so the
+            // presence window is honoured.
+            let is_boundary = t == start || t == end;
+            if is_boundary || rng.gen::<f64>() >= p.missing_probability {
+                points.push(TrajPoint::new(walker.x, walker.y, t));
+            }
+        }
+        if let Ok(traj) = Trajectory::from_points(points) {
+            database.insert(id, traj);
+        }
+    }
+
+    GeneratedDataset {
+        database,
+        ground_truth,
+        profile: *p,
     }
 }
 
@@ -282,21 +264,24 @@ mod tests {
     fn planted_convoy_members_stay_within_e_of_each_other_pairwise_chain() {
         let profile = small_profile();
         let data = generate(&profile, 3);
-        for planted in &data.ground_truth {
-            for t in planted.interval().iter() {
-                let snap = data.database.snapshot(t, SnapshotPolicy::Interpolate);
+        let mut checked_ticks = 0;
+        for snap in data.database.sweep(SnapshotPolicy::Interpolate) {
+            let t = snap.time;
+            let position_of =
+                |id: ObjectId| snap.entries.iter().find(|e| e.id == id).map(|e| e.position);
+            for planted in &data.ground_truth {
+                if !planted.interval().contains(t) {
+                    continue;
+                }
+                checked_ticks += 1;
                 // Every member must be within e of at least one other member
                 // (they all sit within e·member_jitter·2 of the leader track,
                 // so in fact all pairs are close; we check the weaker chain
                 // property that density connection needs).
                 for a in &planted.members {
-                    let pa = snap.position_of(*a).expect("member present");
+                    let pa = position_of(*a).expect("member present");
                     let close_to_other = planted.members.iter().any(|b| {
-                        b != a
-                            && snap
-                                .position_of(*b)
-                                .map(|pb| pa.distance(&pb) <= profile.e)
-                                .unwrap_or(false)
+                        b != a && position_of(*b).is_some_and(|pb| pa.distance(&pb) <= profile.e)
                     });
                     assert!(
                         close_to_other,
@@ -305,6 +290,9 @@ mod tests {
                 }
             }
         }
+        // The sweep reached every tick of every planted interval.
+        let planted_ticks: i64 = data.ground_truth.iter().map(|c| c.lifetime()).sum();
+        assert_eq!(checked_ticks, planted_ticks);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`DatasetProfile`]: the four named profiles plus fully custom profiles.
 //!   Each profile can be scaled down (`scaled`) so that unit tests and CI run
 //!   in seconds while the benchmark harness can run closer to paper scale.
-//! * [`generate`] / [`DatasetGenerator`]: the group-structured random-walk
-//!   generator with planted ground-truth convoys and irregular sampling.
+//! * [`generate`]: the group-structured random-walk generator with planted
+//!   ground-truth convoys and irregular sampling.
 //! * [`io`]: plain-CSV import/export so real datasets can be dropped in.
 //! * [`container`]: the binary `.convoy` columnar container — time-blocked,
 //!   CRC-guarded, block-index-pruned windowed reads.
@@ -42,7 +42,7 @@ pub mod profile;
 pub mod source;
 
 pub use container::{write_container, write_container_file, ContainerError, ContainerReader};
-pub use generator::{generate, DatasetGenerator, GeneratedDataset};
+pub use generator::{generate, GeneratedDataset};
 pub use ground_truth::PlantedConvoy;
 pub use io::{read_csv, write_csv};
 pub use noise::{add_gps_noise, downsample, stride_sample};

@@ -249,17 +249,6 @@ impl DatasetProfile {
             ..*self
         }
     }
-
-    /// Average trajectory length implied by the profile (`presence_fraction ×
-    /// time_domain × (1 − missing_probability)`).
-    pub fn expected_trajectory_length(&self) -> f64 {
-        self.presence_fraction * self.time_domain as f64 * (1.0 - self.missing_probability)
-    }
-
-    /// Expected total number of samples in a generated dataset.
-    pub fn expected_total_points(&self) -> f64 {
-        self.expected_trajectory_length() * self.num_objects as f64
-    }
 }
 
 #[cfg(test)]
@@ -311,11 +300,12 @@ mod tests {
     #[test]
     fn expected_sizes_are_consistent() {
         let truck = DatasetProfile::truck();
-        let expected = truck.expected_trajectory_length();
         // Table 3 lists an average trajectory length of 224; the profile's
-        // expectation must be in the same ballpark.
+        // expectation (`presence_fraction × time_domain × (1 −
+        // missing_probability)`) must be in the same ballpark.
+        let expected =
+            truck.presence_fraction * truck.time_domain as f64 * (1.0 - truck.missing_probability);
         assert!((150.0..300.0).contains(&expected), "got {expected}");
-        assert!(truck.expected_total_points() > 40_000.0);
     }
 
     #[test]

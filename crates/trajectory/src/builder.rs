@@ -100,7 +100,8 @@ mod tests {
             .push(1.0, 1.0, 1)
             .build()
             .unwrap();
-        assert_eq!(t.sample_times().collect::<Vec<_>>(), vec![0, 1, 2]);
+        let times: Vec<_> = t.points().iter().map(|p| p.t).collect();
+        assert_eq!(times, vec![0, 1, 2]);
     }
 
     #[test]

@@ -30,15 +30,14 @@ pub enum SnapshotPolicy {
     ExactOnly,
 }
 
-/// One object's position within a snapshot.
+/// One object's position within a snapshot: an exact sample or a virtual
+/// point, which the convoy algorithms treat alike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotEntry {
     /// The object the position belongs to.
     pub id: ObjectId,
     /// The position at the snapshot time.
     pub position: Point,
-    /// `true` when the position was linearly interpolated rather than sampled.
-    pub interpolated: bool,
 }
 
 /// The set `O_t` of object positions at one time point.
@@ -64,14 +63,6 @@ impl Snapshot {
     /// Iterates over `(id, position)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Point)> + '_ {
         self.entries.iter().map(|e| (e.id, e.position))
-    }
-
-    /// Looks up the position of a specific object.
-    pub fn position_of(&self, id: ObjectId) -> Option<Point> {
-        self.entries
-            .binary_search_by_key(&id, |e| e.id)
-            .ok()
-            .map(|i| self.entries[i].position)
     }
 }
 
@@ -140,7 +131,10 @@ impl TrajectoryDatabase {
     ///
     /// With [`SnapshotPolicy::Interpolate`], any object whose interval covers
     /// `t` contributes a (possibly virtual) position; with
-    /// [`SnapshotPolicy::ExactOnly`] only exact samples are reported.
+    /// [`SnapshotPolicy::ExactOnly`] only exact samples are reported. Entries
+    /// ascend by object id and do not say whether a position was sampled or
+    /// interpolated; each costs one binary search into its trajectory, so a
+    /// run over many ticks reads through [`TrajectoryDatabase::sweep`].
     pub fn snapshot(&self, t: TimePoint, policy: SnapshotPolicy) -> Snapshot {
         let entries = self
             .iter()
@@ -148,12 +142,10 @@ impl TrajectoryDatabase {
                 SnapshotPolicy::Interpolate => Some(SnapshotEntry {
                     id,
                     position: traj.location_at(t)?,
-                    interpolated: traj.sample_at(t).is_none(),
                 }),
                 SnapshotPolicy::ExactOnly => traj.sample_at(t).map(|p| SnapshotEntry {
                     id,
                     position: p.position(),
-                    interpolated: false,
                 }),
             })
             .collect();
@@ -296,17 +288,16 @@ mod tests {
         let db = sample_db();
         let snap = db.snapshot(2, SnapshotPolicy::Interpolate);
         assert_eq!(snap.len(), 3);
-        // o2 has no sample at t=2: interpolated between t=1 (1,1) and t=3 (3,1).
-        let o2 = snap
-            .entries
-            .iter()
-            .find(|e| e.id == ObjectId(2))
-            .expect("o2 present");
-        assert!(o2.interpolated);
-        assert_eq!(o2.position, Point::new(2.0, 1.0));
-        // o1 has an exact sample.
-        let o1 = snap.entries.iter().find(|e| e.id == ObjectId(1)).unwrap();
-        assert!(!o1.interpolated);
+        // o2 has no sample at t=2: interpolated between t=1 (1,1) and t=3
+        // (3,1); o1 and o3 have exact samples there.
+        assert_eq!(
+            snap.iter().collect::<Vec<_>>(),
+            vec![
+                (ObjectId(1), Point::new(2.0, 0.0)),
+                (ObjectId(2), Point::new(2.0, 1.0)),
+                (ObjectId(3), Point::new(2.0, 5.0)),
+            ]
+        );
     }
 
     #[test]
@@ -322,17 +313,21 @@ mod tests {
         let db = sample_db();
         let snap = db.snapshot(1, SnapshotPolicy::Interpolate);
         // o3 only exists from t=2.
-        assert!(snap.position_of(ObjectId(3)).is_none());
-        assert_eq!(snap.len(), 2);
+        let ids: Vec<_> = snap.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![ObjectId(1), ObjectId(2)]);
     }
 
     #[test]
     fn snapshot_position_lookup() {
         let db = sample_db();
         let snap = db.snapshot(0, SnapshotPolicy::Interpolate);
-        assert_eq!(snap.position_of(ObjectId(1)), Some(Point::new(0.0, 0.0)));
-        assert_eq!(snap.position_of(ObjectId(2)), Some(Point::new(0.0, 1.0)));
-        assert_eq!(snap.position_of(ObjectId(99)), None);
+        assert_eq!(
+            snap.iter().collect::<Vec<_>>(),
+            vec![
+                (ObjectId(1), Point::new(0.0, 0.0)),
+                (ObjectId(2), Point::new(0.0, 1.0)),
+            ]
+        );
     }
 
     #[test]
@@ -378,22 +373,24 @@ mod tests {
 
     #[test]
     fn snapshot_entries_are_sorted_by_object_id() {
-        // `Snapshot::position_of` binary-searches on the id, so snapshot
-        // extraction must emit entries in ascending id order regardless of
-        // insertion order.
+        // Snapshot extraction must emit entries in ascending id order
+        // regardless of insertion order: the sweep and the coverage reader
+        // match it entry for entry.
         let mut db = TrajectoryDatabase::new();
         for id in [40u64, 7, 23] {
             db.insert(ObjectId(id), traj(&[(id as f64, 0.0, 0)]));
         }
         let snap = db.snapshot(0, SnapshotPolicy::Interpolate);
-        let ids: Vec<u64> = snap.iter().map(|(id, _)| id.0).collect();
-        assert_eq!(ids, vec![7, 23, 40]);
-        for id in [7u64, 23, 40] {
-            assert_eq!(
-                snap.position_of(ObjectId(id)),
-                Some(Point::new(id as f64, 0.0))
-            );
-        }
+        let expected: Vec<_> = [7u64, 23, 40]
+            .map(|id| (ObjectId(id), Point::new(id as f64, 0.0)))
+            .into();
+        assert_eq!(snap.iter().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn snapshot_entry_is_an_id_and_a_position() {
+        // The per-tick read path builds one entry per live object.
+        assert_eq!(std::mem::size_of::<SnapshotEntry>(), 24);
     }
 
     #[test]
@@ -401,14 +398,10 @@ mod tests {
         // o1 covers [0, 4]: both closed endpoints contribute a position, the
         // ticks just outside do not.
         let db = sample_db();
-        assert!(db
-            .snapshot(0, SnapshotPolicy::Interpolate)
-            .position_of(ObjectId(1))
-            .is_some());
-        assert!(db
-            .snapshot(4, SnapshotPolicy::Interpolate)
-            .position_of(ObjectId(1))
-            .is_some());
+        for t in [0, 4] {
+            let snap = db.snapshot(t, SnapshotPolicy::Interpolate);
+            assert!(snap.iter().any(|(id, _)| id == ObjectId(1)));
+        }
         assert!(db.snapshot(5, SnapshotPolicy::Interpolate).is_empty());
         assert!(db.snapshot(-1, SnapshotPolicy::Interpolate).is_empty());
     }

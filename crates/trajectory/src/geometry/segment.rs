@@ -29,12 +29,6 @@ impl Segment {
         self.start.distance(&self.end)
     }
 
-    /// Returns `true` when both endpoints coincide.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.start == self.end
-    }
-
     /// The point on the segment at parameter `t ∈ [0, 1]` (clamped).
     #[inline]
     pub fn point_at(&self, t: f64) -> Point {
@@ -66,23 +60,6 @@ impl Segment {
     #[inline]
     pub fn distance_to_point(&self, p: &Point) -> f64 {
         self.closest_point(p).distance(p)
-    }
-
-    /// Perpendicular distance from `p` to the *infinite line* through this
-    /// segment. For a degenerate segment this falls back to the point
-    /// distance. This is the distance used by the classic Douglas–Peucker
-    /// algorithm (which measures against the line, not the segment).
-    pub fn perpendicular_distance(&self, p: &Point) -> f64 {
-        // lint: allow(checked-time-arithmetic) — Point vector subtraction (f64 coordinates), not ticks
-        let d = self.end - self.start;
-        let len = d.norm();
-        if len == 0.0 {
-            return self.start.distance(p);
-        }
-        // lint: allow(checked-time-arithmetic) — Point vector subtraction (f64 coordinates), not ticks
-        let v = *p - self.start;
-        // |cross product| / |d| gives the distance to the infinite line.
-        (d.x * v.y - d.y * v.x).abs() / len
     }
 
     /// `DLL(l_u, l_v)`: the shortest Euclidean distance between any two points
@@ -273,20 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn perpendicular_distance_ignores_segment_extent() {
-        let s = seg(0.0, 0.0, 10.0, 0.0);
-        // Perpendicular distance projects onto the infinite line.
-        assert_eq!(s.perpendicular_distance(&Point::new(13.0, 4.0)), 4.0);
-        assert_eq!(s.perpendicular_distance(&Point::new(5.0, -2.0)), 2.0);
-    }
-
-    #[test]
     fn degenerate_segment_behaves_like_point() {
         let s = seg(1.0, 1.0, 1.0, 1.0);
-        assert!(s.is_degenerate());
         assert_eq!(s.length(), 0.0);
         assert_eq!(s.distance_to_point(&Point::new(4.0, 5.0)), 5.0);
-        assert_eq!(s.perpendicular_distance(&Point::new(4.0, 5.0)), 5.0);
     }
 
     #[test]
@@ -459,9 +426,6 @@ mod tests {
             let d = s.distance_to_point(&p);
             prop_assert!(d <= p.distance(&s.start) + 1e-9);
             prop_assert!(d <= p.distance(&s.end) + 1e-9);
-            // Perpendicular (infinite line) distance can never exceed the
-            // segment distance.
-            prop_assert!(s.perpendicular_distance(&p) <= d + 1e-9);
         }
 
         #[test]

@@ -86,7 +86,6 @@ impl<'a> ObjectCursor<'a> {
             return Some(SnapshotEntry {
                 id: self.id,
                 position: before.position(),
-                interpolated: false,
             });
         }
         let after = &self.points[self.idx + 1];
@@ -94,7 +93,6 @@ impl<'a> ObjectCursor<'a> {
             || SnapshotEntry {
                 id: self.id,
                 position: TrajPoint::interpolate(before, after, t),
-                interpolated: true,
             },
         )
     }

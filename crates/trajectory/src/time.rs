@@ -149,24 +149,6 @@ impl TimePartition {
             done: false,
         }
     }
-
-    /// Returns the partition index that contains time `t`, or `None` when `t`
-    /// is outside the domain. A boundary time point, shared by two
-    /// consecutive partitions, belongs to the *later* one — except the
-    /// domain's last time point, which belongs to the final partition.
-    pub fn partition_of(&self, t: TimePoint) -> Option<usize> {
-        if !self.domain.contains(t) {
-            return None;
-        }
-        let step = self.lambda - 1;
-        // `t` is inside the domain, but the domain itself may span most of
-        // the i64 range, so the offset must not be computed bare.
-        let offset = t.saturating_sub(self.domain.start);
-        let idx = (offset / step) as usize;
-        // The last time point of the domain belongs to the final partition.
-        let last_idx = self.len().saturating_sub(1);
-        Some(idx.min(last_idx))
-    }
 }
 
 /// Iterator over the partitions of a [`TimePartition`].
@@ -295,17 +277,6 @@ mod tests {
         assert_eq!(parts, vec![TimeInterval::new(0, 3)]);
     }
 
-    #[test]
-    fn partition_of_locates_time_points() {
-        let p = TimePartition::new(TimeInterval::new(0, 10), 4);
-        assert_eq!(p.partition_of(0), Some(0));
-        assert_eq!(p.partition_of(2), Some(0));
-        assert_eq!(p.partition_of(3), Some(1)); // boundary of [0,3] and [3,6]: the later partition
-        assert_eq!(p.partition_of(10), Some(3));
-        assert_eq!(p.partition_of(11), None);
-        assert_eq!(p.partition_of(-1), None);
-    }
-
     proptest! {
         #[test]
         fn partitions_cover_domain_and_overlap_at_boundaries(
@@ -326,11 +297,9 @@ mod tests {
             for p in &parts[..parts.len() - 1] {
                 prop_assert_eq!(p.num_points(), lambda);
             }
-            // Every domain time point is inside the partition `partition_of`
-            // names for it.
+            // Every domain time point is inside some partition.
             for t in domain.iter() {
-                let idx = partition.partition_of(t).unwrap();
-                prop_assert!(parts[idx].contains(t));
+                prop_assert!(parts.iter().any(|p| p.contains(t)));
             }
         }
 

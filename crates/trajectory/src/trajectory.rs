@@ -156,11 +156,6 @@ impl Trajectory {
         })
     }
 
-    /// The timestamps of all samples.
-    pub fn sample_times(&self) -> impl Iterator<Item = TimePoint> + '_ {
-        self.points.iter().map(|p| p.t)
-    }
-
     /// The total Euclidean length of the polyline (sum of consecutive sample
     /// distances).
     pub fn path_length(&self) -> f64 {
@@ -279,12 +274,6 @@ mod tests {
         let b = t.bounding_box();
         assert_eq!(b.min, Point::new(0.0, 0.0));
         assert_eq!(b.max, Point::new(3.0, 4.0));
-    }
-
-    #[test]
-    fn sample_times_iteration() {
-        let t = traj(&[(0.0, 0.0, 1), (1.0, 0.0, 4), (2.0, 0.0, 9)]);
-        assert_eq!(t.sample_times().collect::<Vec<_>>(), vec![1, 4, 9]);
     }
 
     prop_compose! {
