@@ -10,7 +10,9 @@
 //!
 //! The counting allocator is process-global, which is why this test lives in
 //! its own integration-test binary: the `#[global_allocator]` would
-//! otherwise count every other test's allocations too.
+//! otherwise count every other test's allocations too. It counts per
+//! thread, so the tests of this binary, which the harness runs in parallel,
+//! never see each other's allocations.
 
 // The counting allocator is the one place in the workspace that needs
 // `unsafe`: implementing `GlobalAlloc` requires it by definition. The
@@ -18,8 +20,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 use traj_cluster::{snapshot_clusters, SnapshotClusterer};
 use trajectory::database::SnapshotEntry;
 use trajectory::geometry::Point;
@@ -27,14 +28,25 @@ use trajectory::{ObjectId, Snapshot};
 
 /// Forwards to the system allocator, counting every allocation call
 /// (`alloc`, `realloc` growth included — a `Vec` growing its capacity is an
-/// allocation the steady state must not perform).
+/// allocation the steady state must not perform) on the calling thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count. Every measured region runs on its
+    /// test's own thread, so the harness (spawning threads, printing
+    /// results) and sibling tests never leak into a measured window.
+    /// `const`-initialised without a destructor, so reaching it never
+    /// allocates; `try_with` skips threads that are being torn down.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -43,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,13 +64,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
-
-/// The counter is process-global but the test harness runs tests on
-/// parallel threads; every test takes this lock so no other test's
-/// allocations leak into a measured window.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Deterministic xorshift64* stream, so the snapshots are reproducible
 /// without pulling a RNG dependency into the measured binary.
@@ -93,7 +100,6 @@ fn snapshot(rng: &mut XorShift, time: i64, n: usize) -> Snapshot {
 
 #[test]
 fn warmed_clusterer_performs_zero_steady_state_allocations() {
-    let _guard = SERIAL.lock().unwrap();
     let mut rng = XorShift(0x9e3779b97f4a7c15);
     // Steady-state workload: 60 ticks of 400 objects (dense enough for real
     // clusters — e = 3 over a 100×100 world groups most of them).
@@ -133,7 +139,6 @@ fn warmed_clusterer_performs_zero_steady_state_allocations() {
 
 #[test]
 fn warmed_clusterer_stays_allocation_free_across_varying_tick_sizes() {
-    let _guard = SERIAL.lock().unwrap();
     // Shrinking ticks must also be free: every buffer is sized by the
     // *largest* snapshot seen, so smaller ones fit without growth.
     let mut rng = XorShift(0x2545f4914f6cdd1d);
@@ -161,7 +166,6 @@ fn warmed_clusterer_stays_allocation_free_across_varying_tick_sizes() {
 
 #[test]
 fn clusterer_output_still_matches_one_shot_clustering() {
-    let _guard = SERIAL.lock().unwrap();
     // Sanity inside the counting binary: the allocation-free path is the
     // same clustering, not a cheaper approximation.
     let mut rng = XorShift(0xdeadbeefcafef00d);

@@ -1,39 +1,12 @@
-//! Candidate convoy bookkeeping shared by CMC and the CuTS filter step.
+//! Candidate bookkeeping of the [`crate::engine::CmcState`] fold, shared by
+//! CMC's ticks and the CuTS filter's λ-partitions.
 
 use crate::query::Convoy;
 use traj_cluster::Cluster;
 use trajectory::{ObjectId, TimePoint};
 
-/// A convoy candidate under construction: a set of objects that have stayed
-/// in a common (snapshot or partition) cluster since `start`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CandidateConvoy {
-    /// The objects currently shared by every cluster of the candidate's chain.
-    pub objects: Cluster,
-    /// Time point (or partition start) at which the chain began.
-    pub start: TimePoint,
-    /// Last time point (or partition end) the chain has been extended to.
-    pub end: TimePoint,
-}
-
-impl CandidateConvoy {
-    /// Creates a fresh candidate from a cluster discovered over
-    /// `[start, end]`.
-    pub fn new(objects: Cluster, start: TimePoint, end: TimePoint) -> Self {
-        CandidateConvoy {
-            objects,
-            start: start.min(end),
-            end: start.max(end),
-        }
-    }
-
-    /// The candidate's lifetime in time points (`end - start + 1`),
-    /// saturating at `i64::MAX` for candidates spanning the full tick range.
-    pub fn lifetime(&self) -> i64 {
-        self.end.saturating_sub(self.start).saturating_add(1)
-    }
-
-    /// The candidate extended with `cluster` observed up to `new_end`: the
+impl Convoy {
+    /// The chain extended with `cluster` observed up to `new_end`: the
     /// members both share (written into `buffer`, whose contents are
     /// replaced and whose storage is reused), the same start, and an end
     /// that never moves backwards. The overlap has already been counted
@@ -44,28 +17,23 @@ impl CandidateConvoy {
         cluster: &Cluster,
         new_end: TimePoint,
         mut buffer: Cluster,
-    ) -> CandidateConvoy {
+    ) -> Convoy {
         self.objects.intersection_into(cluster, &mut buffer);
-        CandidateConvoy {
+        Convoy {
             objects: buffer,
             start: self.start,
             end: new_end.max(self.end),
         }
     }
-
-    /// Converts the candidate into a reported convoy.
-    pub fn into_convoy(self) -> Convoy {
-        Convoy::new(self.objects, self.start, self.end)
-    }
 }
 
-/// A per-tick object → cluster index: the extension step of Algorithm 1
+/// A per-unit object → cluster index: the extension step of Algorithm 1
 /// (and of the CuTS filter's partition fold) as an indexed join of the open
-/// candidates with one tick's clusters on object id.
+/// candidates with one tick's (or λ-partition's) clusters on object id.
 ///
 /// The all-pairs loop intersects every candidate with every cluster, which
 /// costs |candidates| × |clusters| merges, almost all of them empty on dense
-/// data. The index instead holds the tick's `(object, cluster index)` pairs
+/// data. The index instead holds the unit's `(object, cluster index)` pairs
 /// sorted by object; a candidate looks up each of its members, counts hits
 /// per cluster, and only the clusters with at least `m` hits are returned.
 ///
@@ -76,10 +44,10 @@ impl CandidateConvoy {
 /// closes candidates in the same order. That holds for overlapping cluster
 /// lists too.
 ///
-/// The buffers are reused across ticks: a warmed index allocates nothing.
+/// The buffers are reused across units: a warmed index allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OverlapIndex {
-    /// The tick's `(object, cluster index)` pairs, sorted.
+    /// The unit's `(object, cluster index)` pairs, sorted.
     pairs: Vec<(ObjectId, usize)>,
     /// Per-cluster hit counters, all zero between lookups.
     hits: Vec<usize>,
@@ -88,7 +56,7 @@ pub(crate) struct OverlapIndex {
 }
 
 impl OverlapIndex {
-    /// Rebuilds the index over one tick's clusters.
+    /// Rebuilds the index over one unit's clusters.
     // lint: hot-path — rebuilt every tick into reused buffers
     pub(crate) fn rebuild(&mut self, clusters: &[Cluster]) {
         self.pairs.clear();
@@ -143,16 +111,8 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_counts_inclusive_points() {
-        let c = CandidateConvoy::new(cluster(&[1, 2]), 3, 7);
-        assert_eq!(c.lifetime(), 5);
-        // Reversed bounds are normalised.
-        assert_eq!(CandidateConvoy::new(cluster(&[1]), 7, 3).start, 3);
-    }
-
-    #[test]
     fn extension_keeps_intersection_and_grows_interval() {
-        let c = CandidateConvoy::new(cluster(&[1, 2, 3, 4]), 0, 2);
+        let c = Convoy::new(cluster(&[1, 2, 3, 4]), 0, 2);
         let clusters = [
             cluster(&[4, 9]),
             cluster(&[2, 3, 4, 5]),
@@ -174,13 +134,5 @@ mod tests {
         // An empty tick extends nothing.
         index.rebuild(&[]);
         assert!(index.extending(&c.objects, 0).is_empty());
-    }
-
-    #[test]
-    fn conversion_to_convoy() {
-        let convoy = CandidateConvoy::new(cluster(&[5, 6]), 10, 20).into_convoy();
-        assert_eq!(convoy.objects, cluster(&[5, 6]));
-        assert_eq!(convoy.start, 10);
-        assert_eq!(convoy.end, 20);
     }
 }

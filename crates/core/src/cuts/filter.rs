@@ -6,11 +6,11 @@
 //! across partitions into **candidate convoys** — a superset of the true
 //! convoys, which the refinement step then verifies.
 
-use crate::candidate::CandidateConvoy;
-use crate::cuts::partition::{cluster_partition, CandidateChain, PartitionClusters};
+use crate::cuts::partition::{cluster_partition, PartitionClusters};
 use crate::cuts::CutsConfig;
+use crate::engine::CmcState;
 use crate::params::{auto_delta, auto_lambda};
-use crate::query::ConvoyQuery;
+use crate::query::{Convoy, ConvoyQuery};
 use std::collections::BTreeSet;
 use traj_cluster::SubTrajectory;
 use traj_simplify::SimplifiedTrajectory;
@@ -20,9 +20,11 @@ use trajectory::{ObjectId, TimeInterval, TimePartition, TrajectoryDatabase};
 /// refinement step and the benchmark harness need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterOutput {
-    /// Candidate convoys (a superset of the true convoys, at partition
-    /// granularity).
-    pub candidates: Vec<CandidateConvoy>,
+    /// Candidate convoys: the chains of partition clusters that lived at
+    /// least `k` points, at partition granularity and not yet refined (a
+    /// superset of the true convoys, which the refinement verifies tick by
+    /// tick).
+    pub candidates: Vec<Convoy>,
     /// Every λ-partition's clusters, in window order — the per-tick object
     /// coverage the refinement fold restricts its snapshots to
     /// ([`crate::cuts::refine::refine_partitions`]).
@@ -96,11 +98,11 @@ pub fn filter_simplified(
     let mode = config.tolerance_mode;
     let partition = TimePartition::new(domain, TimePartition::clamp_lambda(lambda) as i64);
 
-    // The partition loop proper lives in `cuts::partition`, shared with the
-    // streaming filter: cluster each λ-partition's sub-trajectories, fold the
-    // clusters into candidate chains.
+    // The partition loop is shared with the streaming filter: cluster each
+    // λ-partition's sub-trajectories (`cuts::partition`), fold the clusters
+    // into candidate chains through the CMC fold.
     let mut partitions: Vec<PartitionClusters> = Vec::with_capacity(partition.len());
-    let mut chain = CandidateChain::new(query);
+    let mut chain = CmcState::new(query);
 
     // The active set: indices into `simplified` of the trajectories whose
     // interval can still meet the current window. Simplified segments cover
@@ -131,7 +133,7 @@ pub fn filter_simplified(
             })
             .collect();
         let clustered = cluster_partition(window, &items, query, distance, mode);
-        chain.fold(&clustered);
+        chain.ingest_partition(&clustered);
         partitions.push(clustered);
     }
 

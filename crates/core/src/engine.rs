@@ -6,8 +6,11 @@
 //! * [`CmcState`] — the incremental core: ingest one snapshot (or one tick's
 //!   clusters), emit the convoys that closed at that tick. Every engine, the
 //!   CuTS refinement step and streaming ingest all fold through this one
-//!   state machine, so there is a single implementation of the candidate
-//!   bookkeeping (including the per-step candidate de-duplication).
+//!   state machine, and so does the CuTS filter: its chaining of λ-partition
+//!   clusters into candidates (Algorithm 2) is the same extend-or-close step
+//!   over a window instead of a tick ([`CmcState::ingest_partition`]). There
+//!   is a single implementation of the candidate bookkeeping (including the
+//!   per-step candidate de-duplication), for ticks and partitions alike.
 //! * [`CmcEngine`] — the execution strategy, run through
 //!   [`CmcEngine::run_windowed_with_stats_obs`]: the swept single-pass
 //!   cursor (one sequential loop over a [`SnapshotSweep`]) or the
@@ -39,7 +42,8 @@
 //! index and intersects only the pairs that keep at least `m` objects: the
 //! same run folds in 0.09 s of 0.52 s, a 1.55× speedup.
 
-use crate::candidate::{CandidateConvoy, OverlapIndex};
+use crate::candidate::OverlapIndex;
+use crate::cuts::partition::PartitionClusters;
 use crate::metrics::FoldWork;
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
@@ -85,7 +89,7 @@ use trajectory::{
 #[derive(Debug, Clone)]
 pub struct CmcState {
     query: ConvoyQuery,
-    current: Vec<CandidateConvoy>,
+    current: Vec<Convoy>,
     closed: Vec<Convoy>,
     peak_candidates: usize,
     last_tick: Option<TimePoint>,
@@ -96,9 +100,9 @@ pub struct CmcState {
     /// per fold, so [`CmcState::ingest_snapshot`] allocates nothing in
     /// steady state.
     clusterer: SnapshotClusterer,
-    /// Double buffer for the per-tick candidate turnover (swapped with
-    /// `current` at the end of every [`CmcState::ingest_clusters`]).
-    next: Vec<CandidateConvoy>,
+    /// Double buffer for the per-step candidate turnover (swapped with
+    /// `current` at the end of every fold step, tick or partition).
+    next: Vec<Convoy>,
     /// Per-tick dedup index over `next`: hash of `(objects, start)` → first
     /// `next` index with that hash; `dedup_chain[i]` links further entries
     /// sharing the hash (`u32::MAX` terminates). Exact — a hash hit is
@@ -137,7 +141,8 @@ pub struct CmcStats {
     /// [`CmcState::peak_candidates`]).
     pub peak_candidates: usize,
     /// Number of ticks ingested via [`CmcState::ingest_snapshot`] /
-    /// [`CmcState::ingest_clusters`].
+    /// [`CmcState::ingest_clusters`] (partitions, for a fold driven by
+    /// [`CmcState::ingest_partition`]).
     pub ticks_ingested: u64,
     /// Number of candidate chains force-closed because a tick was *skipped*
     /// (the feed-outage path): an unobserved tick closes every open chain,
@@ -156,14 +161,14 @@ pub struct CmcStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CmcStateSnapshot {
     /// Open candidate chains, in fold order.
-    pub current: Vec<CandidateConvoy>,
+    pub current: Vec<Convoy>,
     /// Convoys closed but not yet drained.
     pub closed: Vec<Convoy>,
     /// Largest number of simultaneously open chains observed.
     pub peak_candidates: usize,
-    /// The last ingested tick.
+    /// The last ingested tick (the last window's end, for partitions).
     pub last_tick: Option<TimePoint>,
-    /// Number of ticks ingested so far.
+    /// Number of ticks (or partitions) ingested so far.
     pub ticks_ingested: u64,
     /// Chains force-closed by feed gaps.
     pub gap_closures: u64,
@@ -251,16 +256,51 @@ impl CmcState {
     /// candidate first: an unobserved tick has no clusters, and a convoy must
     /// be density-connected at *every* time point of its interval, so no
     /// chain may silently span ticks the state never saw.
-    // lint: hot-path — the per-tick fold reuses its scratch buffers; steady state must not allocate
     pub fn ingest_clusters(&mut self, t: TimePoint, clusters: &[Cluster]) {
-        if let Some(last) = self.last_tick {
-            debug_assert!(last < t, "ticks must be ingested in increasing order");
-            if t > last + 1 {
-                self.gap_closures += self.current.len() as u64;
-                self.close_all_candidates();
-            }
+        debug_assert!(
+            self.last_tick.is_none_or(|last| last < t),
+            "ticks must be ingested in increasing order"
+        );
+        self.fold_unit(t, t, clusters);
+    }
+
+    /// Folds one λ-partition's clusters into the candidate chains: the
+    /// chaining half of the CuTS filter (Algorithm 2, lines 13–22), the same
+    /// extend-or-close step as [`CmcState::ingest_clusters`] over a window
+    /// instead of a tick. A fresh chain spans the window; an extended chain
+    /// ends at the window's end. The closed chains are *candidates* at
+    /// partition granularity, which the refinement then verifies.
+    ///
+    /// Windows must arrive in order and contiguous: each starts on the
+    /// previous window's end, as consecutive [`trajectory::TimePartition`]
+    /// windows share their boundary point (debug-asserted to never start
+    /// before it). A window that starts later leaves a gap, which closes the
+    /// open chains and counts as [`CmcStats::gap_closures`] exactly as a
+    /// skipped tick does.
+    pub fn ingest_partition(&mut self, partition: &PartitionClusters) {
+        let window = partition.window;
+        debug_assert!(
+            self.last_tick.is_none_or(|last| last <= window.start),
+            "partitions must be ingested in window order"
+        );
+        self.fold_unit(window.start, window.end, &partition.clusters);
+    }
+
+    /// The fold step behind both entry points: extends the open chains with
+    /// the clusters observed over the unit `[start, end]`, closes the ones
+    /// that fail to extend and starts a chain from every cluster that
+    /// extended none. A unit that starts more than one point after the
+    /// previous unit's end first closes every open chain (a gap).
+    // lint: hot-path — the per-tick fold reuses its scratch buffers; steady state must not allocate
+    fn fold_unit(&mut self, start: TimePoint, end: TimePoint, clusters: &[Cluster]) {
+        if self
+            .last_tick
+            .is_some_and(|last| start.saturating_sub(last) > 1)
+        {
+            self.gap_closures += self.current.len() as u64;
+            self.close_all_candidates();
         }
-        self.last_tick = Some(t);
+        self.last_tick = Some(end);
         self.ticks_ingested = self.ticks_ingested.saturating_add(1);
 
         self.next.clear();
@@ -288,7 +328,7 @@ impl CmcState {
             for &ci in extending {
                 self.assigned[ci] = true;
                 let spare = self.spare.pop().unwrap_or_default();
-                let grown = candidate.extended(&clusters[ci], t, spare);
+                let grown = candidate.extended(&clusters[ci], end, spare);
                 if dedup_register(
                     &mut self.dedup_heads,
                     &mut self.dedup_chain,
@@ -302,7 +342,7 @@ impl CmcState {
                 }
             }
             if extending.is_empty() && candidate.lifetime() >= k {
-                self.closed.push(candidate.into_convoy());
+                self.closed.push(candidate);
                 self.convoys_closed += 1;
             } else {
                 self.spare.push(candidate.objects);
@@ -316,15 +356,15 @@ impl CmcState {
                     &mut self.dedup_chain,
                     &self.next,
                     cluster,
-                    t,
+                    start,
                 )
             {
                 // The dedup check above runs on the borrowed cluster, so
                 // duplicates never copy; new candidates reuse the member
-                // buffers of the chains this tick consumed.
+                // buffers of the chains this unit consumed.
                 let mut objects = self.spare.pop().unwrap_or_default();
                 objects.clone_from(cluster);
-                self.next.push(CandidateConvoy::new(objects, t, t));
+                self.next.push(Convoy::new(objects, start, end));
             }
         }
 
@@ -348,12 +388,7 @@ impl CmcState {
     /// Closes every open candidate (what an empty tick does), reporting the
     /// ones that satisfy the lifetime constraint.
     fn close_all_candidates(&mut self) {
-        for candidate in std::mem::take(&mut self.current) {
-            if candidate.lifetime() >= self.query.k as i64 {
-                self.closed.push(candidate.into_convoy());
-                self.convoys_closed += 1;
-            }
-        }
+        self.close_where(|_| true);
     }
 
     /// Number of candidate chains currently open.
@@ -408,21 +443,36 @@ impl CmcState {
     /// both memory and result latency. A candidate at exactly the horizon is
     /// closed intact, not dropped.
     pub fn evict_longer_than(&mut self, max_lifetime: i64) -> usize {
+        self.close_where(|candidate| candidate.lifetime() >= max_lifetime)
+    }
+
+    /// Closes the open chains that started before `cutoff`, reporting those
+    /// that satisfy the lifetime constraint. Returns the number of chains
+    /// closed. This is the coarse-filter side of windowed eviction: a
+    /// long-lived feed must not keep partition chains from an unbounded past
+    /// open.
+    pub fn close_started_before(&mut self, cutoff: TimePoint) -> usize {
+        self.close_where(|candidate| candidate.start < cutoff)
+    }
+
+    /// Closes the open candidates matching `doomed`, keeping the others in
+    /// order and reporting the closed ones that satisfy `k`. Returns the
+    /// number closed.
+    fn close_where(&mut self, mut doomed: impl FnMut(&Convoy) -> bool) -> usize {
         let k = self.query.k as i64;
-        let current = std::mem::take(&mut self.current);
-        let mut evicted = 0;
-        for candidate in current {
-            if candidate.lifetime() >= max_lifetime {
-                evicted += 1;
-                if candidate.lifetime() >= k {
-                    self.closed.push(candidate.into_convoy());
-                    self.convoys_closed += 1;
-                }
-            } else {
+        let mut closed = 0;
+        for candidate in std::mem::take(&mut self.current) {
+            if !doomed(&candidate) {
                 self.current.push(candidate);
+                continue;
+            }
+            closed += 1;
+            if candidate.lifetime() >= k {
+                self.closed.push(candidate);
+                self.convoys_closed += 1;
             }
         }
-        evicted
+        closed
     }
 
     /// Force-closes the oldest open candidates (smallest start, ties broken
@@ -444,18 +494,9 @@ impl CmcState {
         for &i in by_age.iter().take(excess) {
             doomed[i] = true;
         }
-        let k = self.query.k as i64;
-        let current = std::mem::take(&mut self.current);
-        for (i, candidate) in current.into_iter().enumerate() {
-            if doomed[i] {
-                if candidate.lifetime() >= k {
-                    self.closed.push(candidate.into_convoy());
-                    self.convoys_closed += 1;
-                }
-            } else {
-                self.current.push(candidate);
-            }
-        }
+        // `close_where` visits the candidates in order.
+        let mut doomed = doomed.into_iter();
+        self.close_where(|_| doomed.next().unwrap_or(false));
         excess
     }
 
@@ -516,7 +557,7 @@ impl CmcState {
 fn dedup_register(
     heads: &mut HashMap<u64, u32>,
     chain: &mut Vec<u32>,
-    next: &[CandidateConvoy],
+    next: &[Convoy],
     objects: &Cluster,
     start: TimePoint,
 ) -> bool {

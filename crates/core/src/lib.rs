@@ -53,7 +53,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod candidate;
+mod candidate;
 #[cfg(test)]
 mod cmc;
 pub mod cuts;
@@ -64,10 +64,7 @@ pub mod metrics;
 pub mod params;
 pub mod query;
 
-pub use candidate::CandidateConvoy;
-pub use cuts::partition::{
-    cluster_partition, CandidateChain, CandidateChainSnapshot, PartitionClusters,
-};
+pub use cuts::partition::{cluster_partition, PartitionClusters};
 pub use cuts::refine::{refine_partitions, FoldOutcome, RefineFold, RefineFoldSnapshot};
 pub use cuts::{CutsConfig, CutsVariant};
 pub use discovery::{Discovery, DiscoveryOutcome, Method};

@@ -3,9 +3,9 @@
 //! registry views of them. Stage timings are the `discover.*` spans
 //! themselves.
 
-use crate::candidate::CandidateConvoy;
 use crate::discovery::DiscoveryOutcome;
 use crate::engine::CmcStats;
+use crate::query::Convoy;
 use convoy_obs::Registry;
 use traj_cluster::ClusterCounts;
 
@@ -80,7 +80,7 @@ impl FoldWork {
 ///
 /// The paper's example: a candidate with 3 objects and lifetime 2 contributes
 /// `3² × 2 = 18` units.
-pub fn refinement_unit(candidates: &[CandidateConvoy]) -> f64 {
+pub fn refinement_unit(candidates: &[Convoy]) -> f64 {
     candidates
         .iter()
         .map(|c| {
@@ -150,8 +150,8 @@ mod tests {
     use traj_cluster::Cluster;
     use trajectory::ObjectId;
 
-    fn candidate(ids: &[u64], start: i64, end: i64) -> CandidateConvoy {
-        CandidateConvoy::new(
+    fn candidate(ids: &[u64], start: i64, end: i64) -> Convoy {
+        Convoy::new(
             Cluster::new(ids.iter().map(|i| ObjectId(*i)).collect()),
             start,
             end,

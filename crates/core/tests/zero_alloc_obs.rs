@@ -26,7 +26,8 @@
 //!    adds **exactly zero** allocations over the no-op recorder.
 //!
 //! The counting allocator is process-global, which is why this lives in its
-//! own integration-test binary.
+//! own integration-test binary; it counts per thread, so tests running in
+//! parallel on the harness's threads never see each other's allocations.
 
 // The counting allocator is one of the two sanctioned `unsafe` exceptions in
 // the workspace (see the workspace Cargo.toml's lints comment): implementing
@@ -37,8 +38,8 @@
 use convoy_core::{CmcState, ConvoyQuery};
 use convoy_obs::{Obs, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 use traj_cluster::{Cluster, SnapshotClusterer};
 use trajectory::database::SnapshotEntry;
 use trajectory::geometry::Point;
@@ -46,14 +47,25 @@ use trajectory::{ObjectId, Snapshot};
 
 /// Forwards to the system allocator, counting every allocation call
 /// (`alloc`, `realloc` growth included — a `Vec` growing its capacity is an
-/// allocation the steady state must not perform).
+/// allocation the steady state must not perform) on the calling thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count. Every measured region runs on its
+    /// test's own thread, so the harness (spawning threads, printing
+    /// results) and sibling tests never leak into a measured window.
+    /// `const`-initialised without a destructor, so reaching it never
+    /// allocates; `try_with` skips threads that are being torn down.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -62,7 +74,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -71,20 +83,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// The counter is process-global but the test harness runs tests on
-/// parallel threads; every test takes this lock so no other test's
-/// allocations leak into a measured window. A failing sibling only poisons
-/// the lock, it does not invalidate the serialization, so poisoning is
-/// ignored rather than cascading one failure into three.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Deterministic xorshift64* stream, so the snapshots are reproducible
@@ -149,7 +148,6 @@ fn convoy_snapshot(rng: &mut XorShift, time: i64, groups: usize) -> Snapshot {
 
 #[test]
 fn warmed_clusterer_with_live_registry_performs_zero_allocations() {
-    let _guard = serial();
     let registry = Arc::new(Registry::new());
     let mut rng = XorShift(0x9e3779b97f4a7c15);
     let ticks: Vec<Snapshot> = (0..40).map(|t| snapshot(&mut rng, t, 300)).collect();
@@ -213,7 +211,6 @@ fn warmed_clusterer_with_live_registry_performs_zero_allocations() {
 
 #[test]
 fn quiescent_cmc_fold_with_live_registry_performs_zero_allocations() {
-    let _guard = serial();
     let registry = Arc::new(Registry::new());
     let mut rng = XorShift(0x2545f4914f6cdd1d);
 
@@ -255,7 +252,6 @@ fn quiescent_cmc_fold_with_live_registry_performs_zero_allocations() {
 
 #[test]
 fn warmed_fold_without_extensions_performs_zero_allocations() {
-    let _guard = serial();
     const GROUPS: u64 = 10;
     // Layout A groups ids 6g..6g+5; layout B takes two ids from each of
     // three consecutive A groups. Every A cluster shares exactly two objects
@@ -313,7 +309,6 @@ fn warmed_fold_without_extensions_performs_zero_allocations() {
 
 #[test]
 fn live_registry_adds_zero_allocations_to_a_full_cmc_workload() {
-    let _guard = serial();
     // Candidate extension and creation own their member storage, so a busy
     // fold allocates by design; the obs guarantee is that recording adds
     // *nothing on top*. Run the identical warmed workload twice — no-op
@@ -335,32 +330,14 @@ fn live_registry_adds_zero_allocations_to_a_full_cmc_workload() {
         (allocs, state.stats().convoys_closed, calls)
     };
 
-    // The exact-equality comparison is sensitive to ambient allocations from
-    // the test harness thread (it prints sibling results while this body
-    // runs), so take the minimum over three attempts per recorder: rare
-    // one-off noise is filtered, while a real recording cost would show up
-    // in every attempt.
-    let mut noop_allocs = u64::MAX;
-    let mut noop_closed = 0;
-    for _ in 0..3 {
-        let (allocs, closed, _) = measured(Obs::noop());
-        noop_allocs = noop_allocs.min(allocs);
-        noop_closed = closed;
-    }
-    let mut live_allocs = u64::MAX;
-    let mut live_closed = 0;
-    let mut recorded_ticks = 0;
-    for _ in 0..3 {
-        let registry = Arc::new(Registry::new());
-        let (allocs, closed, calls) = measured(Obs::registry(registry.clone()));
-        live_allocs = live_allocs.min(allocs);
-        live_closed = closed;
-        recorded_ticks = registry
-            .snapshot()
-            .histogram("cmc.clusters_per_tick")
-            .map_or(0, |h| h.count);
-        assert_eq!(calls, 120);
-    }
+    let (noop_allocs, noop_closed, _) = measured(Obs::noop());
+    let registry = Arc::new(Registry::new());
+    let (live_allocs, live_closed, calls) = measured(Obs::registry(registry.clone()));
+    let recorded_ticks = registry
+        .snapshot()
+        .histogram("cmc.clusters_per_tick")
+        .map_or(0, |h| h.count);
+    assert_eq!(calls, 120);
 
     assert_eq!(
         noop_closed, live_closed,

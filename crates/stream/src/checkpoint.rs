@@ -51,8 +51,7 @@ use crate::buffer::ObjectBuffer;
 use crate::config::{EvictionPolicy, StreamConfig};
 use crate::stream::ConvoyStream;
 use convoy_core::{
-    CandidateChain, CandidateChainSnapshot, CandidateConvoy, CmcStateSnapshot, Convoy, ConvoyQuery,
-    CutsVariant, RefineFold, RefineFoldSnapshot,
+    CmcState, CmcStateSnapshot, Convoy, ConvoyQuery, CutsVariant, RefineFold, RefineFoldSnapshot,
 };
 use convoy_obs::Obs;
 use std::collections::BTreeMap;
@@ -174,17 +173,8 @@ impl Enc {
             self.u64(id.0);
         }
     }
-    fn candidate(&mut self, c: &CandidateConvoy) {
-        self.members(&c.objects);
-        self.i64(c.start);
-        self.i64(c.end);
-    }
-    fn candidates(&mut self, cs: &[CandidateConvoy]) {
-        self.u64(cs.len() as u64);
-        for c in cs {
-            self.candidate(c);
-        }
-    }
+    /// Open chains, closed chains and convoys share one layout: members,
+    /// start, end.
     fn convoys(&mut self, cs: &[Convoy]) {
         self.u64(cs.len() as u64);
         for c in cs {
@@ -194,7 +184,7 @@ impl Enc {
         }
     }
     fn cmc_state(&mut self, s: &CmcStateSnapshot) {
-        self.candidates(&s.current);
+        self.convoys(&s.current);
         self.convoys(&s.closed);
         self.u64(s.peak_candidates as u64);
         self.opt_i64(s.last_tick);
@@ -261,21 +251,6 @@ fn members(d: &mut ByteReader<'_>) -> Result<Cluster, CheckpointError> {
     Ok(Cluster::new(ids))
 }
 
-fn candidate(d: &mut ByteReader<'_>) -> Result<CandidateConvoy, CheckpointError> {
-    let objects = members(d)?;
-    let start = d.i64()?;
-    let end = d.i64()?;
-    if start > end {
-        return Err(CheckpointError::Malformed("candidate interval inverted"));
-    }
-    Ok(CandidateConvoy::new(objects, start, end))
-}
-
-fn candidates(d: &mut ByteReader<'_>) -> Result<Vec<CandidateConvoy>, CheckpointError> {
-    let n = len_prefix(d, 24)?;
-    (0..n).map(|_| candidate(d)).collect()
-}
-
 fn convoys(d: &mut ByteReader<'_>) -> Result<Vec<Convoy>, CheckpointError> {
     let n = len_prefix(d, 24)?;
     (0..n)
@@ -293,7 +268,7 @@ fn convoys(d: &mut ByteReader<'_>) -> Result<Vec<Convoy>, CheckpointError> {
 
 fn cmc_state(d: &mut ByteReader<'_>) -> Result<CmcStateSnapshot, CheckpointError> {
     Ok(CmcStateSnapshot {
-        current: candidates(d)?,
+        current: convoys(d)?,
         closed: convoys(d)?,
         peak_candidates: d.u64()? as usize,
         last_tick: opt(d, ByteReader::i64)?,
@@ -410,13 +385,16 @@ impl ConvoyStream {
             }
         });
 
+        // The chain folds contiguous partitions, which never gap: its last
+        // window end and its closure counters shape no output, so only its
+        // open and closed chains, its peak and its unit count are stored.
         let chain = self.chain.export_state();
         e.section(TAG_FILTER, |e| {
             e.opt_i64(self.partition_start);
-            e.candidates(&chain.current);
-            e.candidates(&chain.closed);
-            e.u64(chain.peak_open as u64);
-            e.u64(chain.partitions_folded);
+            e.convoys(&chain.current);
+            e.convoys(&chain.closed);
+            e.u64(chain.peak_candidates as u64);
+            e.u64(chain.ticks_ingested);
         });
 
         let fold = self.fold.export_state();
@@ -440,7 +418,7 @@ impl ConvoyStream {
 
         e.section(TAG_OUTPUT, |e| {
             e.convoys(&self.ready);
-            e.candidates(&self.ready_candidates);
+            e.convoys(&self.ready_candidates);
         });
 
         e.section(TAG_STATS, |e| {
@@ -557,11 +535,14 @@ impl ConvoyStream {
 
         let mut s = section(&mut d, TAG_FILTER)?;
         let partition_start = opt(&mut s, ByteReader::i64)?;
-        let chain = CandidateChainSnapshot {
-            current: candidates(&mut s)?,
-            closed: candidates(&mut s)?,
-            peak_open: s.u64()? as usize,
-            partitions_folded: s.u64()?,
+        let chain = CmcStateSnapshot {
+            current: convoys(&mut s)?,
+            closed: convoys(&mut s)?,
+            peak_candidates: s.u64()? as usize,
+            last_tick: None,
+            ticks_ingested: s.u64()?,
+            gap_closures: 0,
+            convoys_closed: 0,
         };
         finish_section(s, "trailing bytes in filter section")?;
 
@@ -597,7 +578,7 @@ impl ConvoyStream {
 
         let mut s = section(&mut d, TAG_OUTPUT)?;
         let ready = convoys(&mut s)?;
-        let ready_candidates = candidates(&mut s)?;
+        let ready_candidates = convoys(&mut s)?;
         finish_section(s, "trailing bytes in output section")?;
 
         let mut s = section(&mut d, TAG_STATS)?;
@@ -615,7 +596,7 @@ impl ConvoyStream {
         stream.watermark = watermark;
         stream.buffers = buffers;
         stream.partition_start = partition_start;
-        stream.chain = CandidateChain::from_state(&config.query, chain);
+        stream.chain = CmcState::from_state(&config.query, chain);
         stream.fold = RefineFold::from_state(
             &config.query,
             config.eviction.horizon,

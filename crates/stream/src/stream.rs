@@ -12,10 +12,11 @@
 //! ObjectBuffer per object              (samples_buffered)
 //!   │  watermark passes a λ-partition end, every object resolved
 //!   ▼
-//! sliding-window DP  ──►  cluster_partition  ──►  CandidateChain
-//!   │                        (shared with the batch filter)
+//! sliding-window DP  ──►  cluster_partition  ──►  CmcState::ingest_partition
+//!   │                     (both shared with the batch filter; the candidate
+//!   │                      chain is the CMC fold over λ-windows)
 //!   ▼
-//! RefineFold: coverage-restricted CmcState fold, eviction hooks
+//! RefineFold: coverage-restricted CmcState fold over ticks, eviction hooks
 //!   │
 //!   ▼
 //! drain() → confirmed convoys         (StreamStats)
@@ -42,8 +43,8 @@ use crate::buffer::ObjectBuffer;
 use crate::config::{EvictionPolicy, StreamConfig, StreamStats};
 use convoy_core::cuts::filter::simplify_database;
 use convoy_core::{
-    auto_delta, auto_lambda, cluster_partition, CandidateChain, CandidateConvoy, Convoy,
-    ConvoyQuery, CutsConfig, Discovery, FoldWork, RefineFold,
+    auto_delta, auto_lambda, cluster_partition, CmcState, Convoy, ConvoyQuery, CutsConfig,
+    Discovery, FoldWork, RefineFold,
 };
 use convoy_obs::{Obs, SpanId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,7 +75,7 @@ pub struct StreamOutcome {
     pub convoys: Vec<Convoy>,
     /// Coarse filter candidates not taken by
     /// [`ConvoyStream::drain_candidates`] before the stream finished.
-    pub candidates: Vec<CandidateConvoy>,
+    pub candidates: Vec<Convoy>,
     /// The stream's lifetime counters.
     pub stats: StreamStats,
 }
@@ -121,10 +122,11 @@ pub struct ConvoyStream {
     /// Pure cache: `None` is always a valid value (the next `advance` falls
     /// back to the full scan), so checkpoints simply do not store it.
     pub(crate) blocker: Option<ObjectId>,
-    pub(crate) chain: CandidateChain,
+    /// The coarse candidate chain: the CMC fold over λ-partitions.
+    pub(crate) chain: CmcState,
     pub(crate) fold: RefineFold,
     pub(crate) ready: Vec<Convoy>,
-    pub(crate) ready_candidates: Vec<CandidateConvoy>,
+    pub(crate) ready_candidates: Vec<Convoy>,
     pub(crate) partitions_closed: u64,
     pub(crate) filter_candidates: u64,
     pub(crate) chain_evicted: u64,
@@ -163,7 +165,7 @@ impl ConvoyStream {
             buffers: BTreeMap::new(),
             partition_start: None,
             blocker: None,
-            chain: CandidateChain::new(&config.query),
+            chain: CmcState::new(&config.query),
             fold: RefineFold::with_eviction(&config.query, horizon, max_candidates),
             ready: Vec::new(),
             ready_candidates: Vec::new(),
@@ -220,7 +222,7 @@ impl ConvoyStream {
     /// deliberately do **not** gate the refinement fold: exactness requires
     /// the fold's coverage to come from whole partition clusters (see
     /// [`convoy_core::cuts::refine`]), not from the intersected chains.
-    pub fn drain_candidates(&mut self) -> Vec<CandidateConvoy> {
+    pub fn drain_candidates(&mut self) -> Vec<Convoy> {
         std::mem::take(&mut self.ready_candidates)
     }
 
@@ -230,7 +232,7 @@ impl ConvoyStream {
             fold: self.fold.stats(),
             partitions_closed: self.partitions_closed,
             filter_candidates: self.filter_candidates,
-            peak_filter_candidates: self.chain.peak_open(),
+            peak_filter_candidates: self.chain.peak_candidates(),
             candidates_evicted: self.fold.evicted() + self.chain_evicted,
             samples_buffered: self.samples_buffered,
             peak_samples_buffered: self.peak_samples_buffered,
@@ -341,7 +343,7 @@ impl ConvoyStream {
         // Candidates are an *output* (drain_candidates) and a counter — they
         // never gate the refinement, whose coverage must see whole partition
         // clusters to stay exact.
-        self.chain.fold(&clustered);
+        self.chain.ingest_partition(&clustered);
         if let Some(h) = horizon {
             // `window.end - h` underflows for huge horizons on negative-epoch
             // feeds; a cutoff below the representable time axis evicts
@@ -465,7 +467,7 @@ impl ConvoyStream {
             ..
         } = self;
 
-        let peak_filter_candidates = chain.peak_open();
+        let peak_filter_candidates = chain.peak_candidates();
         let final_candidates = chain.finish();
         filter_candidates += final_candidates.len() as u64;
         ready_candidates.extend(final_candidates);

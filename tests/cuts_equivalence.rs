@@ -9,6 +9,10 @@
 //! * [`refine_partitions`] builds each tick's snapshot by looking up only
 //!   the covered objects. The oracle is a full-domain [`SnapshotSweep`]
 //!   over every object, each snapshot then restricted to the coverage.
+//! * The filter's partitions hold pairwise-disjoint clusters: the
+//!   precondition under which folding them through `CmcState`, whose
+//!   per-step candidate dedup needs converging chains to fire, is exactly
+//!   the plain chaining of Algorithm 2.
 //!
 //! The databases churn: objects start late and end early, some have a
 //! single sample, sampling has gaps, and the simplified slice handed to the
@@ -18,8 +22,8 @@
 use convoy_core::cuts::filter::{filter_simplified, simplify_database, FilterOutput};
 use convoy_core::cuts::refine::RefineFold;
 use convoy_core::{
-    auto_delta, auto_lambda, cluster_partition, refine_partitions, CandidateChain, CmcStats,
-    Convoy, ConvoyQuery, CutsConfig, CutsVariant, PartitionClusters,
+    auto_delta, auto_lambda, cluster_partition, refine_partitions, CmcState, CmcStats, Convoy,
+    ConvoyQuery, CutsConfig, CutsVariant, PartitionClusters,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -56,14 +60,14 @@ fn all_objects_filter(
     };
     let distance = config.variant.segment_distance();
     let mut partitions = Vec::new();
-    let mut chain = CandidateChain::new(query);
+    let mut chain = CmcState::new(query);
     for window in TimePartition::new(domain, lambda as i64).iter() {
         let items: Vec<SubTrajectory> = simplified
             .iter()
             .filter_map(|(id, s)| SubTrajectory::for_window(*id, s, window))
             .collect();
         let clustered = cluster_partition(window, &items, query, distance, config.tolerance_mode);
-        chain.fold(&clustered);
+        chain.ingest_partition(&clustered);
         partitions.push(clustered);
     }
     FilterOutput {
@@ -196,6 +200,42 @@ proptest! {
             prop_assert_eq!(&got.partitions, &expected.partitions, "{} partitions", variant);
             prop_assert_eq!(&got.candidates, &expected.candidates, "{} candidates", variant);
             prop_assert_eq!(got, expected, "{}", variant);
+        }
+    }
+
+    #[test]
+    fn every_partition_holds_pairwise_disjoint_clusters(
+        db in arb_db(),
+        keys in proptest::collection::vec(0u64..8, 1..13),
+        m in 2usize..4,
+        k in 1usize..6,
+        e in 0.5f64..4.0,
+        delta in 0.0f64..2.0,
+        lambda in 0usize..9,
+        global in 0u8..2,
+    ) {
+        // The filter folds its partitions through `CmcState`, whose per-step
+        // `(objects, start)` dedup only changes output when two open chains
+        // converge. Disjoint clusters keep the chains disjoint, so the dedup
+        // can never fire on the filter's chains.
+        let query = ConvoyQuery::new(m, k, e);
+        for variant in CutsVariant::ALL {
+            let config = config(variant, (delta > 0.2).then_some(delta), lambda, global == 1);
+            let delta = config.delta.unwrap_or_else(|| auto_delta(&db, query.e));
+            let simplified = shuffled(simplify_database(&db, &config, delta), &keys);
+            let output = filter_simplified(&simplified, &db, &query, &config, delta);
+            for partition in &output.partitions {
+                let mut seen = BTreeSet::new();
+                for id in partition.clusters.iter().flat_map(|c| c.iter()) {
+                    prop_assert!(
+                        seen.insert(id),
+                        "{} {:?}: {:?} is in two clusters",
+                        variant,
+                        partition.window,
+                        id
+                    );
+                }
+            }
         }
     }
 

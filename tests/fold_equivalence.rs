@@ -1,32 +1,31 @@
 //! Fold-equivalence property tests: the indexed candidate fold of
-//! [`CmcState`] and [`CandidateChain`] against a copy of the all-pairs loop
-//! of Algorithm 1 (every open candidate intersected with every cluster of
-//! the tick), kept here as the oracle.
+//! [`CmcState`] — over ticks (CMC, Algorithm 1) and over λ-partitions (the
+//! CuTS filter's chaining, Algorithm 2) — against a copy of the all-pairs
+//! loop of Algorithm 1 (every open candidate intersected with every cluster
+//! of the unit), kept here as the oracle.
 //!
 //! DBSCAN never produces overlapping clusters, so the engine and stream
 //! suites only ever fold disjoint cluster lists. The public fold API accepts
-//! arbitrary lists, and that is where the order of extensions, the per-tick
-//! candidate dedup and the fresh-chain rule interact. The generated ticks
+//! arbitrary lists, and that is where the order of extensions, the per-step
+//! candidate dedup and the fresh-chain rule interact. The generated units
 //! here draw clusters from a handful of objects, so clusters overlap, repeat
 //! each other's member sets, fall below `m` or come out empty; feed gaps,
-//! empty ticks and interleaved evictions ride along. After every step the
+//! empty units and interleaved evictions ride along. After every step the
 //! open chains, the drained output and the counters must match the oracle
 //! exactly and in order.
 
-use convoy_core::{
-    CandidateChain, CandidateChainSnapshot, CandidateConvoy, CmcState, CmcStateSnapshot, CmcStats,
-    Convoy, ConvoyQuery, PartitionClusters,
-};
+use convoy_core::{CmcState, CmcStateSnapshot, CmcStats, Convoy, ConvoyQuery, PartitionClusters};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use traj_cluster::Cluster;
 use trajectory::{ObjectId, TimeInterval, TimePoint};
 
 /// The all-pairs CMC fold: the `CmcState` bookkeeping with the nested
-/// candidate × cluster loop and a set-based per-tick dedup.
+/// candidate × cluster loop and a set-based per-step dedup, over units
+/// `[start, end]` — a tick is `[t, t]`, a λ-partition its window.
 struct AllPairsCmc {
     query: ConvoyQuery,
-    current: Vec<CandidateConvoy>,
+    current: Vec<Convoy>,
     closed: Vec<Convoy>,
     peak_candidates: usize,
     last_tick: Option<TimePoint>,
@@ -49,23 +48,35 @@ impl AllPairsCmc {
         }
     }
 
-    fn close(&mut self, candidate: CandidateConvoy) {
+    fn close(&mut self, candidate: Convoy) {
         if candidate.lifetime() >= self.query.k as i64 {
-            self.closed.push(candidate.into_convoy());
+            self.closed.push(candidate);
             self.convoys_closed += 1;
         }
     }
 
     fn ingest_clusters(&mut self, t: TimePoint, clusters: &[Cluster]) {
+        self.ingest_unit(t, t, clusters);
+    }
+
+    fn ingest_partition(&mut self, partition: &PartitionClusters) {
+        self.ingest_unit(
+            partition.window.start,
+            partition.window.end,
+            &partition.clusters,
+        );
+    }
+
+    fn ingest_unit(&mut self, start: TimePoint, end: TimePoint, clusters: &[Cluster]) {
         if let Some(last) = self.last_tick {
-            if t > last + 1 {
+            if start > last + 1 {
                 self.gap_closures += self.current.len() as u64;
                 for candidate in std::mem::take(&mut self.current) {
                     self.close(candidate);
                 }
             }
         }
-        self.last_tick = Some(t);
+        self.last_tick = Some(end);
         self.ticks_ingested += 1;
 
         let mut next = Vec::new();
@@ -79,10 +90,10 @@ impl AllPairsCmc {
                     extended = true;
                     assigned[ci] = true;
                     if seen.insert((common.clone(), candidate.start)) {
-                        next.push(CandidateConvoy {
+                        next.push(Convoy {
                             objects: common,
                             start: candidate.start,
-                            end: t.max(candidate.end),
+                            end: end.max(candidate.end),
                         });
                     }
                 }
@@ -92,12 +103,24 @@ impl AllPairsCmc {
             }
         }
         for (ci, cluster) in clusters.iter().enumerate() {
-            if !assigned[ci] && seen.insert((cluster.clone(), t)) {
-                next.push(CandidateConvoy::new(cluster.clone(), t, t));
+            if !assigned[ci] && seen.insert((cluster.clone(), start)) {
+                next.push(Convoy::new(cluster.clone(), start, end));
             }
         }
         self.current = next;
         self.peak_candidates = self.peak_candidates.max(self.current.len());
+    }
+
+    fn close_started_before(&mut self, cutoff: TimePoint) -> usize {
+        let (old, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.current)
+            .into_iter()
+            .partition(|c| c.start < cutoff);
+        self.current = kept;
+        let closed = old.len();
+        for candidate in old {
+            self.close(candidate);
+        }
+        closed
     }
 
     fn evict_longer_than(&mut self, max_lifetime: i64) -> usize {
@@ -149,87 +172,8 @@ impl AllPairsCmc {
     }
 }
 
-/// The all-pairs CuTS filter fold (Algorithm 2, lines 13–22).
-struct AllPairsChain {
-    query: ConvoyQuery,
-    current: Vec<CandidateConvoy>,
-    closed: Vec<CandidateConvoy>,
-    peak_open: usize,
-    partitions_folded: u64,
-}
-
-impl AllPairsChain {
-    fn new(query: ConvoyQuery) -> Self {
-        AllPairsChain {
-            query,
-            current: Vec::new(),
-            closed: Vec::new(),
-            peak_open: 0,
-            partitions_folded: 0,
-        }
-    }
-
-    fn fold(&mut self, partition: &PartitionClusters) {
-        let window = partition.window;
-        let clusters = &partition.clusters;
-        let mut next = Vec::new();
-        let mut assigned = vec![false; clusters.len()];
-        for candidate in &self.current {
-            let mut extended = false;
-            for (ci, cluster) in clusters.iter().enumerate() {
-                let common = candidate.objects.intersection(cluster);
-                if common.len() >= self.query.m {
-                    extended = true;
-                    assigned[ci] = true;
-                    next.push(CandidateConvoy {
-                        objects: common,
-                        start: candidate.start,
-                        end: window.end.max(candidate.end),
-                    });
-                }
-            }
-            if !extended && candidate.lifetime() >= self.query.k as i64 {
-                self.closed.push(candidate.clone());
-            }
-        }
-        for (ci, cluster) in clusters.iter().enumerate() {
-            if !assigned[ci] {
-                next.push(CandidateConvoy::new(
-                    cluster.clone(),
-                    window.start,
-                    window.end,
-                ));
-            }
-        }
-        self.current = next;
-        self.peak_open = self.peak_open.max(self.current.len());
-        self.partitions_folded += 1;
-    }
-
-    fn close_started_before(&mut self, cutoff: TimePoint) -> usize {
-        let k = self.query.k as i64;
-        let before = self.current.len();
-        let (old, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.current)
-            .into_iter()
-            .partition(|c| c.start < cutoff);
-        self.current = kept;
-        self.closed
-            .extend(old.into_iter().filter(|c| c.lifetime() >= k));
-        before - self.current.len()
-    }
-
-    fn snapshot(&self) -> CandidateChainSnapshot {
-        CandidateChainSnapshot {
-            current: self.current.clone(),
-            closed: self.closed.clone(),
-            peak_open: self.peak_open,
-            partitions_folded: self.partitions_folded,
-        }
-    }
-}
-
 /// One generated step: `kind` picks the operation, `param` sizes it, and
-/// `clusters` are the (possibly overlapping) member lists of a tick.
+/// `clusters` are the (possibly overlapping) member lists of a unit.
 type Step = (u8, usize, Vec<Vec<u64>>);
 
 /// Up to five clusters of up to five members from an eight-object universe:
@@ -326,8 +270,8 @@ proptest! {
         steps in arb_steps()
     ) {
         let query = query(m, k);
-        let mut chain = CandidateChain::new(&query);
-        let mut oracle = AllPairsChain::new(query);
+        let mut chain = CmcState::new(&query);
+        let mut oracle = AllPairsCmc::new(query);
         let mut start: TimePoint = 0;
         for (i, (kind, param, lists)) in steps.iter().enumerate() {
             if *kind >= 10 {
@@ -337,26 +281,37 @@ proptest! {
                     oracle.close_started_before(cutoff)
                 );
             } else {
-                // Consecutive λ-partitions share their boundary point.
+                // Consecutive λ-partitions share their boundary point; kind 8
+                // starts a window past it (a gap).
+                if *kind == 8 {
+                    start += 2 + *param as i64;
+                }
                 let end = start + 1 + *param as i64;
                 let clusters = if *kind < 2 { Vec::new() } else { clusters_of(lists) };
                 let partition = PartitionClusters {
                     window: TimeInterval::new(start, end),
                     clusters,
                 };
-                chain.fold(&partition);
-                oracle.fold(&partition);
+                chain.ingest_partition(&partition);
+                oracle.ingest_partition(&partition);
                 start = end;
             }
-            prop_assert_eq!(chain.open(), &oracle.current[..], "open chains diverged at step {}", i);
+            prop_assert_eq!(
+                &chain.export_state().current,
+                &oracle.current,
+                "open chains diverged at step {}",
+                i
+            );
             if i % 3 == 0 {
                 prop_assert_eq!(chain.drain_closed(), std::mem::take(&mut oracle.closed));
             }
             prop_assert_eq!(chain.export_state(), oracle.snapshot(), "state diverged at step {}", i);
         }
-        let k = query.k as i64;
-        let mut expected = std::mem::take(&mut oracle.closed);
-        expected.extend(oracle.current.into_iter().filter(|c| c.lifetime() >= k));
-        prop_assert_eq!(chain.finish(), expected);
+        for candidate in std::mem::take(&mut oracle.current) {
+            oracle.close(candidate);
+        }
+        let (candidates, stats) = chain.finish_with_stats();
+        prop_assert_eq!(candidates, oracle.closed);
+        prop_assert_eq!(stats, oracle.stats());
     }
 }
