@@ -73,9 +73,10 @@ COMMANDS:
     discover  FILE [--method cmc|cuts|cuts-plus|cuts-star] --m N --k N --e F
               [--delta F] [--lambda N] [--global-tolerance] [--stats]
               [--from T] [--to T] [--trace PATH] [--metrics-json PATH]
-              [--parallel [N]]   (CMC engine: the swept single pass is the
-              default; --parallel N partitions time across N worker
-              threads, N omitted or 0 uses every core)
+              [--parallel [N]]   (CMC engine, which also runs the CuTS
+              refinement: the swept single pass is the default;
+              --parallel N partitions time across N worker threads, N
+              omitted or 0 uses every core)
               Run a convoy query and print the discovered convoys.
               --from/--to restrict discovery to samples with T inside the
               inclusive tick window (no interpolation at the edges); on a
@@ -174,10 +175,9 @@ fn load_path(path: &str) -> Result<TrajectoryDatabase, CommandError> {
 }
 
 /// Resolves the CMC engine from the `--parallel N` flag (absent: the swept
-/// engine). The flag only makes sense for the CMC method (CuTS refines with
-/// one coverage fold, not a CMC run), so combining it with a CuTS method is
-/// reported rather than silently ignored.
-fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, CommandError> {
+/// engine). Every method runs it: CMC over the whole database, the CuTS
+/// methods as their refinement over the filter's covered sweep.
+fn engine_from_args(args: &ParsedArgs) -> Result<CmcEngine, CommandError> {
     // A bare `--parallel` (no count, e.g. followed by another flag or at
     // the end of the line) parses as a boolean flag; it is the one value
     // option whose valueless form means something: "every core".
@@ -186,11 +186,6 @@ fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, Comm
     } else {
         args.get_parsed("parallel")?
     };
-    if parallel.is_some() && method != Method::Cmc {
-        return Err(CommandError(
-            "--parallel selects a CMC engine; use it with --method cmc".into(),
-        ));
-    }
     Ok(parallel.map_or(CmcEngine::Swept, |threads| CmcEngine::Parallel { threads }))
 }
 
@@ -456,7 +451,7 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
     drop(source);
     let query = query_from_args(args)?;
     let method = parse_method(args.get("method")?.unwrap_or("cuts-star"))?;
-    let engine = engine_from_args(args, method)?;
+    let engine = engine_from_args(args)?;
 
     let mut config = CutsConfig::new(method.cuts_variant().unwrap_or(CutsVariant::CutsStar));
     if let Some(delta) = args.get_parsed("delta")? {
@@ -497,15 +492,13 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         query.k,
         query.e
     );
-    if method == Method::Cmc {
-        let threads = engine.resolved_threads();
-        out.push_str(&format!(
-            "engine: {} ({} thread{})\n",
-            engine.name(),
-            threads,
-            if threads == 1 { "" } else { "s" }
-        ));
-    }
+    let threads = engine.resolved_threads();
+    out.push_str(&format!(
+        "engine: {} ({} thread{})\n",
+        engine.name(),
+        threads,
+        if threads == 1 { "" } else { "s" }
+    ));
     if method != Method::Cmc {
         out.push_str(&format!(
             "filter: {} candidates, δ={:.2}, λ={}, vertex reduction {:.1}%\n",
@@ -1081,11 +1074,23 @@ mod tests {
     fn discover_engine_flags_are_validated() {
         let path = generate_fixture("engines-bad.csv");
         let base = [path.as_str(), "--m", "3", "--k", "5", "--e", "10.0"];
-        // --parallel with a CuTS method is rejected, not ignored.
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--method", "cuts-star", "--parallel", "2"]);
-        let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("--method cmc"), "{err}");
+        // --parallel runs the CuTS refinement: the convoys and the stats
+        // block are the swept run's.
+        let cuts_report = |engine: &[&str]| {
+            let mut args: Vec<&str> = base.to_vec();
+            args.extend(["--method", "cuts-star", "--stats"]);
+            args.extend(engine);
+            discover_command(&ParsedArgs::parse(args).unwrap()).unwrap()
+        };
+        let (swept, parallel) = (cuts_report(&[]), cuts_report(&["--parallel", "2"]));
+        assert_eq!(swept.lines().nth(1), Some("engine: swept (1 thread)"));
+        assert_eq!(
+            parallel.lines().nth(1),
+            Some("engine: parallel (2 threads)")
+        );
+        // Past the timed summary and the engine line, the reports agree.
+        assert!(swept.contains("\nstats:"), "{swept}");
+        assert!(swept.lines().skip(2).eq(parallel.lines().skip(2)));
         // A non-numeric thread count is a parse error.
         let mut args: Vec<&str> = base.to_vec();
         args.extend(["--method", "cmc", "--parallel", "many"]);

@@ -176,15 +176,37 @@ fn discover_cmc_engine_flags() {
         .assert()
         .success()
         .stdout_contains("engine: parallel (2 threads)");
-    // The engine flag is CMC-only.
-    convoy()
+    // The engine runs the CuTS refinement too: the same convoys and the same
+    // stats block as the swept run.
+    let cuts = ["--method", "cuts-star", "--m", "3", "--k", "5", "--e", "10"];
+    let swept = convoy()
         .args(["discover", path.to_str().unwrap()])
-        .args(["--method", "cuts-star", "--m", "3", "--k", "5", "--e", "10"])
-        .args(["--parallel", "2"])
+        .args(cuts)
+        .arg("--stats")
         .assert()
-        .failure()
-        .code(1)
-        .stderr_contains("--method cmc");
+        .success()
+        .stdout_contains("engine: swept (1 thread)");
+    let parallel = convoy()
+        .args(["discover", path.to_str().unwrap()])
+        .args(cuts)
+        .args(["--stats", "--parallel", "2"])
+        .assert()
+        .success()
+        .stdout_contains("engine: parallel (2 threads)");
+    let report = |stdout: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(stdout)
+            .lines()
+            .filter(|l| !l.starts_with("engine: "))
+            .map(|l| match l.split_once(" found by ") {
+                // Drop the wall-clock portion, which varies run to run.
+                Some((head, _)) => head.to_string(),
+                None => l.to_string(),
+            })
+            .collect()
+    };
+    let swept = report(&swept.get_output().stdout);
+    assert!(swept.iter().any(|l| l.starts_with("stats:")), "{swept:?}");
+    assert_eq!(report(&parallel.get_output().stdout), swept);
 }
 
 #[test]
@@ -501,6 +523,47 @@ fn stream_checkpoint_then_resume_reproduces_the_straight_run_counters() {
         .success()
         .stdout_contains("resumed from");
     assert_eq!(summary_lines(&resumed.get_output().stdout), expected);
+}
+
+#[test]
+fn stream_checkpoint_to_a_bare_file_name_resumes() {
+    // A bare name's directory is the working directory: the write must sync
+    // `.`, not fail on an empty parent path.
+    let dir = temp_path("bare-cwd");
+    std::fs::create_dir_all(&dir).unwrap();
+    let _ = std::fs::remove_file(dir.join("bare.snap"));
+    let data = temp_path("bare-data.csv");
+    convoy()
+        .args(["generate", "--profile", "truck", "--scale", "0.02"])
+        .args(["--seed", "11", "--out", data.to_str().unwrap()])
+        .assert()
+        .success();
+    let query = ["--m", "3", "--k", "5", "--e", "10"];
+    let straight = convoy()
+        .args(["stream", data.to_str().unwrap()])
+        .args(query)
+        .assert()
+        .success();
+    convoy()
+        .current_dir(&dir)
+        .args(["stream", data.to_str().unwrap()])
+        .args(query)
+        .args(["--checkpoint-path", "bare.snap"])
+        .assert()
+        .success();
+    assert!(dir.join("bare.snap").exists(), "checkpoint written");
+    assert!(!dir.join("bare.snap.tmp").exists(), "no temp file left");
+    let resumed = convoy()
+        .current_dir(&dir)
+        .args(["stream", data.to_str().unwrap()])
+        .args(["--resume", "bare.snap"])
+        .assert()
+        .success()
+        .stdout_contains("resumed from");
+    assert_eq!(
+        summary_lines(&resumed.get_output().stdout),
+        summary_lines(&straight.get_output().stdout)
+    );
 }
 
 #[test]

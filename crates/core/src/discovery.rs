@@ -4,7 +4,7 @@
 //! consumes.
 
 use crate::cuts::filter::{filter_simplified, simplify_database};
-use crate::cuts::refine::refine_partitions_obs;
+use crate::cuts::refine::refine;
 use crate::cuts::{CutsConfig, CutsVariant};
 use crate::engine::CmcEngine;
 use crate::metrics::{refinement_unit, DiscoveryStats};
@@ -84,7 +84,8 @@ pub struct Discovery {
 
 impl Discovery {
     /// Creates a discovery run for `method` with automatic parameter
-    /// selection. CMC runs on the swept streaming engine by default.
+    /// selection. CMC and the CuTS refinement run on the swept streaming
+    /// engine by default.
     pub fn new(method: Method) -> Self {
         let variant = method.cuts_variant().unwrap_or(CutsVariant::Cuts);
         Discovery {
@@ -98,11 +99,11 @@ impl Discovery {
     /// Attaches a metrics recorder: the run emits a `discover` root span
     /// with one child span per stage — `discover.simplify` (δ selection and
     /// simplification) / `discover.filter` / `discover.refine` for the CuTS
-    /// family; a single `discover.filter` holding the engine's span tree for
-    /// CMC, which has no simplify or refine stage — plus the per-tick
-    /// histograms of whatever fold executes. Counts are returned in
-    /// [`DiscoveryStats`] instead, recorder or not. These spans are the
-    /// run's only clock: read stage times with
+    /// family, the refine span holding the engine's span tree; a single
+    /// `discover.filter` holding it for CMC, which has no simplify or refine
+    /// stage — plus the per-tick histograms of whatever fold executes.
+    /// Counts are returned in [`DiscoveryStats`] instead, recorder or not.
+    /// These spans are the run's only clock: read stage times with
     /// [`convoy_obs::Registry::span_total_ns`]. The default is the no-op
     /// recorder.
     #[must_use]
@@ -122,9 +123,9 @@ impl Discovery {
     }
 
     /// Selects the CMC execution engine (swept streaming or time-partitioned
-    /// parallel). Ignored by the CuTS methods, whose refinement is one
-    /// coverage fold ([`crate::cuts::refine::refine_partitions`]) rather
-    /// than a CMC run.
+    /// parallel). It runs CMC for [`Method::Cmc`] and the refinement for the
+    /// CuTS methods, which is CMC over the filter's covered sweep (see
+    /// [`crate::cuts::refine`]); the outcome is the same on every engine.
     #[must_use]
     pub fn with_cmc_engine(mut self, engine: CmcEngine) -> Self {
         self.cmc_engine = engine;
@@ -141,7 +142,7 @@ impl Discovery {
         &self.config
     }
 
-    /// The engine a CMC run uses.
+    /// The engine CMC and the CuTS refinement run on.
     pub fn cmc_engine(&self) -> CmcEngine {
         self.cmc_engine
     }
@@ -228,13 +229,18 @@ impl Discovery {
                 let output = filter_simplified(&simplified, db, query, &self.config, delta);
                 self.obs.span_end(filter_span);
 
-                // Stage 3: refinement — the coverage-restricted CmcState
-                // fold over the partition clusters (shared with the
-                // streaming pipeline; see `cuts::refine` for the exactness
-                // argument).
+                // Stage 3: refinement — this run's CMC engine over the
+                // partition clusters' covered sweep (see `cuts::refine` for
+                // the exactness argument).
                 let refine_span = self.obs.span_start("discover.refine", root);
-                let (raw, fold, work) =
-                    refine_partitions_obs(db, query, &output.partitions, &self.obs);
+                let (raw, fold, work) = refine(
+                    self.cmc_engine,
+                    db,
+                    query,
+                    &output.partitions,
+                    &self.obs,
+                    refine_span,
+                );
                 self.obs.span_end(refine_span);
 
                 let convoys = normalize_convoys(raw, query);

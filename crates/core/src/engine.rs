@@ -670,8 +670,7 @@ impl CmcEngine {
     /// The parallel driver falls back to the `cmc.swept` tree when there is
     /// nothing to split. With the no-op recorder this is exactly
     /// [`CmcEngine::run_windowed_with_stats`] — the result is identical
-    /// either way. This is the one CMC implementation every other run
-    /// function delegates to.
+    /// either way.
     pub fn run_windowed_with_stats_obs(
         &self,
         db: &TrajectoryDatabase,
@@ -680,15 +679,29 @@ impl CmcEngine {
         obs: &Obs,
         parent: SpanId,
     ) -> (Vec<Convoy>, CmcStats, FoldWork) {
+        let sweep = |w| SnapshotSweep::new(db, w, SnapshotPolicy::Interpolate);
+        self.run_sweep(sweep, query, window, obs, parent)
+    }
+
+    /// The one CMC implementation every run function delegates to: folds
+    /// the snapshots `sweep(window)` yields with this engine. The parallel
+    /// driver calls `sweep` once per sub-window, each from its worker
+    /// thread, so `sweep(w)` must yield exactly the ticks of `w` that
+    /// `sweep(window)` would. CMC sweeps every object on its sampled
+    /// interval; the CuTS refinement sweeps the filter's coverage
+    /// ([`crate::cuts::refine`]).
+    pub(crate) fn run_sweep<'a>(
+        &self,
+        sweep: impl Fn(TimeInterval) -> SnapshotSweep<'a> + Sync,
+        query: &ConvoyQuery,
+        window: TimeInterval,
+        obs: &Obs,
+        parent: SpanId,
+    ) -> (Vec<Convoy>, CmcStats, FoldWork) {
         match *self {
-            CmcEngine::Swept => sequential(
-                SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate),
-                query,
-                obs,
-                parent,
-            ),
+            CmcEngine::Swept => sequential(sweep(window), query, obs, parent),
             CmcEngine::Parallel { .. } => {
-                parallel(db, query, window, self.resolved_threads(), obs, parent)
+                parallel(&sweep, query, window, self.resolved_threads(), obs, parent)
             }
         }
     }
@@ -783,8 +796,8 @@ fn split_window(window: TimeInterval, parts: usize) -> Vec<TimeInterval> {
 /// scratch, so `cluster.call_ns` accrues from all workers), and a real
 /// `cmc.fold` span over the sequential stitch. Each worker hands back its
 /// clusterer's counts; the run's [`FoldWork`] sums them at join.
-fn parallel(
-    db: &TrajectoryDatabase,
+fn parallel<'a>(
+    sweep: &(impl Fn(TimeInterval) -> SnapshotSweep<'a> + Sync),
     query: &ConvoyQuery,
     window: TimeInterval,
     threads: usize,
@@ -793,8 +806,7 @@ fn parallel(
 ) -> (Vec<Convoy>, CmcStats, FoldWork) {
     let partitions = split_window(window, threads);
     if partitions.len() <= 1 {
-        let sweep = SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate);
-        return sequential(sweep, query, obs, parent);
+        return sequential(sweep(window), query, obs, parent);
     }
     let engine_span = obs.span_start("cmc.parallel", parent);
 
@@ -810,17 +822,16 @@ fn parallel(
                     // tick of its partition; only the collected cluster
                     // lists themselves are materialized for the fold.
                     let mut clusterer = SnapshotClusterer::with_obs(obs.clone());
-                    let out: Vec<(TimePoint, Vec<Cluster>)> =
-                        SnapshotSweep::new(db, partition, SnapshotPolicy::Interpolate)
-                            .map(|snapshot| {
-                                let clusters = if snapshot.len() < query.m {
-                                    Vec::new()
-                                } else {
-                                    clusterer.cluster_into(&snapshot, query.e, query.m).to_vec()
-                                };
-                                (snapshot.time, clusters)
-                            })
-                            .collect();
+                    let out: Vec<(TimePoint, Vec<Cluster>)> = sweep(partition)
+                        .map(|snapshot| {
+                            let clusters = if snapshot.len() < query.m {
+                                Vec::new()
+                            } else {
+                                clusterer.cluster_into(&snapshot, query.e, query.m).to_vec()
+                            };
+                            (snapshot.time, clusters)
+                        })
+                        .collect();
                     obs.span_end(partition_span);
                     (out, clusterer.take_counts())
                 })

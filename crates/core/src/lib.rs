@@ -65,7 +65,7 @@ pub mod params;
 pub mod query;
 
 pub use cuts::partition::{cluster_partition, PartitionClusters};
-pub use cuts::refine::{refine_partitions, FoldOutcome, RefineFold, RefineFoldSnapshot};
+pub use cuts::refine::refine_partitions;
 pub use cuts::{CutsConfig, CutsVariant};
 pub use discovery::{Discovery, DiscoveryOutcome, Method};
 pub use engine::{CmcEngine, CmcState, CmcStateSnapshot, CmcStats};

@@ -38,7 +38,7 @@ pub struct DiscoveryStats {
 /// extensions, and — for a CuTS refinement fold — the entries of the
 /// coverage snapshots it folded. These are session counts, kept out of
 /// [`CmcStats`] and out of checkpoints; see
-/// [`crate::engine::CmcState::take_work`] and [`crate::RefineFold::take_work`].
+/// [`crate::engine::CmcState::take_work`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FoldWork {
     /// The snapshot clusterers' counts (every parallel worker's summed).
@@ -47,8 +47,8 @@ pub struct FoldWork {
     pub overlap_lookups: u64,
     /// Candidate × cluster pairs that kept at least `m` objects.
     pub extensions: u64,
-    /// Entries of the coverage snapshots a [`crate::RefineFold`] folded
-    /// (covered object-ticks); 0 for a plain CMC fold.
+    /// Entries of the coverage snapshots a CuTS refinement folded (covered
+    /// object-ticks); 0 for a plain CMC fold.
     pub refine_snapshot_points: u64,
 }
 

@@ -8,7 +8,8 @@
 //!   (including the bracketing samples just outside it), severed wherever a
 //!   sample gap exceeds the eviction horizon?
 //! * **Refinement**: where is the object at tick `t`? The buffer hands its
-//!   samples to a [`trajectory::CoverageReader`], which gives exactly the
+//!   samples to the refinement's covered sweep
+//!   ([`trajectory::SnapshotSweep::over_runs`]), which gives exactly the
 //!   virtual-point semantics of [`trajectory::Trajectory::location_at`],
 //!   except that gaps beyond the horizon are not interpolated.
 
@@ -24,7 +25,7 @@ pub(crate) struct ObjectBuffer {
 
 impl ObjectBuffer {
     /// The buffered samples, oldest first: what checkpoints export and
-    /// what the refinement's [`trajectory::CoverageReader`] reads.
+    /// what the refinement's covered sweep reads.
     pub fn samples(&self) -> &[TrajPoint] {
         &self.samples
     }

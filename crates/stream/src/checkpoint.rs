@@ -34,12 +34,12 @@
 //! are length-prefixed (`u64`) and written in a deterministic order, so the
 //! same state always serializes to the same bytes.
 //!
-//! [`ConvoyStream::checkpoint`] writes to a sibling temp file, syncs it, and
-//! atomically renames it over the destination — a crash mid-write can lose
-//! the checkpoint being written, never corrupt the previous one. Decoding is
-//! strict: a truncated, bit-flipped, version-bumped or trailing-garbage file
-//! is rejected with a [`CheckpointError`], never a panic or a partial
-//! restore. Version 1 files (which also stored a per-object validator list)
+//! [`ConvoyStream::checkpoint`] writes to a sibling temp file, syncs it,
+//! atomically renames it over the destination and syncs the directory — a
+//! crash mid-write can lose the checkpoint being written, never corrupt the
+//! previous one. Decoding is strict: a truncated, bit-flipped,
+//! version-bumped or trailing-garbage file is rejected with a
+//! [`CheckpointError`], never a panic or a partial restore. Version 1 files (which also stored a per-object validator list)
 //! are rejected as [`CheckpointError::UnsupportedVersion`].
 
 // This module faces arbitrary bytes; every abort path is a bug. Enforced
@@ -50,9 +50,7 @@
 use crate::buffer::ObjectBuffer;
 use crate::config::{EvictionPolicy, StreamConfig};
 use crate::stream::ConvoyStream;
-use convoy_core::{
-    CmcState, CmcStateSnapshot, Convoy, ConvoyQuery, CutsVariant, RefineFold, RefineFoldSnapshot,
-};
+use convoy_core::{CmcState, CmcStateSnapshot, Convoy, ConvoyQuery, CutsVariant};
 use convoy_obs::Obs;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -397,9 +395,9 @@ impl ConvoyStream {
             e.u64(chain.ticks_ingested);
         });
 
-        let fold = self.fold.export_state();
+        let fold = &self.fold;
         e.section(TAG_FOLD, |e| {
-            e.cmc_state(&fold.state);
+            e.cmc_state(&fold.state.export_state());
             match &fold.prev {
                 None => e.u8(0),
                 Some((window, coverage)) => {
@@ -568,12 +566,8 @@ impl ConvoyStream {
             }
             _ => return Err(CheckpointError::Malformed("option tag")),
         };
-        let fold = RefineFoldSnapshot {
-            state,
-            prev,
-            last_tick: opt(&mut s, ByteReader::i64)?,
-            evicted: s.u64()?,
-        };
+        let fold_last_tick = opt(&mut s, ByteReader::i64)?;
+        let fold_evicted = s.u64()?;
         finish_section(s, "trailing bytes in fold section")?;
 
         let mut s = section(&mut d, TAG_OUTPUT)?;
@@ -597,12 +591,10 @@ impl ConvoyStream {
         stream.buffers = buffers;
         stream.partition_start = partition_start;
         stream.chain = CmcState::from_state(&config.query, chain);
-        stream.fold = RefineFold::from_state(
-            &config.query,
-            config.eviction.horizon,
-            config.eviction.max_candidates,
-            fold,
-        );
+        stream.fold.state = CmcState::from_state(&config.query, state);
+        stream.fold.prev = prev;
+        stream.fold.last_tick = fold_last_tick;
+        stream.fold.evicted = fold_evicted;
         stream.ready = ready;
         stream.ready_candidates = ready_candidates;
         stream.partitions_closed = partitions_closed;
@@ -613,12 +605,14 @@ impl ConvoyStream {
         Ok(stream)
     }
 
-    /// Writes a checkpoint to `path` atomically: the bytes go to a sibling
-    /// `<path>.tmp`, are synced to disk, and are renamed over `path` in one
-    /// step — a crash mid-write never corrupts an existing checkpoint.
+    /// Writes a checkpoint to `path` atomically and durably: the bytes go to
+    /// a sibling `<path>.tmp`, are synced to disk, and are renamed over
+    /// `path` in one step, and then the parent directory (`.` for a bare
+    /// file name) is synced so the rename itself survives a power loss — a
+    /// crash mid-write never corrupts an existing checkpoint. On any error
+    /// the temp file is removed.
     pub fn checkpoint<P: AsRef<Path>>(&self, path: P) -> Result<(), CheckpointError> {
         let path = path.as_ref();
-        let live = self.obs.enabled();
         // The guard ends the `checkpoint.write` span on every exit path,
         // early I/O errors included.
         let _span = self.obs.span_guard("checkpoint.write", self.root_span);
@@ -626,8 +620,8 @@ impl ConvoyStream {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
-        {
-            let mut file = std::fs::File::create(&tmp)?;
+        let live = self.obs.enabled();
+        let written = std::fs::File::create(&tmp).and_then(|mut file| {
             file.write_all(&bytes)?;
             let fsync_started_ns = if live { self.obs.now_ns() } else { 0 };
             file.sync_all()?;
@@ -637,11 +631,17 @@ impl ConvoyStream {
                     self.obs.now_ns().saturating_sub(fsync_started_ns),
                 );
             }
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
+            Ok(())
+        });
+        if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
             let _ = std::fs::remove_file(&tmp);
             return Err(e.into());
         }
+        let dir = path
+            .parent()
+            .filter(|dir| !dir.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        std::fs::File::open(dir)?.sync_all()?;
         if live {
             self.obs.counter_add("checkpoint.writes", 1);
             self.obs

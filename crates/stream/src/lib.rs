@@ -36,6 +36,7 @@
 mod buffer;
 pub mod checkpoint;
 pub mod config;
+mod refine;
 pub mod stream;
 
 pub use checkpoint::CheckpointError;

@@ -16,7 +16,7 @@
 //!   │                     (both shared with the batch filter; the candidate
 //!   │                      chain is the CMC fold over λ-windows)
 //!   ▼
-//! RefineFold: coverage-restricted CmcState fold over ticks, eviction hooks
+//! RefineFold: covered sweep → CmcState fold over ticks, eviction hooks
 //!   │
 //!   ▼
 //! drain() → confirmed convoys         (StreamStats)
@@ -41,19 +41,18 @@
 
 use crate::buffer::ObjectBuffer;
 use crate::config::{EvictionPolicy, StreamConfig, StreamStats};
+use crate::refine::RefineFold;
 use convoy_core::cuts::filter::simplify_database;
 use convoy_core::{
     auto_delta, auto_lambda, cluster_partition, CmcState, Convoy, ConvoyQuery, CutsConfig,
-    Discovery, FoldWork, RefineFold,
+    Discovery, FoldWork,
 };
 use convoy_obs::{Obs, SpanId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use traj_cluster::{SegmentDistance, SubTrajectory};
 use traj_simplify::ToleranceMode;
 use trajectory::sweep::bridgeable;
-use trajectory::{
-    CoverageReader, FeedError, ObjectId, TimeInterval, TimePoint, TrajPoint, Trajectory,
-};
+use trajectory::{FeedError, ObjectId, TimeInterval, TimePoint, TrajPoint, Trajectory};
 
 /// The sample-ingest surface of a streaming discovery pipeline.
 ///
@@ -166,7 +165,7 @@ impl ConvoyStream {
             partition_start: None,
             blocker: None,
             chain: CmcState::new(&config.query),
-            fold: RefineFold::with_eviction(&config.query, horizon, max_candidates),
+            fold: RefineFold::new(&config.query, horizon, max_candidates),
             ready: Vec::new(),
             ready_candidates: Vec::new(),
             partitions_closed: 0,
@@ -191,7 +190,7 @@ impl ConvoyStream {
     /// last one. Replaces any previous recorder (each attachment starts its
     /// own root span and latency baseline).
     pub fn set_obs(&mut self, obs: Obs) {
-        self.fold.set_obs(obs.clone());
+        self.fold.state.set_obs(obs.clone());
         self.root_span = obs.span_start("stream", SpanId::NONE);
         self.start_ns = obs.now_ns();
         // Time-to-first-convoy is only meaningful from a cold start; a
@@ -229,11 +228,11 @@ impl ConvoyStream {
     /// The stream's counters so far.
     pub fn stats(&self) -> StreamStats {
         StreamStats {
-            fold: self.fold.stats(),
+            fold: self.fold.state.stats(),
             partitions_closed: self.partitions_closed,
             filter_candidates: self.filter_candidates,
             peak_filter_candidates: self.chain.peak_candidates(),
-            candidates_evicted: self.fold.evicted() + self.chain_evicted,
+            candidates_evicted: self.fold.evicted + self.chain_evicted,
             samples_buffered: self.samples_buffered,
             peak_samples_buffered: self.peak_samples_buffered,
         }
@@ -243,8 +242,8 @@ impl ConvoyStream {
     /// partition at `end`: its samples have not reached `end` and a sample
     /// arriving now (at the watermark) could still bridge into the window.
     /// The gap rule is the interpolation rule itself ([`bridgeable`]), so
-    /// the partition-close logic and the refinement's
-    /// [`CoverageReader`] never disagree.
+    /// the partition-close logic and the refinement's sweeps never
+    /// disagree.
     fn blocks(&self, buffer: &ObjectBuffer, end: TimePoint, watermark: TimePoint) -> bool {
         let last = buffer.last_t();
         last < end && bridgeable(last, watermark, self.config.eviction.horizon)
@@ -356,21 +355,15 @@ impl ConvoyStream {
         self.filter_candidates += closed_candidates.len() as u64;
         self.ready_candidates.extend(closed_candidates);
 
-        // Refinement: the shared coverage fold, reading positions from the
-        // ingest buffers with the same severing rule the filter used. The
-        // close rules keep every bracketing sample buffered, so while no gap
-        // exceeds the horizon the snapshots equal batch refinement's. The
-        // buffers are trimmed below, so the reader's cursors live for this
-        // partition only.
+        // Refinement: the shared coverage fold, sweeping the ingest buffers
+        // with the same severing rule the filter used. The close rules keep
+        // every bracketing sample buffered, so while no gap exceeds the
+        // horizon the snapshots equal batch refinement's. The buffers are
+        // trimmed below, so each sweep lives for this partition only.
         let buffers = &self.buffers;
-        let mut reader = CoverageReader::new(horizon);
-        let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| {
-            reader.snapshot(t, coverage, |id| {
-                buffers.get(&id).map(ObjectBuffer::samples)
-            })
-        };
-        self.fold.push_partition(&clustered, &mut snapshot_at);
-        let emitted = self.fold.drain_closed();
+        self.fold
+            .push_partition(&clustered, |id| buffers.get(&id).map(ObjectBuffer::samples));
+        let emitted = self.fold.state.drain_closed();
         if live {
             note_emissions(
                 &self.obs,
@@ -446,7 +439,6 @@ impl ConvoyStream {
         }
 
         let ConvoyStream {
-            config,
             watermark,
             buffers,
             chain,
@@ -472,34 +464,23 @@ impl ConvoyStream {
         filter_candidates += final_candidates.len() as u64;
         ready_candidates.extend(final_candidates);
 
-        let mut reader = CoverageReader::new(config.eviction.horizon);
-        let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| {
-            reader.snapshot(t, coverage, |id| {
-                buffers.get(&id).map(ObjectBuffer::samples)
-            })
-        };
-        let outcome = fold.finish(&mut snapshot_at);
-        publish_session(&obs, outcome.work, samples_ingested, samples_rejected);
+        let evicted = fold.evicted;
+        let (convoys, fold, work) = fold.finish(|id| buffers.get(&id).map(ObjectBuffer::samples));
+        publish_session(&obs, work, samples_ingested, samples_rejected);
         if obs.enabled() {
-            note_emissions(
-                &obs,
-                &mut ttfc_pending,
-                start_ns,
-                watermark,
-                &outcome.convoys,
-            );
+            note_emissions(&obs, &mut ttfc_pending, start_ns, watermark, &convoys);
             obs.span_end(root_span);
         }
-        ready.extend(outcome.convoys);
+        ready.extend(convoys);
         StreamOutcome {
             convoys: ready,
             candidates: ready_candidates,
             stats: StreamStats {
-                fold: outcome.stats,
+                fold,
                 partitions_closed,
                 filter_candidates,
                 peak_filter_candidates,
-                candidates_evicted: outcome.evicted + chain_evicted,
+                candidates_evicted: evicted + chain_evicted,
                 samples_buffered,
                 peak_samples_buffered,
             },

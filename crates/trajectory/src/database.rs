@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn snapshot_entries_are_sorted_by_object_id() {
         // Snapshot extraction must emit entries in ascending id order
-        // regardless of insertion order: the sweep and the coverage reader
+        // regardless of insertion order: the sweep, covered or not, must
         // match it entry for entry.
         let mut db = TrajectoryDatabase::new();
         for id in [40u64, 7, 23] {

@@ -67,6 +67,6 @@ pub use geometry::segment::Segment;
 pub use point::TrajPoint;
 pub use source::{publish_scan_stats, ScanStats, TrajectorySource};
 pub use stats::DatasetStats;
-pub use sweep::{CoverageReader, SnapshotSweep};
+pub use sweep::SnapshotSweep;
 pub use time::{TimeInterval, TimePartition, TimePoint};
 pub use trajectory::Trajectory;

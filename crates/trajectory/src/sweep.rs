@@ -10,23 +10,23 @@
 //! re-searching, no per-tick index rebuilds and no visits to objects that
 //! have not started or have already ended.
 //!
-//! [`SnapshotSweep`] is that cursor. It is an `Iterator<Item = Snapshot>`
-//! producing snapshots bit-identical to per-tick
-//! [`TrajectoryDatabase::snapshot`] calls (same entry order, same
+//! [`SnapshotSweep`] is that cursor, an `Iterator<Item = Snapshot>`. It
+//! reads *runs*: a run is one object's samples together with the ticks on
+//! which the object is live. [`SnapshotSweep::new`] gives every object one
+//! run, its sampled interval, and then produces snapshots bit-identical to
+//! per-tick [`TrajectoryDatabase::snapshot`] calls (same entry order, same
 //! interpolation arithmetic), which is what lets the convoy engines switch
-//! between the two extraction paths freely.
-//!
-//! [`CoverageReader`] steps the same per-object cursor over a changing set
-//! of covered objects, reading `&[TrajPoint]` slices from the database or
-//! from a stream's buffers: it builds every snapshot of the CuTS refinement
-//! fold. [`bridgeable`] is the horizon rule it shares with the stream's
-//! filter runs and partition-close check.
+//! between the two extraction paths freely. [`SnapshotSweep::over_runs`]
+//! takes any runs: the CuTS refinement passes each object's *covered* runs,
+//! the ticks on which the filter's partition clusters hold it, so the same
+//! cursors yield the coverage-restricted snapshots it folds, read from the
+//! database or from a stream's buffers. [`bridgeable`] is the horizon rule
+//! the sweep shares with the stream's filter runs and partition-close check.
 
 use crate::database::ObjectId;
 use crate::database::{Snapshot, SnapshotEntry, SnapshotPolicy, TrajectoryDatabase};
 use crate::point::TrajPoint;
 use crate::time::{TimeInterval, TimePoint};
-use std::collections::BTreeSet;
 
 /// Returns `true` when interpolation may bridge the gap between two
 /// consecutive samples: the number of missing ticks between them must not
@@ -40,32 +40,53 @@ pub fn bridgeable(before: TimePoint, after: TimePoint, horizon: Option<TimePoint
     horizon.is_none_or(|h| missing.is_some_and(|missing| missing <= h))
 }
 
-/// A forward-only cursor into one object's sample list: the suite's one
-/// position reader, behind both [`SnapshotSweep`] and [`CoverageReader`].
+/// A forward-only cursor over one run of an object's samples: the suite's
+/// one position reader.
 #[derive(Debug, Clone, Copy)]
 struct ObjectCursor<'a> {
     id: ObjectId,
     points: &'a [TrajPoint],
     /// Index of the last sample with `points[idx].t <= t` for the reader's
-    /// current time `t` (only valid once `t` has reached the object's start).
+    /// current time `t` (only valid once `t` has reached `start`).
     idx: usize,
+    /// The run's first and last tick, clipped to the window and to the
+    /// sampled interval, so every read falls inside the samples' span.
+    start: TimePoint,
+    end: TimePoint,
 }
 
 impl<'a> ObjectCursor<'a> {
-    /// A cursor positioned for reads at `t` and later: one binary search for
-    /// the last sample at or before `t`, so a read deep into a long
-    /// trajectory does not linearly advance through every earlier sample.
-    fn seek(id: ObjectId, points: &'a [TrajPoint], t: TimePoint) -> Self {
-        let idx = points.partition_point(|p| p.t <= t).saturating_sub(1);
-        ObjectCursor { id, points, idx }
+    /// A cursor for the ticks of `run` inside both `window` and the sampled
+    /// interval (`None` when there are none), positioned by one binary
+    /// search for the last sample at or before its first tick, so a read
+    /// deep into a long trajectory does not linearly advance through every
+    /// earlier sample.
+    fn over(
+        id: ObjectId,
+        points: &'a [TrajPoint],
+        run: TimeInterval,
+        window: TimeInterval,
+    ) -> Option<Self> {
+        let sampled = TimeInterval::new(points.first()?.t, points.last()?.t);
+        let live = run.intersection(&window)?.intersection(&sampled)?;
+        let idx = points
+            .partition_point(|p| p.t <= live.start)
+            .saturating_sub(1);
+        Some(ObjectCursor {
+            id,
+            points,
+            idx,
+            start: live.start,
+            end: live.end,
+        })
     }
 
-    /// The object's entry at `t`, which must not precede the previous read:
-    /// the exact sample, or a virtual point by the shared
-    /// [`TrajPoint::interpolate`] arithmetic (the one
+    /// The object's entry at `t`, which must lie in `[start, end]` and not
+    /// precede the previous read: the exact sample, or a virtual point by
+    /// the shared [`TrajPoint::interpolate`] arithmetic (the one
     /// [`crate::Trajectory::location_at`] uses) unless `policy` is
     /// [`SnapshotPolicy::ExactOnly`] or the gap is not [`bridgeable`] within
-    /// `horizon`. `None` outside the sampled interval.
+    /// `horizon`.
     #[inline]
     fn entry(
         &mut self,
@@ -73,9 +94,7 @@ impl<'a> ObjectCursor<'a> {
         policy: SnapshotPolicy,
         horizon: Option<TimePoint>,
     ) -> Option<SnapshotEntry> {
-        if t < self.points.first()?.t || t > self.points.last()?.t {
-            return None;
-        }
+        debug_assert!(self.start <= t && t <= self.end);
         // Reads only move forward, so across a run each cursor advances at
         // most `points.len()` times: amortized O(1) per tick.
         while self.idx + 1 < self.points.len() && self.points[self.idx + 1].t <= t {
@@ -88,6 +107,8 @@ impl<'a> ObjectCursor<'a> {
                 position: before.position(),
             });
         }
+        // `t <= end` is at most the last sample's time, so a sample after
+        // `before` exists.
         let after = &self.points[self.idx + 1];
         (policy == SnapshotPolicy::Interpolate && bridgeable(before.t, after.t, horizon)).then(
             || SnapshotEntry {
@@ -105,9 +126,9 @@ impl<'a> ObjectCursor<'a> {
 /// empty ones (an empty snapshot is what closes open convoy candidates, so
 /// skipping it would change CMC semantics).
 ///
-/// Only live objects are read: a cursor is admitted at its object's first
-/// sample and retired after its last, so a tick costs the objects alive at
-/// it, not every object of the database.
+/// Only live objects are read: a cursor is admitted at its run's first tick
+/// and retired after its last, so a tick costs the objects alive at it, not
+/// every object of the database.
 ///
 /// ```
 /// use trajectory::{ObjectId, SnapshotPolicy, SnapshotSweep, Trajectory, TrajectoryDatabase};
@@ -123,9 +144,9 @@ impl<'a> ObjectCursor<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SnapshotSweep<'a> {
-    /// One cursor per object whose sampled interval meets the window.
-    /// `cursors[admitted..]` are not yet live, ascending by first sample;
-    /// each batch admitted at one tick is re-sorted by id in place.
+    /// One cursor per run that meets the window. `cursors[admitted..]` are
+    /// not yet live, ascending by first tick; each batch admitted at one
+    /// tick is re-sorted by id in place.
     cursors: Vec<ObjectCursor<'a>>,
     admitted: usize,
     /// Indices of the live cursors, ascending by object id, so reading them
@@ -139,20 +160,40 @@ pub struct SnapshotSweep<'a> {
     /// incrementing there is exactly the overflow this guards against.
     finished: bool,
     policy: SnapshotPolicy,
+    horizon: Option<TimePoint>,
 }
 
 impl<'a> SnapshotSweep<'a> {
-    /// Creates a sweep over `window` (clamped to nothing when the window is
-    /// empty of objects — the iterator then yields empty snapshots).
+    /// Creates a sweep over `window` that reads every object on its sampled
+    /// interval: each snapshot equals [`TrajectoryDatabase::snapshot`] at
+    /// its tick (empty ones when the window holds no samples).
     pub fn new(db: &'a TrajectoryDatabase, window: TimeInterval, policy: SnapshotPolicy) -> Self {
-        // An object whose sampled interval misses the window has no entry in
-        // it, so it gets no cursor at all.
-        let mut cursors: Vec<ObjectCursor<'a>> = db
-            .iter()
-            .filter(|(_, traj)| traj.start_time() <= window.end && traj.end_time() >= window.start)
-            .map(|(id, traj)| ObjectCursor::seek(id, traj.points(), window.start))
+        let runs = db.iter().map(|(id, traj)| {
+            let sampled = TimeInterval::new(traj.start_time(), traj.end_time());
+            (id, traj.points(), sampled)
+        });
+        SnapshotSweep::over_runs(runs, window, policy, None)
+    }
+
+    /// Creates a sweep over `window` that reads each object only on its
+    /// runs. A run `(id, points, ticks)` makes the object live on the ticks
+    /// of `ticks` that its samples span: there it has the exact sample or,
+    /// unless `policy` is [`SnapshotPolicy::ExactOnly`], the interpolated
+    /// position when the gap is [`bridgeable`] within `horizon` (`None` =
+    /// any gap). Runs may come in any order, but the runs of one object
+    /// must be disjoint: overlapping runs would read it twice.
+    pub fn over_runs(
+        runs: impl IntoIterator<Item = (ObjectId, &'a [TrajPoint], TimeInterval)>,
+        window: TimeInterval,
+        policy: SnapshotPolicy,
+        horizon: Option<TimePoint>,
+    ) -> Self {
+        // A run that misses the window or the samples gets no cursor at all.
+        let mut cursors: Vec<ObjectCursor<'a>> = runs
+            .into_iter()
+            .filter_map(|(id, points, run)| ObjectCursor::over(id, points, run, window))
             .collect();
-        cursors.sort_unstable_by_key(|c| c.points[0].t);
+        cursors.sort_unstable_by_key(|c| c.start);
         SnapshotSweep {
             cursors,
             admitted: 0,
@@ -161,6 +202,7 @@ impl<'a> SnapshotSweep<'a> {
             end: window.end,
             finished: window.start > window.end,
             policy,
+            horizon,
         }
     }
 
@@ -175,6 +217,7 @@ impl<'a> SnapshotSweep<'a> {
             end: 0,
             finished: true,
             policy,
+            horizon: None,
         }
     }
 
@@ -187,11 +230,11 @@ impl<'a> SnapshotSweep<'a> {
         }
     }
 
-    /// Makes live every not-yet-admitted cursor whose first sample is at or
+    /// Makes live every not-yet-admitted cursor whose run starts at or
     /// before `t`, keeping `active` ascending by id.
     fn admit(&mut self, t: TimePoint) {
         let first = self.admitted;
-        let count = self.cursors[first..].partition_point(|c| c.points[0].t <= t);
+        let count = self.cursors[first..].partition_point(|c| c.start <= t);
         if count == 0 {
             return;
         }
@@ -232,17 +275,17 @@ impl Iterator for SnapshotSweep<'_> {
         }
 
         self.admit(t);
-        // Read the live cursors in id order, retiring each one whose last
-        // sample is at or before `t`: it has no entry at any later tick.
-        let policy = self.policy;
+        // Read the live cursors in id order, retiring each one whose run
+        // ends at `t`: it has no entry at any later tick.
+        let (policy, horizon) = (self.policy, self.horizon);
         let cursors = &mut self.cursors;
         let mut entries: Vec<SnapshotEntry> = Vec::with_capacity(self.active.len());
         self.active.retain(|&i| {
             let cursor = &mut cursors[i];
-            if let Some(entry) = cursor.entry(t, policy, None) {
+            if let Some(entry) = cursor.entry(t, policy, horizon) {
                 entries.push(entry);
             }
-            cursor.points.last().is_some_and(|last| last.t > t)
+            cursor.end > t
         });
         Some(Snapshot { time: t, entries })
     }
@@ -255,79 +298,12 @@ impl Iterator for SnapshotSweep<'_> {
 
 impl ExactSizeIterator for SnapshotSweep<'_> {}
 
-/// Reads coverage-restricted [`SnapshotPolicy::Interpolate`] snapshots at
-/// rising ticks: the position reader of the CuTS refinement fold, over the
-/// database (batch) or the ingest buffers (stream).
-///
-/// Each call merge-walks the tick's coverage against the previous call's
-/// cursors. An object that stays covered steps its cursor forward, a newly
-/// covered object costs one `points_of` lookup and one binary search, and an
-/// object that left the coverage is dropped. Coverage changes only at
-/// λ-partition boundaries, so a read costs amortized O(1) per covered
-/// object-tick, and the cursor buffers are reused across calls.
-///
-/// Entries match [`TrajectoryDatabase::snapshot`] restricted to the coverage
-/// (same order, same arithmetic), except that with a `horizon` a gap that is
-/// not [`bridgeable`] yields no virtual point.
-#[derive(Debug, Clone)]
-pub struct CoverageReader<'a> {
-    horizon: Option<TimePoint>,
-    /// The previous call's cursors, ascending by id.
-    cursors: Vec<ObjectCursor<'a>>,
-    /// Where the next call builds its cursors before swapping them in.
-    spare: Vec<ObjectCursor<'a>>,
-}
-
-impl<'a> CoverageReader<'a> {
-    /// A reader that interpolates across gaps of at most `horizon` missing
-    /// ticks (`None` = any gap, the batch semantics).
-    pub fn new(horizon: Option<TimePoint>) -> Self {
-        CoverageReader {
-            horizon,
-            cursors: Vec::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    /// The snapshot at `t` of the objects in `coverage`, positions read from
-    /// the sample slices `points_of` returns (`None` skips the object).
-    /// Ticks must not decrease from one call to the next.
-    pub fn snapshot<F>(
-        &mut self,
-        t: TimePoint,
-        coverage: &BTreeSet<ObjectId>,
-        mut points_of: F,
-    ) -> Snapshot
-    where
-        F: FnMut(ObjectId) -> Option<&'a [TrajPoint]>,
-    {
-        self.spare.clear();
-        let mut previous = self.cursors.iter().peekable();
-        for &id in coverage {
-            while previous.next_if(|c| c.id < id).is_some() {}
-            if let Some(cursor) = previous.next_if(|c| c.id == id) {
-                self.spare.push(*cursor);
-            } else if let Some(points) = points_of(id) {
-                self.spare.push(ObjectCursor::seek(id, points, t));
-            }
-        }
-        std::mem::swap(&mut self.cursors, &mut self.spare);
-        let horizon = self.horizon;
-        let mut entries = Vec::with_capacity(self.cursors.len());
-        for cursor in &mut self.cursors {
-            if let Some(entry) = cursor.entry(t, SnapshotPolicy::Interpolate, horizon) {
-                entries.push(entry);
-            }
-        }
-        Snapshot { time: t, entries }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trajectory::Trajectory;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn traj(pts: &[(f64, f64, i64)]) -> Trajectory {
         Trajectory::from_tuples(pts.iter().copied()).unwrap()
@@ -528,34 +504,46 @@ mod tests {
         }
 
         #[test]
-        fn coverage_reader_equals_the_restricted_snapshot(
+        fn run_sweep_equals_the_restricted_snapshot(
             db in arb_db(),
-            ticks in proptest::collection::btree_set(-25i64..25, 1..20),
-            masks in proptest::collection::vec(0u64..u64::MAX, 20),
+            bounds in proptest::collection::vec(
+                proptest::collection::btree_set(-30i64..30, 0..7),
+                27,
+            ),
+            start in -30i64..30,
+            len in 0i64..40,
             horizon in 0i64..6,
         ) {
-            // Every known id plus three unknown ones; bit `i` of `covered`
-            // covers `universe[i]`.
-            let mut universe: Vec<ObjectId> = db.iter().map(|(id, _)| id).collect();
-            universe.extend([ObjectId(1_000), ObjectId(1_001), ObjectId(1_002)]);
-            let mut unbounded = CoverageReader::new(None);
-            let mut severing = CoverageReader::new(Some(horizon));
-            let mut covered = 0u64;
-            for (&t, mask) in ticks.iter().zip(masks) {
-                // A non-zero flip: the coverage changes at every tick, so
-                // objects leave and come back.
-                covered ^= 1 + mask % ((1 << universe.len()) - 1);
-                let coverage: BTreeSet<ObjectId> = universe
-                    .iter()
-                    .enumerate()
-                    .filter(|(bit, _)| covered & (1 << bit) != 0)
-                    .map(|(_, &id)| id)
-                    .collect();
-                let points_of = |id| db.get(id).map(Trajectory::points);
-
+            // Every known id plus three unknown ones (no samples). Each gets
+            // disjoint runs from its sorted bounds, paired up in order: runs
+            // may start before or end after the samples, and one object may
+            // have several.
+            let mut universe: Vec<(ObjectId, &[TrajPoint])> =
+                db.iter().map(|(id, traj)| (id, traj.points())).collect();
+            universe.extend([1_000, 1_001, 1_002].map(|id| (ObjectId(id), &[][..])));
+            let mut runs = Vec::new();
+            for (&(id, points), bounds) in universe.iter().zip(&bounds) {
+                let bounds: Vec<i64> = bounds.iter().copied().collect();
+                for pair in bounds.chunks_exact(2) {
+                    runs.push((id, points, TimeInterval::new(pair[0], pair[1])));
+                }
+            }
+            let covers = |id: ObjectId, t: TimePoint| {
+                runs.iter().any(|&(run_id, _, run)| run_id == id && run.contains(t))
+            };
+            let window = TimeInterval::new(start, start + len);
+            let mut unbounded =
+                SnapshotSweep::over_runs(runs.clone(), window, SnapshotPolicy::Interpolate, None);
+            let mut severing = SnapshotSweep::over_runs(
+                runs.clone(),
+                window,
+                SnapshotPolicy::Interpolate,
+                Some(horizon),
+            );
+            for t in window.iter() {
                 let mut expected = db.snapshot(t, SnapshotPolicy::Interpolate);
-                expected.entries.retain(|e| coverage.contains(&e.id));
-                prop_assert_eq!(unbounded.snapshot(t, &coverage, points_of), expected.clone());
+                expected.entries.retain(|e| covers(e.id, t));
+                prop_assert_eq!(unbounded.next(), Some(expected.clone()));
 
                 // Severing reference: an entry survives unless its bracketing
                 // samples, found by linear scans, lie more than `horizon`
@@ -566,8 +554,10 @@ mod tests {
                     let after = points.iter().find(|p| p.t >= t).unwrap();
                     after.t - before.t - 1 <= horizon
                 });
-                prop_assert_eq!(severing.snapshot(t, &coverage, points_of), expected);
+                prop_assert_eq!(severing.next(), Some(expected));
             }
+            prop_assert_eq!(unbounded.next(), None);
+            prop_assert_eq!(severing.next(), None);
         }
     }
 }

@@ -6,9 +6,11 @@
 //!   set of trajectories whose interval meets the window. The oracle here
 //!   is the all-objects scan: `SubTrajectory::for_window` on every
 //!   simplified trajectory for every partition, in slice order.
-//! * [`refine_partitions`] builds each tick's snapshot by looking up only
-//!   the covered objects. The oracle is a full-domain [`SnapshotSweep`]
-//!   over every object, each snapshot then restricted to the coverage.
+//! * [`refine_partitions`] sweeps each object only on its covered runs. The
+//!   oracle is a full-domain [`SnapshotSweep`] over every object, each
+//!   snapshot restricted to the coverage and folded through a plain
+//!   `CmcState`; the refinement must also be the same on every
+//!   [`CmcEngine`].
 //! * The filter's partitions hold pairwise-disjoint clusters: the
 //!   precondition under which folding them through `CmcState`, whose
 //!   per-step candidate dedup needs converging chains to fire, is exactly
@@ -20,18 +22,17 @@
 //! so the active set must keep it).
 
 use convoy_core::cuts::filter::{filter_simplified, simplify_database, FilterOutput};
-use convoy_core::cuts::refine::RefineFold;
 use convoy_core::{
-    auto_delta, auto_lambda, cluster_partition, refine_partitions, CmcState, CmcStats, Convoy,
-    ConvoyQuery, CutsConfig, CutsVariant, PartitionClusters,
+    auto_delta, auto_lambda, cluster_partition, refine_partitions, CmcEngine, CmcState, CmcStats,
+    Convoy, ConvoyQuery, CutsConfig, CutsVariant, Discovery, Method, PartitionClusters,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use traj_cluster::{Cluster, SubTrajectory};
 use traj_simplify::{SimplifiedTrajectory, ToleranceMode};
 use trajectory::{
-    ObjectId, Snapshot, SnapshotPolicy, SnapshotSweep, TimeInterval, TimePartition, TimePoint,
-    TrajPoint, Trajectory, TrajectoryDatabase,
+    ObjectId, Snapshot, SnapshotPolicy, SnapshotSweep, TimeInterval, TimePartition, TrajPoint,
+    Trajectory, TrajectoryDatabase,
 };
 
 /// The all-objects filter: every λ-partition scans every simplified
@@ -86,8 +87,10 @@ fn restrict_snapshot(mut snapshot: Snapshot, coverage: &BTreeSet<ObjectId>) -> S
     snapshot
 }
 
-/// The full-sweep refinement: one [`SnapshotSweep`] over every object of the
-/// filtered domain, each snapshot restricted to the tick's coverage.
+/// The full-sweep refinement, written without the code under test: one
+/// full-domain [`SnapshotSweep`] over every object, each tick restricted to
+/// the union of the clusters of every partition that contains it and folded
+/// through a plain [`CmcState`].
 fn full_sweep_refine(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
@@ -97,18 +100,16 @@ fn full_sweep_refine(
         return (Vec::new(), CmcStats::default());
     };
     let domain = TimeInterval::new(first.window.start, last.window.end);
-    let mut sweep = SnapshotSweep::new(db, domain, SnapshotPolicy::Interpolate);
-    let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| -> Snapshot {
-        let snapshot = sweep.next().expect("sweep covers every folded tick");
-        assert_eq!(snapshot.time, t);
-        restrict_snapshot(snapshot, coverage)
-    };
-    let mut fold = RefineFold::new(query);
-    for partition in partitions {
-        fold.push_partition(partition, &mut snapshot_at);
+    let mut state = CmcState::new(query);
+    for snapshot in SnapshotSweep::new(db, domain, SnapshotPolicy::Interpolate) {
+        let coverage: BTreeSet<ObjectId> = partitions
+            .iter()
+            .filter(|p| p.window.contains(snapshot.time))
+            .flat_map(|p| p.clusters.iter().flat_map(|c| c.iter()))
+            .collect();
+        state.ingest_snapshot(&restrict_snapshot(snapshot, &coverage));
     }
-    let outcome = fold.finish(&mut snapshot_at);
-    (outcome.convoys, outcome.stats)
+    state.finish_with_stats()
 }
 
 prop_compose! {
@@ -297,6 +298,33 @@ proptest! {
             refine_partitions(&db, &query, &partitions),
             full_sweep_refine(&db, &query, &partitions)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn parallel_refinement_matches_the_swept_run(
+        db in arb_db(),
+        m in 2usize..4,
+        k in 1usize..6,
+        e in 0.5f64..4.0,
+        lambda in 0usize..9,
+        threads in 1usize..=4,
+    ) {
+        let query = ConvoyQuery::new(m, k, e);
+        for method in [Method::Cuts, Method::CutsPlus, Method::CutsStar] {
+            let variant = method.cuts_variant().unwrap();
+            let config = config(variant, None, lambda, false);
+            let swept = Discovery::new(method).with_config(config).run(&db, &query);
+            let parallel = Discovery::new(method)
+                .with_config(config)
+                .with_cmc_engine(CmcEngine::Parallel { threads })
+                .run(&db, &query);
+            prop_assert_eq!(&parallel.convoys, &swept.convoys, "{} convoys", method);
+            prop_assert_eq!(parallel.stats, swept.stats, "{} stats", method);
+        }
     }
 }
 
