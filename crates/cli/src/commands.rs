@@ -102,9 +102,12 @@ COMMANDS:
               with the offending line number). --horizon H evicts chains
               older than H ticks and refuses to bridge feed gaps larger
               than H. --checkpoint-path P atomically snapshots the stream
-              to P every K closed partitions (K defaults to 1); --resume P
-              restores a snapshot and continues — replaying the same feed
-              skips everything the checkpoint already ingested. --resume
+              to P every K closed partitions (K defaults to 1), keeping
+              one extra snapshot-sized file, P.spare, beside P so that a
+              write frees no disk blocks (bar the first after a crash);
+              --resume P restores a snapshot and continues — replaying the
+              same feed skips everything the checkpoint already ingested.
+              --resume
               conflicts with the query/pipeline flags (they ride in the
               checkpoint).
     simplify  FILE --delta F [--method dp|dp-plus|dp-star]

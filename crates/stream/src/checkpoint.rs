@@ -34,10 +34,15 @@
 //! are length-prefixed (`u64`) and written in a deterministic order, so the
 //! same state always serializes to the same bytes.
 //!
-//! [`ConvoyStream::checkpoint`] writes to a sibling temp file, syncs it,
-//! atomically renames it over the destination and syncs the directory — a
-//! crash mid-write can lose the checkpoint being written, never corrupt the
-//! previous one. Decoding is strict: a truncated, bit-flipped,
+//! [`ConvoyStream::checkpoint`] overwrites a kept spare file,
+//! `<path>.spare`, in place, syncs it, hard-links the current checkpoint
+//! aside, renames the spare over the destination, renames the old
+//! checkpoint to be the next spare and syncs the directory. Only the first
+//! write after a crash frees a data block (unlinking a multi-megabyte file
+//! can cost more than the whole write), and a crash mid-write can lose the
+//! checkpoint being written, never corrupt the previous one; the price is
+//! one extra checkpoint-sized file beside the destination. Decoding is
+//! strict: a truncated, bit-flipped,
 //! version-bumped or trailing-garbage file is rejected with a
 //! [`CheckpointError`], never a panic or a partial restore. Version 1 files (which also stored a per-object validator list)
 //! are rejected as [`CheckpointError::UnsupportedVersion`].
@@ -342,8 +347,11 @@ impl ConvoyStream {
     /// Serializes the stream's resumable state to checkpoint bytes (see the
     /// module docs for the format).
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        // The buffered samples (24 bytes each, 16 more per object) are
+        // nearly all of a checkpoint; 256 bytes cover the fixed sections.
+        let capacity = 256 + 16 * self.buffers.len() + 24 * self.samples_buffered;
         let mut e = Enc {
-            buf: Vec::with_capacity(256),
+            buf: Vec::with_capacity(capacity),
         };
         e.buf.extend_from_slice(&MAGIC);
         e.u32(FORMAT_VERSION);
@@ -605,43 +613,81 @@ impl ConvoyStream {
         Ok(stream)
     }
 
-    /// Writes a checkpoint to `path` atomically and durably: the bytes go to
-    /// a sibling `<path>.tmp`, are synced to disk, and are renamed over
-    /// `path` in one step, and then the parent directory (`.` for a bare
-    /// file name) is synced so the rename itself survives a power loss — a
-    /// crash mid-write never corrupts an existing checkpoint. On any error
-    /// the temp file is removed.
+    /// Writes a checkpoint to `path` atomically and durably, without
+    /// unlinking a data inode: beside `path` the write keeps one spare,
+    /// checkpoint-sized file, `<path>.spare`, which holds the previous
+    /// checkpoint and is overwritten by the next one. With `dir` the parent
+    /// directory (`.` for a bare file name), each write
+    ///
+    /// 0. syncs `dir`, so the renames of an earlier write are durable
+    ///    before its spare is overwritten in place;
+    /// 1. drops a stray `<path>.prev`, which only a stop mid-write leaves:
+    ///    after step 3 it is a second link to `path`, after step 4 the old
+    ///    checkpoint's last link, so dropping it frees at most one
+    ///    checkpoint's blocks, once after a crash;
+    /// 2. overwrites `<path>.spare` in place (creating it if missing),
+    ///    trims it to the new length and syncs it; a spare created here is
+    ///    made durable by a sync of `dir`, so a later link can never
+    ///    outlive it;
+    /// 3. hard-links `path` as `<path>.prev`;
+    /// 4. renames the spare over `path`: the old inode stays linked as
+    ///    `.prev`, so no block is freed;
+    /// 5. renames `<path>.prev` to `<path>.spare`;
+    /// 6. syncs `dir`, so the renames survive a power loss.
+    ///
+    /// When the link fails (the first write, or a file system without hard
+    /// links) only step 5 is skipped. At every step `path` names a complete,
+    /// synced checkpoint: a crash can lose the checkpoint being written,
+    /// never corrupt the previous one, and the next write reuses whatever
+    /// spare it left.
     pub fn checkpoint<P: AsRef<Path>>(&self, path: P) -> Result<(), CheckpointError> {
         let path = path.as_ref();
         // The guard ends the `checkpoint.write` span on every exit path,
         // early I/O errors included.
         let _span = self.obs.span_guard("checkpoint.write", self.root_span);
         let bytes = self.checkpoint_bytes();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let live = self.obs.enabled();
-        let written = std::fs::File::create(&tmp).and_then(|mut file| {
-            file.write_all(&bytes)?;
-            let fsync_started_ns = if live { self.obs.now_ns() } else { 0 };
-            file.sync_all()?;
-            if live {
-                self.obs.histogram_record(
-                    "checkpoint.fsync_ns",
-                    self.obs.now_ns().saturating_sub(fsync_started_ns),
-                );
-            }
-            Ok(())
-        });
-        if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e.into());
-        }
+        let sibling = |suffix: &str| {
+            let mut name = path.as_os_str().to_owned();
+            name.push(suffix);
+            std::path::PathBuf::from(name)
+        };
+        let (spare, prev) = (sibling(".spare"), sibling(".prev"));
         let dir = path
             .parent()
             .filter(|dir| !dir.as_os_str().is_empty())
             .unwrap_or(Path::new("."));
-        std::fs::File::open(dir)?.sync_all()?;
+        let sync_dir = || std::fs::File::open(dir)?.sync_all();
+        let live = self.obs.enabled();
+
+        sync_dir()?;
+        if prev.exists() {
+            std::fs::remove_file(&prev)?;
+        }
+        let newly_named = !spare.exists();
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&spare)?;
+        file.write_all(&bytes)?;
+        file.set_len(bytes.len() as u64)?;
+        let fsync_started_ns = if live { self.obs.now_ns() } else { 0 };
+        file.sync_all()?;
+        if live {
+            self.obs.histogram_record(
+                "checkpoint.fsync_ns",
+                self.obs.now_ns().saturating_sub(fsync_started_ns),
+            );
+        }
+        if newly_named {
+            sync_dir()?;
+        }
+        let linked = std::fs::hard_link(path, &prev).is_ok();
+        std::fs::rename(&spare, path)?;
+        if linked {
+            std::fs::rename(&prev, &spare)?;
+        }
+        sync_dir()?;
         if live {
             self.obs.counter_add("checkpoint.writes", 1);
             self.obs
@@ -713,6 +759,127 @@ mod tests {
                 Err(CheckpointError::Malformed("configuration out of range"))
             ));
         }
+    }
+
+    /// What a file beside the checkpoint holds when a write stops.
+    #[derive(Clone, Copy)]
+    enum Held {
+        /// The checkpoint on disk before the write.
+        Old,
+        /// The checkpoint being written.
+        New,
+        /// The first half of the new checkpoint (a stop mid-overwrite).
+        Torn,
+        /// Bytes longer than any checkpoint here, so a write must trim.
+        Garbage,
+        /// A second link to the inode `path` names.
+        LinkToPath,
+    }
+
+    /// The directory states a stop after each step of a checkpoint write
+    /// can leave, as `(suffix, content)` files created in order; `""` is
+    /// `path` itself.
+    const STOPS: &[(&str, &[(&str, Held)])] = &[
+        ("no checkpoint yet", &[]),
+        ("first write, torn spare", &[(".spare", Held::Torn)]),
+        ("first write, spare synced", &[(".spare", Held::New)]),
+        ("no spare", &[("", Held::Old)]),
+        (
+            "after steps 0-1",
+            &[("", Held::Old), (".spare", Held::Garbage)],
+        ),
+        ("mid step 2", &[("", Held::Old), (".spare", Held::Torn)]),
+        ("after step 2", &[("", Held::Old), (".spare", Held::New)]),
+        (
+            "after step 3: a .prev beside the .spare",
+            &[
+                ("", Held::Old),
+                (".spare", Held::New),
+                (".prev", Held::LinkToPath),
+            ],
+        ),
+        (
+            "after step 3, spare since deleted: a .prev linked to path",
+            &[("", Held::Old), (".prev", Held::LinkToPath)],
+        ),
+        (
+            "after step 4: a stray .prev, no spare",
+            &[("", Held::New), (".prev", Held::Old)],
+        ),
+        ("after step 5", &[("", Held::New), (".spare", Held::Old)]),
+    ];
+
+    #[test]
+    fn every_stop_in_a_write_leaves_a_restorable_checkpoint(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let dir =
+            std::env::temp_dir().join(format!("convoy-checkpoint-stops-{}", std::process::id()));
+        let mut stream = ConvoyStream::new(StreamConfig::new(ConvoyQuery::new(2, 3, 1.0), 0.2, 4));
+        let mut bytes = Vec::new();
+        for t in 0..3 {
+            for o in 0..=t {
+                stream.push(ObjectId(o as u64), t, t as f64, o as f64)?;
+            }
+            bytes.push(stream.checkpoint_bytes());
+        }
+        let [old, new, _] = &bytes[..] else {
+            return Err("three checkpoints".into());
+        };
+        let file = |suffix: &str| {
+            let mut name = dir.join("state.snap").into_os_string();
+            name.push(suffix);
+            std::path::PathBuf::from(name)
+        };
+        let path = file("");
+        for &(stop, files) in STOPS {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir)?;
+            for &(suffix, held) in files {
+                let content = match held {
+                    Held::Old => old.clone(),
+                    Held::New => new.clone(),
+                    Held::Torn => new[..new.len() / 2].to_vec(),
+                    Held::Garbage => vec![0xAB; 3 * new.len()],
+                    Held::LinkToPath => {
+                        std::fs::hard_link(&path, file(suffix))?;
+                        continue;
+                    }
+                };
+                std::fs::write(file(suffix), content)?;
+            }
+
+            // A restore reads the old or the new checkpoint, never a mix.
+            let before = std::fs::read(&path).ok();
+            match &before {
+                None => assert!(ConvoyStream::restore(&path).is_err(), "{stop}"),
+                Some(held) => {
+                    assert!(held == old || held == new, "{stop}: path holds a mix");
+                    assert!(ConvoyStream::restore(&path).is_ok(), "{stop}");
+                }
+            }
+
+            // The next two writes succeed, land exactly their bytes and keep
+            // the checkpoint they replace as a separate spare file: `path`
+            // and `.spare` read different bytes, so they are not two links
+            // to one inode.
+            stream.checkpoint(&path)?;
+            assert_eq!(std::fs::read(&path)?, stream.checkpoint_bytes(), "{stop}");
+            assert_eq!(std::fs::read(file(".spare")).ok(), before, "{stop}");
+            let written = stream.checkpoint_bytes();
+            stream.push(ObjectId(0), 3, 3.0, 0.0)?;
+            stream.checkpoint(&path)?;
+            assert_eq!(std::fs::read(&path)?, stream.checkpoint_bytes(), "{stop}");
+            assert_eq!(std::fs::read(file(".spare"))?, written, "{stop}");
+            assert!(ConvoyStream::restore(&path).is_ok(), "{stop}");
+            for stray in [".prev", ".tmp"] {
+                assert!(!file(stray).exists(), "{stop}: {stray} left behind");
+            }
+
+            // Rewind the stream to the third checkpoint for the next stop.
+            stream = ConvoyStream::from_checkpoint_bytes(&bytes[2])?;
+        }
+        std::fs::remove_dir_all(&dir)?;
+        Ok(())
     }
 
     #[test]

@@ -606,10 +606,12 @@ pub fn replay_config(
 }
 
 /// Every sample of `db` in feed order (ascending time, object id breaking
-/// ties) — the order a replay pushes them.
+/// ties) — the order a replay pushes them. Ticks strictly increase along a
+/// trajectory, so no two samples share a `(t, id)` key and the in-place
+/// unstable sort gives the stable order without a stable sort's scratch.
 pub fn feed_order_samples(db: &trajectory::TrajectoryDatabase) -> Vec<(ObjectId, TrajPoint)> {
     let mut samples = db.all_samples();
-    samples.sort_by_key(|(id, p)| (p.t, *id));
+    samples.sort_unstable_by_key(|(id, p)| (p.t, *id));
     samples
 }
 

@@ -136,6 +136,35 @@ fn stream_matches_batch_on_generated_seeds() {
     }
 }
 
+#[test]
+fn stream_matches_batch_on_single_tick_feeds() {
+    // A feed of one tick closes a single instant partition `[5, 5]`: the
+    // stream must fold that tick once, as the batch run does, whether it
+    // holds one sample or a pair that forms a convoy on its own.
+    let at_five = |samples: &[(u64, f64)]| -> TrajectoryDatabase {
+        samples
+            .iter()
+            .map(|&(id, x)| {
+                (
+                    ObjectId(id),
+                    Trajectory::from_tuples([(x, 0.0, 5)]).unwrap(),
+                )
+            })
+            .collect()
+    };
+    let query = ConvoyQuery::new(2, 1, 1.0);
+    for (db, convoys) in [
+        (at_five(&[(1, 0.0)]), 0),
+        (at_five(&[(1, 0.0), (2, 0.5)]), 1),
+    ] {
+        let context = format!("a one-tick feed of {} samples", db.total_points());
+        assert_stream_matches_batch(&db, &query, &context);
+        let outcome = Discovery::new(Method::CutsStar).replay_stream(&db, &query);
+        assert_eq!(outcome.stats.fold.ticks_ingested, 1, "{context}");
+        assert_eq!(outcome.convoys.len(), convoys, "{context}");
+    }
+}
+
 /// Pushes a tick of co-moving pair samples.
 fn push_pair(stream: &mut ConvoyStream, t: i64) {
     stream.push(ObjectId(1), t, t as f64, 0.0).unwrap();
