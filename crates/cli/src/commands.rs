@@ -199,17 +199,19 @@ fn query_from_args(args: &ParsedArgs) -> Result<ConvoyQuery, CommandError> {
     Ok(ConvoyQuery::new(m, k, e))
 }
 
-/// Checks a distance option: `--e` must be positive, `--delta` (any other
-/// key) non-negative. Both comparisons are written so that NaN fails them:
-/// a NaN ε makes CuTS hang and CMC report nothing, and a negative δ inflates
-/// the global tolerance past the filter's no-false-dismissal bound.
+/// Checks a distance option: `--e` must be finite and positive, `--delta`
+/// (any other key) finite and non-negative. Both comparisons are written so
+/// that NaN fails them: a NaN ε makes CuTS hang and CMC report nothing, and
+/// a negative δ inflates the global tolerance past the filter's
+/// no-false-dismissal bound. An infinite ε or δ would run, but a stream
+/// checkpoint cannot store it, so `--resume` could not restore the run.
 fn check_distance(key: &str, value: f64) -> Result<f64, CommandError> {
     let (valid, rule) = if key == "e" {
-        (value > 0.0, "positive")
+        (value > 0.0, "finite and positive")
     } else {
-        (value >= 0.0, "non-negative")
+        (value >= 0.0, "finite and non-negative")
     };
-    if !valid {
+    if !(valid && value.is_finite()) {
         return Err(CommandError(format!("--{key} must be {rule}")));
     }
     Ok(value)
@@ -1017,16 +1019,16 @@ mod tests {
     #[test]
     fn distance_options_reject_nan_and_out_of_range_values() {
         assert_eq!(check_distance("e", 2.5).unwrap(), 2.5);
-        for bad in [0.0, -1.0, f64::NAN] {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert_eq!(
                 check_distance("e", bad).unwrap_err().0,
-                "--e must be positive"
+                "--e must be finite and positive"
             );
         }
         assert_eq!(check_distance("delta", 0.0).unwrap(), 0.0);
-        for bad in [-5.0, f64::NAN] {
+        for bad in [-5.0, f64::NAN, f64::INFINITY] {
             let err = check_distance("delta", bad).unwrap_err();
-            assert_eq!(err.0, "--delta must be non-negative");
+            assert_eq!(err.0, "--delta must be finite and non-negative");
         }
         // The query reader every query command shares applies the check.
         let args = ParsedArgs::parse(["--m", "3", "--k", "5", "--e", "nan"]).unwrap();

@@ -132,19 +132,9 @@ impl Discovery {
         self
     }
 
-    /// The method this run executes.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
     /// The CuTS configuration this run uses.
     pub fn config(&self) -> &CutsConfig {
         &self.config
-    }
-
-    /// The engine CMC and the CuTS refinement run on.
-    pub fn cmc_engine(&self) -> CmcEngine {
-        self.cmc_engine
     }
 
     /// Loads a database from any [`TrajectorySource`] backend and executes
@@ -367,7 +357,7 @@ mod tests {
             );
         }
         assert_eq!(
-            Discovery::new(Method::Cmc).cmc_engine(),
+            Discovery::new(Method::Cmc).cmc_engine,
             CmcEngine::Swept,
             "streaming sweep is the default engine"
         );
@@ -504,6 +494,6 @@ mod tests {
             .with_config(CutsConfig::new(CutsVariant::Cuts).with_delta(1.0));
         assert_eq!(discovery.config().variant, CutsVariant::CutsStar);
         assert_eq!(discovery.config().delta, Some(1.0));
-        assert_eq!(discovery.method(), Method::CutsStar);
+        assert_eq!(discovery.method, Method::CutsStar);
     }
 }

@@ -396,6 +396,12 @@ impl CmcState {
         self.current.len()
     }
 
+    /// The last ingested tick (the last window's end, for partitions), or
+    /// `None` before the first ingest.
+    pub fn last_tick(&self) -> Option<TimePoint> {
+        self.last_tick
+    }
+
     /// The largest number of simultaneously open candidate chains observed so
     /// far (a bound on the per-tick working set).
     pub fn peak_candidates(&self) -> usize {

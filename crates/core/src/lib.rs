@@ -14,9 +14,9 @@
 //! * the **streaming + parallel engine** ([`engine`]): the incremental
 //!   [`CmcState`] fold, the swept single-pass extraction and the
 //!   time-partitioned parallel driver — selectable per run via
-//!   [`CmcEngine`], whose
-//!   [`run_windowed_with_stats_obs`](CmcEngine::run_windowed_with_stats_obs)
-//!   is the one CMC implementation every other run function delegates to;
+//!   [`CmcEngine`], whose crate-private `CmcEngine::run_sweep` is the one
+//!   CMC implementation every run function and the CuTS refinement
+//!   delegate to;
 //! * the **CuTS family** ([`cuts`]): the filter–refinement algorithms built
 //!   on trajectory simplification — CuTS (DP + `DLL` bounds), CuTS+ (DP+ +
 //!   `DLL` bounds) and CuTS* (DP* + `D*` bounds);

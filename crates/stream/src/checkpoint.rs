@@ -3,27 +3,28 @@
 //! A checkpoint captures everything a stream needs to resume
 //! **bit-identically**: the feed watermark, the per-object sample buffers
 //! (whose newest samples double as the per-object feed-order cursors), the
-//! partition cursor, the coarse candidate
-//! chain, the refinement fold (including its held-back boundary partition),
-//! the undrained output, and every lifetime counter. Scratch state — the
+//! partition cursor, the coarse candidate chain, the refinement fold's
+//! chains and counters, the undrained output, and every lifetime counter.
+//! A partition close folds every tick up to the partition's end, so no
+//! partition's coverage outlives its close. Scratch state — the
 //! snapshot clusterer, the dedup index, the cached partition blocker — is
 //! deliberately *not* stored: a restored stream rebuilds it empty, which is
 //! output-neutral (`run N ticks → checkpoint → restore → run M ticks` equals
 //! `run N+M ticks` on raw convoys and [`crate::StreamStats`] alike;
 //! `tests/checkpoint_equivalence.rs` locks this in).
 //!
-//! ## File format (version 2)
+//! ## File format (version 3)
 //!
 //! ```text
 //! magic   8 bytes   b"CONVOYCK"
-//! version u32 LE    2
+//! version u32 LE    3
 //! 7 sections, fixed order, each: tag u32 LE + payload length u64 LE + payload
 //!   1 CONFIG     query (m, k, e), variant, δ, λ, tolerance mode, eviction
 //!   2 WATERMARK  the feed watermark (largest accepted timestamp), optional
 //!   3 BUFFERS    per-object samples (ascending ids, ascending timestamps,
 //!                none newer than the watermark)
 //!   4 FILTER     partition cursor + candidate-chain state
-//!   5 FOLD       refinement-fold state (CmcState view + boundary coverage)
+//!   5 FOLD       refinement-fold state (CmcState view + eviction count)
 //!   6 OUTPUT     undrained convoys and candidates
 //!   7 STATS      stream counters not derivable from the sections above
 //! crc32   u32 LE    IEEE CRC-32 of every preceding byte
@@ -44,8 +45,10 @@
 //! one extra checkpoint-sized file beside the destination. Decoding is
 //! strict: a truncated, bit-flipped,
 //! version-bumped or trailing-garbage file is rejected with a
-//! [`CheckpointError`], never a panic or a partial restore. Version 1 files (which also stored a per-object validator list)
-//! are rejected as [`CheckpointError::UnsupportedVersion`].
+//! [`CheckpointError`], never a panic or a partial restore. Older versions
+//! are rejected as [`CheckpointError::UnsupportedVersion`]: version 1 also
+//! stored a per-object validator list, version 2 a held-back boundary
+//! partition's window and coverage and a copy of the fold's last tick.
 
 // This module faces arbitrary bytes; every abort path is a bug. Enforced
 // three ways: convoy-lint's no-panic-decode rule, the every-byte-flip
@@ -62,7 +65,7 @@ use std::io::Write;
 use std::path::Path;
 use traj_cluster::Cluster;
 use traj_simplify::ToleranceMode;
-use trajectory::{ObjectId, TimeInterval, TimePartition, TrajPoint};
+use trajectory::{ObjectId, TimePartition, TrajPoint};
 
 /// The trailer checksum: the `.convoy` container's IEEE CRC-32, shared.
 pub use traj_datasets::container::crc32;
@@ -72,7 +75,7 @@ use traj_datasets::container::{ByteReader, Truncated};
 pub const MAGIC: [u8; 8] = *b"CONVOYCK";
 
 /// The current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const TAG_CONFIG: u32 = 1;
 const TAG_WATERMARK: u32 = 2;
@@ -406,19 +409,6 @@ impl ConvoyStream {
         let fold = &self.fold;
         e.section(TAG_FOLD, |e| {
             e.cmc_state(&fold.state.export_state());
-            match &fold.prev {
-                None => e.u8(0),
-                Some((window, coverage)) => {
-                    e.u8(1);
-                    e.i64(window.start);
-                    e.i64(window.end);
-                    e.u64(coverage.len() as u64);
-                    for id in coverage {
-                        e.u64(id.0);
-                    }
-                }
-            }
-            e.opt_i64(fold.last_tick);
             e.u64(fold.evicted);
         });
 
@@ -554,27 +544,6 @@ impl ConvoyStream {
 
         let mut s = section(&mut d, TAG_FOLD)?;
         let state = cmc_state(&mut s)?;
-        let prev = match s.u8()? {
-            0 => None,
-            1 => {
-                let start = s.i64()?;
-                let end = s.i64()?;
-                let count = len_prefix(&mut s, 8)?;
-                let mut coverage = Vec::with_capacity(count);
-                for _ in 0..count {
-                    coverage.push(ObjectId(s.u64()?));
-                }
-                if !coverage.is_sorted_by(|a, b| a < b) {
-                    return Err(CheckpointError::Malformed("fold coverage not ascending"));
-                }
-                if start > end {
-                    return Err(CheckpointError::Malformed("fold window inverted"));
-                }
-                Some((TimeInterval::new(start, end), coverage))
-            }
-            _ => return Err(CheckpointError::Malformed("option tag")),
-        };
-        let fold_last_tick = opt(&mut s, ByteReader::i64)?;
         let fold_evicted = s.u64()?;
         finish_section(s, "trailing bytes in fold section")?;
 
@@ -600,8 +569,6 @@ impl ConvoyStream {
         stream.partition_start = partition_start;
         stream.chain = CmcState::from_state(&config.query, chain);
         stream.fold.state = CmcState::from_state(&config.query, state);
-        stream.fold.prev = prev;
-        stream.fold.last_tick = fold_last_tick;
         stream.fold.evicted = fold_evicted;
         stream.ready = ready;
         stream.ready_candidates = ready_candidates;
@@ -884,14 +851,16 @@ mod tests {
 
     #[test]
     fn version_one_files_are_unsupported() {
-        let mut bytes = bytes_with_watermark(Some(2));
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let body = bytes.len() - 4;
-        let crc = crc32(&bytes[..body]);
-        bytes[body..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            ConvoyStream::from_checkpoint_bytes(&bytes),
-            Err(CheckpointError::UnsupportedVersion(1))
-        ));
+        for version in [1u32, 2] {
+            let mut bytes = bytes_with_watermark(Some(2));
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                ConvoyStream::from_checkpoint_bytes(&bytes),
+                Err(CheckpointError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 }

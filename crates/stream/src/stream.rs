@@ -16,13 +16,21 @@
 //!   │                     (both shared with the batch filter; the candidate
 //!   │                      chain is the CMC fold over λ-windows)
 //!   ▼
-//! RefineFold: covered sweep → CmcState fold over ticks, eviction hooks
-//!   │
+//! RefineFold: covered sweep → CmcState fold over the partition's ticks
+//!   │        (its end tick included), eviction hooks
 //!   ▼
 //! drain() → confirmed convoys         (StreamStats)
 //! ```
 //!
-//! **Correctness contract.** With an unbounded [`EvictionPolicy`], replaying
+//! Each close folds every tick of the partition not yet folded, its end tick
+//! included, each snapshot holding only that partition's cluster members; a
+//! tick two partitions share is folded once, by the earlier one. So a chain
+//! that fails to extend at a partition's end tick is drained at that
+//! partition's close, and a checkpoint carries no partition-sized fold state
+//! beyond the open chains.
+//!
+//! **Correctness contract.** With an unbounded
+//! [`EvictionPolicy`](crate::EvictionPolicy), replaying
 //! any finite database through the stream produces refinement output
 //! bit-identical to batch [`Discovery`] with the same CuTS configuration —
 //! raw convoy sequence and fold counters included — even though the
@@ -40,7 +48,7 @@
 //! horizon bounds both the wait and the buffered window on a live feed.
 
 use crate::buffer::ObjectBuffer;
-use crate::config::{EvictionPolicy, StreamConfig, StreamStats};
+use crate::config::{StreamConfig, StreamStats};
 use crate::refine::RefineFold;
 use convoy_core::cuts::filter::simplify_database;
 use convoy_core::{
@@ -49,8 +57,7 @@ use convoy_core::{
 };
 use convoy_obs::{Obs, SpanId};
 use std::collections::BTreeMap;
-use traj_cluster::{SegmentDistance, SubTrajectory};
-use traj_simplify::ToleranceMode;
+use traj_cluster::SubTrajectory;
 use trajectory::sweep::bridgeable;
 use trajectory::{FeedError, ObjectId, TimeInterval, TimePoint, TrajPoint, Trajectory};
 
@@ -102,8 +109,6 @@ pub struct ConvoyStream {
     // Fields are `pub(crate)` so the sibling `checkpoint` module can export
     // and rebuild the resumable state without widening the public API.
     pub(crate) config: StreamConfig,
-    pub(crate) distance: SegmentDistance,
-    pub(crate) mode: ToleranceMode,
     /// The largest timestamp accepted so far (`None` before the first
     /// sample).
     pub(crate) watermark: Option<TimePoint>,
@@ -153,19 +158,13 @@ pub struct ConvoyStream {
 impl ConvoyStream {
     /// Creates an empty stream for `config`.
     pub fn new(config: StreamConfig) -> Self {
-        let EvictionPolicy {
-            horizon,
-            max_candidates,
-        } = config.eviction;
         ConvoyStream {
-            distance: config.variant.segment_distance(),
-            mode: config.tolerance_mode,
             watermark: None,
             buffers: BTreeMap::new(),
             partition_start: None,
             blocker: None,
             chain: CmcState::new(&config.query),
-            fold: RefineFold::new(&config.query, horizon, max_candidates),
+            fold: RefineFold::new(&config.query),
             ready: Vec::new(),
             ready_candidates: Vec::new(),
             partitions_closed: 0,
@@ -334,8 +333,13 @@ impl ConvoyStream {
             }
         }
 
-        let clustered =
-            cluster_partition(window, &items, &self.config.query, self.distance, self.mode);
+        let clustered = cluster_partition(
+            window,
+            &items,
+            &self.config.query,
+            self.config.variant.segment_distance(),
+            self.config.tolerance_mode,
+        );
 
         // Coarse candidate chain (the chaining half of Algorithm 2), with
         // horizon eviction so an unbounded feed cannot hoard old chains.
@@ -356,13 +360,16 @@ impl ConvoyStream {
         self.ready_candidates.extend(closed_candidates);
 
         // Refinement: the shared coverage fold, sweeping the ingest buffers
-        // with the same severing rule the filter used. The close rules keep
-        // every bracketing sample buffered, so while no gap exceeds the
-        // horizon the snapshots equal batch refinement's. The buffers are
-        // trimmed below, so each sweep lives for this partition only.
+        // with the same severing rule the filter used, up to and including
+        // the partition's end tick. The close rules keep every bracketing
+        // sample buffered, so while no gap exceeds the horizon the snapshots
+        // equal batch refinement's. The buffers are trimmed below, so each
+        // sweep lives for this partition only.
         let buffers = &self.buffers;
         self.fold
-            .push_partition(&clustered, |id| buffers.get(&id).map(ObjectBuffer::samples));
+            .push_partition(&clustered, self.config.eviction, |id| {
+                buffers.get(&id).map(ObjectBuffer::samples)
+            });
         let emitted = self.fold.state.drain_closed();
         if live {
             note_emissions(
@@ -375,15 +382,14 @@ impl ConvoyStream {
         }
         self.ready.extend(emitted);
 
-        // The fold has consumed every tick before `window.end`; drop samples
-        // older than the bracket needed for the boundary tick and the next
-        // partition.
+        // The fold has consumed every tick up to `window.end`; drop samples
+        // older than the bracket the next partition starts from.
         let mut dropped = 0;
         for buffer in self.buffers.values_mut() {
             dropped += buffer.trim_before(window.end);
         }
         // Object churn on a long-lived feed must not grow state forever: a
-        // severed object whose samples all precede the pending boundary tick
+        // severed object whose samples all precede the closed partition's end
         // can never again contribute a position, a sub-trajectory segment or
         // a partition-close blocker, so its buffer goes entirely (it is
         // re-admitted as a fresh appearance if it ever returns).
@@ -440,7 +446,6 @@ impl ConvoyStream {
 
         let ConvoyStream {
             watermark,
-            buffers,
             chain,
             fold,
             mut ready,
@@ -465,7 +470,7 @@ impl ConvoyStream {
         ready_candidates.extend(final_candidates);
 
         let evicted = fold.evicted;
-        let (convoys, fold, work) = fold.finish(|id| buffers.get(&id).map(ObjectBuffer::samples));
+        let (convoys, fold, work) = fold.finish();
         publish_session(&obs, work, samples_ingested, samples_rejected);
         if obs.enabled() {
             note_emissions(&obs, &mut ttfc_pending, start_ns, watermark, &convoys);

@@ -104,11 +104,6 @@ impl TrajectoryDatabase {
         self.objects.get(&id)
     }
 
-    /// Removes an object's trajectory, returning it if present.
-    pub fn remove(&mut self, id: ObjectId) -> Option<Trajectory> {
-        self.objects.remove(&id)
-    }
-
     /// Returns `true` when the object is present.
     pub fn contains(&self, id: ObjectId) -> bool {
         self.objects.contains_key(&id)
@@ -259,14 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove() {
-        let mut db = sample_db();
+    fn insert_get_contains() {
+        let db = sample_db();
         assert_eq!(db.len(), 3);
         assert!(db.contains(ObjectId(2)));
+        assert!(!db.contains(ObjectId(9)));
         assert!(db.get(ObjectId(9)).is_none());
-        assert!(db.remove(ObjectId(2)).is_some());
-        assert_eq!(db.len(), 2);
-        assert!(!db.contains(ObjectId(2)));
     }
 
     #[test]

@@ -157,8 +157,8 @@ fn empty_stream_round_trips() {
     assert_eq!(outcome.stats, ConvoyStream::new(config).finish().stats);
 }
 
-/// A checkpoint with every section non-trivially populated: open chains,
-/// buffered stragglers, a held-back boundary partition, undrained output.
+/// A checkpoint with every section non-trivially populated: open chains in
+/// the filter and the fold, buffered stragglers, undrained output.
 fn busy_checkpoint() -> Vec<u8> {
     let profile = DatasetProfile::cattle().scaled(0.02);
     let data = generate(&profile, 42);

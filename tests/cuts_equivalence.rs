@@ -11,6 +11,11 @@
 //!   snapshot restricted to the coverage and folded through a plain
 //!   `CmcState`; the refinement must also be the same on every
 //!   [`CmcEngine`].
+//! * The tick two consecutive partitions share clusters alike restricted
+//!   to either partition's members or to their union: the restriction
+//!   theorem of `convoy_core::cuts::refine` holds for each partition
+//!   covering a tick alone, which is why the stream folds a shared tick
+//!   once, with the earlier partition's coverage.
 //! * The filter's partitions hold pairwise-disjoint clusters: the
 //!   precondition under which folding them through `CmcState`, whose
 //!   per-step candidate dedup needs converging chains to fire, is exactly
@@ -28,7 +33,7 @@ use convoy_core::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use traj_cluster::{Cluster, SubTrajectory};
+use traj_cluster::{snapshot_clusters, Cluster, SubTrajectory};
 use traj_simplify::{SimplifiedTrajectory, ToleranceMode};
 use trajectory::{
     ObjectId, Snapshot, SnapshotPolicy, SnapshotSweep, TimeInterval, TimePartition, TrajPoint,
@@ -262,6 +267,47 @@ proptest! {
                 full_sweep_refine(&db, &query, &output.partitions);
             prop_assert_eq!(convoys, expected_convoys, "{} convoys", variant);
             prop_assert_eq!(stats, expected_stats, "{} stats", variant);
+        }
+    }
+
+    #[test]
+    fn a_shared_tick_clusters_alike_under_either_partitions_coverage(
+        db in arb_db(),
+        keys in proptest::collection::vec(0u64..8, 1..13),
+        m in 2usize..4,
+        k in 1usize..6,
+        e in 0.5f64..4.0,
+        delta in 0.0f64..2.0,
+        lambda in 0usize..9,
+        global in 0u8..2,
+    ) {
+        let query = ConvoyQuery::new(m, k, e);
+        let members = |p: &PartitionClusters| -> BTreeSet<ObjectId> {
+            p.clusters.iter().flat_map(|c| c.iter()).collect()
+        };
+        for variant in CutsVariant::ALL {
+            let config = config(variant, (delta > 0.2).then_some(delta), lambda, global == 1);
+            let delta = config.delta.unwrap_or_else(|| auto_delta(&db, query.e));
+            let simplified = shuffled(simplify_database(&db, &config, delta), &keys);
+            let output = filter_simplified(&simplified, &db, &query, &config, delta);
+            for pair in output.partitions.windows(2) {
+                let t = pair[0].window.end;
+                let (first, second) = (members(&pair[0]), members(&pair[1]));
+                let union = first.union(&second).copied().collect();
+                let snapshot = db.snapshot(t, SnapshotPolicy::Interpolate);
+                let full = snapshot_clusters(&snapshot, e, m);
+                for (name, coverage) in [("first", &first), ("second", &second), ("union", &union)] {
+                    let restricted = restrict_snapshot(snapshot.clone(), coverage);
+                    prop_assert_eq!(
+                        &snapshot_clusters(&restricted, e, m),
+                        &full,
+                        "{} at t={}: {} partition's coverage",
+                        variant,
+                        t,
+                        name
+                    );
+                }
+            }
         }
     }
 
