@@ -298,6 +298,36 @@ fn discover_stats_flag_prints_fold_counters() {
 }
 
 #[test]
+fn discover_stats_report_the_filter_work() {
+    let path = temp_path("discover-filter-work.csv");
+    convoy()
+        .args(["generate", "--profile", "truck", "--scale", "0.02"])
+        .args(["--seed", "11", "--out", path.to_str().unwrap()])
+        .assert()
+        .success();
+    let run = convoy()
+        .args(["discover", path.to_str().unwrap()])
+        .args(["--method", "cuts-star", "--m", "3", "--k", "5", "--e", "10"])
+        .arg("--stats")
+        .assert()
+        .success();
+    let stdout = String::from_utf8_lossy(&run.get_output().stdout).into_owned();
+    let count = |name: &str| -> u64 {
+        stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("--stats lacks {name}: {stdout}"))
+    };
+    // The filter's region queries: candidate pairs, those whose ω is
+    // tested, the segment distances that took and the neighbours found.
+    let candidates = count("cuts.filter.candidate_pairs");
+    let tested = count("cuts.filter.lemma2_pass");
+    assert!(candidates > 0 && tested <= candidates, "{stdout}");
+    assert!(count("cuts.filter.distance_evals") >= tested, "{stdout}");
+    assert!(count("cuts.filter.neighbours") <= 2 * tested, "{stdout}");
+}
+
+#[test]
 fn stream_replays_a_file_and_reports_stream_stats() {
     let path = temp_path("stream-file.csv");
     convoy()

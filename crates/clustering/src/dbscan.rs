@@ -27,11 +27,12 @@ pub trait RegionQuery {
     /// in exactly the order [`RegionQuery::neighbors`] would report it.
     ///
     /// The default implementation delegates to `neighbors`, so providers that
-    /// don't care about allocation (the brute-force test index, the
-    /// sub-trajectory query) keep working unchanged; hot-path providers like
-    /// [`crate::GridIndex`] override it to reuse the caller's buffer and
-    /// answer through the batched [`crate::kernel`] distance scan. The
-    /// scratch-driven DBSCAN below only ever calls this entry point.
+    /// don't care about allocation (the brute-force test index) keep working
+    /// unchanged; hot-path providers override it to reuse the caller's
+    /// buffer: [`crate::GridIndex`] answers through the batched
+    /// [`crate::kernel`] distance scan, [`crate::SubTrajectoryIndex`] copies
+    /// the item's precomputed adjacency slice. The scratch-driven DBSCAN
+    /// below only ever calls this entry point.
     fn neighbors_into(&self, idx: usize, out: &mut Vec<usize>) {
         out.clear();
         out.extend(self.neighbors(idx));
@@ -47,8 +48,9 @@ pub trait RegionQuery {
     /// would silently turn a core item into noise or an unexpanded border.
     ///
     /// The default, `usize::MAX`, never skips anything; providers without a
-    /// cheap bound (the sub-trajectory query) keep it. [`crate::GridIndex`]
-    /// answers with the point count of the item's 3×3 cell block.
+    /// cheap bound (the brute-force test index) keep it. [`crate::GridIndex`]
+    /// answers with the point count of the item's 3×3 cell block,
+    /// [`crate::SubTrajectoryIndex`] with the exact neighbourhood size.
     fn neighbor_bound(&self, _idx: usize) -> usize {
         usize::MAX
     }

@@ -50,4 +50,6 @@ pub mod segment;
 pub use cluster::Cluster;
 pub use dbscan::{dbscan, dbscan_into, DbscanScratch, Label, RegionQuery};
 pub use grid::{snapshot_clusters, ClusterCounts, GridIndex, SnapshotClusterer};
-pub use segment::{cluster_sub_trajectories, omega_distance, SegmentDistance, SubTrajectory};
+pub use segment::{
+    cluster_sub_trajectories, omega_distance, SegmentDistance, SubTrajectory, SubTrajectoryIndex,
+};

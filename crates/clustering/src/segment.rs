@@ -15,6 +15,21 @@
 //! distance `D*` (Lemma 3, used by CuTS*). Lemma 2 is applied first: when the
 //! minimum distance between the sub-trajectories' bounding boxes already
 //! exceeds `e + δ(l′q) + δ_max`, no segment pair needs to be examined.
+//!
+//! ## The region query: one sweep per partition
+//!
+//! [`SubTrajectoryIndex`] answers every region query of a partition from
+//! one pass. Each item gets a *probe box*: its bounding box grown by its
+//! `δ_max` and then by `e / 2`. A pair can pass Lemma 2 only if its boxes
+//! lie within `e + δ_max(i) + δ_max(j)` of each other on both axes, which
+//! is exactly when the two probe boxes overlap — and overlap is symmetric,
+//! so the candidates are the unordered overlapping pairs, none counted
+//! from one side only. Sorting the probes by min-x and sweeping forward
+//! from each while the next probe starts inside its x-extent (testing
+//! y-overlap) visits every such pair once, in O(n log n + pairs in the
+//! x-strips), with no cell structure whose size depends on the items'
+//! extents. Each visit decides `j ∈ NH(i)` and `i ∈ NH(j)` together and the
+//! results become a CSR adjacency that DBSCAN reads directly.
 
 use crate::cluster::Cluster;
 use crate::dbscan::{dbscan, labels_to_clusters, RegionQuery};
@@ -170,143 +185,288 @@ pub fn omega_distance(
     best
 }
 
-struct SubTrajectoryQuery<'a> {
-    items: &'a [SubTrajectory],
-    epsilon: f64,
-    distance: SegmentDistance,
-    mode: ToleranceMode,
-    bboxes: Vec<BoundingBox>,
-    max_tolerances: Vec<f64>,
-    intervals: Vec<TimeInterval>,
-    /// Uniform grid over the items' tolerance-expanded bounding boxes. An
-    /// item is registered in every cell its expanded box overlaps, so a range
-    /// search only has to inspect the cells overlapped by the query's
-    /// expanded box grown by `epsilon` — the spatial "prune a subset of
-    /// segments fast" step the paper motivates Lemma 2 with, generalised to
-    /// whole sub-trajectories.
-    cells: std::collections::HashMap<(i64, i64), Vec<usize>>,
-    cell_size: f64,
+/// Relative widening of every probe box, so floating-point rounding can only
+/// add candidates: two items whose boxes pass Lemma 2 overlap with a margin
+/// of about a billionth of their coordinates' magnitude to spare.
+const PROBE_SLACK: f64 = 1e-9;
+
+/// One item's probe box, an entry of the sweep order: the bounding box grown
+/// by `δ_max` and then by `e / 2`, widened by [`PROBE_SLACK`].
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    min_x: f64,
+    max_x: f64,
+    min_y: f64,
+    max_y: f64,
+    item: u32,
 }
 
-impl<'a> SubTrajectoryQuery<'a> {
-    fn new(
-        items: &'a [SubTrajectory],
+impl Probe {
+    fn new(bbox: &BoundingBox, max_tolerance: f64, epsilon: f64, item: u32) -> Probe {
+        let reach = max_tolerance + 0.5 * epsilon;
+        let magnitude = [bbox.min.x, bbox.max.x, bbox.min.y, bbox.max.y]
+            .into_iter()
+            .fold(reach.abs(), |m, v| m.max(v.abs()));
+        let reach = reach + magnitude * PROBE_SLACK;
+        Probe {
+            min_x: bbox.min.x - reach,
+            max_x: bbox.max.x + reach,
+            min_y: bbox.min.y - reach,
+            max_y: bbox.max.y + reach,
+            item,
+        }
+    }
+}
+
+/// The e-neighbourhoods of one partition's sub-trajectories, computed once
+/// and stored as a CSR adjacency: the region query TRAJ-DBSCAN runs on.
+///
+/// Construction sorts the items by the min-x of their probe boxes (see the
+/// module docs) and sweeps forward from each item while the next probe
+/// still starts inside its x-extent, testing y-overlap. Probe overlap is
+/// symmetric, so every unordered candidate pair is met exactly once, and
+/// that one visit decides both directions: the interval test and the box
+/// distance are shared, each direction keeps its own Lemma 2 bound
+/// (`e + δ_max(i) + δ_max(j)` for `j ∈ NH(i)`), and each segment pair's
+/// distance is computed once and reduced by the two tolerances in each
+/// direction's own order — the floating-point results the per-item query
+/// produced, so the lists are the same bit for bit. The ω scan stops once
+/// both directions are decided.
+///
+/// Memory is linear in the partition: the per-item boxes, the sorted probe
+/// order and the adjacency (one `u32` per neighbour, each item listed in its
+/// own, ascending) — whatever the items' extents, where a hash grid with a
+/// mean-extent cell side registers one far-flung item in about n² cells.
+#[derive(Debug, Clone)]
+pub struct SubTrajectoryIndex {
+    /// `adjacency[offsets[i]..offsets[i + 1]]` is item `i`'s neighbourhood.
+    offsets: Vec<usize>,
+    adjacency: Vec<u32>,
+    /// Unordered item pairs whose probe boxes overlap: the pairs the sweep
+    /// tests.
+    pub candidate_pairs: u64,
+    /// Candidate pairs whose time intervals meet and whose bounding boxes
+    /// pass Lemma 2 in at least one direction: the pairs ω is evaluated for.
+    pub lemma2_pass: u64,
+    /// Segment-pair distances (`DLL` or `D*`) those ω tests computed.
+    pub distance_evals: u64,
+    /// Neighbour relations found: the adjacency's entries other than each
+    /// item's own (a mutual pair counts twice).
+    pub neighbours: u64,
+}
+
+impl SubTrajectoryIndex {
+    /// Computes every item's e-neighbourhood under `distance` and `mode`:
+    /// the items `j` whose ω distance `ω(items[i], items[j])` is at most
+    /// `epsilon`, plus `i` itself. A negative `epsilon` passes no pair's
+    /// Lemma 2 test, so each item is then alone in its neighbourhood.
+    pub fn new(
+        items: &[SubTrajectory],
         epsilon: f64,
         distance: SegmentDistance,
         mode: ToleranceMode,
     ) -> Self {
-        let bboxes: Vec<BoundingBox> = items.iter().map(|s| s.bounding_box()).collect();
-        let max_tolerances: Vec<f64> = items.iter().map(|s| s.max_tolerance(mode)).collect();
-        let intervals = items.iter().map(|s| s.time_interval()).collect();
+        let n = items.len();
+        assert!(
+            n < u32::MAX as usize,
+            "a partition holds fewer than u32::MAX sub-trajectories"
+        );
+        let bboxes: Vec<BoundingBox> = items.iter().map(SubTrajectory::bounding_box).collect();
+        let tolerances: Vec<f64> = items.iter().map(|s| s.max_tolerance(mode)).collect();
+        let intervals: Vec<TimeInterval> = items.iter().map(SubTrajectory::time_interval).collect();
+        let mut probes: Vec<Probe> = bboxes
+            .iter()
+            .zip(&tolerances)
+            .enumerate()
+            // lint: allow(cast-audit) — item count < u32::MAX, asserted above
+            .map(|(i, (bbox, &tol))| Probe::new(bbox, tol, epsilon, i as u32))
+            .collect();
+        probes.sort_unstable_by(|p, q| p.min_x.total_cmp(&q.min_x));
 
-        // Cell side: the average expanded-box extent plus the search radius,
-        // so a typical box overlaps only a handful of cells.
-        let mut extent_sum = 0.0f64;
-        for (bbox, tol) in bboxes.iter().zip(&max_tolerances) {
-            extent_sum += (bbox.width() + bbox.height()) * 0.5 + 2.0 * tol;
-        }
-        let mean_extent = if items.is_empty() {
-            0.0
-        } else {
-            extent_sum / items.len() as f64
+        let mut index = SubTrajectoryIndex {
+            offsets: Vec::new(),
+            adjacency: Vec::new(),
+            candidate_pairs: 0,
+            lemma2_pass: 0,
+            distance_evals: 0,
+            neighbours: 0,
         };
-        let cell_size = (mean_extent + epsilon).max(epsilon).max(f64::EPSILON);
-
-        let mut cells: std::collections::HashMap<(i64, i64), Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, (bbox, tol)) in bboxes.iter().zip(&max_tolerances).enumerate() {
-            let expanded = bbox.expanded(*tol);
-            let (x0, y0) = Self::cell_of(expanded.min.x, expanded.min.y, cell_size);
-            let (x1, y1) = Self::cell_of(expanded.max.x, expanded.max.y, cell_size);
-            for cx in x0..=x1 {
-                for cy in y0..=y1 {
-                    cells.entry((cx, cy)).or_default().push(i);
+        // Directed neighbour relations `(i, j)`: `j ∈ NH(i)`, `i ≠ j`.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (a, p) in probes.iter().enumerate() {
+            for q in &probes[a + 1..] {
+                let reaches = q.min_x <= p.max_x;
+                if !reaches {
+                    break;
+                }
+                if q.min_y > p.max_y || p.min_y > q.max_y {
+                    continue;
+                }
+                index.candidate_pairs += 1;
+                let (i, j) = (p.item as usize, q.item as usize);
+                // Temporal pre-filter: objects absent from each other's time
+                // range cannot be neighbours.
+                if !intervals[i].intersects(&intervals[j]) {
+                    continue;
+                }
+                // Lemma 2: bounding-box pre-filter with δ_max values, one
+                // bound per direction.
+                let gap = bboxes[i].min_distance(&bboxes[j]);
+                let pruned = (
+                    gap > epsilon + tolerances[i] + tolerances[j],
+                    gap > epsilon + tolerances[j] + tolerances[i],
+                );
+                if pruned.0 && pruned.1 {
+                    continue;
+                }
+                index.lemma2_pass += 1;
+                // Lemma 1 / Lemma 3: the exact ω test over segment pairs.
+                let (ij, ji) = omega_within(
+                    &items[i],
+                    &items[j],
+                    epsilon,
+                    distance,
+                    mode,
+                    (!pruned.0, !pruned.1),
+                    &mut index.distance_evals,
+                );
+                if ij {
+                    edges.push((p.item, q.item));
+                }
+                if ji {
+                    edges.push((q.item, p.item));
                 }
             }
         }
+        index.neighbours = edges.len() as u64;
+        index.fill_adjacency(n, &edges);
+        index
+    }
 
-        SubTrajectoryQuery {
-            items,
-            epsilon,
-            distance,
-            mode,
-            bboxes,
-            max_tolerances,
-            intervals,
-            cells,
-            cell_size,
+    /// Builds the CSR arrays from the directed relations, adding each item
+    /// to its own list.
+    fn fill_adjacency(&mut self, n: usize, edges: &[(u32, u32)]) {
+        // Counts, then inclusive prefix sums: `offsets[i]` is the end of
+        // item i's list; placing an entry steps it back, so once every entry
+        // is placed it is the start.
+        self.offsets = vec![1; n + 1];
+        for &(i, _) in edges {
+            self.offsets[i as usize] += 1;
+        }
+        let mut end = 0;
+        for offset in &mut self.offsets[..n] {
+            end += *offset;
+            *offset = end;
+        }
+        self.offsets[n] = end;
+        self.adjacency = vec![0; end];
+        // lint: allow(cast-audit) — item count < u32::MAX, asserted in `new`
+        let own = (0..n).map(|i| (i as u32, i as u32));
+        for (i, j) in own.chain(edges.iter().copied()) {
+            let slot = &mut self.offsets[i as usize];
+            *slot -= 1;
+            self.adjacency[*slot] = j;
+        }
+        for i in 0..n {
+            self.adjacency[self.offsets[i]..self.offsets[i + 1]].sort_unstable();
         }
     }
 
-    #[inline]
-    fn cell_of(x: f64, y: f64, cell_size: f64) -> (i64, i64) {
-        (
-            (x / cell_size).floor() as i64,
-            (y / cell_size).floor() as i64,
-        )
+    /// Item `idx`'s e-neighbourhood, ascending, `idx` included.
+    fn neighbourhood(&self, idx: usize) -> &[u32] {
+        &self.adjacency[self.offsets[idx]..self.offsets[idx + 1]]
     }
 
-    /// Candidate item indices whose tolerance-expanded bounding box can lie
-    /// within `epsilon` of item `idx`'s expanded bounding box.
-    fn spatial_candidates(&self, idx: usize) -> Vec<usize> {
-        let probe = self.bboxes[idx]
-            .expanded(self.max_tolerances[idx])
-            .expanded(self.epsilon);
-        let (x0, y0) = Self::cell_of(probe.min.x, probe.min.y, self.cell_size);
-        let (x1, y1) = Self::cell_of(probe.max.x, probe.max.y, self.cell_size);
-        let mut seen = vec![false; self.items.len()];
-        let mut out = Vec::new();
-        for cx in x0..=x1 {
-            for cy in y0..=y1 {
-                if let Some(bucket) = self.cells.get(&(cx, cy)) {
-                    for &j in bucket {
-                        if !seen[j] {
-                            seen[j] = true;
-                            out.push(j);
-                        }
-                    }
-                }
-            }
-        }
-        out
+    /// TRAJ-DBSCAN over the indexed `items` (the slice the index was built
+    /// from): clusters of object ids, in DBSCAN's discovery order.
+    pub fn clusters(&self, items: &[SubTrajectory], m: usize) -> Vec<Cluster> {
+        debug_assert_eq!(items.len(), self.len(), "the index's own items");
+        labels_to_clusters(&dbscan(self, m))
+            .into_iter()
+            .map(|member_indices| {
+                Cluster::new(
+                    member_indices
+                        .into_iter()
+                        .map(|i| items[i].object)
+                        .collect(),
+                )
+            })
+            .collect()
     }
 }
 
-impl RegionQuery for SubTrajectoryQuery<'_> {
+/// Decides `ω(a, b) ≤ e` and `ω(b, a) ≤ e` in one pass over the segment
+/// pairs, for the directions `need` asks about (a direction not needed is
+/// reported `false`).
+///
+/// `ω ≤ e` holds exactly when some term `d − tol − tol` is `≤ e` (NaN terms
+/// never lower [`omega_distance`]'s minimum and never compare `≤ e`), or when
+/// `e` is `+∞`, which even the empty minimum meets. `DLL` and `D*` are
+/// bitwise symmetric, so one `d` serves both directions; each subtracts the
+/// two tolerances in its own ω's order. Returns as soon as both directions
+/// are decided.
+fn omega_within(
+    a: &SubTrajectory,
+    b: &SubTrajectory,
+    epsilon: f64,
+    distance: SegmentDistance,
+    mode: ToleranceMode,
+    need: (bool, bool),
+    distance_evals: &mut u64,
+) -> (bool, bool) {
+    let unbounded = f64::INFINITY <= epsilon;
+    let mut within = (need.0 && unbounded, need.1 && unbounded);
+    if within == need {
+        return within;
+    }
+    for sa in &a.segments {
+        let tol_a = mode.tolerance_for(sa.actual_tolerance, a.global_tolerance);
+        for sb in &b.segments {
+            if !sa.interval().intersects(&sb.interval()) {
+                continue;
+            }
+            let tol_b = mode.tolerance_for(sb.actual_tolerance, b.global_tolerance);
+            let d = distance.distance(sa, sb);
+            *distance_evals += 1;
+            within.0 |= need.0 && d - tol_a - tol_b <= epsilon;
+            within.1 |= need.1 && d - tol_b - tol_a <= epsilon;
+            if within == need {
+                return within;
+            }
+        }
+    }
+    within
+}
+
+impl RegionQuery for SubTrajectoryIndex {
     fn len(&self) -> usize {
-        self.items.len()
+        self.offsets.len().saturating_sub(1)
     }
 
     fn neighbors(&self, idx: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let query = &self.items[idx];
-        for j in self.spatial_candidates(idx) {
-            if j == idx {
-                out.push(j);
-                continue;
-            }
-            // Temporal pre-filter: objects absent from each other's time range
-            // cannot be neighbours.
-            if !self.intervals[idx].intersects(&self.intervals[j]) {
-                continue;
-            }
-            // Lemma 2: bounding-box pre-filter with δ_max values.
-            let bound = self.epsilon + self.max_tolerances[idx] + self.max_tolerances[j];
-            if self.bboxes[idx].min_distance(&self.bboxes[j]) > bound {
-                continue;
-            }
-            // Lemma 1 / Lemma 3: exact ω computation over segment pairs.
-            if omega_distance(query, &self.items[j], self.distance, self.mode) <= self.epsilon {
-                out.push(j);
-            }
-        }
-        out.sort_unstable();
-        out
+        self.neighbourhood(idx)
+            .iter()
+            .map(|&j| j as usize)
+            .collect()
+    }
+
+    fn neighbors_into(&self, idx: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.neighbourhood(idx).iter().map(|&j| j as usize));
+    }
+
+    /// The neighbourhood's exact size, so DBSCAN skips the copy of every
+    /// list too short to make its item core.
+    fn neighbor_bound(&self, idx: usize) -> usize {
+        self.neighbourhood(idx).len()
     }
 }
 
 /// Density-clusters the sub-trajectories of one time partition
 /// (TRAJ-DBSCAN of Algorithm 2), returning clusters of object ids.
+///
+/// Fewer than `m` items can never form a cluster, so no index is built for
+/// them.
 pub fn cluster_sub_trajectories(
     items: &[SubTrajectory],
     epsilon: f64,
@@ -317,19 +477,7 @@ pub fn cluster_sub_trajectories(
     if items.len() < m {
         return Vec::new();
     }
-    let query = SubTrajectoryQuery::new(items, epsilon, distance, mode);
-    let labels = dbscan(&query, m);
-    labels_to_clusters(&labels)
-        .into_iter()
-        .map(|member_indices| {
-            Cluster::new(
-                member_indices
-                    .into_iter()
-                    .map(|i| items[i].object)
-                    .collect(),
-            )
-        })
-        .collect()
+    SubTrajectoryIndex::new(items, epsilon, distance, mode).clusters(items, m)
 }
 
 #[cfg(test)]

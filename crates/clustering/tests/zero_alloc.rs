@@ -1,4 +1,5 @@
-//! Allocation regression harness for the snapshot-clustering hot path.
+//! Allocation regression harness for the snapshot-clustering hot path, and
+//! the memory bound of the CuTS filter's sub-trajectory index.
 //!
 //! The CSR grid + scratch-reuse rewrite promises that a *warmed*
 //! [`SnapshotClusterer`] — one whose buffers have grown to the working-set
@@ -21,10 +22,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use traj_cluster::{snapshot_clusters, SnapshotClusterer};
+use traj_cluster::{
+    cluster_sub_trajectories, snapshot_clusters, SegmentDistance, SnapshotClusterer, SubTrajectory,
+};
+use traj_simplify::{SimplificationMethod, ToleranceMode};
 use trajectory::database::SnapshotEntry;
 use trajectory::geometry::Point;
-use trajectory::{ObjectId, Snapshot};
+use trajectory::{ObjectId, Snapshot, TimeInterval, TrajPoint, Trajectory};
 
 /// Forwards to the system allocator, counting every allocation call
 /// (`alloc`, `realloc` growth included — a `Vec` growing its capacity is an
@@ -177,4 +181,64 @@ fn clusterer_output_still_matches_one_shot_clustering() {
             snapshot_clusters(&snap, 2.5, 3),
         );
     }
+}
+
+/// One λ-partition of the glitch shape: `n` objects drifting east from the
+/// points of a 10-unit lattice, plus one object whose fix jumps to
+/// (1e6, 1e6) and back inside the partition.
+fn glitch_partition(n: usize) -> Vec<SubTrajectory> {
+    let window = TimeInterval::new(0, 4);
+    let side = (n as f64).sqrt().ceil() as usize;
+    let sub = |id: usize, points: Vec<TrajPoint>| {
+        let simplified =
+            SimplificationMethod::Dp.simplify(&Trajectory::from_points(points).unwrap(), 0.5);
+        SubTrajectory::for_window(ObjectId(id as u64), &simplified, window).unwrap()
+    };
+    let mut items: Vec<SubTrajectory> = (0..n)
+        .map(|i| {
+            let (x, y) = ((i % side) as f64 * 10.0, (i / side) as f64 * 10.0);
+            sub(
+                i,
+                (0..5).map(|t| TrajPoint::new(x + t as f64, y, t)).collect(),
+            )
+        })
+        .collect();
+    let (x, y) = (15.0, 15.0);
+    items.push(sub(
+        n,
+        vec![
+            TrajPoint::new(x, y, 0),
+            TrajPoint::new(x, y, 1),
+            TrajPoint::new(1e6, 1e6, 2),
+            TrajPoint::new(x, y, 3),
+            TrajPoint::new(x, y, 4),
+        ],
+    ));
+    items
+}
+
+#[test]
+fn sub_trajectory_index_memory_is_linear_in_a_glitching_partition() {
+    // One far-flung sub-trajectory used to span about n cells per axis of a
+    // hash grid whose cell side was the mean extent, so it was registered in
+    // about n² cells — one `Vec` each, millions of allocations at n = 3,000.
+    // The sweep's buffers are sized by the items and pairs alone.
+    let n = 3_000;
+    let items = glitch_partition(n);
+    let before = allocations();
+    let clusters =
+        cluster_sub_trajectories(&items, 12.0, 3, SegmentDistance::Dll, ToleranceMode::Actual);
+    let spent = allocations() - before;
+    assert_eq!(
+        clusters.len(),
+        1,
+        "the lattice is one density-connected cluster"
+    );
+    // Linear in n with room to spare: a few dozen buffers and one member
+    // list per cluster fit, a list (or grid cell) per item does not.
+    assert!(
+        spent <= n as u64 / 4,
+        "clustering {} sub-trajectories took {spent} allocations",
+        items.len()
+    );
 }

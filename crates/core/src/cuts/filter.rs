@@ -6,9 +6,10 @@
 //! across partitions into **candidate convoys** — a superset of the true
 //! convoys, which the refinement step then verifies.
 
-use crate::cuts::partition::{cluster_partition, PartitionClusters};
+use crate::cuts::partition::{cluster_partition_with_work, PartitionClusters};
 use crate::cuts::CutsConfig;
 use crate::engine::CmcState;
+use crate::metrics::FilterWork;
 use crate::params::{auto_delta, auto_lambda};
 use crate::query::{Convoy, ConvoyQuery};
 use std::collections::BTreeSet;
@@ -76,6 +77,19 @@ pub fn filter_simplified(
     config: &CutsConfig,
     delta: f64,
 ) -> FilterOutput {
+    filter_simplified_with_work(simplified, db, query, config, delta).0
+}
+
+/// [`filter_simplified`], also returning the work of every partition's
+/// region queries, summed: what [`crate::Discovery`] reports in its
+/// [`crate::DiscoveryStats`].
+pub(crate) fn filter_simplified_with_work(
+    simplified: &[(ObjectId, SimplifiedTrajectory)],
+    db: &TrajectoryDatabase,
+    query: &ConvoyQuery,
+    config: &CutsConfig,
+    delta: f64,
+) -> (FilterOutput, FilterWork) {
     let original_points = db.total_points();
     let simplified_points = simplified.iter().map(|(_, s)| s.num_points()).sum();
 
@@ -84,7 +98,7 @@ pub fn filter_simplified(
         .unwrap_or_else(|| auto_lambda(simplified.iter().map(|(_, s)| s), query.k));
 
     let Some(domain) = db.time_domain() else {
-        return FilterOutput {
+        let output = FilterOutput {
             candidates: Vec::new(),
             partitions: Vec::new(),
             delta,
@@ -92,6 +106,7 @@ pub fn filter_simplified(
             original_points,
             simplified_points,
         };
+        return (output, FilterWork::default());
     };
 
     let distance = config.variant.segment_distance();
@@ -103,6 +118,7 @@ pub fn filter_simplified(
     // into candidate chains through the CMC fold.
     let mut partitions: Vec<PartitionClusters> = Vec::with_capacity(partition.len());
     let mut chain = CmcState::new(query);
+    let mut work = FilterWork::default();
 
     // The active set: indices into `simplified` of the trajectories whose
     // interval can still meet the current window. Simplified segments cover
@@ -132,19 +148,22 @@ pub fn filter_simplified(
                 SubTrajectory::for_window(*id, s, window)
             })
             .collect();
-        let clustered = cluster_partition(window, &items, query, distance, mode);
+        let (clustered, partition_work) =
+            cluster_partition_with_work(window, &items, query, distance, mode);
+        work += partition_work;
         chain.ingest_partition(&clustered);
         partitions.push(clustered);
     }
 
-    FilterOutput {
+    let output = FilterOutput {
         candidates: chain.finish(),
         partitions,
         delta,
         lambda,
         original_points,
         simplified_points,
-    }
+    };
+    (output, work)
 }
 
 /// Runs the complete filter step (simplification + partitioned clustering) of

@@ -18,8 +18,9 @@
 //! step over a window instead of a tick, so both filters fold their
 //! partitions through [`crate::engine::CmcState::ingest_partition`].
 
+use crate::metrics::FilterWork;
 use crate::query::ConvoyQuery;
-use traj_cluster::{cluster_sub_trajectories, Cluster, SegmentDistance, SubTrajectory};
+use traj_cluster::{Cluster, SegmentDistance, SubTrajectory, SubTrajectoryIndex};
 use traj_simplify::ToleranceMode;
 use trajectory::TimeInterval;
 
@@ -49,12 +50,33 @@ pub fn cluster_partition(
     distance: SegmentDistance,
     mode: ToleranceMode,
 ) -> PartitionClusters {
-    let clusters = if items.len() < query.m {
-        Vec::new()
-    } else {
-        cluster_sub_trajectories(items, query.e, query.m, distance, mode)
-    };
-    PartitionClusters { window, clusters }
+    cluster_partition_with_work(window, items, query, distance, mode).0
+}
+
+/// [`cluster_partition`], also returning the work of the partition's region
+/// queries (all zero when fewer than `m` items skip the clustering): what
+/// the batch filter sums. [`PartitionClusters`] does not carry it, because
+/// the window and clusters are what the refinement and the stream consume.
+pub(crate) fn cluster_partition_with_work(
+    window: TimeInterval,
+    items: &[SubTrajectory],
+    query: &ConvoyQuery,
+    distance: SegmentDistance,
+    mode: ToleranceMode,
+) -> (PartitionClusters, FilterWork) {
+    if items.len() < query.m {
+        let clusters = Vec::new();
+        return (
+            PartitionClusters { window, clusters },
+            FilterWork::default(),
+        );
+    }
+    let index = SubTrajectoryIndex::new(items, query.e, distance, mode);
+    let clusters = index.clusters(items, query.m);
+    (
+        PartitionClusters { window, clusters },
+        FilterWork::from(&index),
+    )
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! normalised result set together with the statistics the benchmark harness
 //! consumes.
 
-use crate::cuts::filter::{filter_simplified, simplify_database};
+use crate::cuts::filter::{filter_simplified_with_work, simplify_database};
 use crate::cuts::refine::refine;
 use crate::cuts::{CutsConfig, CutsVariant};
 use crate::engine::CmcEngine;
@@ -216,7 +216,8 @@ impl Discovery {
                 // Stage 2: filter (partitioned clustering of simplified
                 // sub-trajectories).
                 let filter_span = self.obs.span_start("discover.filter", root);
-                let output = filter_simplified(&simplified, db, query, &self.config, delta);
+                let (output, filter) =
+                    filter_simplified_with_work(&simplified, db, query, &self.config, delta);
                 self.obs.span_end(filter_span);
 
                 // Stage 3: refinement — this run's CMC engine over the
@@ -245,6 +246,7 @@ impl Discovery {
                         reduction_percent: output.reduction_percent(),
                         fold,
                         work,
+                        filter,
                     },
                     convoys,
                 }

@@ -72,7 +72,7 @@ pub use engine::{CmcEngine, CmcState, CmcStateSnapshot, CmcStats};
 pub use mc2::{mc2, Mc2Config};
 pub use metrics::{
     publish_discovery, publish_fold_stats, publish_stage_timings, refinement_unit, DiscoveryStats,
-    FoldWork,
+    FilterWork, FoldWork,
 };
 pub use params::{auto_delta, auto_lambda};
 pub use query::{compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery};

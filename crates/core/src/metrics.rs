@@ -1,13 +1,13 @@
 //! Instrumentation: candidate statistics, the *refinement unit* cost model
-//! used by the paper's Figures 16 and 17, a fold's work counts, and the
-//! registry views of them. Stage timings are the `discover.*` spans
-//! themselves.
+//! used by the paper's Figures 16 and 17, a fold's and the CuTS filter's
+//! work counts, and the registry views of them. Stage timings are the
+//! `discover.*` spans themselves.
 
 use crate::discovery::DiscoveryOutcome;
 use crate::engine::CmcStats;
 use crate::query::Convoy;
 use convoy_obs::Registry;
-use traj_cluster::ClusterCounts;
+use traj_cluster::{ClusterCounts, SubTrajectoryIndex};
 
 /// Summary statistics of one discovery run, consumed by the benchmark
 /// harness.
@@ -31,6 +31,8 @@ pub struct DiscoveryStats {
     pub fold: CmcStats,
     /// The work of that fold and of every clusterer that fed it.
     pub work: FoldWork,
+    /// The work of the CuTS filter's region queries (zero for CMC).
+    pub filter: FilterWork,
 }
 
 /// The work a [`crate::engine::CmcState`] fold did in this process: the
@@ -73,6 +75,57 @@ impl FoldWork {
     }
 }
 
+/// The work of the CuTS filter's TRAJ-DBSCAN region queries: the counts a
+/// [`SubTrajectoryIndex`] keeps while it builds one λ-partition's
+/// neighbourhoods, summed over the partitions a batch filter clustered.
+/// Session counts like [`FoldWork`], published once through
+/// [`FilterWork::counters`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FilterWork {
+    /// Unordered sub-trajectory pairs whose probe boxes overlap.
+    pub candidate_pairs: u64,
+    /// Of those, the pairs whose intervals meet and whose bounding boxes
+    /// pass Lemma 2 in at least one direction: the pairs whose ω is tested.
+    pub lemma2_pass: u64,
+    /// Segment-pair distances (`DLL` or `D*`) the ω tests computed.
+    pub distance_evals: u64,
+    /// Neighbour relations found, each item's own entry excluded (a mutual
+    /// pair counts twice).
+    pub neighbours: u64,
+}
+
+impl FilterWork {
+    /// Every count under its registry name, as [`FoldWork::counters`].
+    pub fn counters(&self) -> [(&'static str, u64); 4] {
+        [
+            ("cuts.filter.candidate_pairs", self.candidate_pairs),
+            ("cuts.filter.lemma2_pass", self.lemma2_pass),
+            ("cuts.filter.distance_evals", self.distance_evals),
+            ("cuts.filter.neighbours", self.neighbours),
+        ]
+    }
+}
+
+impl From<&SubTrajectoryIndex> for FilterWork {
+    fn from(index: &SubTrajectoryIndex) -> Self {
+        FilterWork {
+            candidate_pairs: index.candidate_pairs,
+            lemma2_pass: index.lemma2_pass,
+            distance_evals: index.distance_evals,
+            neighbours: index.neighbours,
+        }
+    }
+}
+
+impl std::ops::AddAssign for FilterWork {
+    fn add_assign(&mut self, other: FilterWork) {
+        self.candidate_pairs += other.candidate_pairs;
+        self.lemma2_pass += other.lemma2_pass;
+        self.distance_evals += other.distance_evals;
+        self.neighbours += other.neighbours;
+    }
+}
+
 /// The *refinement unit* of a set of candidates (Section 7.3): for each
 /// candidate, the clustering cost of its objects — counted as `|objects|²`,
 /// i.e. clustering without index support, exactly as the paper chooses —
@@ -105,8 +158,9 @@ pub fn publish_fold_stats(registry: &Registry, fold: &CmcStats) {
 }
 
 /// Publishes a [`DiscoveryOutcome`]'s *deterministic* statistics (fold
-/// counters and work, candidate counts, parameters) under the `cmc.*` /
-/// `cluster.*` / `prune.*` / `discover.*` names, with store semantics.
+/// counters and work, the filter's work, candidate counts, parameters) under
+/// the `cmc.*` / `cluster.*` / `prune.*` / `cuts.*` / `discover.*` names,
+/// with store semantics.
 /// Wall-clock timings are deliberately not included — publish those
 /// separately with [`publish_stage_timings`] into recorders whose output may
 /// vary run to run (the metrics-JSON/trace export), never into the registry
@@ -114,7 +168,8 @@ pub fn publish_fold_stats(registry: &Registry, fold: &CmcStats) {
 /// checks).
 pub fn publish_discovery(registry: &Registry, outcome: &DiscoveryOutcome) {
     publish_fold_stats(registry, &outcome.stats.fold);
-    for (name, value) in outcome.stats.work.counters() {
+    let work = outcome.stats.work.counters();
+    for (name, value) in work.into_iter().chain(outcome.stats.filter.counters()) {
         registry.counter_store(name, value);
     }
     registry.counter_store("discover.candidates", outcome.stats.num_candidates as u64);

@@ -43,6 +43,7 @@
 //! | `cmc.clusters_per_tick`, `cmc.candidates_per_tick`, `cmc.candidates_open` | histogram / gauge | recorded per tick | cluster and candidate counts per tick |
 //! | `cmc.overlap_lookups` / `cmc.extensions` | counter | `FoldWork` | fold work (candidate members looked up in the per-tick object→cluster index) vs useful outcomes (candidate × cluster pairs that kept ≥ m objects) |
 //! | `cuts.refine.snapshot_points` | counter | `FoldWork` | CuTS refinement work: entries of the coverage snapshots folded (covered object-ticks), by batch refinement and by the stream's fold alike; 0 for CMC |
+//! | `cuts.filter.candidate_pairs` / `lemma2_pass` / `distance_evals` / `neighbours` | counter | `FilterWork` | batch CuTS filter's region-query work over all λ-partitions: sub-trajectory pairs whose probe boxes overlap, pairs that pass the interval test and Lemma 2 (their ω is tested), segment-pair distances computed, neighbour relations found; 0 for CMC |
 //! | `stream.emission_delay_ticks` | histogram | per emitted convoy | per-result delay (ranked-enumeration lens) |
 //! | `stream.time_to_first_convoy_ns` | counter | once per stream | streaming first-result latency |
 //! | `scan.blocks_read` / `scan.blocks_pruned` | counter | `ScanStats` | container block-index pruning |

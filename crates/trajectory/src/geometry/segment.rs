@@ -395,6 +395,35 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The CuTS filter computes one distance per segment pair and uses it
+        /// for both directions of the ω test, which is exact only if `DLL`
+        /// and `D*` are *bitwise* symmetric. Coordinates are drawn either as
+        /// reals or on a quarter-unit lattice (`lattice` odd), so shared
+        /// endpoints, collinear overlaps and degenerate segments turn up.
+        #[test]
+        fn segment_distances_are_bitwise_symmetric(
+            c in proptest::collection::vec(-100.0f64..100.0, 8),
+            t in proptest::collection::vec(-6i64..6, 4),
+            lattice in 0u8..4,
+            degenerate in 0u8..4) {
+            let c: Vec<f64> = if lattice % 2 == 1 {
+                c.iter().map(|v| (v / 8.0).round() * 0.25).collect()
+            } else {
+                c
+            };
+            let (bx, by) = if degenerate == 0 { (c[0], c[1]) } else { (c[2], c[3]) };
+            let a = tseg(c[0], c[1], bx, by, t[0].min(t[1]), t[0].max(t[1]));
+            let b = tseg(c[4], c[5], c[6], c[7], t[2].min(t[3]), t[2].max(t[3]));
+            let (ab, ba) = (a.segment.distance_to_segment(&b.segment), b.segment.distance_to_segment(&a.segment));
+            prop_assert_eq!(ab.to_bits(), ba.to_bits(), "DLL {} vs {}", ab, ba);
+            let (ab, ba) = (a.cpa_distance(&b), b.cpa_distance(&a));
+            prop_assert_eq!(ab.to_bits(), ba.to_bits(), "D* {} vs {}", ab, ba);
+        }
+    }
+
+    proptest! {
         #[test]
         fn dll_is_symmetric(ax in -100.0f64..100.0, ay in -100.0f64..100.0,
                             bx in -100.0f64..100.0, by in -100.0f64..100.0,
@@ -404,6 +433,7 @@ mod tests {
             let s2 = seg(cx, cy, dx, dy);
             prop_assert!((s1.distance_to_segment(&s2) - s2.distance_to_segment(&s1)).abs() < 1e-9);
         }
+
 
         #[test]
         fn dll_lower_bounds_endpoint_distances(ax in -100.0f64..100.0, ay in -100.0f64..100.0,
