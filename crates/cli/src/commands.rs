@@ -1348,7 +1348,7 @@ mod tests {
     }
 
     /// The clusterer's and the fold's counts, which every run exports.
-    const FOLD_NAMES: [&str; 11] = [
+    const FOLD_NAMES: [&str; 12] = [
         "cluster.calls",
         "cluster.points",
         "cluster.clusters_found",
@@ -1356,6 +1356,7 @@ mod tests {
         "cluster.kernel_lanes",
         "cluster.region_queries",
         "prune.region_queries_skipped",
+        "prune.points_dropped",
         "cmc.ticks_ingested",
         "cmc.overlap_lookups",
         "cmc.extensions",

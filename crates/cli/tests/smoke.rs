@@ -251,7 +251,8 @@ fn discover_stats_flag_prints_fold_counters() {
         .stdout_contains("cmc.ticks_ingested")
         .stdout_contains("cmc.convoys_closed")
         .stdout_contains("cluster.region_queries")
-        .stdout_contains("prune.region_queries_skipped");
+        .stdout_contains("prune.region_queries_skipped")
+        .stdout_contains("prune.points_dropped");
     // The block does not depend on the engine: the parallel workers'
     // clusterer counts sum to the swept run's.
     let parallel = convoy()

@@ -54,10 +54,48 @@
 //! of any point whose block holds fewer than `m` points — on a sparse world
 //! that is almost every point — with labels unchanged.
 //!
+//! ## Dropping points before the build
+//!
+//! The bound above still pays for every point's place in the grid: keyed,
+//! radix-sorted and laid into the CSR columns. [`SnapshotClusterer`] first
+//! drops the points that no cluster can contain, in one count pass over
+//! cells 2e wide (`keep_reachable`):
+//!
+//! - each point's e-cell is computed once, with the grid's own cell
+//!   function, and packed into its key;
+//! - points are counted per coarse cell `(cx >> 1, cy >> 1)` — an
+//!   arithmetic shift, so negative cells round down — in a dense `u8` array
+//!   over the snapshot's coarse bounding box, saturating at `m`;
+//! - a point is kept only if its 3×3 block of coarse cells holds at least
+//!   `m` points;
+//! - only the kept points go to the grid, keys already packed, with ids,
+//!   points and keys in their original relative order.
+//!
+//! Why this is exact. Grid hits are symmetric, and every hit lies in the
+//! queried point's 3×3 e-cell block. If `p` is within `e` of a core point
+//! `q`, every member of `q`'s neighbourhood lies within ±2 e-cells of `p`,
+//! which is inside `p`'s 3×3 coarse block; so is `p`'s own neighbourhood.
+//! A point whose coarse block holds fewer than `m` points is therefore
+//! neither core nor border, and it is in no core point's neighbourhood, so
+//! removing it changes no other point's core status. The core set, the BFS
+//! order over the kept points, the cluster ids and the members are all
+//! unchanged. More: a point whose 3×3 e-cell block holds `m` points keeps
+//! that whole block (each member's coarse block contains it), so every
+//! region query scans exactly the candidates it scanned before, and the
+//! `cluster.*` work counts do not move either. A dropped point is counted in
+//! `prune.points_dropped` and, since its e-cell block holds fewer than `m`
+//! points too, in `prune.region_queries_skipped`.
+//!
+//! The count array holds at most 128 one-byte cells per snapshot point,
+//! its one-cell border included. When the bounding box would need more —
+//! one far outlier is enough — each further shift doubles the coarse cell
+//! side until it fits; a coarser block is a superset, so that stays sound.
+//! With `m ≤ 1` every point is core and the pass only packs keys.
+//!
 //! ## Scratch reuse
 //!
-//! [`SnapshotClusterer`] owns the grid arrays, the id buffer, the DBSCAN
-//! scratch and a pool of output [`Cluster`]s, so that
+//! [`SnapshotClusterer`] owns the grid arrays, the id buffer, the coarse
+//! count array, the DBSCAN scratch and a pool of output [`Cluster`]s, so that
 //! [`SnapshotClusterer::cluster_into`] performs **zero heap allocations** in
 //! steady state: after a warm-up tick has grown every buffer to its
 //! fixpoint, clustering further snapshots of similar size touches no
@@ -71,7 +109,7 @@ use crate::kernel;
 use convoy_obs::Obs;
 use std::cell::Cell;
 use trajectory::geometry::Point;
-use trajectory::{ObjectId, Snapshot};
+use trajectory::{ObjectId, Snapshot, SnapshotEntry};
 
 /// A uniform-grid index over a fixed set of points, stored in a flat CSR
 /// layout (see the module docs).
@@ -136,25 +174,28 @@ impl GridIndex {
     /// A non-positive `epsilon` is clamped to a tiny positive value so that
     /// degenerate queries still terminate.
     pub fn build(points: Vec<Point>, epsilon: f64) -> Self {
-        let mut index = GridIndex {
-            points,
-            ..GridIndex::default()
-        };
-        index.epsilon = if epsilon > 0.0 { epsilon } else { f64::EPSILON };
-        index.rebuild_cells();
+        let mut index = GridIndex::default();
+        index.rebuild_with(epsilon, |buf| *buf = points);
         index
     }
 
     /// Re-indexes in place: clears the point set, hands the caller the
     /// (capacity-preserving) point buffer to refill, then rebuilds the cell
     /// arrays. No allocation happens once the buffers have grown to cover
-    /// the largest input seen — the reuse entry point the snapshot clusterer
-    /// drives every tick.
+    /// the largest input seen — the reuse entry point for callers that hold
+    /// a grid across rebuilds.
     pub fn rebuild_with(&mut self, epsilon: f64, fill: impl FnOnce(&mut Vec<Point>)) {
-        self.points.clear();
-        fill(&mut self.points);
-        self.epsilon = if epsilon > 0.0 { epsilon } else { f64::EPSILON };
-        self.rebuild_cells();
+        self.rebuild_packed(epsilon, |epsilon, points, keyed| {
+            fill(points);
+            Self::assert_indexable(points.len());
+            keyed.extend(
+                points
+                    .iter()
+                    .enumerate()
+                    // lint: allow(cast-audit) — point count < u32::MAX, asserted above
+                    .map(|(i, p)| (Self::pack(Self::cell_of(p, epsilon)), i as u32)),
+            );
+        });
     }
 
     /// Re-indexes in place over the points of an iterator (see
@@ -163,21 +204,37 @@ impl GridIndex {
         self.rebuild_with(epsilon, |buf| buf.extend(points));
     }
 
-    /// Recomputes the CSR arrays from `self.points` and `self.epsilon`.
-    fn rebuild_cells(&mut self) {
+    /// Re-indexes in place over points whose cell keys the caller packs
+    /// itself: `fill` gets the clamped `epsilon` and the cleared point and
+    /// `(key, index)` buffers, and must push, for the `i`-th point it adds,
+    /// the pair `(pack(cell_of(point, epsilon)), i)` — one pair per point,
+    /// in point order. The snapshot clusterer's drop pass computes every
+    /// point's cell anyway, so its kept points arrive keyed.
+    fn rebuild_packed(
+        &mut self,
+        epsilon: f64,
+        fill: impl FnOnce(f64, &mut Vec<Point>, &mut Vec<(u128, u32)>),
+    ) {
+        self.epsilon = if epsilon > 0.0 { epsilon } else { f64::EPSILON };
+        self.points.clear();
+        self.keyed.clear();
+        fill(self.epsilon, &mut self.points, &mut self.keyed);
+        debug_assert_eq!(self.keyed.len(), self.points.len());
+        self.rebuild_cells();
+    }
+
+    /// Panics unless `n` points fit the grid's `u32` indices.
+    fn assert_indexable(n: usize) {
         assert!(
-            self.points.len() < u32::MAX as usize,
+            n < u32::MAX as usize,
             "grid index caps below u32::MAX points"
         );
-        self.keyed.clear();
-        let epsilon = self.epsilon;
-        self.keyed.extend(
-            self.points
-                .iter()
-                .enumerate()
-                // lint: allow(cast-audit) — point count < u32::MAX, asserted above
-                .map(|(i, p)| (Self::pack(Self::cell_of(p, epsilon)), i as u32)),
-        );
+    }
+
+    /// Recomputes the CSR arrays from `self.points` and their packed keys in
+    /// `self.keyed`.
+    fn rebuild_cells(&mut self) {
+        Self::assert_indexable(self.points.len());
         // Grouping the pairs orders points per cell while keeping each
         // bucket in ascending point index — the HashMap version's insertion
         // order. The stable radix passes preserve push order within equal
@@ -359,6 +416,16 @@ impl GridIndex {
         (u128::from(cx as u64 ^ SIGN) << 64) | u128::from(cy as u64 ^ SIGN)
     }
 
+    /// The cell coordinates of a packed key: the inverse of
+    /// [`GridIndex::pack`].
+    #[inline]
+    fn unpack(key: u128) -> (i64, i64) {
+        (
+            ((key >> 64) as u64 ^ SIGN) as i64,
+            (key as u64 ^ SIGN) as i64,
+        )
+    }
+
     /// The number of indexed points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -467,8 +534,9 @@ impl RegionQuery for GridIndex {
 }
 
 /// The work a [`SnapshotClusterer`] has done over its
-/// [`SnapshotClusterer::cluster_into`] calls: the values the `cluster.*`
-/// and `prune.region_queries_skipped` counters report.
+/// [`SnapshotClusterer::cluster_into`] calls: the values the `cluster.*`,
+/// `prune.region_queries_skipped` and `prune.points_dropped` counters
+/// report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClusterCounts {
     /// `cluster_into` calls.
@@ -485,7 +553,11 @@ pub struct ClusterCounts {
     pub region_queries: u64,
     /// Region queries skipped because the point's 3×3 cell block holds
     /// fewer than `m` points (with `region_queries`, every clustered point).
+    /// Counts the dropped points too: their blocks hold fewer than `m`.
     pub region_queries_skipped: u64,
+    /// Points dropped before the grid build because their 3×3 block of
+    /// 2e-wide cells holds fewer than `m` points (see the module docs).
+    pub points_dropped: u64,
 }
 
 impl std::ops::AddAssign for ClusterCounts {
@@ -497,6 +569,7 @@ impl std::ops::AddAssign for ClusterCounts {
         self.kernel_lanes += other.kernel_lanes;
         self.region_queries += other.region_queries;
         self.region_queries_skipped += other.region_queries_skipped;
+        self.points_dropped += other.points_dropped;
     }
 }
 
@@ -512,8 +585,12 @@ impl std::ops::AddAssign for ClusterCounts {
 /// and the parallel driver gives each worker its own.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotClusterer {
+    /// The ids of the points handed to the grid, in grid point order.
     ids: Vec<ObjectId>,
     grid: GridIndex,
+    /// Per-tick point counts of the drop pass's coarse cells, saturating
+    /// (see `keep_reachable`).
+    coarse: Vec<u8>,
     scratch: DbscanScratch,
     /// `(cluster id, point index)` pairs, sorted to group members per
     /// cluster (ascending point index within each cluster).
@@ -583,11 +660,10 @@ impl SnapshotClusterer {
         if snapshot.len() < m {
             return &[];
         }
-        self.ids.clear();
-        self.ids
-            .extend(snapshot.entries.iter().map(|entry| entry.id));
-        self.grid.rebuild_with(e, |points| {
-            points.extend(snapshot.entries.iter().map(|entry| entry.position));
+        let (ids, coarse) = (&mut self.ids, &mut self.coarse);
+        let mut dropped = 0;
+        self.grid.rebuild_packed(e, |epsilon, points, keyed| {
+            dropped = keep_reachable(&snapshot.entries, epsilon, m, coarse, ids, points, keyed);
         });
         dbscan_into(&self.grid, m, &mut self.scratch);
 
@@ -629,7 +705,8 @@ impl SnapshotClusterer {
         self.counts.kernel_batches += kernel_batches;
         self.counts.kernel_lanes += kernel_lanes;
         self.counts.region_queries += region_queries;
-        self.counts.region_queries_skipped += queries_skipped;
+        self.counts.region_queries_skipped += queries_skipped + dropped;
+        self.counts.points_dropped += dropped;
         if live {
             let call_ns = self.obs.now_ns().saturating_sub(started_ns);
             self.call_ns_total = self.call_ns_total.saturating_add(call_ns);
@@ -637,6 +714,93 @@ impl SnapshotClusterer {
         }
         &self.clusters[..num_clusters as usize]
     }
+}
+
+/// The coarse count array of [`keep_reachable`] holds at most this many
+/// cells per snapshot point, its border included, so its memory stays
+/// linear in the snapshot however far apart the points lie.
+const COARSE_CELLS_PER_POINT: u64 = 128;
+
+/// The drop pass: packs every entry's e-cell key into `keyed`, and keeps —
+/// in `ids`, `points` and `keyed`, renumbered, in their original relative
+/// order — only the entries whose 3×3 block of coarse cells holds at least
+/// `m` entries; returns how many it dropped. A coarse cell is `2^shift`
+/// e-cells wide, with `shift` 1 unless the snapshot's bounding box would
+/// need more than [`COARSE_CELLS_PER_POINT`] cells per entry. Soundness is
+/// argued in the module docs.
+// lint: hot-path — runs on every snapshot point; all buffers are the clusterer's
+fn keep_reachable(
+    entries: &[SnapshotEntry],
+    epsilon: f64,
+    m: usize,
+    coarse: &mut Vec<u8>,
+    ids: &mut Vec<ObjectId>,
+    points: &mut Vec<Point>,
+    keyed: &mut Vec<(u128, u32)>,
+) -> u64 {
+    GridIndex::assert_indexable(entries.len());
+    ids.clear();
+    let (mut x0, mut x1, mut y0, mut y1) = (i64::MAX, i64::MIN, i64::MAX, i64::MIN);
+    keyed.extend(entries.iter().enumerate().map(|(i, entry)| {
+        let (cx, cy) = GridIndex::cell_of(&entry.position, epsilon);
+        (x0, x1, y0, y1) = (x0.min(cx), x1.max(cx), y0.min(cy), y1.max(cy));
+        // lint: allow(cast-audit) — entry count < u32::MAX, asserted above
+        (GridIndex::pack((cx, cy)), i as u32)
+    }));
+    if m <= 1 || entries.is_empty() {
+        // Every point is core: nothing to drop.
+        ids.extend(entries.iter().map(|entry| entry.id));
+        points.extend(entries.iter().map(|entry| entry.position));
+        return 0;
+    }
+    // Cell coordinates lie within ±2⁶², so at shift 63 the box spans at most
+    // 2 × 2 coarse cells, 4 × 4 with the border, and the cap always fits.
+    // Capped at u32::MAX too, so a coarse cell index fits a pair's index slot.
+    let cap = (COARSE_CELLS_PER_POINT * entries.len() as u64).min(u64::from(u32::MAX));
+    let span = |lo: i64, hi: i64, shift: u32| ((hi >> shift) - (lo >> shift)) as u64 + 3;
+    let mut shift = 1;
+    while shift < 63 && span(x0, x1, shift).saturating_mul(span(y0, y1, shift)) > cap {
+        shift += 1;
+    }
+    // Rows run along x, one `stride` apart; the border keeps every 3×3
+    // block inside the array.
+    let stride = span(y0, y1, shift) as usize;
+    let (bx, by) = ((x0 >> shift) - 1, (y0 >> shift) - 1);
+    coarse.clear();
+    coarse.resize(span(x0, x1, shift) as usize * stride, 0);
+    // Counts saturate at `m` (or at the `u8` ceiling, which only keeps
+    // more): a saturated block sum reaches the threshold exactly when the
+    // true one does. Each pair's index slot borrows its coarse cell until
+    // the keep pass below renumbers it.
+    let threshold = u8::try_from(m).unwrap_or(u8::MAX);
+    for pair in keyed.iter_mut() {
+        let (cx, cy) = GridIndex::unpack(pair.0);
+        let at = ((cx >> shift) - bx) as usize * stride + ((cy >> shift) - by) as usize;
+        // lint: allow(cast-audit) — the array has at most u32::MAX cells (cap above)
+        pair.1 = at as u32;
+        let count = &mut coarse[at];
+        *count += u8::from(*count < threshold);
+    }
+    // The nine cells are summed without an early exit: on a dense world
+    // most coarse cells hold one or two points, and a data-dependent exit
+    // costs more in mispredicted branches than the loads it saves.
+    let row = |mid: usize| {
+        u32::from(coarse[mid - 1]) + u32::from(coarse[mid]) + u32::from(coarse[mid + 1])
+    };
+    let mut kept = 0;
+    for (j, entry) in entries.iter().enumerate() {
+        let (key, at) = keyed[j];
+        let at = at as usize;
+        if row(at - stride) + row(at) + row(at + stride) >= u32::from(threshold) {
+            ids.push(entry.id);
+            points.push(entry.position);
+            // lint: allow(cast-audit) — kept ≤ entry count < u32::MAX, asserted above
+            keyed[kept] = (key, kept as u32);
+            kept += 1;
+        }
+    }
+    keyed.truncate(kept);
+    (entries.len() - kept) as u64
 }
 
 /// Density-clusters the objects of a snapshot (DBSCAN with range `e` and

@@ -23,14 +23,28 @@
 //! brute-force block count (cells straddling the `0 / −1` key wrap on both
 //! axes included), and the pruned DBSCAN must label exactly like the frozen,
 //! unpruned reference loop.
+//!
+//! Finally the suite pins [`SnapshotClusterer::cluster_into`] and
+//! [`snapshot_clusters`] — which drop points that cannot reach a cluster
+//! before the grid is built — to the clusters of the frozen loop over the
+//! frozen `HashMap` grid of *all* points: same clusters, same members, same
+//! order. Fixtures straddle the 2e-wide coarse cells on both sides of the
+//! origin, put border points exactly 2e from the far side of their core's
+//! neighbourhood, and salt worlds with a far outlier, ±∞ and NaN, which
+//! forces the coarse grid to widen its cells.
 
 use proptest::prelude::*;
+use traj_cluster::dbscan::Label;
 use traj_cluster::dbscan::RegionQuery;
 use traj_cluster::kernel::LANE_WIDTH;
-use traj_cluster::{dbscan, GridIndex};
+use traj_cluster::{
+    dbscan, dbscan_into, snapshot_clusters, Cluster, DbscanScratch, GridIndex, SnapshotClusterer,
+};
 use traj_cluster_baselines::aos::AosGridIndex;
 use traj_cluster_baselines::reference::{self, HashMapGrid};
+use trajectory::database::SnapshotEntry;
 use trajectory::geometry::Point;
+use trajectory::{ObjectId, Snapshot};
 
 /// Asserts that the batched grid reports exactly the hits and order of both
 /// frozen references, for a standalone range query at every point and for
@@ -385,6 +399,233 @@ fn grid_rebuild_reuse_keeps_the_kernel_path_exact() {
     }
 }
 
+/// A snapshot of `pts` whose ids are spaced apart (`7 + 3·i`), so a
+/// clusterer that mixed up point indices and ids would show.
+fn snapshot_of(pts: &[Point]) -> Snapshot {
+    Snapshot {
+        time: 0,
+        entries: pts
+            .iter()
+            .enumerate()
+            .map(|(i, &position)| SnapshotEntry {
+                id: ObjectId(7 + 3 * i as u64),
+                position,
+            })
+            .collect(),
+    }
+}
+
+/// The clusters of the frozen, unpruned DBSCAN loop over the frozen
+/// `HashMap` grid of every point of `snapshot`, in cluster-id order.
+fn reference_clusters(snapshot: &Snapshot, e: f64, m: usize) -> Vec<Cluster> {
+    let pts: Vec<Point> = snapshot
+        .entries
+        .iter()
+        .map(|entry| entry.position)
+        .collect();
+    let labels = reference::dbscan(&HashMapGrid::build(pts, e), m);
+    let mut members: Vec<Vec<ObjectId>> = Vec::new();
+    for (entry, label) in snapshot.entries.iter().zip(labels) {
+        if let Label::Cluster(c) = label {
+            if members.len() <= c {
+                members.resize(c + 1, Vec::new());
+            }
+            members[c].push(entry.id);
+        }
+    }
+    members.into_iter().map(Cluster::new).collect()
+}
+
+/// Asserts that a reused clusterer and the one-shot entry point report the
+/// frozen reference's clusters for `pts` at `(e, m)`, and that dropping
+/// points left every other work count equal to those of DBSCAN over a grid
+/// of all points. Returns how many points the clusterer dropped.
+fn assert_clusters_match_reference(
+    clusterer: &mut SnapshotClusterer,
+    pts: &[Point],
+    e: f64,
+    m: usize,
+) -> u64 {
+    let snapshot = snapshot_of(pts);
+    let expected = reference_clusters(&snapshot, e, m);
+    clusterer.take_counts();
+    assert_eq!(
+        clusterer.cluster_into(&snapshot, e, m),
+        &expected[..],
+        "cluster_into diverged from the frozen reference at e = {e}, m = {m}"
+    );
+    assert_eq!(
+        snapshot_clusters(&snapshot, e, m),
+        expected,
+        "snapshot_clusters diverged from the frozen reference at e = {e}, m = {m}"
+    );
+    let counts = clusterer.take_counts();
+    assert!(counts.points_dropped <= counts.region_queries_skipped);
+    if pts.len() >= m {
+        let full = GridIndex::build(pts.to_vec(), e);
+        let mut scratch = DbscanScratch::new();
+        dbscan_into(&full, m, &mut scratch);
+        assert_eq!(
+            (counts.region_queries, counts.region_queries_skipped),
+            scratch.query_counts(),
+            "dropping changed the region-query counts at e = {e}, m = {m}"
+        );
+        assert_eq!(
+            (counts.kernel_batches, counts.kernel_lanes),
+            full.take_kernel_counts(),
+            "dropping changed the kernel work at e = {e}, m = {m}"
+        );
+    }
+    counts.points_dropped
+}
+
+/// A sparse world: mostly isolated points, clumps of one to five points
+/// and a chain through the origin.
+fn sparse_world() -> Vec<Point> {
+    let mut state = 0x1319_8a2e_0370_7344_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 1_000_000) as f64 * 1e-3 - 500.0
+    };
+    let mut pts: Vec<Point> = (0..2_000).map(|_| Point::new(next(), next())).collect();
+    for clump in 0..15 {
+        let (ax, ay) = (next(), next());
+        for i in 0..(clump % 5 + 1) {
+            pts.push(Point::new(ax + i as f64 * 0.3, ay - i as f64 * 0.2));
+        }
+    }
+    pts.extend((0..25).map(|i| Point::new(i as f64 * 0.9 - 11.0, -0.4)));
+    pts.extend((0..25).map(|i| Point::new(3.3, i as f64 * 1.4 - 17.0)));
+    pts
+}
+
+#[test]
+fn clusterer_matches_the_reference_on_a_sparse_world() {
+    let pts = sparse_world();
+    let mut clusterer = SnapshotClusterer::new();
+    for (e, m) in [(1.0, 1), (1.0, 2), (1.0, 3), (2.0, 3), (0.5, 5), (3.0, 5)] {
+        let dropped = assert_clusters_match_reference(&mut clusterer, &pts, e, m);
+        if m > 1 {
+            assert!(
+                dropped > pts.len() as u64 / 2,
+                "a sparse world drops most points (dropped {dropped} at e = {e}, m = {m})"
+            );
+        } else {
+            assert_eq!(dropped, 0, "m = 1 makes every point core");
+        }
+    }
+}
+
+#[test]
+fn clusterer_matches_the_reference_across_coarse_cell_edges() {
+    // Coarse cells are 2e wide, so their edges sit at even multiples of e;
+    // pairs and triples straddle each edge from −6e to 6e on both axes, at
+    // distances just inside and just outside e.
+    for e in [1.0, 0.75] {
+        let mut pts = Vec::new();
+        for edge in -3..=3 {
+            let at = f64::from(edge) * 2.0 * e;
+            for gap in [0.49, 0.51] {
+                let (lo, hi) = (at - gap * e, at + gap * e);
+                pts.extend([Point::new(lo, 0.3), Point::new(hi, 0.3)]);
+                pts.extend([Point::new(-0.3 * e, lo), Point::new(-0.3 * e, hi)]);
+                pts.extend([Point::new(lo, lo), Point::new(hi, hi), Point::new(hi, lo)]);
+            }
+        }
+        let mut clusterer = SnapshotClusterer::new();
+        for m in [1, 2, 3, 5] {
+            assert_clusters_match_reference(&mut clusterer, &pts, e, m);
+        }
+    }
+}
+
+#[test]
+fn a_border_point_2e_from_its_cores_far_neighbours_is_kept() {
+    // A core point `c` whose m − 1 other neighbours sit exactly e away on
+    // one side, and a border point exactly e away on the other: the border
+    // point is 2e from those neighbours, alone in its own block, and must
+    // still join the cluster. Integer coordinates keep every distance
+    // exact; the shift walks the triple across every parity of the coarse
+    // cells on both sides of the origin, along both axes and a 3-4-5
+    // diagonal.
+    for m in [2, 3, 5] {
+        let mut clusterer = SnapshotClusterer::new();
+        for (e, step) in [(1.0, (1.0, 0.0)), (1.0, (0.0, -1.0)), (5.0, (3.0, 4.0))] {
+            for shift in -5..=5 {
+                let c = Point::new(f64::from(shift) * e, f64::from(-shift) * e);
+                let far = Point::new(c.x - step.0, c.y - step.1);
+                let border = Point::new(c.x + step.0, c.y + step.1);
+                let mut pts = vec![c, border];
+                pts.extend(std::iter::repeat_n(far, m - 1));
+                pts.push(Point::new(c.x + 40.0 * e, c.y));
+                let expected = reference_clusters(&snapshot_of(&pts), e, m);
+                assert_eq!(expected.len(), 1);
+                assert!(
+                    expected[0].contains(ObjectId(10)),
+                    "fixture: the border point belongs to the cluster"
+                );
+                assert_clusters_match_reference(&mut clusterer, &pts, e, m);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_far_outlier_and_non_finite_salt_coarsen_without_changing_clusters() {
+    // One point 10¹² away stretches the bounding box far past the count
+    // array's cap, so the coarse cells widen until it fits; ±∞ and 10³⁰⁰
+    // clamp to the edge of the cell range and NaN parks in cell 0.
+    let mut pts = sparse_world();
+    pts.push(Point::new(1e12, -1e12));
+    pts.extend([
+        Point::new(f64::INFINITY, 0.0),
+        Point::new(f64::NEG_INFINITY, f64::INFINITY),
+        Point::new(1e300, -1e300),
+        Point::new(-1e300, 1e300),
+        Point::new(f64::NAN, 0.0),
+        Point::new(0.0, f64::NAN),
+        Point::new(f64::NAN, f64::NAN),
+    ]);
+    let mut clusterer = SnapshotClusterer::new();
+    for m in [1, 2, 3, 5] {
+        for e in [1.0, 3.0] {
+            assert_clusters_match_reference(&mut clusterer, &pts, e, m);
+        }
+    }
+    // The salt alone, and the salt around one small clump.
+    let salt = pts[pts.len() - 8..].to_vec();
+    let mut clump = salt.clone();
+    clump.extend([
+        Point::new(0.1, 0.1),
+        Point::new(0.2, 0.1),
+        Point::new(0.1, 0.3),
+    ]);
+    for m in [1, 2, 3, 5] {
+        assert_clusters_match_reference(&mut clusterer, &salt, 1.0, m);
+        assert_clusters_match_reference(&mut clusterer, &clump, 1.0, m);
+    }
+}
+
+#[test]
+fn non_positive_e_matches_the_reference() {
+    // e ≤ 0 clamps to f64::EPSILON: only coincident points are neighbours.
+    let mut pts = vec![Point::new(1.0, 1.0); 4];
+    pts.extend([
+        Point::new(-2.0, 0.5),
+        Point::new(-2.0, 0.5),
+        Point::new(0.0, 0.0),
+    ]);
+    pts.extend([Point::new(1.0 + 1e-9, 1.0), Point::new(f64::NAN, 1.0)]);
+    let mut clusterer = SnapshotClusterer::new();
+    for e in [0.0, -1.0] {
+        for m in [1, 2, 3, 5] {
+            assert_clusters_match_reference(&mut clusterer, &pts, e, m);
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn neighbor_bound_never_undercounts(
@@ -444,5 +685,20 @@ proptest! {
         let labels_soa = dbscan(&GridIndex::build(pts.clone(), e), 3);
         let labels_aos = dbscan(&AosGridIndex::build(pts.clone(), e), 3);
         prop_assert_eq!(labels_soa, labels_aos);
+    }
+
+    #[test]
+    fn clusterer_matches_the_reference_on_random_worlds(
+        coords in proptest::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 0..150),
+        clumps in proptest::collection::vec((-40.0f64..40.0, -40.0f64..40.0, 1usize..6), 0..6),
+        e in 0.2f64..4.0,
+        m in 1usize..6,
+    ) {
+        let mut pts: Vec<Point> = coords.iter().map(|(x, y)| Point::new(*x, *y)).collect();
+        for (x, y, size) in clumps {
+            pts.extend((0..size).map(|i| Point::new(x + i as f64 * 0.1 * e, y)));
+        }
+        let mut clusterer = SnapshotClusterer::new();
+        assert_clusters_match_reference(&mut clusterer, &pts, e, m);
     }
 }

@@ -1,5 +1,6 @@
 //! Allocation regression harness for the snapshot-clustering hot path, and
-//! the memory bound of the CuTS filter's sub-trajectory index.
+//! the memory bounds of the snapshot clusterer's drop pass and of the CuTS
+//! filter's sub-trajectory index.
 //!
 //! The CSR grid + scratch-reuse rewrite promises that a *warmed*
 //! [`SnapshotClusterer`] — one whose buffers have grown to the working-set
@@ -7,7 +8,9 @@
 //! [`SnapshotClusterer::cluster_into`] call. This test installs a counting
 //! global allocator and asserts exactly that; any future change that
 //! reintroduces per-tick allocation (a fresh `Vec` per neighbourhood query,
-//! a rebuilt hash map, an allocating sort) fails it immediately.
+//! a rebuilt hash map, an allocating sort) fails it immediately. The
+//! allocator also tracks the bytes each thread holds, which bounds what a
+//! clusterer retains after a tick with a far outlier.
 //!
 //! The counting allocator is process-global, which is why this test lives in
 //! its own integration-test binary: the `#[global_allocator]` would
@@ -32,7 +35,8 @@ use trajectory::{ObjectId, Snapshot, TimeInterval, TrajPoint, Trajectory};
 
 /// Forwards to the system allocator, counting every allocation call
 /// (`alloc`, `realloc` growth included — a `Vec` growing its capacity is an
-/// allocation the steady state must not perform) on the calling thread.
+/// allocation the steady state must not perform) and the bytes held on the
+/// calling thread.
 struct CountingAllocator;
 
 thread_local! {
@@ -42,24 +46,39 @@ thread_local! {
     /// `const`-initialised without a destructor, so reaching it never
     /// allocates; `try_with` skips threads that are being torn down.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_allocation() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_bytes(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
+}
+
+/// A layout size as a signed byte count (layout sizes never exceed
+/// `isize::MAX`, so the cast is exact).
+fn signed_bytes(size: usize) -> i64 {
+    size as i64
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_allocation();
+        count_bytes(signed_bytes(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-signed_bytes(layout.size()));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_allocation();
+        count_bytes(signed_bytes(new_size) - signed_bytes(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -69,6 +88,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// Deterministic xorshift64* stream, so the snapshots are reproducible
@@ -181,6 +204,109 @@ fn clusterer_output_still_matches_one_shot_clustering() {
             snapshot_clusters(&snap, 2.5, 3),
         );
     }
+}
+
+/// A sparse tick: `n` objects scattered over a 2,000 × 2,000 world, plus
+/// `clumps` groups of four objects within e = 3 of each other, so almost
+/// every point is dropped but a few clusters remain.
+fn sparse_tick(rng: &mut XorShift, time: i64, n: usize, clumps: usize) -> Snapshot {
+    let mut tick = snapshot(rng, time, n);
+    for entry in &mut tick.entries {
+        entry.position = Point::new(entry.position.x * 20.0, entry.position.y * 20.0);
+    }
+    for clump in 0..clumps {
+        let (x, y) = (rng.coord() * 20.0, rng.coord() * 20.0);
+        for i in 0..4 {
+            tick.entries.push(SnapshotEntry {
+                id: ObjectId((n + 4 * clump + i) as u64),
+                position: Point::new(x + i as f64, y),
+            });
+        }
+    }
+    tick
+}
+
+/// `tick` with one more object 10¹² away from the others.
+fn with_outlier(tick: &Snapshot) -> Snapshot {
+    let mut tick = tick.clone();
+    tick.entries.push(SnapshotEntry {
+        id: ObjectId(tick.entries.len() as u64),
+        position: Point::new(1e12, -1e12),
+    });
+    tick
+}
+
+#[test]
+fn warmed_clusterer_drops_points_without_allocating() {
+    let mut rng = XorShift(0x6a09e667f3bcc908);
+    let mut ticks: Vec<Snapshot> = (0..20).map(|t| sparse_tick(&mut rng, t, 400, 3)).collect();
+    // A lattice 20 e apart: every point is alone in its coarse block.
+    let lonely = Snapshot {
+        time: 20,
+        entries: (0..400)
+            .map(|i| SnapshotEntry {
+                id: ObjectId(i as u64),
+                position: Point::new((i % 20) as f64 * 60.0, (i / 20) as f64 * 60.0),
+            })
+            .collect(),
+    };
+    ticks.push(lonely.clone());
+    ticks.push(with_outlier(&ticks[3]));
+
+    let mut clusterer = SnapshotClusterer::new();
+    for _ in 0..2 {
+        for tick in &ticks {
+            clusterer.cluster_into(tick, 3.0, 3);
+        }
+    }
+    let warm = clusterer.take_counts();
+    assert!(
+        warm.points_dropped > warm.points * 9 / 10,
+        "sparse ticks drop most points ({} of {})",
+        warm.points_dropped,
+        warm.points
+    );
+    assert!(warm.clusters_found > 0, "the clumps form clusters");
+    assert!(clusterer.cluster_into(&lonely, 3.0, 3).is_empty());
+    assert_eq!(clusterer.take_counts().points_dropped, 400);
+
+    let before = allocations();
+    let mut total_clusters = 0usize;
+    for tick in &ticks {
+        total_clusters += clusterer.cluster_into(tick, 3.0, 3).len();
+    }
+    assert!(total_clusters > 0);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "sparse, all-dropped and outlier ticks must reuse the grown buffers"
+    );
+}
+
+#[test]
+fn an_outlier_tick_keeps_the_clusterers_memory_linear() {
+    // Without a cap the outlier would stretch the coarse count array over
+    // about 10²³ cells; capped, the array's cells stay a fixed multiple of
+    // the tick's points, and the clusterer retains a small multiple of what
+    // the same tick costs it without the outlier.
+    let mut rng = XorShift(0xbb67ae8584caa73b);
+    let plain = snapshot(&mut rng, 0, 400);
+    let salted = with_outlier(&plain);
+    let retained = |tick: &Snapshot| {
+        let before = live_bytes();
+        let mut clusterer = SnapshotClusterer::new();
+        let clusters = clusterer.cluster_into(tick, 3.0, 3).len();
+        assert!(clusters > 0);
+        let held = live_bytes() - before;
+        drop(clusterer);
+        held
+    };
+    let (without, with) = (retained(&plain), retained(&salted));
+    assert!(without > 0);
+    assert!(
+        with <= 3 * without,
+        "the outlier tick retains {with} bytes against {without} without it"
+    );
 }
 
 /// One λ-partition of the glitch shape: `n` objects drifting east from the

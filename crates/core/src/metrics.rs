@@ -58,7 +58,7 @@ impl FoldWork {
     /// Every count under its registry name. The batch path stores these
     /// ([`publish_discovery`]) and the stream adds them as it drains them,
     /// so this is the one place the names are written.
-    pub fn counters(&self) -> [(&'static str, u64); 10] {
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
         let c = &self.cluster;
         [
             ("cluster.calls", c.calls),
@@ -68,6 +68,7 @@ impl FoldWork {
             ("cluster.kernel_lanes", c.kernel_lanes),
             ("cluster.region_queries", c.region_queries),
             ("prune.region_queries_skipped", c.region_queries_skipped),
+            ("prune.points_dropped", c.points_dropped),
             ("cmc.overlap_lookups", self.overlap_lookups),
             ("cmc.extensions", self.extensions),
             ("cuts.refine.snapshot_points", self.refine_snapshot_points),

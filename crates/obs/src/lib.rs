@@ -48,7 +48,8 @@
 //! | `stream.time_to_first_convoy_ns` | counter | once per stream | streaming first-result latency |
 //! | `scan.blocks_read` / `scan.blocks_pruned` | counter | `ScanStats` | container block-index pruning |
 //! | `cluster.kernel_batches` / `cluster.kernel_lanes` | counter | `ClusterCounts` in `FoldWork` | batched-kernel utilisation (full `LANE_WIDTH` batches vs total candidate lanes scanned) |
-//! | `cluster.region_queries` / `prune.region_queries_skipped` | counter | `ClusterCounts` in `FoldWork` | snapshot-DBSCAN region queries run vs skipped because the point's 3×3 cell block holds fewer than m points (the two sum to `cluster.points` over ticks with ≥ m objects) |
+//! | `cluster.region_queries` / `prune.region_queries_skipped` | counter | `ClusterCounts` in `FoldWork` | snapshot-DBSCAN region queries run vs skipped because the point's 3×3 cell block holds fewer than m points (the two sum to `cluster.points` over ticks with ≥ m objects; skipped includes dropped points) |
+//! | `prune.points_dropped` | counter | `ClusterCounts` in `FoldWork` | snapshot points dropped before the grid build because their 3×3 block of 2e-wide cells holds fewer than m points, so they can be neither core nor border |
 //!
 //! # Spans
 //!
