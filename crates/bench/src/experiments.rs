@@ -92,7 +92,7 @@ pub static EXPERIMENTS: [Experiment; 8] = [
     Experiment {
         name: "fig14",
         artifact: "Figure 14",
-        header: "dataset,tolerance_mode,candidates,refinement_units,elapsed_seconds",
+        header: "dataset,tolerance_mode,refined_object_ticks,elapsed_seconds",
         runs: EVERY_PROFILE,
         rows: fig14,
     },
@@ -106,14 +106,14 @@ pub static EXPERIMENTS: [Experiment; 8] = [
     Experiment {
         name: "fig16",
         artifact: "Figure 16",
-        header: "dataset,method,delta,refinement_units,candidates,elapsed_seconds",
+        header: "dataset,method,delta,refined_object_ticks,elapsed_seconds",
         runs: &[Car, Taxi],
         rows: fig16,
     },
     Experiment {
         name: "fig17",
         artifact: "Figure 17",
-        header: "dataset,method,lambda,refinement_units,candidates,elapsed_seconds",
+        header: "dataset,method,lambda,refined_object_ticks,elapsed_seconds",
         runs: &[Truck, Cattle],
         rows: fig17,
     },
@@ -217,8 +217,9 @@ fn fig13(data: &PreparedDataset) -> Vec<Vec<String>> {
 }
 
 /// Figure 14: each segment's actual tolerance instead of the global δ in the
-/// CuTS* filter. Expected shape: actual tolerances prune more, so candidate
-/// counts and elapsed time drop, most visibly on Cattle and Car.
+/// CuTS* filter. Expected shape: actual tolerances prune more, so the
+/// refined object-ticks and elapsed time drop, most visibly on Cattle and
+/// Car.
 fn fig14(data: &PreparedDataset) -> Vec<Vec<String>> {
     [ToleranceMode::Global, ToleranceMode::Actual]
         .into_iter()
@@ -228,8 +229,7 @@ fn fig14(data: &PreparedDataset) -> Vec<Vec<String>> {
             vec![
                 data.name.to_string(),
                 mode.name().to_string(),
-                run.outcome.stats.num_candidates.to_string(),
-                format!("{:.0}", run.outcome.stats.refinement_units),
+                run.outcome.stats.work.refine_snapshot_points.to_string(),
                 secs(run.elapsed_secs()),
             ]
         })
@@ -265,9 +265,11 @@ fn fig15(data: &PreparedDataset) -> Vec<Vec<String>> {
     rows
 }
 
-/// Figure 16: δ against the refinement unit and elapsed time. Expected
-/// shape: CuTS* has the lowest refinement unit, CuTS+ sits between CuTS* and
-/// CuTS, and both measures grow with δ as a loose δ inflates range searches.
+/// Figure 16: δ against the refinement's work and elapsed time. The paper
+/// costs the refinement in *refinement units* of its candidates; the
+/// refinement here folds the filter's coverage, so its work is the refined
+/// object-ticks. Expected shape: both measures grow with δ as a loose δ
+/// inflates range searches.
 fn fig16(data: &PreparedDataset) -> Vec<Vec<String>> {
     cuts_sweep(
         data,
@@ -277,9 +279,10 @@ fn fig16(data: &PreparedDataset) -> Vec<Vec<String>> {
     )
 }
 
-/// Figure 17: the time-partition length λ against the refinement unit and
-/// elapsed time. Expected shape: a larger λ weakens the filter; a very small
-/// λ costs more clustering passes; CuTS* keeps the lowest refinement unit.
+/// Figure 17: the time-partition length λ against the refinement's work
+/// (refined object-ticks, as in Figure 16) and elapsed time. Expected
+/// shape: a larger λ weakens the filter; a very small λ costs more
+/// clustering passes.
 fn fig17(data: &PreparedDataset) -> Vec<Vec<String>> {
     let lambdas = match data.name {
         Truck => FIG17_TRUCK_LAMBDAS,
@@ -313,8 +316,7 @@ fn cuts_sweep<T: Copy>(
                 data.name.to_string(),
                 method.to_string(),
                 label(&run.outcome.stats),
-                format!("{:.0}", run.outcome.stats.refinement_units),
-                run.outcome.stats.num_candidates.to_string(),
+                run.outcome.stats.work.refine_snapshot_points.to_string(),
                 secs(run.elapsed_secs()),
             ]);
         }

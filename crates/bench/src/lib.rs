@@ -10,10 +10,10 @@
 //! | `table3`           | Table 3        | Dataset statistics, chosen parameters, number of convoys discovered |
 //! | `fig12`            | Figure 12      | Elapsed time of CMC vs the CuTS family on all four datasets |
 //! | `fig13`            | Figure 13      | Cost breakdown (simplification / filter / refinement), Cattle & Taxi |
-//! | `fig14`            | Figure 14      | Effect of actual vs global tolerance on candidates and elapsed time |
+//! | `fig14`            | Figure 14      | Effect of actual vs global tolerance on refined object-ticks and elapsed time |
 //! | `fig15`            | Figure 15      | Simplification methods: vertex reduction and elapsed time vs δ (Cattle) |
-//! | `fig16`            | Figure 16      | Effect of δ on refinement units and elapsed time (Car & Taxi) |
-//! | `fig17`            | Figure 17      | Effect of λ on refinement units and elapsed time (Truck & Cattle) |
+//! | `fig16`            | Figure 16      | Effect of δ on refined object-ticks and elapsed time (Car & Taxi) |
+//! | `fig17`            | Figure 17      | Effect of λ on refined object-ticks and elapsed time (Truck & Cattle) |
 //! | `fig19`            | Figure 19      | MC2 false positives / false negatives vs θ on all four datasets |
 //!
 //! `experiments [NAME…]` runs the named artifacts (all of them when given

@@ -72,19 +72,23 @@ COMMANDS:
               them and keeps the first).
     discover  FILE [--method cmc|cuts|cuts-plus|cuts-star] --m N --k N --e F
               [--delta F] [--lambda N] [--global-tolerance] [--stats]
-              [--from T] [--to T] [--trace PATH] [--metrics-json PATH]
+              [--from T] [--to T] [--limit N] [--trace PATH]
+              [--metrics-json PATH]
               [--parallel [N]]   (CMC engine, which also runs the CuTS
               refinement: the swept single pass is the default;
               --parallel N partitions time across N worker threads, N
               omitted or 0 uses every core)
-              Run a convoy query and print the discovered convoys.
+              Run a convoy query and print the discovered convoys, at
+              most N of them (--limit N, default 50). The CuTS methods
+              also print a `filter:` line: the object-ticks the
+              refinement folded, δ, λ and the vertex reduction.
               --from/--to restrict discovery to samples with T inside the
               inclusive tick window (no interpolation at the edges); on a
               `.convoy` input only the blocks whose time range intersects
               the window are read. --stats additionally prints the run's
               counters (the fold's counters and work, snapshot-DBSCAN
-              region queries run and skipped among them; candidate and
-              refinement counts; source scan counters). --trace PATH
+              region queries run and skipped among them; the filter's
+              region-query work; source scan counters). --trace PATH
               writes a Chrome trace_event span tree (loadable in Perfetto
               / chrome://tracing); --metrics-json PATH writes the full
               metrics snapshot (counters, gauges, histograms and wall-clock
@@ -506,8 +510,8 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
     ));
     if method != Method::Cmc {
         out.push_str(&format!(
-            "filter: {} candidates, δ={:.2}, λ={}, vertex reduction {:.1}%\n",
-            outcome.stats.num_candidates,
+            "filter: {} refined object-ticks, δ={:.2}, λ={}, vertex reduction {:.1}%\n",
+            outcome.stats.work.refine_snapshot_points,
             outcome.stats.delta,
             outcome.stats.lambda,
             outcome.stats.reduction_percent
@@ -699,9 +703,6 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
             }
             confirmed += 1;
         }
-        // The CLI reports candidates only as a count; drop the queue so an
-        // unbounded session stays bounded.
-        stream.drain_candidates();
     };
     // Checkpoints are cut at partition closes — the only moments where the
     // stream's state is a clean resumable frontier.
@@ -973,7 +974,7 @@ mod tests {
         .unwrap();
         let report = discover_command(&args).unwrap();
         assert!(report.contains("convoy(s) found by CuTS*"));
-        assert!(report.contains("candidates"));
+        assert!(report.contains("refined object-ticks"));
     }
 
     #[test]

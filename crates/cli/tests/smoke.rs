@@ -329,6 +329,50 @@ fn discover_stats_report_the_filter_work() {
 }
 
 #[test]
+fn discover_filter_line_reports_the_refined_object_ticks() {
+    // A truck fixture large enough to hold two convoys.
+    let path = temp_path("discover-filter-line.csv");
+    convoy()
+        .args(["generate", "--profile", "truck", "--scale", "0.2"])
+        .args(["--seed", "11", "--out", path.to_str().unwrap()])
+        .assert()
+        .success();
+    let run = convoy()
+        .args(["discover", path.to_str().unwrap()])
+        .args(["--method", "cuts-star", "--m", "3", "--k", "5", "--e", "10"])
+        .args(["--stats", "--limit", "1"])
+        .assert()
+        .success();
+    let stdout = String::from_utf8_lossy(&run.get_output().stdout).into_owned();
+    let figure = |line_prefix: &str, after: &str| -> u64 {
+        stdout
+            .lines()
+            .find_map(|l| {
+                let rest = l.trim().strip_prefix(line_prefix)?;
+                rest.split(after).next()?.trim().parse().ok()
+            })
+            .unwrap_or_else(|| panic!("no `{line_prefix}` figure: {stdout}"))
+    };
+    // The filter line reports the refinement's real work: the covered
+    // object-ticks it folded, the figure --stats lists.
+    let refined = figure("filter:", "refined object-ticks");
+    assert!(refined > 0, "{stdout}");
+    assert_eq!(
+        refined,
+        figure("cuts.refine.snapshot_points", "\n"),
+        "{stdout}"
+    );
+    // --limit 1 prints one convoy and counts the rest.
+    let found = figure(&format!("{}:", path.display()), "convoy(s)");
+    assert!(found > 1, "{stdout}");
+    assert!(
+        stdout.contains(&format!("  … and {} more\n", found - 1)),
+        "{stdout}"
+    );
+    assert_eq!(stdout.matches('⟨').count(), 1, "{stdout}");
+}
+
+#[test]
 fn stream_replays_a_file_and_reports_stream_stats() {
     let path = temp_path("stream-file.csv");
     convoy()

@@ -1,5 +1,4 @@
-//! Candidate bookkeeping of the [`crate::engine::CmcState`] fold, shared by
-//! CMC's ticks and the CuTS filter's λ-partitions.
+//! Candidate bookkeeping of the [`crate::engine::CmcState`] fold.
 
 use crate::query::Convoy;
 use traj_cluster::Cluster;
@@ -27,13 +26,13 @@ impl Convoy {
     }
 }
 
-/// A per-unit object → cluster index: the extension step of Algorithm 1
-/// (and of the CuTS filter's partition fold) as an indexed join of the open
-/// candidates with one tick's (or λ-partition's) clusters on object id.
+/// A per-tick object → cluster index: the extension step of Algorithm 1 as
+/// an indexed join of the open candidates with one tick's clusters on
+/// object id.
 ///
 /// The all-pairs loop intersects every candidate with every cluster, which
 /// costs |candidates| × |clusters| merges, almost all of them empty on dense
-/// data. The index instead holds the unit's `(object, cluster index)` pairs
+/// data. The index instead holds the tick's `(object, cluster index)` pairs
 /// sorted by object; a candidate looks up each of its members, counts hits
 /// per cluster, and only the clusters with at least `m` hits are returned.
 ///
@@ -44,10 +43,10 @@ impl Convoy {
 /// closes candidates in the same order. That holds for overlapping cluster
 /// lists too.
 ///
-/// The buffers are reused across units: a warmed index allocates nothing.
+/// The buffers are reused across ticks: a warmed index allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OverlapIndex {
-    /// The unit's `(object, cluster index)` pairs, sorted.
+    /// The tick's `(object, cluster index)` pairs, sorted.
     pairs: Vec<(ObjectId, usize)>,
     /// Per-cluster hit counters, all zero between lookups.
     hits: Vec<usize>,
@@ -56,7 +55,7 @@ pub(crate) struct OverlapIndex {
 }
 
 impl OverlapIndex {
-    /// Rebuilds the index over one unit's clusters.
+    /// Rebuilds the index over one tick's clusters.
     // lint: hot-path — rebuilt every tick into reused buffers
     pub(crate) fn rebuild(&mut self, clusters: &[Cluster]) {
         self.pairs.clear();

@@ -1,14 +1,18 @@
 //! The CuTS filter step (Algorithm 2 of the paper).
 //!
 //! The filter simplifies every trajectory, partitions the time domain into
-//! λ-length partitions, density-clusters the simplified sub-trajectories of
-//! each partition using the Lemma 1 / Lemma 3 bounds, and chains clusters
-//! across partitions into **candidate convoys** — a superset of the true
-//! convoys, which the refinement step then verifies.
+//! λ-length partitions and density-clusters the simplified sub-trajectories
+//! of each partition using the Lemma 1 / Lemma 3 bounds. The partition
+//! clusters are the filter's output: the refinement step
+//! ([`crate::cuts::refine`]) reads, at every tick, only the objects that
+//! share a cluster of the partition covering it. Lemmas 1–3 make that
+//! coverage sound — every snapshot cluster lies inside one partition
+//! cluster — so no convoy is dismissed. The paper's Algorithm 2 goes on to
+//! chain the partition clusters into candidate convoys; the refinement
+//! never needs those chains, so none are built.
 
 use crate::cuts::partition::{cluster_partition_with_work, PartitionClusters};
 use crate::cuts::CutsConfig;
-use crate::engine::CmcState;
 use crate::metrics::FilterWork;
 use crate::params::{auto_delta, auto_lambda};
 use crate::query::{Convoy, ConvoyQuery};
@@ -17,14 +21,17 @@ use traj_cluster::SubTrajectory;
 use traj_simplify::SimplifiedTrajectory;
 use trajectory::{ObjectId, TimeInterval, TimePartition, TrajectoryDatabase};
 
-/// The output of the filter step: candidate convoys plus the bookkeeping the
-/// refinement step and the benchmark harness need.
+/// The output of the filter step: the partition clusters plus the
+/// bookkeeping the refinement step and the benchmark harness need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterOutput {
-    /// Candidate convoys: the chains of partition clusters that lived at
-    /// least `k` points, at partition granularity and not yet refined (a
-    /// superset of the true convoys, which the refinement verifies tick by
-    /// tick).
+    /// Always empty. The filter no longer chains partition clusters into
+    /// candidate convoys: the chains were not a superset of the convoys,
+    /// and the refinement reads [`FilterOutput::partitions`] instead.
+    #[deprecated(
+        note = "always empty: the filter builds no candidate chain; read `partitions`. \
+                Removed by the benchmark migration, once the ledger stops reading it."
+    )]
     pub candidates: Vec<Convoy>,
     /// Every λ-partition's clusters, in window order — the per-tick object
     /// coverage the refinement fold restricts its snapshots to
@@ -43,6 +50,19 @@ pub struct FilterOutput {
 }
 
 impl FilterOutput {
+    /// A filter output with no partitions yet.
+    #[allow(deprecated)] // the always-empty `candidates` shim
+    fn empty(delta: f64, lambda: usize, original_points: usize, simplified_points: usize) -> Self {
+        FilterOutput {
+            candidates: Vec::new(),
+            partitions: Vec::new(),
+            delta,
+            lambda,
+            original_points,
+            simplified_points,
+        }
+    }
+
     /// Vertex reduction of the simplification step, in percent.
     pub fn reduction_percent(&self) -> f64 {
         if self.original_points == 0 {
@@ -97,15 +117,8 @@ pub(crate) fn filter_simplified_with_work(
         .lambda
         .unwrap_or_else(|| auto_lambda(simplified.iter().map(|(_, s)| s), query.k));
 
+    let mut output = FilterOutput::empty(delta, lambda, original_points, simplified_points);
     let Some(domain) = db.time_domain() else {
-        let output = FilterOutput {
-            candidates: Vec::new(),
-            partitions: Vec::new(),
-            delta,
-            lambda,
-            original_points,
-            simplified_points,
-        };
         return (output, FilterWork::default());
     };
 
@@ -114,10 +127,8 @@ pub(crate) fn filter_simplified_with_work(
     let partition = TimePartition::new(domain, TimePartition::clamp_lambda(lambda) as i64);
 
     // The partition loop is shared with the streaming filter: cluster each
-    // λ-partition's sub-trajectories (`cuts::partition`), fold the clusters
-    // into candidate chains through the CMC fold.
-    let mut partitions: Vec<PartitionClusters> = Vec::with_capacity(partition.len());
-    let mut chain = CmcState::new(query);
+    // λ-partition's sub-trajectories (`cuts::partition`).
+    output.partitions.reserve(partition.len());
     let mut work = FilterWork::default();
 
     // The active set: indices into `simplified` of the trajectories whose
@@ -151,18 +162,8 @@ pub(crate) fn filter_simplified_with_work(
         let (clustered, partition_work) =
             cluster_partition_with_work(window, &items, query, distance, mode);
         work += partition_work;
-        chain.ingest_partition(&clustered);
-        partitions.push(clustered);
+        output.partitions.push(clustered);
     }
-
-    let output = FilterOutput {
-        candidates: chain.finish(),
-        partitions,
-        delta,
-        lambda,
-        original_points,
-        simplified_points,
-    };
     (output, work)
 }
 
@@ -199,33 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_produces_a_candidate_covering_the_true_convoy() {
-        let db = convoy_db();
-        let query = ConvoyQuery::new(3, 10, 1.5);
-        for variant in CutsVariant::ALL {
-            let output = filter(&db, &query, &CutsConfig::new(variant));
-            assert!(
-                !output.candidates.is_empty(),
-                "{variant} filter must produce at least one candidate"
-            );
-            // Some candidate must contain all three convoy members over the
-            // full window — the no-false-dismissal guarantee.
-            let covered = output.candidates.iter().any(|c| {
-                (0..3u64).all(|i| c.objects.contains(ObjectId(i))) && c.start <= 0 && c.end >= 29
-            });
-            assert!(covered, "{variant} filter lost the true convoy");
-            // The far-away object must not force itself into every candidate.
-            assert!(output
-                .candidates
-                .iter()
-                .any(|c| !c.objects.contains(ObjectId(9))));
-            assert!(output.delta > 0.0);
-            assert!(output.lambda >= 2);
-            assert!(output.simplified_points <= output.original_points);
-        }
-    }
-
-    #[test]
     fn filter_reduces_vertex_count_on_smooth_trajectories() {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 10, 1.5);
@@ -258,20 +232,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_database_produces_no_candidates() {
+    fn empty_database_produces_no_partitions() {
         let db = TrajectoryDatabase::new();
         let query = ConvoyQuery::new(2, 3, 1.0);
         let output = filter(&db, &query, &CutsConfig::new(CutsVariant::Cuts));
-        assert!(output.candidates.is_empty());
+        assert!(output.partitions.is_empty());
         assert_eq!(output.original_points, 0);
-    }
-
-    #[test]
-    fn lifetime_constraint_prunes_short_candidates() {
-        let db = convoy_db();
-        // k far larger than the domain: no candidate can qualify.
-        let query = ConvoyQuery::new(3, 500, 1.5);
-        let output = filter(&db, &query, &CutsConfig::new(CutsVariant::Cuts));
-        assert!(output.candidates.is_empty());
     }
 }

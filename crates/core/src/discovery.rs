@@ -7,7 +7,7 @@ use crate::cuts::filter::{filter_simplified_with_work, simplify_database};
 use crate::cuts::refine::refine;
 use crate::cuts::{CutsConfig, CutsVariant};
 use crate::engine::CmcEngine;
-use crate::metrics::{refinement_unit, DiscoveryStats};
+use crate::metrics::DiscoveryStats;
 use crate::params::auto_delta;
 use crate::query::{normalize_convoys, Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
@@ -69,7 +69,7 @@ pub struct DiscoveryOutcome {
     pub method: Method,
     /// The normalised convoy result set.
     pub convoys: Vec<Convoy>,
-    /// Candidate / parameter statistics.
+    /// Parameter and work statistics.
     pub stats: DiscoveryStats,
 }
 
@@ -238,8 +238,6 @@ impl Discovery {
                 DiscoveryOutcome {
                     method: self.method,
                     stats: DiscoveryStats {
-                        num_candidates: output.candidates.len(),
-                        refinement_units: refinement_unit(&output.candidates),
                         num_convoys: convoys.len(),
                         delta: output.delta,
                         lambda: output.lambda,
@@ -370,8 +368,8 @@ mod tests {
         let db = scenario_db();
         let query = ConvoyQuery::new(3, 10, 2.0);
         let outcome = Discovery::new(Method::CutsStar).run(&db, &query);
-        assert!(outcome.stats.num_candidates > 0);
-        assert!(outcome.stats.refinement_units > 0.0);
+        assert!(outcome.stats.work.refine_snapshot_points > 0);
+        assert!(outcome.stats.filter.candidate_pairs > 0);
         assert!(outcome.stats.delta > 0.0);
         assert!(outcome.stats.lambda >= 2);
         assert_eq!(outcome.stats.num_convoys, outcome.convoys.len());
@@ -382,8 +380,8 @@ mod tests {
         let db = scenario_db();
         let query = ConvoyQuery::new(3, 10, 2.0);
         let outcome = Discovery::new(Method::Cmc).run(&db, &query);
-        assert_eq!(outcome.stats.num_candidates, 0);
-        assert_eq!(outcome.stats.refinement_units, 0.0);
+        assert_eq!(outcome.stats.work.refine_snapshot_points, 0);
+        assert_eq!(outcome.stats.filter, crate::FilterWork::default());
     }
 
     #[test]

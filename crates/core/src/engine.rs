@@ -6,11 +6,8 @@
 //! * [`CmcState`] — the incremental core: ingest one snapshot (or one tick's
 //!   clusters), emit the convoys that closed at that tick. Every engine, the
 //!   CuTS refinement step and streaming ingest all fold through this one
-//!   state machine, and so does the CuTS filter: its chaining of λ-partition
-//!   clusters into candidates (Algorithm 2) is the same extend-or-close step
-//!   over a window instead of a tick ([`CmcState::ingest_partition`]). There
-//!   is a single implementation of the candidate bookkeeping (including the
-//!   per-step candidate de-duplication), for ticks and partitions alike.
+//!   state machine, so there is a single implementation of the candidate
+//!   bookkeeping (including the per-tick candidate de-duplication).
 //! * [`CmcEngine`] — the execution strategy, run through
 //!   [`CmcEngine::run_windowed_with_stats_obs`]: the swept single-pass
 //!   cursor (one sequential loop over a [`SnapshotSweep`]) or the
@@ -43,7 +40,6 @@
 //! same run folds in 0.09 s of 0.52 s, a 1.55× speedup.
 
 use crate::candidate::OverlapIndex;
-use crate::cuts::partition::PartitionClusters;
 use crate::metrics::FoldWork;
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
@@ -100,8 +96,8 @@ pub struct CmcState {
     /// per fold, so [`CmcState::ingest_snapshot`] allocates nothing in
     /// steady state.
     clusterer: SnapshotClusterer,
-    /// Double buffer for the per-step candidate turnover (swapped with
-    /// `current` at the end of every fold step, tick or partition).
+    /// Double buffer for the per-tick candidate turnover (swapped with
+    /// `current` at the end of every tick).
     next: Vec<Convoy>,
     /// Per-tick dedup index over `next`: hash of `(objects, start)` → first
     /// `next` index with that hash; `dedup_chain[i]` links further entries
@@ -141,8 +137,7 @@ pub struct CmcStats {
     /// [`CmcState::peak_candidates`]).
     pub peak_candidates: usize,
     /// Number of ticks ingested via [`CmcState::ingest_snapshot`] /
-    /// [`CmcState::ingest_clusters`] (partitions, for a fold driven by
-    /// [`CmcState::ingest_partition`]).
+    /// [`CmcState::ingest_clusters`].
     pub ticks_ingested: u64,
     /// Number of candidate chains force-closed because a tick was *skipped*
     /// (the feed-outage path): an unobserved tick closes every open chain,
@@ -166,9 +161,9 @@ pub struct CmcStateSnapshot {
     pub closed: Vec<Convoy>,
     /// Largest number of simultaneously open chains observed.
     pub peak_candidates: usize,
-    /// The last ingested tick (the last window's end, for partitions).
+    /// The last ingested tick.
     pub last_tick: Option<TimePoint>,
-    /// Number of ticks (or partitions) ingested so far.
+    /// Number of ticks ingested so far.
     pub ticks_ingested: u64,
     /// Chains force-closed by feed gaps.
     pub gap_closures: u64,
@@ -261,46 +256,24 @@ impl CmcState {
             self.last_tick.is_none_or(|last| last < t),
             "ticks must be ingested in increasing order"
         );
-        self.fold_unit(t, t, clusters);
+        self.fold_unit(t, clusters);
     }
 
-    /// Folds one λ-partition's clusters into the candidate chains: the
-    /// chaining half of the CuTS filter (Algorithm 2, lines 13–22), the same
-    /// extend-or-close step as [`CmcState::ingest_clusters`] over a window
-    /// instead of a tick. A fresh chain spans the window; an extended chain
-    /// ends at the window's end. The closed chains are *candidates* at
-    /// partition granularity, which the refinement then verifies.
-    ///
-    /// Windows must arrive in order and contiguous: each starts on the
-    /// previous window's end, as consecutive [`trajectory::TimePartition`]
-    /// windows share their boundary point (debug-asserted to never start
-    /// before it). A window that starts later leaves a gap, which closes the
-    /// open chains and counts as [`CmcStats::gap_closures`] exactly as a
-    /// skipped tick does.
-    pub fn ingest_partition(&mut self, partition: &PartitionClusters) {
-        let window = partition.window;
-        debug_assert!(
-            self.last_tick.is_none_or(|last| last <= window.start),
-            "partitions must be ingested in window order"
-        );
-        self.fold_unit(window.start, window.end, &partition.clusters);
-    }
-
-    /// The fold step behind both entry points: extends the open chains with
-    /// the clusters observed over the unit `[start, end]`, closes the ones
-    /// that fail to extend and starts a chain from every cluster that
-    /// extended none. A unit that starts more than one point after the
-    /// previous unit's end first closes every open chain (a gap).
+    /// The fold step behind [`CmcState::ingest_clusters`]: extends the open
+    /// chains with the clusters observed at tick `t`, closes the ones that
+    /// fail to extend and starts a chain from every cluster that extended
+    /// none. A tick more than one point after the previous one first closes
+    /// every open chain (a gap).
     // lint: hot-path — the per-tick fold reuses its scratch buffers; steady state must not allocate
-    fn fold_unit(&mut self, start: TimePoint, end: TimePoint, clusters: &[Cluster]) {
+    fn fold_unit(&mut self, t: TimePoint, clusters: &[Cluster]) {
         if self
             .last_tick
-            .is_some_and(|last| start.saturating_sub(last) > 1)
+            .is_some_and(|last| t.saturating_sub(last) > 1)
         {
             self.gap_closures += self.current.len() as u64;
             self.close_all_candidates();
         }
-        self.last_tick = Some(end);
+        self.last_tick = Some(t);
         self.ticks_ingested = self.ticks_ingested.saturating_add(1);
 
         self.next.clear();
@@ -328,7 +301,7 @@ impl CmcState {
             for &ci in extending {
                 self.assigned[ci] = true;
                 let spare = self.spare.pop().unwrap_or_default();
-                let grown = candidate.extended(&clusters[ci], end, spare);
+                let grown = candidate.extended(&clusters[ci], t, spare);
                 if dedup_register(
                     &mut self.dedup_heads,
                     &mut self.dedup_chain,
@@ -356,15 +329,15 @@ impl CmcState {
                     &mut self.dedup_chain,
                     &self.next,
                     cluster,
-                    start,
+                    t,
                 )
             {
                 // The dedup check above runs on the borrowed cluster, so
                 // duplicates never copy; new candidates reuse the member
-                // buffers of the chains this unit consumed.
+                // buffers of the chains this tick consumed.
                 let mut objects = self.spare.pop().unwrap_or_default();
                 objects.clone_from(cluster);
-                self.next.push(Convoy::new(objects, start, end));
+                self.next.push(Convoy::new(objects, t, t));
             }
         }
 
@@ -396,8 +369,7 @@ impl CmcState {
         self.current.len()
     }
 
-    /// The last ingested tick (the last window's end, for partitions), or
-    /// `None` before the first ingest.
+    /// The last ingested tick, or `None` before the first ingest.
     pub fn last_tick(&self) -> Option<TimePoint> {
         self.last_tick
     }
@@ -450,15 +422,6 @@ impl CmcState {
     /// closed intact, not dropped.
     pub fn evict_longer_than(&mut self, max_lifetime: i64) -> usize {
         self.close_where(|candidate| candidate.lifetime() >= max_lifetime)
-    }
-
-    /// Closes the open chains that started before `cutoff`, reporting those
-    /// that satisfy the lifetime constraint. Returns the number of chains
-    /// closed. This is the coarse-filter side of windowed eviction: a
-    /// long-lived feed must not keep partition chains from an unbounded past
-    /// open.
-    pub fn close_started_before(&mut self, cutoff: TimePoint) -> usize {
-        self.close_where(|candidate| candidate.start < cutoff)
     }
 
     /// Closes the open candidates matching `doomed`, keeping the others in

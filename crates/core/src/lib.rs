@@ -70,9 +70,11 @@ pub use cuts::{CutsConfig, CutsVariant};
 pub use discovery::{Discovery, DiscoveryOutcome, Method};
 pub use engine::{CmcEngine, CmcState, CmcStateSnapshot, CmcStats};
 pub use mc2::{mc2, Mc2Config};
+#[allow(deprecated)] // kept until the benchmark migration
+pub use metrics::refinement_unit;
 pub use metrics::{
-    publish_discovery, publish_fold_stats, publish_stage_timings, refinement_unit, DiscoveryStats,
-    FilterWork, FoldWork,
+    publish_discovery, publish_fold_stats, publish_stage_timings, DiscoveryStats, FilterWork,
+    FoldWork,
 };
 pub use params::{auto_delta, auto_lambda};
 pub use query::{compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery};

@@ -1,7 +1,6 @@
-//! Instrumentation: candidate statistics, the *refinement unit* cost model
-//! used by the paper's Figures 16 and 17, a fold's and the CuTS filter's
-//! work counts, and the registry views of them. Stage timings are the
-//! `discover.*` spans themselves.
+//! Instrumentation: a discovery run's statistics, a fold's and the CuTS
+//! filter's work counts, and the registry views of them. Stage timings are
+//! the `discover.*` spans themselves.
 
 use crate::discovery::DiscoveryOutcome;
 use crate::engine::CmcStats;
@@ -13,10 +12,6 @@ use traj_cluster::{ClusterCounts, SubTrajectoryIndex};
 /// harness.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DiscoveryStats {
-    /// Number of candidate convoys the filter produced (0 for CMC).
-    pub num_candidates: usize,
-    /// The refinement-unit cost of those candidates (0 for CMC).
-    pub refinement_units: f64,
     /// Number of convoys reported after normalisation.
     pub num_convoys: usize,
     /// The simplification tolerance δ used (0 for CMC).
@@ -134,6 +129,13 @@ impl std::ops::AddAssign for FilterWork {
 ///
 /// The paper's example: a candidate with 3 objects and lifetime 2 contributes
 /// `3² × 2 = 18` units.
+///
+/// Nothing in the suite builds candidates any more: the refinement's real
+/// work is [`FoldWork::refine_snapshot_points`].
+#[deprecated(
+    note = "the filter builds no candidates to cost; read `FoldWork::refine_snapshot_points`. \
+            Removed by the benchmark migration, once the ledger stops calling it."
+)]
 pub fn refinement_unit(candidates: &[Convoy]) -> f64 {
     candidates
         .iter()
@@ -159,7 +161,7 @@ pub fn publish_fold_stats(registry: &Registry, fold: &CmcStats) {
 }
 
 /// Publishes a [`DiscoveryOutcome`]'s *deterministic* statistics (fold
-/// counters and work, the filter's work, candidate counts, parameters) under
+/// counters and work, the filter's work, the convoy count, λ) under
 /// the `cmc.*` / `cluster.*` / `prune.*` / `cuts.*` / `discover.*` names,
 /// with store semantics.
 /// Wall-clock timings are deliberately not included — publish those
@@ -173,14 +175,7 @@ pub fn publish_discovery(registry: &Registry, outcome: &DiscoveryOutcome) {
     for (name, value) in work.into_iter().chain(outcome.stats.filter.counters()) {
         registry.counter_store(name, value);
     }
-    registry.counter_store("discover.candidates", outcome.stats.num_candidates as u64);
     registry.counter_store("discover.convoys", outcome.stats.num_convoys as u64);
-    // The paper's Fig. 17 cost model is a f64; whole units are enough for
-    // the counter view (saturating `as` keeps absurd models finite).
-    registry.counter_store(
-        "discover.refinement_units",
-        outcome.stats.refinement_units as u64,
-    );
     registry.counter_store("discover.lambda", outcome.stats.lambda as u64);
 }
 
@@ -201,6 +196,7 @@ pub fn publish_stage_timings(registry: &Registry) {
 }
 
 #[cfg(test)]
+#[allow(deprecated)] // `refinement_unit` stays until the benchmark migration
 mod tests {
     use super::*;
     use traj_cluster::Cluster;

@@ -36,13 +36,11 @@
 //! | metric | kind | source | paper figure |
 //! |---|---|---|---|
 //! | `discover.simplify_ns` / `filter_ns` / `refine_ns` / `total_ns` | counter | the `discover.*` span totals ([`Registry::span_total_ns`]) | Fig. 13 — stage time breakdown |
-//! | `discover.candidates` | counter | `DiscoveryStats` | Fig. 16 — candidate count vs λ/δ |
-//! | `discover.refinement_units` | counter | `DiscoveryStats` | Fig. 17 — refinement-unit cost |
 //! | `discover.convoys` | counter | `DiscoveryStats` | result cardinality |
 //! | `cmc.ticks_ingested`, `cmc.peak_candidates` | counter / gauge | `CmcStats` | CMC fold progress (Alg. 1), candidate-set pressure |
 //! | `cmc.clusters_per_tick`, `cmc.candidates_per_tick`, `cmc.candidates_open` | histogram / gauge | recorded per tick | cluster and candidate counts per tick |
 //! | `cmc.overlap_lookups` / `cmc.extensions` | counter | `FoldWork` | fold work (candidate members looked up in the per-tick object→cluster index) vs useful outcomes (candidate × cluster pairs that kept ≥ m objects) |
-//! | `cuts.refine.snapshot_points` | counter | `FoldWork` | CuTS refinement work: entries of the coverage snapshots folded (covered object-ticks), by batch refinement and by the stream's fold alike; 0 for CMC |
+//! | `cuts.refine.snapshot_points` | counter | `FoldWork` | Figs. 14, 16, 17 — CuTS refinement work: entries of the coverage snapshots folded (covered object-ticks), by batch refinement and by the stream's fold alike; 0 for CMC |
 //! | `cuts.filter.candidate_pairs` / `lemma2_pass` / `distance_evals` / `neighbours` | counter | `FilterWork` | batch CuTS filter's region-query work over all λ-partitions: sub-trajectory pairs whose probe boxes overlap, pairs that pass the interval test and Lemma 2 (their ω is tested), segment-pair distances computed, neighbour relations found; 0 for CMC |
 //! | `stream.emission_delay_ticks` | histogram | per emitted convoy | per-result delay (ranked-enumeration lens) |
 //! | `stream.time_to_first_convoy_ns` | counter | once per stream | streaming first-result latency |

@@ -3,8 +3,8 @@
 //! A checkpoint captures everything a stream needs to resume
 //! **bit-identically**: the feed watermark, the per-object sample buffers
 //! (whose newest samples double as the per-object feed-order cursors), the
-//! partition cursor, the coarse candidate chain, the refinement fold's
-//! chains and counters, the undrained output, and every lifetime counter.
+//! partition cursor, the refinement fold's chains and counters, the
+//! undrained output, and every lifetime counter.
 //! A partition close folds every tick up to the partition's end, so no
 //! partition's coverage outlives its close. Scratch state — the
 //! snapshot clusterer, the dedup index, the cached partition blocker — is
@@ -13,19 +13,19 @@
 //! `run N+M ticks` on raw convoys and [`crate::StreamStats`] alike;
 //! `tests/checkpoint_equivalence.rs` locks this in).
 //!
-//! ## File format (version 3)
+//! ## File format (version 4)
 //!
 //! ```text
 //! magic   8 bytes   b"CONVOYCK"
-//! version u32 LE    3
+//! version u32 LE    4
 //! 7 sections, fixed order, each: tag u32 LE + payload length u64 LE + payload
 //!   1 CONFIG     query (m, k, e), variant, δ, λ, tolerance mode, eviction
 //!   2 WATERMARK  the feed watermark (largest accepted timestamp), optional
 //!   3 BUFFERS    per-object samples (ascending ids, ascending timestamps,
 //!                none newer than the watermark)
-//!   4 FILTER     partition cursor + candidate-chain state
+//!   4 FILTER     partition cursor
 //!   5 FOLD       refinement-fold state (CmcState view + eviction count)
-//!   6 OUTPUT     undrained convoys and candidates
+//!   6 OUTPUT     undrained convoys
 //!   7 STATS      stream counters not derivable from the sections above
 //! crc32   u32 LE    IEEE CRC-32 of every preceding byte
 //! ```
@@ -48,7 +48,10 @@
 //! [`CheckpointError`], never a panic or a partial restore. Older versions
 //! are rejected as [`CheckpointError::UnsupportedVersion`]: version 1 also
 //! stored a per-object validator list, version 2 a held-back boundary
-//! partition's window and coverage and a copy of the fold's last tick.
+//! partition's window and coverage and a copy of the fold's last tick, and
+//! version 3 the filter's candidate chain (its open and closed chains, peak
+//! and partition count), the undrained candidates and the chain's candidate
+//! and eviction counters.
 
 // This module faces arbitrary bytes; every abort path is a bug. Enforced
 // three ways: convoy-lint's no-panic-decode rule, the every-byte-flip
@@ -75,7 +78,7 @@ use traj_datasets::container::{ByteReader, Truncated};
 pub const MAGIC: [u8; 8] = *b"CONVOYCK";
 
 /// The current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const TAG_CONFIG: u32 = 1;
 const TAG_WATERMARK: u32 = 2;
@@ -394,17 +397,7 @@ impl ConvoyStream {
             }
         });
 
-        // The chain folds contiguous partitions, which never gap: its last
-        // window end and its closure counters shape no output, so only its
-        // open and closed chains, its peak and its unit count are stored.
-        let chain = self.chain.export_state();
-        e.section(TAG_FILTER, |e| {
-            e.opt_i64(self.partition_start);
-            e.convoys(&chain.current);
-            e.convoys(&chain.closed);
-            e.u64(chain.peak_candidates as u64);
-            e.u64(chain.ticks_ingested);
-        });
+        e.section(TAG_FILTER, |e| e.opt_i64(self.partition_start));
 
         let fold = &self.fold;
         e.section(TAG_FOLD, |e| {
@@ -412,15 +405,10 @@ impl ConvoyStream {
             e.u64(fold.evicted);
         });
 
-        e.section(TAG_OUTPUT, |e| {
-            e.convoys(&self.ready);
-            e.convoys(&self.ready_candidates);
-        });
+        e.section(TAG_OUTPUT, |e| e.convoys(&self.ready));
 
         e.section(TAG_STATS, |e| {
             e.u64(self.partitions_closed);
-            e.u64(self.filter_candidates);
-            e.u64(self.chain_evicted);
             e.u64(self.peak_samples_buffered as u64);
         });
 
@@ -531,15 +519,6 @@ impl ConvoyStream {
 
         let mut s = section(&mut d, TAG_FILTER)?;
         let partition_start = opt(&mut s, ByteReader::i64)?;
-        let chain = CmcStateSnapshot {
-            current: convoys(&mut s)?,
-            closed: convoys(&mut s)?,
-            peak_candidates: s.u64()? as usize,
-            last_tick: None,
-            ticks_ingested: s.u64()?,
-            gap_closures: 0,
-            convoys_closed: 0,
-        };
         finish_section(s, "trailing bytes in filter section")?;
 
         let mut s = section(&mut d, TAG_FOLD)?;
@@ -549,13 +528,10 @@ impl ConvoyStream {
 
         let mut s = section(&mut d, TAG_OUTPUT)?;
         let ready = convoys(&mut s)?;
-        let ready_candidates = convoys(&mut s)?;
         finish_section(s, "trailing bytes in output section")?;
 
         let mut s = section(&mut d, TAG_STATS)?;
         let partitions_closed = s.u64()?;
-        let filter_candidates = s.u64()?;
-        let chain_evicted = s.u64()?;
         let peak_samples_buffered = s.u64()? as usize;
         finish_section(s, "trailing bytes in stats section")?;
 
@@ -567,14 +543,10 @@ impl ConvoyStream {
         stream.watermark = watermark;
         stream.buffers = buffers;
         stream.partition_start = partition_start;
-        stream.chain = CmcState::from_state(&config.query, chain);
         stream.fold.state = CmcState::from_state(&config.query, state);
         stream.fold.evicted = fold_evicted;
         stream.ready = ready;
-        stream.ready_candidates = ready_candidates;
         stream.partitions_closed = partitions_closed;
-        stream.filter_candidates = filter_candidates;
-        stream.chain_evicted = chain_evicted;
         stream.samples_buffered = samples_buffered;
         stream.peak_samples_buffered = peak_samples_buffered.max(samples_buffered);
         Ok(stream)
@@ -851,7 +823,7 @@ mod tests {
 
     #[test]
     fn version_one_files_are_unsupported() {
-        for version in [1u32, 2] {
+        for version in [1u32, 2, 3] {
             let mut bytes = bytes_with_watermark(Some(2));
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             let body = bytes.len() - 4;

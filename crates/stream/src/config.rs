@@ -132,14 +132,7 @@ pub struct StreamStats {
     pub fold: CmcStats,
     /// λ-partitions closed (clustered and folded) so far.
     pub partitions_closed: u64,
-    /// Coarse filter candidates closed by the incremental filter's candidate
-    /// chain (lifetime-qualifying ones, the same population batch
-    /// [`convoy_core::cuts::filter::FilterOutput::candidates`] counts).
-    pub filter_candidates: u64,
-    /// Largest number of simultaneously open coarse filter chains.
-    pub peak_filter_candidates: usize,
-    /// Chains force-closed by the eviction policy (refinement and coarse
-    /// filter chains combined).
+    /// Refinement chains force-closed by the eviction policy.
     pub candidates_evicted: u64,
     /// Samples currently buffered across all objects.
     pub samples_buffered: usize,
@@ -155,12 +148,7 @@ pub struct StreamStats {
 pub fn publish_stream_stats(registry: &Registry, stats: &StreamStats) {
     convoy_core::publish_fold_stats(registry, &stats.fold);
     registry.counter_store("stream.partitions_closed", stats.partitions_closed);
-    registry.counter_store("stream.filter_candidates", stats.filter_candidates);
     registry.counter_store("stream.candidates_evicted", stats.candidates_evicted);
-    registry.gauge_set(
-        "stream.peak_filter_candidates",
-        i64::try_from(stats.peak_filter_candidates).unwrap_or(i64::MAX),
-    );
     registry.gauge_set(
         "stream.samples_buffered",
         i64::try_from(stats.samples_buffered).unwrap_or(i64::MAX),
@@ -215,8 +203,6 @@ mod tests {
                 convoys_closed: 3,
             },
             partitions_closed: 9,
-            filter_candidates: 5,
-            peak_filter_candidates: 4,
             candidates_evicted: 1,
             samples_buffered: 80,
             peak_samples_buffered: 120,
@@ -231,8 +217,6 @@ mod tests {
         assert_eq!(snapshot.counter("cmc.gap_closures"), 2);
         assert_eq!(snapshot.counter("cmc.convoys_closed"), 3);
         assert_eq!(snapshot.counter("stream.partitions_closed"), 9);
-        assert_eq!(snapshot.counter("stream.filter_candidates"), 5);
-        assert_eq!(snapshot.gauge("stream.peak_filter_candidates"), 4);
         assert_eq!(snapshot.counter("stream.candidates_evicted"), 1);
         assert_eq!(snapshot.gauge("stream.samples_buffered"), 80);
         assert_eq!(snapshot.gauge("stream.peak_samples_buffered"), 120);

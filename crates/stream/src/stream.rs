@@ -1,5 +1,5 @@
 //! The streaming pipeline: ingest → λ-close → incremental filter →
-//! [`convoy_core::CmcState`] fold → drain.
+//! coverage fold ([`convoy_core::CmcState`]) → drain.
 //!
 //! [`ConvoyStream`] accepts `(object, t, x, y)` samples in feed order and
 //! emits confirmed convoys as their chains close. Internally it mirrors the
@@ -12,9 +12,8 @@
 //! ObjectBuffer per object              (samples_buffered)
 //!   │  watermark passes a λ-partition end, every object resolved
 //!   ▼
-//! sliding-window DP  ──►  cluster_partition  ──►  CmcState::ingest_partition
-//!   │                     (both shared with the batch filter; the candidate
-//!   │                      chain is the CMC fold over λ-windows)
+//! sliding-window DP  ──►  cluster_partition     (shared with the batch filter)
+//!   │
 //!   ▼
 //! RefineFold: covered sweep → CmcState fold over the partition's ticks
 //!   │        (its end tick included), eviction hooks
@@ -34,8 +33,8 @@
 //! any finite database through the stream produces refinement output
 //! bit-identical to batch [`Discovery`] with the same CuTS configuration —
 //! raw convoy sequence and fold counters included — even though the
-//! sliding-window simplification (and hence the filter's clusters and
-//! candidates) may differ from the batch filter's. The coverage fold's
+//! sliding-window simplification (and hence the filter's clusters) may
+//! differ from the batch filter's. The coverage fold's
 //! restriction theorem (see [`convoy_core::cuts::refine`]) is what absorbs
 //! the difference. `tests/stream_equivalence.rs` locks the contract in.
 //!
@@ -52,8 +51,8 @@ use crate::config::{StreamConfig, StreamStats};
 use crate::refine::RefineFold;
 use convoy_core::cuts::filter::simplify_database;
 use convoy_core::{
-    auto_delta, auto_lambda, cluster_partition, CmcState, Convoy, ConvoyQuery, CutsConfig,
-    Discovery, FoldWork,
+    auto_delta, auto_lambda, cluster_partition, Convoy, ConvoyQuery, CutsConfig, Discovery,
+    FoldWork,
 };
 use convoy_obs::{Obs, SpanId};
 use std::collections::BTreeMap;
@@ -79,9 +78,6 @@ pub trait FeedIngest {
 pub struct StreamOutcome {
     /// All confirmed convoys, in the order their chains closed.
     pub convoys: Vec<Convoy>,
-    /// Coarse filter candidates not taken by
-    /// [`ConvoyStream::drain_candidates`] before the stream finished.
-    pub candidates: Vec<Convoy>,
     /// The stream's lifetime counters.
     pub stats: StreamStats,
 }
@@ -126,14 +122,9 @@ pub struct ConvoyStream {
     /// Pure cache: `None` is always a valid value (the next `advance` falls
     /// back to the full scan), so checkpoints simply do not store it.
     pub(crate) blocker: Option<ObjectId>,
-    /// The coarse candidate chain: the CMC fold over λ-partitions.
-    pub(crate) chain: CmcState,
     pub(crate) fold: RefineFold,
     pub(crate) ready: Vec<Convoy>,
-    pub(crate) ready_candidates: Vec<Convoy>,
     pub(crate) partitions_closed: u64,
-    pub(crate) filter_candidates: u64,
-    pub(crate) chain_evicted: u64,
     pub(crate) samples_buffered: usize,
     pub(crate) peak_samples_buffered: usize,
     /// Samples accepted and rejected since the counts were last added to
@@ -163,13 +154,9 @@ impl ConvoyStream {
             buffers: BTreeMap::new(),
             partition_start: None,
             blocker: None,
-            chain: CmcState::new(&config.query),
             fold: RefineFold::new(&config.query),
             ready: Vec::new(),
-            ready_candidates: Vec::new(),
             partitions_closed: 0,
-            filter_candidates: 0,
-            chain_evicted: 0,
             samples_buffered: 0,
             peak_samples_buffered: 0,
             samples_ingested: 0,
@@ -208,20 +195,15 @@ impl ConvoyStream {
         std::mem::take(&mut self.ready)
     }
 
-    /// Coarse filter candidates (λ-partition granularity, the same
-    /// population the batch filter's
-    /// [`convoy_core::cuts::filter::FilterOutput::candidates`] reports)
-    /// closed since the last drain.
-    ///
-    /// Candidates surface one λ-partition *before* the refined convoys they
-    /// cover, so they make a cheap early-warning signal — "a group has
-    /// plausibly been travelling together for ≥ k ticks" — while the
-    /// refinement is still verifying tick-level density connection. They
-    /// deliberately do **not** gate the refinement fold: exactness requires
-    /// the fold's coverage to come from whole partition clusters (see
-    /// [`convoy_core::cuts::refine`]), not from the intersected chains.
+    /// Always empty. The stream no longer chains partition clusters into
+    /// coarse candidates: the chains were not a superset of the convoys,
+    /// and the refinement reads each partition's clusters instead.
+    #[deprecated(
+        note = "always empty: the stream builds no candidate chain; read `drain`. \
+                Removed by the benchmark migration, once the ledger stops calling it."
+    )]
     pub fn drain_candidates(&mut self) -> Vec<Convoy> {
-        std::mem::take(&mut self.ready_candidates)
+        Vec::new()
     }
 
     /// The stream's counters so far.
@@ -229,9 +211,7 @@ impl ConvoyStream {
         StreamStats {
             fold: self.fold.state.stats(),
             partitions_closed: self.partitions_closed,
-            filter_candidates: self.filter_candidates,
-            peak_filter_candidates: self.chain.peak_candidates(),
-            candidates_evicted: self.fold.evicted + self.chain_evicted,
+            candidates_evicted: self.fold.evicted,
             samples_buffered: self.samples_buffered,
             peak_samples_buffered: self.peak_samples_buffered,
         }
@@ -293,8 +273,8 @@ impl ConvoyStream {
         }
     }
 
-    /// Clusters one closed λ-partition, folds it into the candidate chain
-    /// and the refinement fold, and applies eviction.
+    /// Clusters one closed λ-partition, folds it into the refinement fold,
+    /// and applies eviction.
     fn close_partition(&mut self, window: TimeInterval) {
         let live = self.obs.enabled();
         let span = if live {
@@ -340,24 +320,6 @@ impl ConvoyStream {
             self.config.variant.segment_distance(),
             self.config.tolerance_mode,
         );
-
-        // Coarse candidate chain (the chaining half of Algorithm 2), with
-        // horizon eviction so an unbounded feed cannot hoard old chains.
-        // Candidates are an *output* (drain_candidates) and a counter — they
-        // never gate the refinement, whose coverage must see whole partition
-        // clusters to stay exact.
-        self.chain.ingest_partition(&clustered);
-        if let Some(h) = horizon {
-            // `window.end - h` underflows for huge horizons on negative-epoch
-            // feeds; a cutoff below the representable time axis evicts
-            // nothing, which is exactly the saturating semantics we want.
-            if let Some(cutoff) = window.end.checked_sub(h) {
-                self.chain_evicted += self.chain.close_started_before(cutoff) as u64;
-            }
-        }
-        let closed_candidates = self.chain.drain_closed();
-        self.filter_candidates += closed_candidates.len() as u64;
-        self.ready_candidates.extend(closed_candidates);
 
         // Refinement: the shared coverage fold, sweeping the ingest buffers
         // with the same severing rule the filter used, up to and including
@@ -421,7 +383,7 @@ impl ConvoyStream {
     }
 
     /// Ends the feed: closes every remaining λ-partition up to the
-    /// watermark, flushes the candidate chain and the refinement fold, and
+    /// watermark, flushes the refinement fold, and
     /// returns every convoy not yet drained plus the final counters.
     pub fn finish(mut self) -> StreamOutcome {
         if let (Some(mut start), Some(watermark)) = (self.partition_start, self.watermark) {
@@ -446,13 +408,9 @@ impl ConvoyStream {
 
         let ConvoyStream {
             watermark,
-            chain,
             fold,
             mut ready,
-            mut ready_candidates,
-            mut filter_candidates,
             partitions_closed,
-            chain_evicted,
             samples_buffered,
             peak_samples_buffered,
             samples_ingested,
@@ -464,11 +422,6 @@ impl ConvoyStream {
             ..
         } = self;
 
-        let peak_filter_candidates = chain.peak_candidates();
-        let final_candidates = chain.finish();
-        filter_candidates += final_candidates.len() as u64;
-        ready_candidates.extend(final_candidates);
-
         let evicted = fold.evicted;
         let (convoys, fold, work) = fold.finish();
         publish_session(&obs, work, samples_ingested, samples_rejected);
@@ -479,13 +432,10 @@ impl ConvoyStream {
         ready.extend(convoys);
         StreamOutcome {
             convoys: ready,
-            candidates: ready_candidates,
             stats: StreamStats {
                 fold,
                 partitions_closed,
-                filter_candidates,
-                peak_filter_candidates,
-                candidates_evicted: evicted + chain_evicted,
+                candidates_evicted: evicted,
                 samples_buffered,
                 peak_samples_buffered,
             },

@@ -32,10 +32,10 @@ fn main() {
 
     println!(
         "CuTS* found {} car-pooling opportunities in {:.2} s \
-         ({} candidates from the filter step, δ = {:.1}, λ = {})",
+         ({} car-ticks refined after the filter step, δ = {:.1}, λ = {})",
         outcome.convoys.len(),
         elapsed.as_secs_f64(),
-        outcome.stats.num_candidates,
+        outcome.stats.work.refine_snapshot_points,
         outcome.stats.delta,
         outcome.stats.lambda,
     );

@@ -1,10 +1,10 @@
 //! Checkpoint/restore equivalence: resuming a [`ConvoyStream`] from a
 //! snapshot must be **bit-identical** to never having stopped — run N ticks,
 //! checkpoint, restore, run M more ≡ run N+M straight, on the raw convoys
-//! (order included), the candidates, and every [`StreamStats`] counter. The
+//! (order included) and every [`StreamStats`] counter. The
 //! property holds at *any* cut point, mid-partition included, because the
 //! checkpoint captures the full resumable frontier (feed watermark, buffers,
-//! partition cursor, candidate chain, refinement fold, undrained output)
+//! partition cursor, refinement fold, undrained output)
 //! and everything it omits is scratch whose reconstruction is
 //! output-neutral.
 //!
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 /// Feeds `samples[..cut]` into a fresh stream, checkpoints it, restores,
 /// feeds the rest, and asserts the outcome equals the uninterrupted run —
-/// raw convoys, candidates and stats alike. Also asserts the encoding is
+/// raw convoys and stats alike. Also asserts the encoding is
 /// deterministic (restore → re-encode reproduces the same bytes).
 fn assert_resume_equivalence(
     config: StreamConfig,
@@ -158,7 +158,7 @@ fn empty_stream_round_trips() {
 }
 
 /// A checkpoint with every section non-trivially populated: open chains in
-/// the filter and the fold, buffered stragglers, undrained output.
+/// the fold, buffered stragglers, undrained output.
 fn busy_checkpoint() -> Vec<u8> {
     let profile = DatasetProfile::cattle().scaled(0.02);
     let data = generate(&profile, 42);

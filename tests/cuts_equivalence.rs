@@ -16,10 +16,13 @@
 //!   theorem of `convoy_core::cuts::refine` holds for each partition
 //!   covering a tick alone, which is why the stream folds a shared tick
 //!   once, with the earlier partition's coverage.
-//! * The filter's partitions hold pairwise-disjoint clusters: the
-//!   precondition under which folding them through `CmcState`, whose
-//!   per-step candidate dedup needs converging chains to fire, is exactly
-//!   the plain chaining of Algorithm 2.
+//! * The filter's partitions hold pairwise-disjoint clusters, like every
+//!   DBSCAN output.
+//! * The filter dismisses no convoy: at every tick, each cluster of the
+//!   full snapshot lies inside one cluster of every partition whose window
+//!   holds the tick — step 1 of the exactness argument of
+//!   `convoy_core::cuts::refine`, which the Lemma 1–3 bounds carry. Dense
+//!   clumps ride along, so snapshot clusters are often far larger than `m`.
 //!
 //! The databases churn: objects start late and end early, some have a
 //! single sample, sampling has gaps, and the simplified slice handed to the
@@ -42,6 +45,7 @@ use trajectory::{
 
 /// The all-objects filter: every λ-partition scans every simplified
 /// trajectory for a sub-trajectory in the window.
+#[allow(deprecated)] // `FilterOutput::candidates`, always empty
 fn all_objects_filter(
     simplified: &[(ObjectId, SimplifiedTrajectory)],
     db: &TrajectoryDatabase,
@@ -66,18 +70,16 @@ fn all_objects_filter(
     };
     let distance = config.variant.segment_distance();
     let mut partitions = Vec::new();
-    let mut chain = CmcState::new(query);
     for window in TimePartition::new(domain, lambda as i64).iter() {
         let items: Vec<SubTrajectory> = simplified
             .iter()
             .filter_map(|(id, s)| SubTrajectory::for_window(*id, s, window))
             .collect();
         let clustered = cluster_partition(window, &items, query, distance, config.tolerance_mode);
-        chain.ingest_partition(&clustered);
         partitions.push(clustered);
     }
     FilterOutput {
-        candidates: chain.finish(),
+        candidates: Vec::new(),
         partitions,
         delta,
         lambda,
@@ -148,6 +150,53 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// [`arb_db`] plus up to three dense clumps: groups of 3 to 6 objects
+    /// (ids from 1000 up) that follow one random walk, each member within a
+    /// small jitter of it, over a shared run of ticks. Snapshots then hold
+    /// clusters well above `m`, which a partition's looser bounds may merge
+    /// with their neighbours.
+    fn arb_clumped_db()(
+        db in arb_db(),
+        clumps in proptest::collection::vec(
+            (
+                (0i64..40, 1usize..12, 3usize..7),
+                (
+                    (-4.0f64..4.0, -4.0f64..4.0),
+                    proptest::collection::vec((-1.5f64..1.5, -1.5f64..1.5), 12),
+                ),
+                proptest::collection::vec((-0.3f64..0.3, -0.3f64..0.3), 72),
+            ),
+            0..4,
+        ),
+    ) -> TrajectoryDatabase {
+        let mut db = db;
+        for (c, ((start, ticks, members), ((mut x, mut y), steps), jitter)) in
+            clumps.into_iter().enumerate()
+        {
+            let path: Vec<(f64, f64, i64)> = steps
+                .into_iter()
+                .take(ticks)
+                .enumerate()
+                .map(|(i, (dx, dy))| {
+                    x += dx;
+                    y += dy;
+                    (x, y, start + i as i64)
+                })
+                .collect();
+            for member in 0..members {
+                let points = path.iter().enumerate().map(|(i, &(x, y, t))| {
+                    let (jx, jy) = jitter[member * 12 + i];
+                    TrajPoint::new(x + jx, y + jy, t)
+                });
+                let id = ObjectId(1000 + 10 * c as u64 + member as u64);
+                db.insert(id, Trajectory::from_points(points.collect()).unwrap());
+            }
+        }
+        db
+    }
+}
+
 /// The simplified slice in a shuffled order: entry `i` goes to the rank of
 /// `keys[i]` (ties broken by position), so the slice is generally not
 /// sorted by id.
@@ -204,7 +253,6 @@ proptest! {
             let got = filter_simplified(&simplified, &db, &query, &config, delta);
             let expected = all_objects_filter(&simplified, &db, &query, &config, delta);
             prop_assert_eq!(&got.partitions, &expected.partitions, "{} partitions", variant);
-            prop_assert_eq!(&got.candidates, &expected.candidates, "{} candidates", variant);
             prop_assert_eq!(got, expected, "{}", variant);
         }
     }
@@ -220,10 +268,7 @@ proptest! {
         lambda in 0usize..9,
         global in 0u8..2,
     ) {
-        // The filter folds its partitions through `CmcState`, whose per-step
-        // `(objects, start)` dedup only changes output when two open chains
-        // converge. Disjoint clusters keep the chains disjoint, so the dedup
-        // can never fire on the filter's chains.
+        // TRAJ-DBSCAN, like DBSCAN, puts every item in at most one cluster.
         let query = ConvoyQuery::new(m, k, e);
         for variant in CutsVariant::ALL {
             let config = config(variant, (delta > 0.2).then_some(delta), lambda, global == 1);
@@ -240,6 +285,51 @@ proptest! {
                         partition.window,
                         id
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_snapshot_cluster_lies_in_one_cluster_of_each_covering_partition(
+        db in arb_clumped_db(),
+        keys in proptest::collection::vec(0u64..8, 1..13),
+        m in 2usize..4,
+        e in 0.5f64..4.0,
+        delta in 0.0f64..2.0,
+        lambda in 0usize..9,
+    ) {
+        let query = ConvoyQuery::new(m, 1, e);
+        let Some(domain) = db.time_domain() else {
+            return Ok(());
+        };
+        let snapshots: Vec<(i64, Vec<Cluster>)> =
+            SnapshotSweep::new(&db, domain, SnapshotPolicy::Interpolate)
+                .map(|snapshot| (snapshot.time, snapshot_clusters(&snapshot, e, m)))
+                .collect();
+        for variant in CutsVariant::ALL {
+            for global in [false, true] {
+                let config = config(variant, (delta > 0.2).then_some(delta), lambda, global);
+                let delta = config.delta.unwrap_or_else(|| auto_delta(&db, query.e));
+                let simplified = shuffled(simplify_database(&db, &config, delta), &keys);
+                let output = filter_simplified(&simplified, &db, &query, &config, delta);
+                for (t, clusters) in &snapshots {
+                    let covering = output.partitions.iter().filter(|p| p.window.contains(*t));
+                    for partition in covering {
+                        for cluster in clusters {
+                            prop_assert!(
+                                partition.clusters.iter().any(|p| cluster.is_subset_of(p)),
+                                "{} (global tolerance: {}) at t={}: snapshot cluster {:?} \
+                                 is in no single cluster of partition {:?}: {:?}",
+                                variant,
+                                global,
+                                t,
+                                cluster,
+                                partition.window,
+                                partition.clusters
+                            );
+                        }
+                    }
                 }
             }
         }

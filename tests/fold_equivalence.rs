@@ -1,28 +1,26 @@
 //! Fold-equivalence property tests: the indexed candidate fold of
-//! [`CmcState`] — over ticks (CMC, Algorithm 1) and over λ-partitions (the
-//! CuTS filter's chaining, Algorithm 2) — against a copy of the all-pairs
-//! loop of Algorithm 1 (every open candidate intersected with every cluster
-//! of the unit), kept here as the oracle.
+//! [`CmcState`] (CMC, Algorithm 1) against a copy of the all-pairs loop of
+//! Algorithm 1 (every open candidate intersected with every cluster of the
+//! tick), kept here as the oracle.
 //!
 //! DBSCAN never produces overlapping clusters, so the engine and stream
 //! suites only ever fold disjoint cluster lists. The public fold API accepts
-//! arbitrary lists, and that is where the order of extensions, the per-step
-//! candidate dedup and the fresh-chain rule interact. The generated units
+//! arbitrary lists, and that is where the order of extensions, the per-tick
+//! candidate dedup and the fresh-chain rule interact. The generated ticks
 //! here draw clusters from a handful of objects, so clusters overlap, repeat
 //! each other's member sets, fall below `m` or come out empty; feed gaps,
-//! empty units and interleaved evictions ride along. After every step the
+//! empty ticks and interleaved evictions ride along. After every step the
 //! open chains, the drained output and the counters must match the oracle
 //! exactly and in order.
 
-use convoy_core::{CmcState, CmcStateSnapshot, CmcStats, Convoy, ConvoyQuery, PartitionClusters};
+use convoy_core::{CmcState, CmcStateSnapshot, CmcStats, Convoy, ConvoyQuery};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use traj_cluster::Cluster;
-use trajectory::{ObjectId, TimeInterval, TimePoint};
+use trajectory::{ObjectId, TimePoint};
 
 /// The all-pairs CMC fold: the `CmcState` bookkeeping with the nested
-/// candidate × cluster loop and a set-based per-step dedup, over units
-/// `[start, end]` — a tick is `[t, t]`, a λ-partition its window.
+/// candidate × cluster loop and a set-based per-tick dedup.
 struct AllPairsCmc {
     query: ConvoyQuery,
     current: Vec<Convoy>,
@@ -56,27 +54,15 @@ impl AllPairsCmc {
     }
 
     fn ingest_clusters(&mut self, t: TimePoint, clusters: &[Cluster]) {
-        self.ingest_unit(t, t, clusters);
-    }
-
-    fn ingest_partition(&mut self, partition: &PartitionClusters) {
-        self.ingest_unit(
-            partition.window.start,
-            partition.window.end,
-            &partition.clusters,
-        );
-    }
-
-    fn ingest_unit(&mut self, start: TimePoint, end: TimePoint, clusters: &[Cluster]) {
         if let Some(last) = self.last_tick {
-            if start > last + 1 {
+            if t > last + 1 {
                 self.gap_closures += self.current.len() as u64;
                 for candidate in std::mem::take(&mut self.current) {
                     self.close(candidate);
                 }
             }
         }
-        self.last_tick = Some(end);
+        self.last_tick = Some(t);
         self.ticks_ingested += 1;
 
         let mut next = Vec::new();
@@ -90,11 +76,7 @@ impl AllPairsCmc {
                     extended = true;
                     assigned[ci] = true;
                     if seen.insert((common.clone(), candidate.start)) {
-                        next.push(Convoy {
-                            objects: common,
-                            start: candidate.start,
-                            end: end.max(candidate.end),
-                        });
+                        next.push(Convoy::new(common, candidate.start, t));
                     }
                 }
             }
@@ -103,24 +85,12 @@ impl AllPairsCmc {
             }
         }
         for (ci, cluster) in clusters.iter().enumerate() {
-            if !assigned[ci] && seen.insert((cluster.clone(), start)) {
-                next.push(Convoy::new(cluster.clone(), start, end));
+            if !assigned[ci] && seen.insert((cluster.clone(), t)) {
+                next.push(Convoy::new(cluster.clone(), t, t));
             }
         }
         self.current = next;
         self.peak_candidates = self.peak_candidates.max(self.current.len());
-    }
-
-    fn close_started_before(&mut self, cutoff: TimePoint) -> usize {
-        let (old, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.current)
-            .into_iter()
-            .partition(|c| c.start < cutoff);
-        self.current = kept;
-        let closed = old.len();
-        for candidate in old {
-            self.close(candidate);
-        }
-        closed
     }
 
     fn evict_longer_than(&mut self, max_lifetime: i64) -> usize {
@@ -173,7 +143,7 @@ impl AllPairsCmc {
 }
 
 /// One generated step: `kind` picks the operation, `param` sizes it, and
-/// `clusters` are the (possibly overlapping) member lists of a unit.
+/// `clusters` are the (possibly overlapping) member lists of a tick.
 type Step = (u8, usize, Vec<Vec<u64>>);
 
 /// Up to five clusters of up to five members from an eight-object universe:
@@ -263,55 +233,4 @@ proptest! {
         prop_assert_eq!(stats, oracle_stats);
     }
 
-    #[test]
-    fn indexed_chain_fold_matches_the_all_pairs_loop(
-        m in 0usize..4,
-        k in 1usize..8,
-        steps in arb_steps()
-    ) {
-        let query = query(m, k);
-        let mut chain = CmcState::new(&query);
-        let mut oracle = AllPairsCmc::new(query);
-        let mut start: TimePoint = 0;
-        for (i, (kind, param, lists)) in steps.iter().enumerate() {
-            if *kind >= 10 {
-                let cutoff = start - *param as i64;
-                prop_assert_eq!(
-                    chain.close_started_before(cutoff),
-                    oracle.close_started_before(cutoff)
-                );
-            } else {
-                // Consecutive λ-partitions share their boundary point; kind 8
-                // starts a window past it (a gap).
-                if *kind == 8 {
-                    start += 2 + *param as i64;
-                }
-                let end = start + 1 + *param as i64;
-                let clusters = if *kind < 2 { Vec::new() } else { clusters_of(lists) };
-                let partition = PartitionClusters {
-                    window: TimeInterval::new(start, end),
-                    clusters,
-                };
-                chain.ingest_partition(&partition);
-                oracle.ingest_partition(&partition);
-                start = end;
-            }
-            prop_assert_eq!(
-                &chain.export_state().current,
-                &oracle.current,
-                "open chains diverged at step {}",
-                i
-            );
-            if i % 3 == 0 {
-                prop_assert_eq!(chain.drain_closed(), std::mem::take(&mut oracle.closed));
-            }
-            prop_assert_eq!(chain.export_state(), oracle.snapshot(), "state diverged at step {}", i);
-        }
-        for candidate in std::mem::take(&mut oracle.current) {
-            oracle.close(candidate);
-        }
-        let (candidates, stats) = chain.finish_with_stats();
-        prop_assert_eq!(candidates, oracle.closed);
-        prop_assert_eq!(stats, oracle.stats());
-    }
 }

@@ -22,7 +22,7 @@ const CONTAINER_PINS: [(usize, u32, usize); 2] = [(4, 0x4656_9b3f, 3152), (64, 0
 /// whole database has been fed. The CRC is taken over the body, everything
 /// but the stored CRC-32 trailer: a CRC over a whole checkpoint, trailer
 /// included, is the CRC-32 residue `0x2144df1c` for every valid file.
-const CHECKPOINT_PIN: (u32, usize) = (0xec69_b6b2, 923);
+const CHECKPOINT_PIN: (u32, usize) = (0x1dda_5105, 819);
 
 /// One object moving at `x(t)` along the horizontal line `y`, sampled at
 /// `ticks`.
